@@ -44,7 +44,6 @@ DEFAULTS = {
     "gluing.cutoff_width": 1.0,
     "grid.resolution": 64,
     "solver.tol": 1e-11,
-    "solver.max_refine": 2,
     "yamabe.middle_term": "eq2",
     "yamabe.max_iter": 40,
 }
@@ -181,8 +180,6 @@ class RunConfig:
             raise ConfigError("grid.resolution must be >= 16")
         if float(self["solver.tol"]) <= 0:
             raise ConfigError("solver.tol must be positive")
-        if int(self["solver.max_refine"]) < 0:
-            raise ConfigError("solver.max_refine must be >= 0")
         if self["yamabe.middle_term"] not in ("eq2", "plain"):
             raise ConfigError("yamabe.middle_term must be 'eq2' or 'plain'")
         nu = (model.n - 2) / 2.0
@@ -332,6 +329,7 @@ def cmd_validate_tensors(cfg: RunConfig, out: Path) -> Checks:
     header = ["case", "expected", "measured", "rel_err", "fd_err", "passed"]
     write_csv(out / "tensors.csv", header, rows)
     write_dat(out / "tensors.dat", header, rows)
+    write_summary(out, "validate-tensors", cfg, checks)
     return checks
 
 
@@ -432,8 +430,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> Checks:
     rep = yamabe.picard_solve(
         gcfg, resolution=int(cfg["grid.resolution"]),
         tol=float(cfg["solver.tol"]), max_iter=int(cfg["yamabe.max_iter"]),
-        middle=str(cfg["yamabe.middle_term"]),
-        max_refine=int(cfg["solver.max_refine"]))
+        middle=str(cfg["yamabe.middle_term"]))
     chk = yamabe.verify_constant_curvature(rep, gcfg)
     row = yamabe.SweepRow(eps, gcfg.delta, rep.v.sup(), rep.r_eps,
                           rep.v.cap_sup(), rep.iterations, rep.residual,
@@ -457,14 +454,13 @@ def cmd_solve(cfg: RunConfig, out: Path) -> Checks:
     return checks
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, jobs: int = 1) -> Checks:
+def cmd_sweep(cfg: RunConfig, out: Path) -> Checks:
     checks = Checks()
     table = yamabe.convergence_sweep(
         lambda e: cfg.gluing_config(e), cfg.eps_list(),
         delta=cfg.delta(),
         resolution=int(cfg["grid.resolution"]),
-        tol=float(cfg["solver.tol"]), max_iter=int(cfg["yamabe.max_iter"]),
-        max_refine=int(cfg["solver.max_refine"]), jobs=jobs)
+        tol=float(cfg["solver.tol"]), max_iter=int(cfg["yamabe.max_iter"]))
     _sweep_rows_to_csv(table, out)
     ok_rows = [r for r in table.rows if not r.error]
     checks.add("rows_converged", 1.0 if len(ok_rows) == len(table.rows) else 0.0,
@@ -506,8 +502,6 @@ def main(argv=None) -> int:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config key")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for sweeps (results stay ordered)")
     args = parser.parse_args(argv)
 
     try:
@@ -519,13 +513,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if args.subcommand == "validate-tensors":
-            checks = cmd_validate_tensors(cfg, out)
-            write_summary(out, args.subcommand, cfg, checks)
-        elif args.subcommand == "sweep":
-            checks = cmd_sweep(cfg, out, jobs=max(1, args.jobs))
-        else:
-            checks = COMMANDS[args.subcommand](cfg, out)
+        checks = COMMANDS[args.subcommand](cfg, out)
     except GlueError as exc:
         print(f"precondition error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

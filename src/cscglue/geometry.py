@@ -267,7 +267,6 @@ class MetricField:
     charts: tuple[Chart, ...]
     component_fn: Callable[[str, np.ndarray], np.ndarray]
     transitions: Mapping[tuple[str, str], Transition] = field(default_factory=dict)
-    d_components: Callable | None = None
     meta: Mapping = field(default_factory=dict)
 
     def chart(self, chart_id: str) -> Chart:

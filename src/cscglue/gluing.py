@@ -175,8 +175,7 @@ class NeckAtlas:
     """Coordinate bookkeeping for the polyneck of one gluing.
 
     Side-1 radii r1 = eps e^{-t}, side-2 radii r2 = eps e^{t}; identified
-    points satisfy r1 r2 = eps^2.  Tubes V_i^rho = {r_i < rho} are the
-    excision records of the construction.
+    points satisfy r1 r2 = eps^2.
     """
 
     cfg: GluingConfig
@@ -196,12 +195,6 @@ class NeckAtlas:
     def x_of_t(self, t, theta, side: int = 1):
         r = self.r1_of_t(t) if side == 1 else self.r2_of_t(t)
         return np.asarray(r)[..., None] * sphere_embed(theta)
-
-    def tube(self, side: int, rho: float) -> dict:
-        """Excision record for V_side^rho = {r_side < rho}."""
-        t_edge = float(self.t_of_r1(rho)) if side == 1 else float(self.t_of_r2(rho))
-        return {"side": side, "rho": rho, "t_range":
-                (t_edge, self.cfg.t_max) if side == 1 else (-self.cfg.t_max, t_edge)}
 
 
 def s_bounds(cfg: GluingConfig) -> tuple[float, float]:

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .curvature import DerivativeScheme, scalar_curvature
 from .errors import NearSingularOperator, NoConvergence, NonSymmetricModel
@@ -44,6 +45,7 @@ _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
 
 SYMMETRY_TOL = 1e-8
 MIN_ABS_EIG = 1e-8
+MAX_REFINE = 2
 
 
 def _z_sample(model: ModelGeometry) -> tuple:
@@ -101,15 +103,15 @@ def _segment(a: float, b: float, resolution: int) -> np.ndarray:
     return np.linspace(a, b, nseg + 1)
 
 
-def _sample_neck_line(field: MetricField, cfg: GluingConfig, s: np.ndarray,
-                      theta1: float | None = None):
+def _sample_line(field: MetricField, chart_id: str, model: ModelGeometry,
+                 s: np.ndarray, theta1: float | None = None):
     """W = sqrt(det g) and A = g^{ss} along a fixed (z, theta) radial line."""
-    k, m = cfg.k, cfg.m
+    k, m = model.k, model.m
     pts = np.zeros((s.size, m))
-    pts[:, :k] = _z_sample(cfg.model_1)
+    pts[:, :k] = _z_sample(model)
     pts[:, k] = s
-    pts[:, k + 1:] = _theta_sample(cfg.n, theta1)
-    g = field.components("neck", pts, check=False)
+    pts[:, k + 1:] = _theta_sample(model.n, theta1)
+    g = field.components(chart_id, pts, check=False)
     W = np.sqrt(np.abs(np.linalg.det(g)))
     # g^{ss}: poles make the full inverse singular, but the s-row is
     # block-separated for every admissible field, so 1/g_ss is exact.
@@ -117,17 +119,44 @@ def _sample_neck_line(field: MetricField, cfg: GluingConfig, s: np.ndarray,
     return W, A
 
 
-def _check_orbit_symmetry(field, cfg, s_test):
+def _asymmetric(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when a and b differ by more than SYMMETRY_TOL relative to b.
+
+    Relative, because W spans many decades along the neck: W/W[0] grows
+    like eps^-3 towards the seams.
+    """
+    return bool(np.any(np.abs(a - b) > SYMMETRY_TOL * np.abs(b)))
+
+
+def _check_orbit_symmetry(sample, s_test):
     base = None
     for theta1 in (0.62, 1.18, 2.05):
-        W, A = _sample_neck_line(field, cfg, s_test, theta1=theta1)
+        W, A = sample(s_test, theta1)
         prof = np.concatenate([W / W[0], A / A[0]])
         if base is None:
             base = prof
-        elif np.max(np.abs(prof - base)) > SYMMETRY_TOL:
+        elif _asymmetric(prof, base):
             raise NonSymmetricModel(
                 "metric is not invariant along the symmetry orbits"
             )
+
+
+def _radial_grid(s, W, A, K_half, sample, region, interfaces,
+                 cfg) -> RadialGrid:
+    """RadialGrid with dual-cell volumes V and pole flags from the weights W."""
+    h = np.diff(s)
+    V = np.empty_like(W)
+    V[1:-1] = W[1:-1] * 0.5 * (h[:-1] + h[1:])
+    # end cells: integrate W over the half cell so orbit collapse at a
+    # pole still yields a positive volume
+    for i, (s0, s1) in ((0, (s[0], s[0] + 0.5 * h[0])),
+                        (W.size - 1, (s[-1] - 0.5 * h[-1], s[-1]))):
+        nodes = 0.5 * (s1 - s0) * _GAUSS4_NODES + 0.5 * (s0 + s1)
+        Wq, _ = sample(nodes)
+        V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ Wq)
+    wmax = float(np.max(W))
+    pole = (W[0] < 1e-9 * wmax, W[-1] < 1e-9 * wmax)
+    return RadialGrid(s, h, W, A, K_half, V, region, pole, interfaces, cfg)
 
 
 def build_grid(cfg: GluingConfig, resolution: int = 64,
@@ -141,6 +170,7 @@ def build_grid(cfg: GluingConfig, resolution: int = 64,
     if resolution < 16:
         raise ValueError("resolution must be >= 16 nodes per unit t")
     field = glued_metric(cfg) if field is None else field
+    sample = partial(_sample_line, field, "neck", cfg.model_1)
     T = cfg.t_max
     cap_len = math.log(cfg.model_1.r_max)
 
@@ -150,34 +180,19 @@ def build_grid(cfg: GluingConfig, resolution: int = 64,
     s_half = _segment(0.0, T + cap_len, resolution)
     s = np.concatenate([-s_half[:0:-1], s_half])
 
-    _check_orbit_symmetry(field, cfg, np.linspace(0.0, T + 0.5 * cap_len, 7))
+    _check_orbit_symmetry(sample, np.linspace(0.0, T + 0.5 * cap_len, 7))
 
-    W_half, A_half = _sample_neck_line(field, cfg, s_half)
-    mids_half = 0.5 * (s_half[:-1] + s_half[1:])
-    Wm_half, Am_half = _sample_neck_line(field, cfg, mids_half)
+    W_half, A_half = sample(s_half)
+    Wm_half, Am_half = sample(0.5 * (s_half[:-1] + s_half[1:]))
 
     # verify mirror symmetry of the actual field before exploiting it
-    W_neg, A_neg = _sample_neck_line(field, cfg, -s_half[1:8])
-    if np.max(np.abs(W_neg - W_half[1:8]) + np.abs(A_neg - A_half[1:8])) > SYMMETRY_TOL:
+    W_neg, A_neg = sample(-s_half[1:8])
+    if _asymmetric(W_neg, W_half[1:8]) or _asymmetric(A_neg, A_half[1:8]):
         raise NonSymmetricModel("metric is not mirror symmetric across the neck")
 
     W = np.concatenate([W_half[:0:-1], W_half])
     A = np.concatenate([A_half[:0:-1], A_half])
     K_half = np.concatenate([(Wm_half * Am_half)[::-1], Wm_half * Am_half])
-    h = np.diff(s)
-
-    V = np.empty_like(W)
-    V[1:-1] = W[1:-1] * 0.5 * (h[:-1] + h[1:])
-    # end cells: integrate W over the half cell so orbit collapse at a
-    # pole still yields a positive volume
-    for i, (s0, s1) in ((0, (s[0], s[0] + 0.5 * h[0])),
-                        (W.size - 1, (s[-1] - 0.5 * h[-1], s[-1]))):
-        nodes = 0.5 * (s1 - s0) * _GAUSS4_NODES + 0.5 * (s0 + s1)
-        Wq, _ = _sample_neck_line(field, cfg, nodes)
-        V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ Wq)
-
-    wmax = float(np.max(W))
-    pole = (W[0] < 1e-9 * wmax, W[-1] < 1e-9 * wmax)
     region = np.zeros(s.size, dtype=int)
     region[s <= -T] = -1
     region[s >= T] = 1
@@ -187,7 +202,7 @@ def build_grid(cfg: GluingConfig, resolution: int = 64,
         "side_2": {"s": T, "index": int(np.argmin(np.abs(s - T))),
                    "dr_dt": 1.0},
     }
-    return RadialGrid(s, h, W, A, K_half, V, region, pole, interfaces, cfg)
+    return _radial_grid(s, W, A, K_half, sample, region, interfaces, cfg)
 
 
 def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
@@ -199,33 +214,12 @@ def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16 nodes per unit t")
-    field = fermi_metric(model)
-    k, m = model.k, model.m
+    sample = partial(_sample_line, fermi_metric(model), "cap-1", model)
     r = _segment(0.0, model.r_max, resolution)
-
-    def sample(rr):
-        pts = np.zeros((rr.size, m))
-        pts[:, :k] = _z_sample(model)
-        pts[:, k] = rr
-        pts[:, k + 1:] = _theta_sample(model.n)
-        g = field.components("cap-1", pts, check=False)
-        return np.sqrt(np.abs(np.linalg.det(g))), 1.0 / g[:, k, k]
-
     W, A = sample(r)
-    mids = 0.5 * (r[:-1] + r[1:])
-    Wm, Am = sample(mids)
-    h = np.diff(r)
-    V = np.empty_like(W)
-    V[1:-1] = W[1:-1] * 0.5 * (h[:-1] + h[1:])
-    for i, (s0, s1) in ((0, (r[0], r[0] + 0.5 * h[0])),
-                        (W.size - 1, (r[-1] - 0.5 * h[-1], r[-1]))):
-        nodes = 0.5 * (s1 - s0) * _GAUSS4_NODES + 0.5 * (s0 + s1)
-        Wq, _ = sample(nodes)
-        V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ Wq)
-    wmax = float(np.max(W))
-    pole = (W[0] < 1e-9 * wmax, W[-1] < 1e-9 * wmax)
-    return RadialGrid(r, h, W, A, Wm * Am, V, np.zeros(r.size, dtype=int),
-                      pole, {}, None)
+    Wm, Am = sample(0.5 * (r[:-1] + r[1:]))
+    return _radial_grid(r, W, A, Wm * Am, sample, np.zeros(r.size, dtype=int),
+                        {}, None)
 
 
 def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
@@ -305,9 +299,8 @@ def _solve_raw(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), ab, f)
 
 
-def solve(op: DiscreteOperator, f: np.ndarray, tol: float = 1e-12,
-          max_refine: int = 2) -> np.ndarray:
-    """Tridiagonal solve with iterative refinement.
+def solve(op: DiscreteOperator, f: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Tridiagonal solve with up to MAX_REFINE steps of iterative refinement.
 
     Raises NearSingularOperator when the smallest-magnitude eigenvalue
     falls below 1e-8 (the numerical symptom of a failed injectivity
@@ -322,7 +315,7 @@ def solve(op: DiscreteOperator, f: np.ndarray, tol: float = 1e-12,
     x = _solve_raw(op, f)
     scale = float(np.max(np.abs(f)) + np.max(np.abs(op.diag)) * np.max(np.abs(x))
                   + np.finfo(float).tiny)
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         r = f - op.apply(x)
         if np.max(np.abs(r)) / scale <= tol:
             break
@@ -356,57 +349,16 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
     return np.concatenate([[left], inner, [right]])
 
 
-def smallest_eigenvalue(op: DiscreteOperator, tol: float = 1e-11,
-                        max_iter: int = 10000) -> float:
-    """Smallest-magnitude eigenvalue by inverse-power iteration, shift 0.
+def smallest_eigenvalue(op: DiscreteOperator) -> float:
+    """Smallest-magnitude eigenvalue, from LAPACK.
 
-    The operator is self-adjoint in the V-weighted inner product, so a
-    two-dimensional Rayleigh-Ritz extraction on span{y, L^{-1} y} is
-    used at every step; this resolves the near-degenerate +/- pairs of
-    the summand operators, where plain power iteration would oscillate.
+    The operator is self-adjoint in the V-weighted inner product, so
+    V^{1/2} L V^{-1/2} is a symmetric tridiagonal matrix with the same
+    spectrum; its off-diagonal is sup_i sqrt(V_i / V_{i+1}).
     """
-    N = op.size
-    V = op.V
-
-    def vdot(a, b):
-        return float(np.sum(V * a * b))
-
-    def vnorm(a):
-        return math.sqrt(max(vdot(a, a), 0.0))
-
-    x = np.linspace(0.0, math.pi, N)
-    y = 1.0 + 0.5 * np.cos(x) + 0.25 * np.cos(2 * x)
-    y /= vnorm(y)
-    scale = float(np.max(np.abs(op.diag)))
-    theta = np.inf
-    for _ in range(max_iter):
-        z = _solve_raw(op, y)
-        zn = vnorm(z)
-        if not np.isfinite(zn) or zn > 1e290:
-            # solve blew up: y is numerically in the kernel
-            return vdot(y, op.apply(y))
-        q1 = y
-        z2 = z - vdot(q1, z) * q1
-        n2 = vnorm(z2)
-        if n2 < 1e-14 * zn:
-            theta_new = vdot(q1, op.apply(q1))
-            cand = q1
-        else:
-            q2 = z2 / n2
-            Lq1, Lq2 = op.apply(q1), op.apply(q2)
-            H = np.array([[vdot(q1, Lq1), vdot(q1, Lq2)],
-                          [vdot(q2, Lq1), vdot(q2, Lq2)]])
-            H = 0.5 * (H + H.T)
-            vals, vecs = np.linalg.eigh(H)
-            j = int(np.argmin(np.abs(vals)))
-            theta_new = float(vals[j])
-            cand = vecs[0, j] * q1 + vecs[1, j] * q2
-        resid = vnorm(op.apply(cand) - theta_new * cand)
-        if resid <= max(tol * scale * 1e-2, tol * abs(theta_new) + 1e-13 * scale):
-            return theta_new
-        theta = theta_new
-        y = z / zn
-    raise NoConvergence(f"inverse-power iteration: no convergence in {max_iter}")
+    vals = eigh_tridiagonal(op.diag, op.sup * np.sqrt(op.V[:-1] / op.V[1:]),
+                            eigvals_only=True)
+    return float(vals[np.argmin(np.abs(vals))])
 
 
 @dataclass

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .curvature import DerivativeScheme, conformal_scalar, scalar_curvature
 from .errors import DeltaOutOfRange, IterateOutOfBall, IterationDiverged
@@ -121,7 +120,7 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
                  max_iter: int = 40, middle: str = "eq2",
                  field_: MetricField | None = None,
                  grid: RadialGrid | None = None,
-                 profile=None, max_refine: int = 2) -> FixedPointReport:
+                 profile=None) -> FixedPointReport:
     """Iterate v <- L^{-1} F(v) from v = 0 until sup|v_{j+1} - v_j| <= tol.
 
     The fixed-point radius r_eps = eps^{(n-2)/2 - delta} / (2 C''') uses
@@ -157,9 +156,6 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     psi = psi_of_t(grid.s, cfg)
     w_hi = psi ** ((n + 2) / 2.0 - delta)
 
-    def lin_solve(rhs):
-        return solve(op, rhs, max_refine=max_refine)
-
     f0 = F_eps(np.zeros(grid.size), s_dev, consts, S, middle)
     src_scale = eps ** (n - 2.0) + eps ** (n / 2.0 - delta)
     C_prime = float(np.max(w_hi * np.abs(f0))) / src_scale
@@ -175,7 +171,7 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
             f = F_eps(v, s_dev, consts, S, middle)
         except IterateOutOfBall as exc:
             raise IterationDiverged(str(exc)) from exc
-        v_new = lin_solve(f)
+        v_new = solve(op, f)
         d = float(np.max(np.abs(v_new - v)))
         sup = float(np.max(np.abs(v_new)))
         if sup > 0.5:
@@ -226,6 +222,9 @@ class CurvatureCheck:
 
 def conformal_factor_field(report: FixedPointReport, cfg: GluingConfig):
     """u = 1 + v lifted to full coordinates via a quintic spline in s."""
+    # imported here: scipy.interpolate is slow to import and only used here
+    from scipy.interpolate import make_interp_spline
+
     grid = report.v.grid
     spl = make_interp_spline(grid.s, report.v.values, k=5)
     lo, hi = grid.s[0], grid.s[-1]
@@ -315,14 +314,11 @@ class SweepTable:
 
 def convergence_sweep(make_cfg, eps_list, delta: float = 0.3,
                       resolution: int = 64, tol: float = 1e-11,
-                      max_iter: int = 40, verify: bool = True,
-                      max_refine: int = 2, jobs: int = 1) -> SweepTable:
+                      max_iter: int = 40, verify: bool = True) -> SweepTable:
     """Run picard_solve per eps (descending) and fit the smallness rate.
 
     Requires max(0, (n-4)/2) < delta < (n-2)/2; per-run failures are
-    recorded in their row and the sweep continues.  With ``jobs`` > 1 the
-    runs execute on worker threads; rows are assembled in eps order
-    either way, so the output is deterministic.
+    recorded in their row and the sweep continues.
     """
     eps_sorted = sorted(eps_list, reverse=True)
     cfg0 = make_cfg(eps_sorted[0])
@@ -333,31 +329,20 @@ def convergence_sweep(make_cfg, eps_list, delta: float = 0.3,
         raise DeltaOutOfRange(
             f"sweep requires delta in ({lo}, {hi}), got {delta}")
 
-    def run_one(eps):
-        cfg = make_cfg(eps)
-        rep = picard_solve(cfg, resolution=resolution, tol=tol,
-                           max_iter=max_iter, max_refine=max_refine)
-        if verify:
-            verify_constant_curvature(rep, cfg)
-        return rep
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_guarded, run_one, e) for e in eps_sorted]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [_guarded(run_one, e) for e in eps_sorted]
-
     rows = []
     done = []
-    for eps, outcome in zip(eps_sorted, outcomes):
-        if isinstance(outcome, Exception):
+    for eps in eps_sorted:
+        try:
+            cfg = make_cfg(eps)
+            rep = picard_solve(cfg, resolution=resolution, tol=tol,
+                               max_iter=max_iter)
+            if verify:
+                verify_constant_curvature(rep, cfg)
+        except Exception as exc:  # recorded per row, sweep continues
             rows.append(SweepRow(eps, delta, *([float("nan")] * 3),
                                  0, *([float("nan")] * 4),
-                                 error=f"{type(outcome).__name__}: {outcome}"))
+                                 error=f"{type(exc).__name__}: {exc}"))
             continue
-        rep = outcome
         done.append((eps, rep.v.sup()))
         slope = (loglog_slope([e for e, _ in done], [s for _, s in done])
                  if len(done) >= 2 else float("nan"))
@@ -369,10 +354,3 @@ def convergence_sweep(make_cfg, eps_list, delta: float = 0.3,
     slope = next((r.slope_so_far for r in reversed(rows)
                   if r.slope_so_far == r.slope_so_far), float("nan"))
     return SweepTable(rows, delta, slope)
-
-
-def _guarded(fn, eps):
-    try:
-        return fn(eps)
-    except Exception as exc:  # recorded per row, sweep continues
-        return exc

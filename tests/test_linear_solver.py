@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from cscglue import geometry, gluing, linear_solver as ls
-from cscglue.errors import NearSingularOperator, NoConvergence, NonSymmetricModel
+from cscglue.errors import NearSingularOperator, NonSymmetricModel
 
 
 def _full_spectrum(op):
@@ -100,11 +100,25 @@ def test_forced_kernel_near_singular(model_a):
         ls.solve(op, np.ones(grid.size))
 
 
-def test_smallest_eigenvalue_no_convergence(stack05):
-    _, _, op = stack05
-    fresh = ls.DiscreteOperator(op.sub, op.diag, op.sup, op.V, op.potential)
-    with pytest.raises(NoConvergence):
-        ls.smallest_eigenvalue(fresh, tol=1e-300, max_iter=2)
+@pytest.mark.parametrize("case", ["glued05", "summand_a"])
+def test_smallest_eigenvalue_matches_dense(case, stack05, model_a):
+    if case == "glued05":
+        op = stack05[2]
+    else:
+        op = ls.assemble_L(ls.build_grid_single(model_a, 64), model_a.S,
+                           model_a.m)
+    # dense eigensolve of the full nonsymmetric matrix: no use of V at all
+    i = np.arange(op.size)
+    L = np.zeros((op.size, op.size))
+    L[i, i] = op.diag
+    L[i[:-1], i[1:]] = op.sup
+    L[i[1:], i[:-1]] = op.sub
+    vals = np.linalg.eigvals(L)
+    ref = vals[np.argmin(np.abs(vals))]
+    # rounding of a dense solve scales with the largest matrix entry
+    bound = 100 * np.finfo(float).eps * np.max(np.abs(op.diag))
+    assert np.max(np.abs(vals.imag)) <= bound
+    assert abs(ls.smallest_eigenvalue(op) - ref.real) <= bound
 
 
 def test_refinement_order(model_flat):
@@ -174,6 +188,19 @@ def test_global_estimate_homogeneity_and_cap_source(cfg05, stack05):
     lo = (cfg05.n - 2) / 2.0 - cfg05.delta
     direct = np.max(psi**lo * np.abs(v)) / np.max(np.abs(f_cap))
     assert rep.ratio == pytest.approx(direct, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+def test_build_grid_small_eps(name, eps):
+    # the orbit weight W spans about eps^-3 along the neck; the symmetry
+    # checks must hold relative to it
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    grid = ls.build_grid(cfg, 256)
+    assert np.array_equal(grid.W, grid.W[::-1])
+    assert np.all(grid.V > 0.0)
+    assert ls.assemble_L(grid, cfg.S, cfg.m).asymmetry() <= 1e-12
 
 
 def test_build_grid_resolution_precondition(cfg05):
