@@ -127,25 +127,21 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def eps_list(self) -> list:
-        raw = str(self.values["gluing.epsilon"])
+    def _float_list(self, key: str) -> list:
+        raw = str(self.values[key])
         try:
             out = [float(s) for s in raw.split(",") if s.strip()]
         except ValueError as exc:
-            raise ConfigError(f"gluing.epsilon: bad value {raw!r}") from exc
+            raise ConfigError(f"{key}: bad value {raw!r}") from exc
         if not out:
-            raise ConfigError("gluing.epsilon: empty list")
+            raise ConfigError(f"{key}: empty list")
         return out
 
+    def eps_list(self) -> list:
+        return self._float_list("gluing.epsilon")
+
     def delta_list(self) -> list:
-        raw = str(self.values.get("gluing.delta", "0.3"))
-        try:
-            out = [float(s) for s in raw.split(",") if s.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"gluing.delta: bad value {raw!r}") from exc
-        if not out:
-            raise ConfigError("gluing.delta: empty list")
-        return out
+        return self._float_list("gluing.delta")
 
     def delta(self) -> float:
         deltas = self.delta_list()

@@ -133,7 +133,7 @@ def _richardson(seq):
         for j in range(1, lev + 1):
             fac = 4.0**j
             new.append((fac * new[j - 1] - row[j - 1]) / (fac - 1.0))
-        prev_diag = new[-2] if lev >= 1 else new[-1]
+        prev_diag = new[-2]
         row = new
     return row[-1], prev_diag
 

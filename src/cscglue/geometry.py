@@ -370,22 +370,6 @@ def sphere_embed_jacobian(theta: np.ndarray) -> np.ndarray:
     return h
 
 
-def angles_from_unit(x_hat: np.ndarray) -> np.ndarray:
-    """Polar angles of a unit vector; inverse of sphere_embed."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    d = x_hat.shape[-1]
-    theta = np.empty(x_hat.shape[:-1] + (d - 1,))
-    rem = np.ones(x_hat.shape[:-1])
-    for i in range(d - 1):
-        c = np.clip(x_hat[..., i] / np.where(rem > 0, rem, 1.0), -1.0, 1.0)
-        if i == d - 2:
-            theta[..., i] = np.arctan2(x_hat[..., d - 1], x_hat[..., d - 2])
-        else:
-            theta[..., i] = np.arccos(c)
-        rem = rem * np.sin(theta[..., i])
-    return theta
-
-
 def _normal_angular_profile(factor: Factor, r: np.ndarray) -> np.ndarray:
     """Coefficient q(r) with normal block dr^2 + r^2 q(r) g_{S^{n-1}}."""
     r = np.asarray(r, dtype=float)
@@ -417,6 +401,34 @@ def _k_block(model: ModelGeometry, z: np.ndarray) -> np.ndarray:
         else:
             raise ValueError(f"unsupported K factor kind {f.kind!r}")
         i += f.dim
+    return out
+
+
+def product_components(model: ModelGeometry, coords: np.ndarray, a, b,
+                       raw: bool = False) -> np.ndarray:
+    """Components of g_K(z) + (normal block) at coords, shape (..., m, m).
+
+    Polar charts (z..., rho, theta...) get the normal block
+    a drho^2 + b g_{S^{n-1}}; raw Fermi charts (z..., x) get
+    a xhat xhat^T + b (I - xhat xhat^T).  ``a`` and ``b`` broadcast
+    against the point shape.  The summand, glued and synthetic metrics
+    are all of this form and differ only in (a, b).
+    """
+    k, m = model.k, model.m
+    out = np.zeros(coords.shape[:-1] + (m, m))
+    out[..., :k, :k] = _k_block(model, coords[..., :k])
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if raw:
+        x = coords[..., k:]
+        xhat = x / np.linalg.norm(x, axis=-1)[..., None]
+        proj = np.einsum("...a,...b->...ab", xhat, xhat)
+        out[..., k:, k:] = (b[..., None, None] * (np.eye(model.n) - proj)
+                            + a[..., None, None] * proj)
+        return out
+    out[..., k, k] = a
+    diag = sphere_polar_diag(coords[..., k + 1:]) * b[..., None]
+    for j in range(model.n - 1):
+        out[..., k + 1 + j, k + 1 + j] = diag[..., j]
     return out
 
 
@@ -517,29 +529,14 @@ def fermi_metric(model: ModelGeometry, side: int = 1) -> MetricField:
     )
 
     def comps(chart_id, c):
-        out = np.zeros(c.shape[:-1] + (m, m))
-        z = c[..., :k]
-        out[..., :k, :k] = _k_block(model, z)
         if chart_id == cap_id:
             r = c[..., k]
-            theta = c[..., k + 1:]
-            out[..., k, k] = 1.0
             q = _normal_angular_profile(model.normal_factor, r)
-            diag = sphere_polar_diag(theta) * (r**2 * q)[..., None]
-            for j in range(n - 1):
-                out[..., k + 1 + j, k + 1 + j] = diag[..., j]
-            return out
+            return product_components(model, c, 1.0, r**2 * q)
         if chart_id == raw_id:
-            x = c[..., k:]
-            r = np.linalg.norm(x, axis=-1)
-            q = _normal_angular_profile(model.normal_factor, r)
-            xhat = x / r[..., None]
-            proj = np.einsum("...a,...b->...ab", xhat, xhat)
-            idn = np.zeros(proj.shape)
-            ii = np.arange(n)
-            idn[..., ii, ii] = 1.0
-            out[..., k:, k:] = q[..., None, None] * (idn - proj) + proj
-            return out
+            q = _normal_angular_profile(model.normal_factor,
+                                        np.linalg.norm(c[..., k:], axis=-1))
+            return product_components(model, c, 1.0, q, raw=True)
         raise OutOfChart(f"no chart {chart_id!r} in this field")
 
     def cap_to_raw(c):

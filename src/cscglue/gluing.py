@@ -3,7 +3,7 @@
 Two summands are glued along K by excising small tubes around K x {pole},
 rewriting each normal annulus in cylindrical coordinates
 x = eps e^{-t} theta (side 1) and x = eps e^{t} theta (side 2), and
-blending the two metrics with cutoffs chi, eta.  The normal block is
+blending the two normal profiles with cutoffs chi, eta.  The normal block is
 scaled by the conformal factor u_eps(t)^{4/(n-2)} built from the two
 profiles eps^{(n-2)/2} e^{-+(n-2)t/2}.
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,12 +29,12 @@ from .geometry import (
     MetricField,
     ModelGeometry,
     Transition,
-    _k_block,
     _k_coord_bounds,
     _normal_angular_profile,
     _theta_coord_bounds,
+    fermi_metric,
+    product_components,
     sphere_embed,
-    sphere_embed_jacobian,
 )
 
 __all__ = [
@@ -73,7 +74,7 @@ def _check_neck(t, eps):
 
 
 def chi(t, eps: float, width: float = 1.0):
-    """K-block blending cutoff: 1 on (log eps, -1], 0 on [1, -log eps)."""
+    """Angular-profile blending cutoff: 1 on (log eps, -1], 0 on [1, -log eps)."""
     return _chi_raw(_check_neck(t, eps), width)
 
 
@@ -234,14 +235,32 @@ def _neck_normal_profiles(cfg: GluingConfig, t: np.ndarray):
     return U, c * q1 + (1.0 - c) * q2
 
 
+def _warped_components(cfg: GluingConfig, profiles, chart_id: str, c: np.ndarray):
+    """g_K + U(t) [dt^2 + q(t) g_{S^{n-1}}] in a neck, cap or raw chart.
+
+    ``profiles(t)`` returns (U, q).  The metric is written in the chart's
+    own coordinates: dt = -+dr/r turns dt^2 into dr^2/r^2 on the caps,
+    and r = |x| turns dr^2 + r^2 g_{S^{n-1}} into the raw Fermi block.
+    """
+    U, q = profiles(s_of_chart(cfg, chart_id, c))
+    if chart_id == "neck":
+        return product_components(cfg.model_1, c, U, U * q)
+    if chart_id in ("cap-1", "cap-2"):
+        return product_components(cfg.model_1, c, U / c[..., cfg.k] ** 2, U * q)
+    rr = np.linalg.norm(c[..., cfg.k:], axis=-1) ** 2
+    return product_components(cfg.model_1, c, U / rr, U * q / rr, raw=True)
+
+
 def glued_metric(cfg: GluingConfig) -> MetricField:
     """The approximate solution metric as a MetricField.
 
     Atlas: ``cap-1`` (r in [1, r_max]), ``neck`` (t in (log eps,
     -log eps)), ``cap-2``, plus raw Fermi charts around each copy of K.
-    On the caps the components are exactly the summand metrics; on the
-    neck the K block is the chi blend of the two summand K blocks and
-    the normal block is u_eps^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}].
+    On the caps the components are exactly the summand metrics.  On the
+    neck and the raw charts the K block is g_K itself (both summands
+    carry the same K) and the normal block is
+    u_eps^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}], written in the chart's
+    coordinates.
 
     The neck component formula saturates smoothly to the summand metrics
     beyond the nominal neck, so its evaluable region extends across the
@@ -289,61 +308,18 @@ def glued_metric(cfg: GluingConfig) -> MetricField:
             step_scale=lambda pts: np.linalg.norm(pts[..., k:], axis=-1),
         ))
 
-    def _k_blend(t, z):
-        g1 = _k_block(cfg.model_1, z)
-        g2 = _k_block(cfg.model_2, z)
-        c = _chi_raw(t, cfg.cutoff_width)[..., None, None]
-        return c * g1 + (1.0 - c) * g2
-
-    def _normal_polar_diag(theta, U, q):
-        from .geometry import sphere_polar_diag
-        return sphere_polar_diag(theta) * (U * q)[..., None]
+    side_fields = {f"cap-{side}": fermi_metric(model, side)
+                   for side, model in ((1, cfg.model_1), (2, cfg.model_2))}
+    profiles = partial(_neck_normal_profiles, cfg)
 
     def comps(chart_id, c):
-        out = np.zeros(c.shape[:-1] + (m, m))
-        z = c[..., :k]
-        if chart_id == "neck":
-            t = c[..., k]
-            theta = c[..., k + 1:]
-            out[..., :k, :k] = _k_blend(t, z)
-            U, q = _neck_normal_profiles(cfg, t)
-            out[..., k, k] = U
-            diag = _normal_polar_diag(theta, U, q)
-            for j in range(n - 1):
-                out[..., k + 1 + j, k + 1 + j] = diag[..., j]
-            return out
-        if chart_id in ("cap-1", "cap-2"):
-            side = int(chart_id[-1])
-            model = cfg.model_1 if side == 1 else cfg.model_2
-            r = c[..., k]
-            theta = c[..., k + 1:]
-            out[..., :k, :k] = _k_block(model, z)
-            out[..., k, k] = 1.0
-            q = _normal_angular_profile(model.normal_factor, r)
-            from .geometry import sphere_polar_diag
-            diag = sphere_polar_diag(theta) * (r**2 * q)[..., None]
-            for j in range(n - 1):
-                out[..., k + 1 + j, k + 1 + j] = diag[..., j]
-            return out
+        if chart_id in side_fields:
+            return side_fields[chart_id].component_fn(chart_id, c)
         if chart_id in ("raw-fermi-1", "raw-fermi-2"):
-            side = int(chart_id[-1])
-            x = c[..., k:]
-            r = np.linalg.norm(x, axis=-1)
+            r = np.linalg.norm(c[..., k:], axis=-1)
             if np.any(r > r_max) or np.any(r < eps**2 / r_max):
                 raise OutOfChart(f"radius outside chart {chart_id!r}")
-            t = (log_eps - np.log(r)) if side == 1 else (np.log(r) - log_eps)
-            out[..., :k, :k] = _k_blend(t, z)
-            U, q = _neck_normal_profiles(cfg, t)
-            xhat = x / r[..., None]
-            proj = np.einsum("...a,...b->...ab", xhat, xhat)
-            idn = np.zeros(proj.shape)
-            ii = np.arange(n)
-            idn[..., ii, ii] = 1.0
-            rr = r**2
-            out[..., k:, k:] = ((U * q / rr)[..., None, None] * (idn - proj)
-                                + (U / rr)[..., None, None] * proj)
-            return out
-        raise OutOfChart(f"no chart {chart_id!r} in glued atlas")
+        return _warped_components(cfg, profiles, chart_id, c)
 
     def _neck_to_cap(side):
         sgn = -1.0 if side == 1 else 1.0
@@ -363,64 +339,10 @@ def glued_metric(cfg: GluingConfig) -> MetricField:
 
         return Transition("neck", f"cap-{side}", mp, jac)
 
-    def _cap_to_neck(side):
-        sgn = -1.0 if side == 1 else 1.0
-
-        def mp(c):
-            out = c.copy()
-            out[..., k] = sgn * (np.log(c[..., k]) - log_eps)
-            return out
-
-        def jac(c):
-            J = np.zeros(c.shape[:-1] + (m, m))
-            ii = np.arange(m)
-            J[..., ii, ii] = 1.0
-            J[..., k, k] = sgn / c[..., k]
-            return J
-
-        return Transition(f"cap-{side}", "neck", mp, jac)
-
-    def _polar_to_raw(src, side, radius_of):
-        def mp(c):
-            r = radius_of(c)
-            theta = c[..., k + 1:]
-            return np.concatenate(
-                [c[..., :k], r[..., None] * sphere_embed(theta)], axis=-1)
-
-        def jac(c):
-            r = radius_of(c)
-            theta = c[..., k + 1:]
-            J = np.zeros(c.shape[:-1] + (m, m))
-            ii = np.arange(k)
-            J[..., ii, ii] = 1.0
-            nh = sphere_embed(theta)
-            if src == "neck":
-                # dr/dt = -r on side 1, +r on side 2
-                dr = (-r if side == 1 else r)
-            else:
-                dr = np.ones_like(r)
-            J[..., k:, k] = dr[..., None] * nh
-            J[..., k:, k + 1:] = r[..., None, None] * sphere_embed_jacobian(theta)
-            return J
-
-        return Transition(src, f"raw-fermi-{side}", mp, jac)
-
-    atlas = NeckAtlas(cfg)
-    transitions = {}
-    for side in (1, 2):
-        tr = _neck_to_cap(side)
-        transitions[(tr.source, tr.target)] = tr
-        tr = _cap_to_neck(side)
-        transitions[(tr.source, tr.target)] = tr
-        tr = _polar_to_raw(f"cap-{side}", side, lambda c: c[..., k])
-        transitions[(tr.source, tr.target)] = tr
-        rof = (atlas.r1_of_t if side == 1 else atlas.r2_of_t)
-        tr = _polar_to_raw("neck", side, lambda c, rof=rof: rof(c[..., k]))
-        transitions[(tr.source, tr.target)] = tr
-
+    transitions = {("neck", f"cap-{side}"): _neck_to_cap(side) for side in (1, 2)}
     return MetricField(
         m, (caps[0], neck, caps[1], raws[0], raws[1]), comps, transitions,
-        meta={"cfg": cfg, "atlas": atlas},
+        meta={"cfg": cfg, "atlas": NeckAtlas(cfg)},
     )
 
 
@@ -438,47 +360,16 @@ def synthetic_exact_metric(cfg: GluingConfig) -> MetricField:
     if cfg.model_1.normal_factor.kind != "ball":
         raise ValueError("synthetic exact metric needs flat (ball) normal factors")
     base = glued_metric(cfg)
-    m, k, n = cfg.m, cfg.k, cfg.n
-    eps, log_eps = cfg.eps, math.log(cfg.eps)
+    eps, n = cfg.eps, cfg.n
 
-    def u_exact(t):
-        return _u_profile(t, eps, n, 1) + _u_profile(t, eps, n, 2)
-
-    from .geometry import sphere_polar_diag
+    def profiles(t):
+        u = _u_profile(t, eps, n, 1) + _u_profile(t, eps, n, 2)
+        return u ** (4.0 / (n - 2)), 1.0
 
     def comps(chart_id, c):
-        out = np.zeros(c.shape[:-1] + (m, m))
-        z = c[..., :k]
-        out[..., :k, :k] = _k_block(cfg.model_1, z)
-        if chart_id == "neck":
-            t = c[..., k]
-            U = u_exact(t) ** (4.0 / (n - 2))
-            out[..., k, k] = U
-            diag = sphere_polar_diag(c[..., k + 1:]) * U[..., None]
-            for j in range(n - 1):
-                out[..., k + 1 + j, k + 1 + j] = diag[..., j]
-        elif chart_id in ("cap-1", "cap-2"):
-            r = c[..., k]
-            t = (log_eps - np.log(r)) if chart_id.endswith("1") else (np.log(r) - log_eps)
-            U = u_exact(t) ** (4.0 / (n - 2))
-            out[..., k, k] = U / r**2
-            diag = sphere_polar_diag(c[..., k + 1:]) * U[..., None]
-            for j in range(n - 1):
-                out[..., k + 1 + j, k + 1 + j] = diag[..., j]
-        elif chart_id in ("raw-fermi-1", "raw-fermi-2"):
-            x = c[..., k:]
-            r = np.linalg.norm(x, axis=-1)
-            t = (log_eps - np.log(r)) if chart_id.endswith("1") else (np.log(r) - log_eps)
-            U = u_exact(t) ** (4.0 / (n - 2))
-            idn = np.zeros(c.shape[:-1] + (n, n))
-            ii = np.arange(n)
-            idn[..., ii, ii] = 1.0
-            out[..., k:, k:] = (U / r**2)[..., None, None] * idn
-        else:
-            raise OutOfChart(f"no chart {chart_id!r} in synthetic atlas")
-        return out
+        return _warped_components(cfg, profiles, chart_id, c)
 
-    return MetricField(m, base.charts, comps, base.transitions,
+    return MetricField(cfg.m, base.charts, comps, base.transitions,
                        meta={"cfg": cfg, "synthetic": True})
 
 
@@ -507,16 +398,4 @@ def psi_of_t(t, cfg: GluingConfig):
 
 def psi_weight(point: ChartPoint, cfg: GluingConfig):
     """The global weight at a chart point: eps cosh t on the neck, 1 on caps."""
-    chart_id, coords = point.chart_id, np.asarray(point.coords, dtype=float)
-    k = cfg.k
-    if chart_id == "neck":
-        return psi_of_t(coords[..., k], cfg)
-    if chart_id in ("cap-1", "cap-2"):
-        return np.ones(coords.shape[:-1]) if coords.ndim > 1 else 1.0
-    if chart_id in ("raw-fermi-1", "raw-fermi-2"):
-        r = np.linalg.norm(coords[..., k:], axis=-1)
-        t = math.log(cfg.eps) - np.log(r)
-        if chart_id.endswith("2"):
-            t = -t
-        return psi_of_t(t, cfg)
-    raise OutOfChart(f"unknown glued chart {chart_id!r}")
+    return psi_of_t(s_of_chart(cfg, point.chart_id, point.coords), cfg)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cscglue
 from cscglue import cli
 from cscglue.errors import ConfigError
 
@@ -153,3 +158,15 @@ def test_spectrum_detects_failed_hypothesis(cfg_file, tmp_path):
     summary = json.loads((out / "run.json").read_text())
     failed = {r["name"] for r in summary["checks"] if not r["passed"]}
     assert "eig_floor" in failed
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # scipy.interpolate takes about 0.3 s to import and only the post-solve
+    # check uses it; every CLI run would pay for it if the package loaded it
+    src = str(Path(cscglue.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import cscglue, sys; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -142,8 +142,9 @@ def test_glued_positive_definite_sweep(model_a):
 
 
 def test_width_independence_for_identical_data(model_flat):
-    # flat normal blocks and constant K blocks: the chi blend combines
-    # identical functions, so the metric cannot see the smoothing width
+    # the K block is g_K itself and chi only blends q(r1) with q(r2), which
+    # are both 1 for flat normal blocks; for |t| <= 1 both eta cutoffs sit
+    # on their plateau, so the metric cannot see the smoothing width
     cfgs = [gluing.GluingConfig(model_flat, model_flat, eps=0.05, cutoff_width=w)
             for w in (0.4, 1.0)]
     fields = [gluing.glued_metric(c) for c in cfgs]
@@ -204,6 +205,16 @@ def test_synthetic_exact_curvature(model_flat):
     pts[:, 3], pts[:, 4] = 1.0831, 0.47
     s, err = scalar_curvature(field, ("neck", pts))
     assert np.max(np.abs(s - model_flat.S)) <= 5e-6
+    # off the neck the same metric is written in cap radii and raw x
+    off_neck = {
+        "cap-1": [[1.13, 0.58, 1.3, 1.0831, 0.47], [0.7, 2.1, 2.4, 2.0, 4.0]],
+        "cap-2": [[1.13, 0.58, 1.3, 1.0831, 0.47], [0.7, 2.1, 2.4, 2.0, 4.0]],
+        "raw-fermi-1": [[1.13, 0.58, 0.216, 0.288, 0.48],
+                        [0.7, 2.1, 0.9, -1.2, 0.5]],
+    }
+    for chart, pts in off_neck.items():
+        s, err = scalar_curvature(field, (chart, np.array(pts)))
+        assert np.max(np.abs(s - model_flat.S)) <= 1e-6, chart
 
 
 def test_cross_chart_curvature_consistency(cfg05, glued05):

@@ -206,3 +206,66 @@ def test_build_grid_small_eps(name, eps):
 def test_build_grid_resolution_precondition(cfg05):
     with pytest.raises(ValueError):
         ls.build_grid(cfg05, 8)
+
+
+def _neck_profile(name, eps):
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    field = gluing.glued_metric(cfg)
+    grid = ls.build_grid(cfg, 64, field=field)
+    prof, _ = ls.glued_curvature_profile(cfg, grid, field=field)
+    inner = np.abs(grid.s) < cfg.t_max - 1e-12
+    return model, field, grid.s[inner], prof[inner]
+
+
+def test_curvature_profile_blind_to_curved_k():
+    # only the normal block varies along the neck, so S - S_model must not
+    # depend on whether K is a flat torus or a round sphere
+    devs = []
+    for name in ("torus2_x_sphere3", "sphere2_x_sphere3"):
+        model, _, _, prof = _neck_profile(name, 0.02)
+        devs.append(prof - model.S)
+    assert np.max(np.abs(devs[0] - devs[1])) <= 1e-9
+
+
+def _warped_product_scalar(field, model, t, h=5e-3):
+    """1-D oracle for g_K + U(t) [dt^2 + q(t) g_{S^{n-1}}].
+
+    With dtau = sqrt(U) dt and f = sqrt(U q), the metric is
+    g_K + dtau^2 + f^2 g_{S^{n-1}}, whose scalar curvature is
+    S_K - 2(n-1) f_tautau / f + (n-1)(n-2) (1 - f_tau^2) / f^2.
+    U and U q are read off the neck components along one (z, theta) line
+    and differentiated in t by central differences with one Richardson
+    step.
+    """
+    k, n = model.k, model.n
+
+    def U_f(tt):
+        pts = np.zeros(tt.shape + (model.m,))
+        pts[..., :k] = geometry.Z_SAMPLE_SPHERE2[:k]
+        pts[..., k] = tt
+        pts[..., k + 1:] = geometry.THETA_SAMPLE[:n - 1]
+        g = field.components("neck", pts, check=False)
+        # the first angular entry of the polar sphere metric is 1
+        return g[..., k, k], np.sqrt(g[..., k + 1, k + 1])
+
+    def differences(hh):
+        (_, f0), (Up, fp), (Um, fm) = U_f(t), U_f(t + hh), U_f(t - hh)
+        return np.array([(Up - Um) / (2 * hh), (fp - fm) / (2 * hh),
+                         (fp - 2 * f0 + fm) / hh**2])
+
+    U_t, f_t, f_tt = (4 * differences(h / 2) - differences(h)) / 3
+    U, f = U_f(t)
+    f_tau = f_t / np.sqrt(U)
+    f_tautau = f_tt / U - f_t * U_t / (2 * U**2)
+    S_K = sum(fac.scalar_curvature() for fac in model.k_factors)
+    return (S_K - 2 * (n - 1) * f_tautau / f
+            + (n - 1) * (n - 2) * (1 - f_tau**2) / f**2)
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.16])
+def test_curvature_profile_matches_warped_product_oracle(name, eps):
+    model, field, t, prof = _neck_profile(name, eps)
+    oracle = _warped_product_scalar(field, model, t)
+    assert np.max(np.abs(prof - oracle) / np.abs(oracle)) <= 1e-4
