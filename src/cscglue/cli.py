@@ -41,10 +41,8 @@ DEFAULTS = {
     "gluing.epsilon": "0.05",
     "gluing.delta": "0.3",
     "gluing.alpha": 3.0,
-    "gluing.cutoff_width": 1.0,
     "grid.resolution": 64,
     "solver.tol": 1e-11,
-    "yamabe.middle_term": "eq2",
     "yamabe.max_iter": 40,
 }
 
@@ -163,7 +161,6 @@ class RunConfig:
             model, model, eps=eps,
             delta=self.delta() if delta is None else delta,
             alpha=float(self["gluing.alpha"]),
-            cutoff_width=float(self["gluing.cutoff_width"]),
         )
 
     def validate(self, subcommand: str) -> None:
@@ -176,8 +173,6 @@ class RunConfig:
             raise ConfigError("grid.resolution must be >= 16")
         if float(self["solver.tol"]) <= 0:
             raise ConfigError("solver.tol must be positive")
-        if self["yamabe.middle_term"] not in ("eq2", "plain"):
-            raise ConfigError("yamabe.middle_term must be 'eq2' or 'plain'")
         nu = (model.n - 2) / 2.0
         deltas = self.delta_list() if subcommand == "barrier" else [self.delta()]
         for d in deltas:
@@ -343,10 +338,10 @@ def cmd_neck_estimate(cfg: RunConfig, out: Path) -> Checks:
     header = ["eps", "t", "sup_dev", "bound", "fd_err"]
     write_csv(out / "deviation.csv", header, rows)
     write_dat(out / "deviation.dat", header, rows)
-    fitted = {"probe_slope": fit.probe_slope,
-              "weighted_ratio": fit.weighted_ratio,
+    fitted = {"weighted_ratio": fit.weighted_ratio,
               "c_fit": {repr(p.eps): p.c_fit for p in fit.profiles}}
-    if len(eps_list) >= 2:
+    if len(eps_list) >= 2:  # a slope needs two eps values
+        fitted["probe_slope"] = fit.probe_slope
         checks.add("weighted_dev_ratio", fit.weighted_ratio, "weighted_dev_ratio")
         checks.add("probe_slope", fit.probe_slope, "probe_slope")
     write_summary(out, "neck-estimate", cfg, checks, fitted)
@@ -425,8 +420,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> Checks:
     gcfg = cfg.gluing_config(eps)
     rep = yamabe.picard_solve(
         gcfg, resolution=int(cfg["grid.resolution"]),
-        tol=float(cfg["solver.tol"]), max_iter=int(cfg["yamabe.max_iter"]),
-        middle=str(cfg["yamabe.middle_term"]))
+        tol=float(cfg["solver.tol"]), max_iter=int(cfg["yamabe.max_iter"]))
     chk = yamabe.verify_constant_curvature(rep, gcfg)
     row = yamabe.SweepRow(eps, gcfg.delta, rep.v.sup(), rep.r_eps,
                           rep.v.cap_sup(), rep.iterations, rep.residual,

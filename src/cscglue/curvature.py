@@ -138,6 +138,23 @@ def _richardson(seq):
     return row[-1], prev_diag
 
 
+def line_jet(f: Callable, t: np.ndarray, h: float, levels: int):
+    """f(t) and its central first and second differences along t.
+
+    Steps h, h/2, ..., h/2^(levels-1), Richardson-extrapolated; returns
+    (f(t), (d1, d1_prev), (d2, d2_prev)) with the ``_prev`` entries from
+    the previous extrapolation diagonal, for error estimates.
+    """
+    f0 = f(t)
+    d1, d2 = [], []
+    for lev in range(levels):
+        hh = h / 2**lev
+        fp, fm = f(t + hh), f(t - hh)
+        d1.append((fp - fm) / (2.0 * hh))
+        d2.append((fp - 2.0 * f0 + fm) / hh**2)
+    return f0, _richardson(d1), _richardson(d2)
+
+
 def _metric_jet(field, chart_id, pts, scheme):
     """g, inverse, and Richardson-extrapolated dg, d2g at points.
 

@@ -43,26 +43,26 @@ __all__ = [
 ]
 
 
-def mollifier_step(s, width: float = 1.0):
-    """Smooth step B(s) = E(s)/(E(s)+E(w-s)), E(s)=exp(-1/s) for s>0 else 0.
+def mollifier_step(s):
+    """Smooth step B(s) = E(s)/(E(s)+E(1-s)), E(s)=exp(-1/s) for s>0 else 0.
 
-    Identically 0 for s <= 0 and 1 for s >= width; monotone and C^inf,
+    Identically 0 for s <= 0 and 1 for s >= 1; monotone and C^inf,
     with all derivatives vanishing at both plateau edges.
     """
     s = np.asarray(s, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         e1 = np.where(s > 0.0, np.exp(-1.0 / np.where(s > 0.0, s, 1.0)), 0.0)
-        sw = width - s
+        sw = 1.0 - s
         e2 = np.where(sw > 0.0, np.exp(-1.0 / np.where(sw > 0.0, sw, 1.0)), 0.0)
     return e1 / (e1 + e2)
 
 
-def _chi_raw(t, width: float = 1.0):
-    return mollifier_step((1.0 - np.asarray(t, dtype=float)) / 2.0, width)
+def _chi_raw(t):
+    return mollifier_step((1.0 - np.asarray(t, dtype=float)) / 2.0)
 
 
-def _eta_raw(t, eps: float, width: float = 1.0):
-    return mollifier_step(-math.log(eps) - np.asarray(t, dtype=float), width)
+def _eta_raw(t, eps: float):
+    return mollifier_step(-math.log(eps) - np.asarray(t, dtype=float))
 
 
 def _check_neck(t, eps):
@@ -73,14 +73,14 @@ def _check_neck(t, eps):
     return t
 
 
-def chi(t, eps: float, width: float = 1.0):
+def chi(t, eps: float):
     """Angular-profile blending cutoff: 1 on (log eps, -1], 0 on [1, -log eps)."""
-    return _chi_raw(_check_neck(t, eps), width)
+    return _chi_raw(_check_neck(t, eps))
 
 
-def eta(t, eps: float, width: float = 1.0):
+def eta(t, eps: float):
     """Profile cutoff: 1 on (log eps, -log eps - 1], -> 0 at t -> -log eps."""
-    return _eta_raw(_check_neck(t, eps), eps, width)
+    return _eta_raw(_check_neck(t, eps), eps)
 
 
 def _u_profile(t, eps: float, n: int, side: int):
@@ -89,15 +89,15 @@ def _u_profile(t, eps: float, n: int, side: int):
     return eps ** ((n - 2) / 2.0) * np.exp(sgn * (n - 2) / 2.0 * np.asarray(t, float))
 
 
-def _u_eps_raw(t, eps: float, n: int, width: float = 1.0):
+def _u_eps_raw(t, eps: float, n: int):
     t = np.asarray(t, dtype=float)
-    return (_eta_raw(t, eps, width) * _u_profile(t, eps, n, 1)
-            + _eta_raw(-t, eps, width) * _u_profile(t, eps, n, 2))
+    return (_eta_raw(t, eps) * _u_profile(t, eps, n, 1)
+            + _eta_raw(-t, eps) * _u_profile(t, eps, n, 2))
 
 
-def u_eps(t, eps: float, n: int, width: float = 1.0):
+def u_eps(t, eps: float, n: int):
     """Normal conformal factor eta(t) u^{(1)} + eta(-t) u^{(2)}; positive."""
-    return _u_eps_raw(_check_neck(t, eps), eps, n, width)
+    return _u_eps_raw(_check_neck(t, eps), eps, n)
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,7 @@ class GluingConfig:
     """Parameters of one glued metric.
 
     eps is the neck parameter, delta the weight exponent in
-    (-(n-2)/2, (n-2)/2), alpha the barrier margin parameter, and
-    cutoff_width the mollifier transition width in (0, 1].
+    (-(n-2)/2, (n-2)/2), and alpha the barrier margin parameter.
     """
 
     model_1: ModelGeometry
@@ -114,7 +113,6 @@ class GluingConfig:
     eps: float
     delta: float = 0.3
     alpha: float = 3.0
-    cutoff_width: float = 1.0
 
     def __post_init__(self):
         # The acceptance sweep reaches eps = 0.16, so the admissible range
@@ -137,8 +135,6 @@ class GluingConfig:
                 f"delta must lie in (-{nu}, {nu}), got {self.delta}")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
-        if not 0.0 < self.cutoff_width <= 1.0:
-            raise ValueError("cutoff_width must lie in (0, 1]")
 
     @property
     def n(self) -> int:
@@ -165,10 +161,7 @@ class GluingConfig:
         return -math.log(self.eps)
 
     def u(self, t):
-        return _u_eps_raw(t, self.eps, self.n, self.cutoff_width)
-
-    def chi(self, t):
-        return _chi_raw(t, self.cutoff_width)
+        return _u_eps_raw(t, self.eps, self.n)
 
 
 @dataclass(frozen=True)
@@ -223,15 +216,15 @@ def s_of_chart(cfg: GluingConfig, chart_id: str, coords: np.ndarray):
 
 def _neck_normal_profiles(cfg: GluingConfig, t: np.ndarray):
     """(U, q) with neck normal block U [dt^2 + q g_{S^{n-1}}]."""
-    eps, n, w = cfg.eps, cfg.n, cfg.cutoff_width
+    eps, n = cfg.eps, cfg.n
     t = np.asarray(t, dtype=float)
-    u = _u_eps_raw(t, eps, n, w)
+    u = _u_eps_raw(t, eps, n)
     U = u ** (4.0 / (n - 2))
     r1 = eps * np.exp(-t)
     r2 = eps * np.exp(t)
     q1 = _normal_angular_profile(cfg.model_1.normal_factor, r1)
     q2 = _normal_angular_profile(cfg.model_2.normal_factor, r2)
-    c = _chi_raw(t, w)
+    c = _chi_raw(t)
     return U, c * q1 + (1.0 - c) * q2
 
 

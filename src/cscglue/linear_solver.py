@@ -26,7 +26,8 @@ from functools import partial
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from .curvature import DerivativeScheme, scalar_curvature
+# scalar_curvature is not called here, but bench/spans.py wraps it by name
+from .curvature import line_jet, scalar_curvature  # noqa: F401
 from .errors import NearSingularOperator, NoConvergence, NonSymmetricModel
 from .geometry import (
     MetricField,
@@ -46,6 +47,8 @@ _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
 SYMMETRY_TOL = 1e-8
 MIN_ABS_EIG = 1e-8
 MAX_REFINE = 2
+NECK_STEP = 1e-2   # base t-step of the neck curvature differences
+NECK_LEVELS = 3    # Richardson levels (step halvings) of those differences
 
 
 def _z_sample(model: ModelGeometry) -> tuple:
@@ -90,9 +93,6 @@ class RadialGrid:
     @property
     def size(self) -> int:
         return self.s.size
-
-    def neck_mask(self) -> np.ndarray:
-        return self.region == 0
 
     def cap_mask(self) -> np.ndarray:
         return self.region != 0
@@ -374,37 +374,63 @@ class SolveReport:
     C_third: float | None = None
 
 
-def glued_curvature_profile(cfg: GluingConfig, grid: RadialGrid,
-                            field: MetricField | None = None,
-                            scheme: DerivativeScheme | None = None):
-    """Scalar curvature of the glued metric at the grid nodes.
+def neck_scalar_curvature(cfg: GluingConfig, t,
+                          field: MetricField | None = None):
+    """Scalar curvature (S, err) of the glued metric on the neck at t.
 
-    Cap nodes carry the exact constant S of the summands; neck nodes are
-    measured with the finite-difference engine at the sample orbit and
-    mirrored (the built-in construction is mirror symmetric).  Returns
-    (profile, fd_error).
+    Both summands carry the same K and S, so the neck metric is
+    g_K + U(t) [dt^2 + q(t) g_{S^{n-1}}], i.e. g_K + dtau^2 + f^2 g_{S^{n-1}}
+    with dtau = sqrt(U) dt and f = sqrt(U q), and
+        S = S_K - 2(n-1) f_tautau / f + (n-1)(n-2) (1 - f_tau^2) / f^2.
+    In a = log f and b = log U, read off the field's neck components,
+    f_tautau / f = (a_tt + a_t^2 - a_t b_t / 2) / U and
+    f_tau^2 / f^2 = a_t^2 / U.  The error bar is twice the last Richardson
+    change plus the rounding of a_tt, amplified by 1/U: the two 1/U-sized
+    terms cancel to O(1).
     """
     field = glued_metric(cfg) if field is None else field
-    scheme = scheme or DerivativeScheme()
-    k, m = cfg.k, cfg.m
-    T = cfg.t_max
-    s = grid.s
-    prof = np.full(s.shape, cfg.S, dtype=float)
+    k, m, n = cfg.k, cfg.m, cfg.n
+
+    def log_profiles(tt):
+        pts = np.zeros(tt.shape + (m,))
+        pts[..., :k] = _z_sample(cfg.model_1)
+        pts[..., k] = tt
+        pts[..., k + 1:] = _theta_sample(n)
+        g = field.components("neck", pts, check=False)
+        # the first angular entry of the polar sphere metric is 1
+        return np.stack([0.5 * np.log(g[..., k + 1, k + 1]), np.log(g[..., k, k])])
+
+    (a, b), (d1, d1_prev), (d2, d2_prev) = line_jet(
+        log_profiles, np.asarray(t, dtype=float), NECK_STEP, NECK_LEVELS)
+    S_K = sum(f.scalar_curvature() for f in cfg.model_1.k_factors)
+    U = np.exp(b)
+
+    def curvature(d1_, d2_):
+        (a_t, b_t), a_tt = d1_, d2_[0]
+        return (S_K - 2 * (n - 1) * (a_tt + a_t**2 - 0.5 * a_t * b_t) / U
+                + (n - 1) * (n - 2) * (np.exp(-2.0 * a) - a_t**2 / U))
+
+    S = curvature(d1, d2)
+    h_min = NECK_STEP / 2 ** (NECK_LEVELS - 1)
+    # 16 = 4 (stencil weights) x 2 (Richardson weights) x 2 ulp of a
+    rounding = (16 * np.finfo(float).eps * (1.0 + np.abs(a)) / h_min**2
+                * 2 * (n - 1) / U)
+    return S, 2.0 * np.abs(S - curvature(d1_prev, d2_prev)) + rounding
+
+
+def glued_curvature_profile(cfg: GluingConfig, grid: RadialGrid,
+                            field: MetricField | None = None):
+    """Scalar curvature of the glued metric at the grid nodes.
+
+    Cap nodes carry the exact constant S of the summands; neck nodes take
+    neck_scalar_curvature at |s|, so the profile is mirror symmetric by
+    construction.  Returns (profile, fd_error).
+    """
+    prof = np.full(grid.s.shape, cfg.S, dtype=float)
     err = np.zeros_like(prof)
-    inner = np.abs(s) < T - 1e-12
-    s_in = s[inner]
-    pos = s_in >= 0.0
-    su = np.unique(np.abs(s_in))
-    pts = np.zeros((su.size, m))
-    pts[:, :k] = _z_sample(cfg.model_1)
-    pts[:, k] = su
-    pts[:, k + 1:] = _theta_sample(cfg.n)
-    S_half, E_half = scalar_curvature(field, ("neck", pts), scheme)
-    lookup = {float(t): (float(v), float(e))
-              for t, v, e in zip(su, S_half, E_half)}
-    vals = np.array([lookup[abs(float(t))] for t in s_in])
-    prof[inner] = vals[:, 0]
-    err[inner] = vals[:, 1]
+    inner = np.abs(grid.s) < cfg.t_max - 1e-12
+    prof[inner], err[inner] = neck_scalar_curvature(
+        cfg, np.abs(grid.s[inner]), field)
     return prof, err
 
 

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import DerivativeScheme, laplace_beltrami, scalar_curvature
+# scalar_curvature is not called here, but bench/spans.py wraps it by name
+from .curvature import (DerivativeScheme, laplace_beltrami, line_jet,  # noqa: F401
+                        scalar_curvature)
 from .errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved
 from .geometry import (
     AXIS_MARGIN,
@@ -39,6 +41,7 @@ from .linear_solver import (
     assemble_L,
     build_grid,
     glued_curvature_profile,
+    neck_scalar_curvature,
     solve_dirichlet,
 )
 
@@ -46,7 +49,9 @@ RESOLVED_FACTOR = 10.0  # a deviation counts as resolved above 10x its error bar
 
 
 def loglog_slope(x, y) -> float:
-    """Least-squares slope of log y against log x."""
+    """Least-squares slope of log y against log x; NaN below two points."""
+    if len(x) < 2:
+        return float("nan")
     lx, ly = np.log(np.asarray(x, float)), np.log(np.asarray(y, float))
     return float(np.polyfit(lx, ly, 1)[0])
 
@@ -78,64 +83,41 @@ class DeviationFit:
 
 
 def deviation_profile(cfg: GluingConfig, t_grid=None, points_per_unit: int = 16,
-                      theta1_samples=(1.0831, 1.9),
-                      field_: MetricField | None = None,
-                      scheme: DerivativeScheme | None = None) -> DeviationProfile:
-    """Measure sup_{theta,z} |S_glued - S| on the window |t| <= |log eps| - 1.
+                      field_: MetricField | None = None) -> DeviationProfile:
+    """Measure |S_glued - S| on the window |t| <= |log eps| - 1.
 
-    One z and a small theta sample suffice for the built-in symmetric
-    models; the default grid covers the negative half and mirrors.  An
-    explicit ``t_grid`` inside the window may be passed instead.  The
-    probe value is always taken at the window edge t = log(eps) + 1, and
-    fit data keeps only points whose deviation exceeds ten times its
-    finite-difference error bar.
+    S_glued depends on t alone (neck_scalar_curvature), so one radial
+    line carries the whole deviation.  The default grid is symmetric
+    about t = 0; an explicit ``t_grid`` inside the window may be passed
+    instead.  The probe value is always taken at the window edge
+    t = log(eps) + 1, and fit data keeps only points whose deviation
+    exceeds ten times its finite-difference error bar.
     """
-    fld = glued_metric(cfg) if field_ is None else field_
-    scheme = scheme or DerivativeScheme()
-    n, k, m = cfg.n, cfg.k, cfg.m
     T = cfg.t_max
     if T <= 1.0:
         raise EpsilonTooLarge("window |t| <= |log eps| - 1 is empty")
-
-    def measure(ts):
-        sup = np.zeros(ts.size)
-        err = np.zeros(ts.size)
-        for theta1 in theta1_samples:
-            pts = np.zeros((ts.size, m))
-            pts[:, :k] = _z_sample(cfg.model_1)
-            pts[:, k] = ts
-            pts[:, k + 1:] = _theta_sample(n, theta1)
-            S, E = scalar_curvature(fld, ("neck", pts), scheme)
-            dev = np.abs(S - cfg.S)
-            upd = dev > sup
-            sup[upd] = dev[upd]
-            err = np.maximum(err, E)
-        return sup, err
-
     if t_grid is None:
         nt = max(5, int(round((T - 1) * points_per_unit)) + 1)
         t_half = np.linspace(-(T - 1.0), 0.0, nt)
-        sup_half, err_half = measure(t_half)
         t = np.concatenate([t_half, -t_half[-2::-1]])
-        sup_dev = np.concatenate([sup_half, sup_half[-2::-1]])
-        fd_err = np.concatenate([err_half, err_half[-2::-1]])
-        probe_dev, probe_err = float(sup_half[0]), float(err_half[0])
     else:
         t = np.sort(np.asarray(t_grid, dtype=float))
         if t[0] < -(T - 1.0) - 1e-12 or t[-1] > T - 1.0 + 1e-12:
             raise ValueError("t_grid must lie inside |t| <= |log eps| - 1")
-        sup_dev, fd_err = measure(t)
-        ps, pe = measure(np.array([-(T - 1.0)]))
-        probe_dev, probe_err = float(ps[0]), float(pe[0])
+    # the probe rides along as entry 0
+    S, err = neck_scalar_curvature(cfg, np.concatenate([[-(T - 1.0)], t]), field_)
+    dev = np.abs(S - cfg.S)
+    sup_dev, fd_err = dev[1:], err[1:]
     resolved = sup_dev > RESOLVED_FACTOR * fd_err
     if not np.any(resolved):
         raise NotResolved("finite-difference error bars exceed the deviation")
+    n = cfg.n
     bound_shape = np.cosh(t) ** (1 - n) / cfg.eps
     weighted = cfg.eps * np.cosh(t) ** (n - 1) * sup_dev
     W = float(np.max(weighted[resolved]))
     return DeviationProfile(
         cfg.eps, t, sup_dev, fd_err, bound_shape, W,
-        probe_dev=probe_dev, probe_err=probe_err, c_fit=W,
+        probe_dev=float(dev[0]), probe_err=float(err[0]), c_fit=W,
         resolved=resolved,
     )
 
@@ -195,15 +177,7 @@ def ell_leading(cfg: GluingConfig, w, t, theta=None, z=None,
     t = np.asarray(t, dtype=float)
     nu = cfg.nu
 
-    def along_t(ts):
-        return w(z, ts, theta)
-
-    vals = []
-    for lev in range(3):
-        hh = t_step / 2**lev
-        vals.append((along_t(t + hh) - 2.0 * along_t(t) + along_t(t - hh)) / hh**2)
-    from .curvature import _richardson
-    d2t, _ = _richardson(vals)
+    _, _, (d2t, _) = line_jet(lambda ts: w(z, ts, theta), t, t_step, 3)
 
     sph = _unit_sphere_field(n)
     lap_th = np.array([
@@ -347,21 +321,21 @@ class BarrierReport:
     alpha_min: float
     eps_alpha: float
     t: np.ndarray
-    theta1: tuple
-    margins: np.ndarray   # (len(theta1), len(t))
+    margins: np.ndarray
     min_margin: float
     fd_err: np.ndarray
 
 
 def barrier_margin(cfg: GluingConfig, delta: float | None = None,
                    points_per_unit: int = 16,
-                   theta1_samples=(0.62, 1.18, 2.05),
                    scheme: DerivativeScheme | None = None) -> BarrierReport:
     """Margins -(Delta phi_delta + C u^{-4/(n-2)} phi_delta) on T^eps_alpha.
 
     A nonnegative minimum certifies the barrier inequality numerically at
-    this (eps, alpha, delta).  Preconditions: |delta| < (n-2)/2 and eps
-    small enough that log eps + alpha < 0 and e^{-alpha} <= C.
+    this (eps, alpha, delta).  phi_delta depends on t alone and the neck
+    is a warped product, so one (z, theta) line carries every margin.
+    Preconditions: |delta| < (n-2)/2 and eps small enough that
+    log eps + alpha < 0 and e^{-alpha} <= C.
     """
     delta = cfg.delta if delta is None else delta
     n, k, m = cfg.n, cfg.k, cfg.m
@@ -379,33 +353,22 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None,
         raise EpsilonTooLarge(
             f"alpha = {cfg.alpha} too small for C = {C:.4g}; "
             f"need alpha >= {a_min:.4g} (eps_alpha = {eps_a:.4g})")
-    scheme = scheme or DerivativeScheme()
-    fld = glued_metric(cfg)
-    T = cfg.t_max
-    ta = T - cfg.alpha
+    ta = cfg.t_max - cfg.alpha
     nt = max(5, int(round(2 * ta * points_per_unit)) + 1)
     t = np.linspace(-ta, ta, nt)
-    expo = 4.0 / (n - 2.0)
-
-    def phi(c):
-        return barrier_profile(cfg, delta, c[..., k])
-
-    margins = np.zeros((len(theta1_samples), nt))
-    errs = np.zeros_like(margins)
-    for i, theta1 in enumerate(theta1_samples):
-        pts = np.zeros((nt, m))
-        pts[:, :k] = _z_sample(cfg.model_1)
-        pts[:, k] = t
-        pts[:, k + 1:] = _theta_sample(n, theta1)
-        lap, err = laplace_beltrami(fld, phi, ("neck", pts), scheme)
-        u = cfg.u(t)
-        margins[i] = -(lap + C * u ** (-expo) * barrier_profile(cfg, delta, t))
-        errs[i] = err
+    pts = np.zeros((nt, m))
+    pts[:, :k] = _z_sample(cfg.model_1)
+    pts[:, k] = t
+    pts[:, k + 1:] = _theta_sample(n)
+    lap, err = laplace_beltrami(
+        glued_metric(cfg), lambda c: barrier_profile(cfg, delta, c[..., k]),
+        ("neck", pts), scheme or DerivativeScheme())
+    margins = -(lap + C * cfg.u(t) ** (-4.0 / (n - 2.0))
+                * barrier_profile(cfg, delta, t))
     if not np.all(np.isfinite(margins)):
         raise ArithmeticError("barrier margins must be finite on the region")
     return BarrierReport(delta, cfg.eps, cfg.alpha, C, a_min, eps_a, t,
-                         tuple(theta1_samples), margins,
-                         float(np.min(margins)), errs)
+                         margins, float(np.min(margins)), err)
 
 
 # ---------------------------------------------------------------------------

@@ -56,21 +56,20 @@ class YamabeConstants:
         return (self.d + 2.0) / (self.d - 2.0)
 
 
-def F_eps(v: np.ndarray, s_dev: np.ndarray, consts: YamabeConstants, S: float,
-          middle: str = "eq2") -> np.ndarray:
+def F_eps(v: np.ndarray, s_dev: np.ndarray, consts: YamabeConstants,
+          S: float) -> np.ndarray:
     """Nonlinear source F(v); exact affine part at v = 0 is c (S - S_glued).
 
-    ``middle`` selects the coefficient of the (S - S_glued) v term: the
-    substituted equation carries the factor p ("eq2"), while the compact
-    restatement of the fixed-point map drops it ("plain"); both are kept
-    since the fixed point is insensitive at leading order.
+    The conformal law for (1 + v)^{4/(m-2)} g_glued with scalar curvature
+    S gives kappa L v = (S_glued - S)(1 + p v) - S ((1+v)^p - 1 - p v)
+    with kappa = -1/c, so the factor p on the (S - S_glued) v term is
+    exact.
     """
     v = np.asarray(v, dtype=float)
     if np.max(np.abs(v)) > 0.5:
         raise IterateOutOfBall("sup|v| > 1/2 leaves the smallness regime")
     c, p = consts.c, consts.p
-    mid = p if middle == "eq2" else 1.0
-    return (c * s_dev + c * mid * s_dev * v
+    return (c * s_dev + c * p * s_dev * v
             + c * S * ((1.0 + v) ** p - 1.0 - p * v))
 
 
@@ -117,7 +116,7 @@ class FixedPointReport:
 
 
 def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
-                 max_iter: int = 40, middle: str = "eq2",
+                 max_iter: int = 40,
                  field_: MetricField | None = None,
                  grid: RadialGrid | None = None,
                  profile=None) -> FixedPointReport:
@@ -156,7 +155,7 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     psi = psi_of_t(grid.s, cfg)
     w_hi = psi ** ((n + 2) / 2.0 - delta)
 
-    f0 = F_eps(np.zeros(grid.size), s_dev, consts, S, middle)
+    f0 = F_eps(np.zeros(grid.size), s_dev, consts, S)
     src_scale = eps ** (n - 2.0) + eps ** (n / 2.0 - delta)
     C_prime = float(np.max(w_hi * np.abs(f0))) / src_scale
     C_second = 1.0
@@ -168,7 +167,7 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     iterations = 0
     for _ in range(max_iter):
         try:
-            f = F_eps(v, s_dev, consts, S, middle)
+            f = F_eps(v, s_dev, consts, S)
         except IterateOutOfBall as exc:
             raise IterationDiverged(str(exc)) from exc
         v_new = solve(op, f)
@@ -192,7 +191,7 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
         raise IterationDiverged(
             f"iterates reached sup|v| = {r_run:.3e}, outside the fixed-point "
             f"ball min(1/2, r_eps) = {min(0.5, r_eps):.3e}")
-    residual = float(np.max(np.abs(op.apply(v) - F_eps(v, s_dev, consts, S, middle))))
+    residual = float(np.max(np.abs(op.apply(v) - F_eps(v, s_dev, consts, S))))
     mirror = float(np.max(np.abs(v - v[::-1])))
     contraction = float(np.median([diffs[i + 1] / diffs[i]
                                    for i in range(len(diffs) - 1)])) if len(diffs) > 1 else 0.0
@@ -329,8 +328,7 @@ def convergence_sweep(make_cfg, eps_list, delta: float = 0.3,
         raise DeltaOutOfRange(
             f"sweep requires delta in ({lo}, {hi}), got {delta}")
 
-    rows = []
-    done = []
+    rows, eps_done, sup_done = [], [], []
     for eps in eps_sorted:
         try:
             cfg = make_cfg(eps)
@@ -343,14 +341,11 @@ def convergence_sweep(make_cfg, eps_list, delta: float = 0.3,
                                  0, *([float("nan")] * 4),
                                  error=f"{type(exc).__name__}: {exc}"))
             continue
-        done.append((eps, rep.v.sup()))
-        slope = (loglog_slope([e for e, _ in done], [s for _, s in done])
-                 if len(done) >= 2 else float("nan"))
+        eps_done.append(eps)
+        sup_done.append(rep.v.sup())
         rows.append(SweepRow(
             eps, delta, rep.v.sup(), rep.r_eps, rep.v.cap_sup(),
             rep.iterations, rep.residual, rep.pre_dev,
             rep.post_dev if rep.post_dev is not None else float("nan"),
-            slope))
-    slope = next((r.slope_so_far for r in reversed(rows)
-                  if r.slope_so_far == r.slope_so_far), float("nan"))
-    return SweepTable(rows, delta, slope)
+            loglog_slope(eps_done, sup_done)))
+    return SweepTable(rows, delta, loglog_slope(eps_done, sup_done))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,21 @@ def test_neck_estimate_subcommand(cfg_file, tmp_path):
     assert code == 0
     header = (out / "deviation.csv").read_text().splitlines()[0]
     assert header == "eps,t,sup_dev,bound,fd_err"
+    fitted = json.loads((out / "run.json").read_text())["fitted"]
+    assert fitted["probe_slope"] >= 0.7
+
+
+def test_neck_estimate_single_eps_fits_no_slope(tmp_path):
+    # the default run has one eps: a log-log slope through one point is
+    # rank-deficient, so none is fitted or recorded
+    out = tmp_path / "neck1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["neck-estimate", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "run.json").read_text())
+    assert "probe_slope" not in summary["fitted"]
+    assert summary["checks"] == []
 
 
 def test_spectrum_subcommand(cfg_file, tmp_path):

@@ -16,8 +16,6 @@ def test_config_validation(model_a, model_b):
         gluing.GluingConfig(model_a, model_a, eps=0.05, delta=0.5)
     with pytest.raises(ValueError):
         gluing.GluingConfig(model_a, model_b, eps=0.05)  # different S and K
-    with pytest.raises(ValueError):
-        gluing.GluingConfig(model_a, model_a, eps=0.05, cutoff_width=1.5)
 
 
 def test_chi_plateaus():
@@ -139,20 +137,6 @@ def test_glued_positive_definite_sweep(model_a):
         pts[:, 3], pts[:, 4] = 1.0831, 0.47
         g = field.components("neck", pts)
         assert all(geometry.is_spd(g[i]) for i in range(41))
-
-
-def test_width_independence_for_identical_data(model_flat):
-    # the K block is g_K itself and chi only blends q(r1) with q(r2), which
-    # are both 1 for flat normal blocks; for |t| <= 1 both eta cutoffs sit
-    # on their plateau, so the metric cannot see the smoothing width
-    cfgs = [gluing.GluingConfig(model_flat, model_flat, eps=0.05, cutoff_width=w)
-            for w in (0.4, 1.0)]
-    fields = [gluing.glued_metric(c) for c in cfgs]
-    for t in np.linspace(-1.0, 1.0, 9):
-        pn = np.array([1.13, 0.58, t, 1.0831, 0.47])
-        a = fields[0].components("neck", pn)
-        b = fields[1].components("neck", pn)
-        assert np.max(np.abs(a - b)) <= 4e-16 * np.max(np.abs(a))
 
 
 def test_neck_atlas_roundtrip(cfg05, glued05):

@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from cscglue import geometry, gluing, linear_solver as ls
+from cscglue import curvature, geometry, gluing, linear_solver as ls
 from cscglue.errors import NearSingularOperator, NonSymmetricModel
 
 
@@ -228,44 +229,74 @@ def test_curvature_profile_blind_to_curved_k():
     assert np.max(np.abs(devs[0] - devs[1])) <= 1e-9
 
 
-def _warped_product_scalar(field, model, t, h=5e-3):
-    """1-D oracle for g_K + U(t) [dt^2 + q(t) g_{S^{n-1}}].
-
-    With dtau = sqrt(U) dt and f = sqrt(U q), the metric is
-    g_K + dtau^2 + f^2 g_{S^{n-1}}, whose scalar curvature is
-    S_K - 2(n-1) f_tautau / f + (n-1)(n-2) (1 - f_tau^2) / f^2.
-    U and U q are read off the neck components along one (z, theta) line
-    and differentiated in t by central differences with one Richardson
-    step.
-    """
-    k, n = model.k, model.n
-
-    def U_f(tt):
-        pts = np.zeros(tt.shape + (model.m,))
-        pts[..., :k] = geometry.Z_SAMPLE_SPHERE2[:k]
-        pts[..., k] = tt
-        pts[..., k + 1:] = geometry.THETA_SAMPLE[:n - 1]
-        g = field.components("neck", pts, check=False)
-        # the first angular entry of the polar sphere metric is 1
-        return g[..., k, k], np.sqrt(g[..., k + 1, k + 1])
-
-    def differences(hh):
-        (_, f0), (Up, fp), (Um, fm) = U_f(t), U_f(t + hh), U_f(t - hh)
-        return np.array([(Up - Um) / (2 * hh), (fp - fm) / (2 * hh),
-                         (fp - 2 * f0 + fm) / hh**2])
-
-    U_t, f_t, f_tt = (4 * differences(h / 2) - differences(h)) / 3
-    U, f = U_f(t)
-    f_tau = f_t / np.sqrt(U)
-    f_tautau = f_tt / U - f_t * U_t / (2 * U**2)
-    S_K = sum(fac.scalar_curvature() for fac in model.k_factors)
-    return (S_K - 2 * (n - 1) * f_tautau / f
-            + (n - 1) * (n - 2) * (1 - f_tau**2) / f**2)
-
-
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
 @pytest.mark.parametrize("eps", [0.02, 0.05, 0.16])
 def test_curvature_profile_matches_warped_product_oracle(name, eps):
+    # the profile is the 1-D warped-product formula; the 5-D
+    # finite-difference engine on the full metric must agree with it
     model, field, t, prof = _neck_profile(name, eps)
-    oracle = _warped_product_scalar(field, model, t)
-    assert np.max(np.abs(prof - oracle) / np.abs(oracle)) <= 1e-4
+    k, n = model.k, model.n
+    pts = np.zeros((t.size, model.m))
+    pts[:, :k] = geometry.Z_SAMPLE_SPHERE2[:k]
+    pts[:, k] = t
+    pts[:, k + 1:] = geometry.THETA_SAMPLE[:n - 1]
+    engine, _ = curvature.scalar_curvature(field, ("neck", pts))
+    assert np.max(np.abs(prof - engine) / np.abs(engine)) <= 1e-4
+
+
+def _mp_neck_scalar(model, eps, t):
+    """Neck scalar curvature at 40 digits, written from the gluing's definitions.
+
+    B(s) = E(s) / (E(s) + E(1 - s)) with E(s) = exp(-1/s) for s > 0;
+    eta(t) = B(-log eps - t), chi(t) = B((1 - t) / 2);
+    u = eta(t) eps^{(n-2)/2} e^{-(n-2)t/2} + eta(-t) eps^{(n-2)/2} e^{(n-2)t/2},
+    U = u^{4/(n-2)}; q = chi q_S(eps e^{-t}) + (1 - chi) q_S(eps e^{t}) with
+    q_S(r) = (rho sin(r/rho) / r)^2 for a round normal sphere of radius rho.
+    The neck metric g_K + U (dt^2 + q g_{S^{n-1}}) is, with dtau = sqrt(U) dt
+    and f = sqrt(U q), a warped product of scalar curvature
+    S_K - 2(n-1) f_tautau / f + (n-1)(n-2) (1 - f_tau^2) / f^2.
+    """
+    n = model.n
+    eps, t = mp.mpf(eps), mp.mpf(t)
+    rho = mp.mpf(model.normal_factor.size)
+
+    def B(s):
+        E = lambda x: mp.exp(-1 / x) if x > 0 else mp.mpf(0)
+        return E(s) / (E(s) + E(1 - s))
+
+    def U(t):
+        c = eps ** (mp.mpf(n - 2) / 2)
+        u = (B(-mp.log(eps) - t) * c * mp.exp(-(n - 2) * t / 2)
+             + B(-mp.log(eps) + t) * c * mp.exp((n - 2) * t / 2))
+        return u ** (mp.mpf(4) / (n - 2))
+
+    def f(t):
+        chi = B((1 - t) / 2)
+        q_S = lambda r: (rho * mp.sin(r / rho) / r) ** 2
+        return mp.sqrt(U(t) * (chi * q_S(eps * mp.exp(-t))
+                               + (1 - chi) * q_S(eps * mp.exp(t))))
+
+    f0, f_t, f_tt = (mp.diff(f, t, j) for j in range(3))
+    U0, U_t = U(t), mp.diff(U, t)
+    f_tau = f_t / mp.sqrt(U0)
+    f_tautau = f_tt / U0 - f_t * U_t / (2 * U0**2)
+    S_K = sum(fac.scalar_curvature() for fac in model.k_factors)
+    return (S_K - 2 * (n - 1) * f_tautau / f0
+            + (n - 1) * (n - 2) * (1 - f_tau**2) / f0**2)
+
+
+@pytest.mark.parametrize("eps,resolution", [(0.02, 64), (2e-3, 256), (1e-4, 256)])
+def test_curvature_profile_within_error_bars_of_mpmath(eps, resolution):
+    # the error bars must bound the error actually made; the nodes with the
+    # largest bars sit where the 1/U-sized terms cancel, at the neck centre
+    model = geometry.make_model("torus2_x_sphere3")
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    grid = ls.build_grid(cfg, resolution)
+    prof, err = ls.glued_curvature_profile(cfg, grid)
+    inner = np.flatnonzero(np.abs(grid.s) < cfg.t_max - 1e-12)
+    nodes = np.union1d(inner[np.argsort(err[inner])[-4:]],
+                       inner[np.linspace(0, inner.size - 1, 8).astype(int)])
+    with mp.workdps(40):
+        ref = np.array([float(_mp_neck_scalar(model, eps, grid.s[i]))
+                        for i in nodes])
+    assert np.all(np.abs(prof[nodes] - ref) <= err[nodes])
