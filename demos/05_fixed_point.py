@@ -12,7 +12,7 @@ from cscglue import (
     GluingConfig,
     make_model,
     picard_solve,
-    synthetic_exact_metric,
+    synthetic_exact_warp,
     verify_constant_curvature,
 )
 
@@ -34,11 +34,11 @@ chk = verify_constant_curvature(rep, cfg)
 print(f"\nscalar curvature after the conformal correction:")
 print(f"  before: sup sampled |S_glued - S|    = {chk.pre_dev:.3f}")
 print(f"  after:  sup sampled |S_conformal - S| = {chk.post_dev:.4f}")
-print(f"  fd error floor                        = {chk.fd_err:.1e}")
+print(f"  its rounding error bar                = {chk.fd_err:.1e}")
 
 # sanity anchor: on the exact flat-normal fixture the source vanishes
 # identically and the solve returns zero
 F = make_model("sphere2_x_ball3")
 cfgF = GluingConfig(F, F, eps=0.05)
-repF = picard_solve(cfgF, field_=synthetic_exact_metric(cfgF))
+repF = picard_solve(cfgF, warp=synthetic_exact_warp(cfgF))
 print(f"\nflat-normal fixture: sup|v| = {repF.v.sup():.2e} (exact solution is 0)")

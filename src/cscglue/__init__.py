@@ -33,13 +33,16 @@ from .geometry import (
 )
 from .gluing import (
     GluingConfig,
+    Jet,
     NeckAtlas,
     chi,
     eta,
     glued_metric,
+    glued_warp,
     psi_of_t,
     psi_weight,
     synthetic_exact_metric,
+    synthetic_exact_warp,
     u_eps,
 )
 from .linear_solver import (

@@ -139,20 +139,15 @@ def _richardson(seq):
 
 
 def line_jet(f: Callable, t: np.ndarray, h: float, levels: int):
-    """f(t) and its central first and second differences along t.
-
-    Steps h, h/2, ..., h/2^(levels-1), Richardson-extrapolated; returns
-    (f(t), (d1, d1_prev), (d2, d2_prev)) with the ``_prev`` entries from
-    the previous extrapolation diagonal, for error estimates.
+    """Second-order part of f's line jet: the central second difference
+    along t over steps h, h/2, ..., h/2^(levels-1), Richardson-extrapolated.
     """
     f0 = f(t)
-    d1, d2 = [], []
+    d2 = []
     for lev in range(levels):
         hh = h / 2**lev
-        fp, fm = f(t + hh), f(t - hh)
-        d1.append((fp - fm) / (2.0 * hh))
-        d2.append((fp - 2.0 * f0 + fm) / hh**2)
-    return f0, _richardson(d1), _richardson(d2)
+        d2.append((f(t + hh) - 2.0 * f0 + f(t - hh)) / hh**2)
+    return _richardson(d2)[0]
 
 
 def _metric_jet(field, chart_id, pts, scheme):

@@ -41,10 +41,6 @@ class EpsilonTooLarge(GlueError, ValueError):
     """Neck parameter too large for the requested barrier margin region."""
 
 
-class NonSymmetricModel(GlueError, ValueError):
-    """Metric lacks the orbit symmetry required for the 1-D reduction."""
-
-
 class NearSingularOperator(GlueError, ArithmeticError):
     """Discrete linearized operator has a near-zero eigenvalue."""
 

@@ -7,11 +7,11 @@ quantity exactly computable: scalar curvature is the sum of factor
 curvatures, the Laplace spectrum is the sum-set of factor spectra, and
 Fermi coordinates around K x {pole} take an explicit warped-polar form.
 
-A ``MetricField`` is the universal carrier for metrics in this package:
-an atlas of charts plus a vectorized callback returning the component
-matrix at coordinate points.  Everything downstream (finite-difference
-curvature, gluing, the radial solver) consumes metric fields as black
-boxes.
+A ``MetricField`` carries a metric as a chart atlas plus a vectorized
+callback returning component matrices, which the finite-difference
+curvature engine differentiates.  Every model's normal block is
+dr^2 + f(r)^2 g_{S^{n-1}} with f = ``normal_radius``, the closed form
+the neck pipeline works on instead.
 """
 
 from __future__ import annotations
@@ -352,32 +352,25 @@ def sphere_embed_jacobian(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     d1 = theta.shape[-1]
     h = np.zeros(theta.shape[:-1] + (d1 + 1, d1))
+    pre = np.ones(theta.shape[:-1])  # product of sin(theta_i), i < j
     for j in range(d1):
-        t = theta.copy()
-        # analytic derivative: rotate theta_j by pi/2 in its own factor
-        pre = np.ones(theta.shape[:-1])
-        for i in range(j):
-            pre = pre * np.sin(theta[..., i])
         # components i >= j of the embedding depend on theta_j
-        sines = pre.copy()
-        # i == j: pre * (-sin theta_j)
         h[..., j, j] = -pre * np.sin(theta[..., j])
         sines = pre * np.cos(theta[..., j])
         for i in range(j + 1, d1):
             h[..., i, j] = sines * np.cos(theta[..., i])
             sines = sines * np.sin(theta[..., i])
         h[..., d1, j] = sines
+        pre = pre * np.sin(theta[..., j])
     return h
 
 
-def _normal_angular_profile(factor: Factor, r: np.ndarray) -> np.ndarray:
-    """Coefficient q(r) with normal block dr^2 + r^2 q(r) g_{S^{n-1}}."""
-    r = np.asarray(r, dtype=float)
+def normal_radius(factor: Factor, r):
+    """f(r) with normal block dr^2 + f(r)^2 g_{S^{n-1}}; takes arrays or jets."""
     if factor.kind == "sphere":
-        # (rho sin(r/rho) / r)^2 via sinc, finite at the axis r = 0
-        return np.sinc(r / (factor.size * math.pi)) ** 2
+        return factor.size * np.sin(r / factor.size)
     if factor.kind == "ball":
-        return np.ones_like(r)
+        return r
     raise ValueError(f"unsupported normal factor kind {factor.kind!r}")
 
 
@@ -530,13 +523,12 @@ def fermi_metric(model: ModelGeometry, side: int = 1) -> MetricField:
 
     def comps(chart_id, c):
         if chart_id == cap_id:
-            r = c[..., k]
-            q = _normal_angular_profile(model.normal_factor, r)
-            return product_components(model, c, 1.0, r**2 * q)
+            return product_components(model, c, 1.0,
+                                      normal_radius(model.normal_factor, c[..., k]) ** 2)
         if chart_id == raw_id:
-            q = _normal_angular_profile(model.normal_factor,
-                                        np.linalg.norm(c[..., k:], axis=-1))
-            return product_components(model, c, 1.0, q, raw=True)
+            r = np.linalg.norm(c[..., k:], axis=-1)
+            return product_components(
+                model, c, 1.0, (normal_radius(model.normal_factor, r) / r) ** 2, raw=True)
         raise OutOfChart(f"no chart {chart_id!r} in this field")
 
     def cap_to_raw(c):

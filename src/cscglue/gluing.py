@@ -16,7 +16,7 @@ constants depend on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -30,39 +30,135 @@ from .geometry import (
     ModelGeometry,
     Transition,
     _k_coord_bounds,
-    _normal_angular_profile,
     _theta_coord_bounds,
     fermi_metric,
+    normal_radius,
     product_components,
     sphere_embed,
 )
 
 __all__ = [
-    "GluingConfig", "NeckAtlas", "chi", "eta", "u_eps", "glued_metric",
+    "GluingConfig", "NeckAtlas", "Jet", "chi", "eta", "u_eps", "glued_metric",
+    "glued_warp", "synthetic_exact_metric", "synthetic_exact_warp",
     "psi_weight", "psi_of_t", "mollifier_step", "s_bounds", "s_of_chart",
 ]
+
+
+class Jet:
+    """Second-order Taylor jet (f, f', f'') of a function of one variable.
+
+    Arithmetic with jets or constants and numpy's exp, log, sin, cosh and
+    sqrt propagate it by the chain rule (Taylor-mode differentiation), so
+    a profile written once for arrays returns its first two derivatives
+    when handed ``Jet.variable(t)``, and values bitwise equal to the
+    array evaluation.
+    """
+
+    def __init__(self, v, d=0.0, dd=0.0):
+        self.v, self.d, self.dd = v, d, dd
+
+    @classmethod
+    def variable(cls, t):
+        return cls(np.asarray(t, dtype=float), 1.0, 0.0)
+
+    @staticmethod
+    def lift(x):
+        """x itself if a jet, else the jet of the constant x."""
+        return x if isinstance(x, Jet) else Jet(x)
+
+    def chain(self, f0, f1, f2):
+        """f(self) from the values f, f', f'' of f at self.v."""
+        return Jet(f0, f1 * self.d, f2 * self.d**2 + f1 * self.dd)
+
+    def __add__(self, o):
+        o = Jet.lift(o)
+        return Jet(self.v + o.v, self.d + o.d, self.dd + o.dd)
+
+    def __mul__(self, o):
+        o = Jet.lift(o)
+        return Jet(self.v * o.v, self.d * o.v + self.v * o.d,
+                   self.dd * o.v + 2.0 * self.d * o.d + self.v * o.dd)
+
+    def __pow__(self, p: float):
+        x = self.v
+        return self.chain(x**p, p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0))
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __sub__(self, o):
+        return self + -Jet.lift(o)
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __truediv__(self, o):
+        o = Jet.lift(o)
+        v = self.v / o.v
+        d = (self.d - v * o.d) / o.v
+        return Jet(v, d, (self.dd - 2.0 * d * o.d - v * o.dd) / o.v)
+
+    def __rtruediv__(self, o):
+        return Jet.lift(o) / self
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # numpy scalars and arrays hand their arithmetic with a jet here too
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if ufunc in _JET_BINARY:
+            return _JET_BINARY[ufunc](Jet.lift(inputs[0]), inputs[1])
+        if ufunc in _JET_UNARY:
+            return self.chain(*_JET_UNARY[ufunc](self.v))
+        return NotImplemented
+
+
+_JET_BINARY = {np.add: Jet.__add__, np.subtract: Jet.__sub__,
+               np.multiply: Jet.__mul__, np.true_divide: Jet.__truediv__}
+_JET_UNARY = {  # f, f', f'' at x
+    np.exp: lambda x: (np.exp(x),) * 3,
+    np.log: lambda x: (np.log(x), x**-1.0, -x**-2.0),
+    np.sin: lambda x: (np.sin(x), np.cos(x), -np.sin(x)),
+    np.cosh: lambda x: (np.cosh(x), np.sinh(x), np.cosh(x)),
+    np.sqrt: lambda x: (np.sqrt(x), 0.5 * x**-0.5, -0.25 * x**-1.5),
+}
+
+# exp(-1/s) < 1e-304 below this s: E is taken as 0 there, which keeps the
+# 1/s^4 of its second derivative finite
+_E_FLOOR = 1.0 / 700.0
+
+
+def _E(s):
+    """E(s) = exp(-1/s) for s > 0 and 0 for s <= 0, on arrays or jets."""
+    x = s.v if isinstance(s, Jet) else s
+    pos = x > _E_FLOOR
+    r = 1.0 / np.where(pos, x, 1.0)
+    e = np.where(pos, np.exp(-r), 0.0)
+    if not isinstance(s, Jet):
+        return e
+    # E' = E / s^2, E'' = E (1/s^4 - 2/s^3)
+    return s.chain(e, e * r**2, e * r**3 * (r - 2.0))
 
 
 def mollifier_step(s):
     """Smooth step B(s) = E(s)/(E(s)+E(1-s)), E(s)=exp(-1/s) for s>0 else 0.
 
-    Identically 0 for s <= 0 and 1 for s >= 1; monotone and C^inf,
-    with all derivatives vanishing at both plateau edges.
+    Identically 0 for s <= 0 and 1 for s >= 1; monotone and C^inf, with
+    all derivatives vanishing at both plateau edges.  s may be a jet.
     """
-    s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        e1 = np.where(s > 0.0, np.exp(-1.0 / np.where(s > 0.0, s, 1.0)), 0.0)
-        sw = 1.0 - s
-        e2 = np.where(sw > 0.0, np.exp(-1.0 / np.where(sw > 0.0, sw, 1.0)), 0.0)
-    return e1 / (e1 + e2)
+    if not isinstance(s, Jet):
+        s = np.asarray(s, dtype=float)
+    e1 = _E(s)
+    return e1 / (e1 + _E(1.0 - s))
 
 
 def _chi_raw(t):
-    return mollifier_step((1.0 - np.asarray(t, dtype=float)) / 2.0)
+    return mollifier_step((1.0 - t) / 2.0)
 
 
 def _eta_raw(t, eps: float):
-    return mollifier_step(-math.log(eps) - np.asarray(t, dtype=float))
+    return mollifier_step(-math.log(eps) - t)
 
 
 def _check_neck(t, eps):
@@ -86,11 +182,10 @@ def eta(t, eps: float):
 def _u_profile(t, eps: float, n: int, side: int):
     """u_eps^{(side)}(t) = eps^{(n-2)/2} e^{-+(n-2)t/2}."""
     sgn = -1.0 if side == 1 else 1.0
-    return eps ** ((n - 2) / 2.0) * np.exp(sgn * (n - 2) / 2.0 * np.asarray(t, float))
+    return eps ** ((n - 2) / 2.0) * np.exp(sgn * (n - 2) / 2.0 * t)
 
 
 def _u_eps_raw(t, eps: float, n: int):
-    t = np.asarray(t, dtype=float)
     return (_eta_raw(t, eps) * _u_profile(t, eps, n, 1)
             + _eta_raw(-t, eps) * _u_profile(t, eps, n, 2))
 
@@ -183,9 +278,6 @@ class NeckAtlas:
     def t_of_r1(self, r):
         return math.log(self.cfg.eps) - np.log(np.asarray(r, dtype=float))
 
-    def t_of_r2(self, r):
-        return np.log(np.asarray(r, dtype=float)) - math.log(self.cfg.eps)
-
     def x_of_t(self, t, theta, side: int = 1):
         r = self.r1_of_t(t) if side == 1 else self.r2_of_t(t)
         return np.asarray(r)[..., None] * sphere_embed(theta)
@@ -214,28 +306,44 @@ def s_of_chart(cfg: GluingConfig, chart_id: str, coords: np.ndarray):
     raise OutOfChart(f"unknown glued chart {chart_id!r}")
 
 
-def _neck_normal_profiles(cfg: GluingConfig, t: np.ndarray):
-    """(U, q) with neck normal block U [dt^2 + q g_{S^{n-1}}]."""
+def glued_warp(cfg: GluingConfig):
+    """The neck profiles (u, q) of the glued metric as a callback of t.
+
+    Every admissible gluing is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}]
+    with u = u_eps and q = chi q_1(eps e^{-t}) + (1 - chi) q_2(eps e^{t}),
+    q_i(r) = (f_i(r) / r)^2 for the normal block dr^2 + f_i(r)^2 g_{S^{n-1}}
+    of summand i.  The callback takes arrays or jets of t; beyond the neck
+    it saturates to the summand metrics, so it covers the caps as well.
+    """
     eps, n = cfg.eps, cfg.n
-    t = np.asarray(t, dtype=float)
-    u = _u_eps_raw(t, eps, n)
-    U = u ** (4.0 / (n - 2))
-    r1 = eps * np.exp(-t)
-    r2 = eps * np.exp(t)
-    q1 = _normal_angular_profile(cfg.model_1.normal_factor, r1)
-    q2 = _normal_angular_profile(cfg.model_2.normal_factor, r2)
-    c = _chi_raw(t)
-    return U, c * q1 + (1.0 - c) * q2
+    f1, f2 = cfg.model_1.normal_factor, cfg.model_2.normal_factor
+
+    def warp(t):
+        r1, r2 = eps * np.exp(-t), eps * np.exp(t)
+        c = _chi_raw(t)
+        q = (c * (normal_radius(f1, r1) / r1) ** 2
+             + (1.0 - c) * (normal_radius(f2, r2) / r2) ** 2)
+        return _u_eps_raw(t, eps, n), q
+
+    return warp
 
 
-def _warped_components(cfg: GluingConfig, profiles, chart_id: str, c: np.ndarray):
+def synthetic_exact_warp(cfg: GluingConfig):
+    """The (u, q) of synthetic_exact_metric: u = u^{(1)} + u^{(2)}, q = 1."""
+    eps, n = cfg.eps, cfg.n
+    return lambda t: (_u_profile(t, eps, n, 1) + _u_profile(t, eps, n, 2), 1.0)
+
+
+def _warped_components(cfg: GluingConfig, warp, chart_id: str, c: np.ndarray):
     """g_K + U(t) [dt^2 + q(t) g_{S^{n-1}}] in a neck, cap or raw chart.
 
-    ``profiles(t)`` returns (U, q).  The metric is written in the chart's
-    own coordinates: dt = -+dr/r turns dt^2 into dr^2/r^2 on the caps,
-    and r = |x| turns dr^2 + r^2 g_{S^{n-1}} into the raw Fermi block.
+    ``warp(t)`` returns (u, q) with U = u^{4/(n-2)}.  The metric is written
+    in the chart's own coordinates: dt = -+dr/r turns dt^2 into dr^2/r^2 on
+    the caps, and r = |x| turns dr^2 + r^2 g_{S^{n-1}} into the raw Fermi
+    block.
     """
-    U, q = profiles(s_of_chart(cfg, chart_id, c))
+    u, q = warp(s_of_chart(cfg, chart_id, c))
+    U = u ** (4.0 / (cfg.n - 2))
     if chart_id == "neck":
         return product_components(cfg.model_1, c, U, U * q)
     if chart_id in ("cap-1", "cap-2"):
@@ -255,10 +363,9 @@ def glued_metric(cfg: GluingConfig) -> MetricField:
     u_eps^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}], written in the chart's
     coordinates.
 
-    The neck component formula saturates smoothly to the summand metrics
-    beyond the nominal neck, so its evaluable region extends across the
-    caps (poles excluded); this is what lets finite-difference stencils
-    and the radial solver treat the whole manifold in one coordinate.
+    The neck formula saturates smoothly to the summand metrics beyond the
+    nominal neck, so its evaluable region extends across the caps (poles
+    excluded) and finite-difference stencils may cross the seams.
     """
     m, k, n = cfg.m, cfg.k, cfg.n
     eps = cfg.eps
@@ -272,7 +379,6 @@ def glued_metric(cfg: GluingConfig) -> MetricField:
     th_lo, th_hi, th_elo, th_ehi, th_per = _theta_coord_bounds(n)
     z_names = tuple(f"z{i + 1}" for i in range(k))
     th_names = tuple(f"theta{i + 1}" for i in range(n - 1))
-    x_names = tuple(f"x{i + 1}" for i in range(n))
 
     neck = Chart(
         "neck", z_names + ("t",) + th_names,
@@ -281,29 +387,15 @@ def glued_metric(cfg: GluingConfig) -> MetricField:
         z_ehi + (smax - pole_margin,) + tuple(th_ehi),
         z_per + (False,) + tuple(th_per),
     )
-    caps = []
-    for side in (1, 2):
-        caps.append(Chart(
-            f"cap-{side}", z_names + ("r",) + th_names,
-            z_lo + (1.0,) + tuple(th_lo), z_hi + (r_max,) + tuple(th_hi),
-            z_elo + (0.97,) + tuple(th_elo),
-            z_ehi + (r_max - AXIS_MARGIN,) + tuple(th_ehi),
-            z_per + (False,) + tuple(th_per),
-        ))
-    raws = []
-    for side in (1, 2):
-        raws.append(Chart(
-            f"raw-fermi-{side}", z_names + x_names,
-            z_lo + (-r_max,) * n, z_hi + (r_max,) * n,
-            z_elo + (-r_max + AXIS_MARGIN,) * n,
-            z_ehi + (r_max - AXIS_MARGIN,) * n,
-            z_per + (False,) * n,
-            step_scale=lambda pts: np.linalg.norm(pts[..., k:], axis=-1),
-        ))
-
     side_fields = {f"cap-{side}": fermi_metric(model, side)
                    for side, model in ((1, cfg.model_1), (2, cfg.model_2))}
-    profiles = partial(_neck_normal_profiles, cfg)
+    # the summands' own charts, with the caps evaluable down to r = 0.97
+    caps = []
+    for chart_id, fld in side_fields.items():
+        lo = fld.chart(chart_id).eval_lower
+        caps.append(replace(fld.chart(chart_id), eval_lower=lo[:k] + (0.97,) + lo[k + 1:]))
+    raws = [side_fields[f"cap-{side}"].chart(f"raw-fermi-{side}") for side in (1, 2)]
+    warp = glued_warp(cfg)
 
     def comps(chart_id, c):
         if chart_id in side_fields:
@@ -312,7 +404,7 @@ def glued_metric(cfg: GluingConfig) -> MetricField:
             r = np.linalg.norm(c[..., k:], axis=-1)
             if np.any(r > r_max) or np.any(r < eps**2 / r_max):
                 raise OutOfChart(f"radius outside chart {chart_id!r}")
-        return _warped_components(cfg, profiles, chart_id, c)
+        return _warped_components(cfg, warp, chart_id, c)
 
     def _neck_to_cap(side):
         sgn = -1.0 if side == 1 else 1.0
@@ -353,15 +445,7 @@ def synthetic_exact_metric(cfg: GluingConfig) -> MetricField:
     if cfg.model_1.normal_factor.kind != "ball":
         raise ValueError("synthetic exact metric needs flat (ball) normal factors")
     base = glued_metric(cfg)
-    eps, n = cfg.eps, cfg.n
-
-    def profiles(t):
-        u = _u_profile(t, eps, n, 1) + _u_profile(t, eps, n, 2)
-        return u ** (4.0 / (n - 2)), 1.0
-
-    def comps(chart_id, c):
-        return _warped_components(cfg, profiles, chart_id, c)
-
+    comps = partial(_warped_components, cfg, synthetic_exact_warp(cfg))
     return MetricField(cfg.m, base.charts, comps, base.transitions,
                        meta={"cfg": cfg, "synthetic": True})
 

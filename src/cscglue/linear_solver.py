@@ -1,12 +1,12 @@
 """Symmetry-reduced discretization of the linearized operator.
 
-Built-in glued manifolds are invariant under the isometry group fixing
-the gluing locus (torus translations / K-sphere rotations, and rotations
-of the normal sphere about the base point), so the linearized operator
-L = Delta + S/(m-1) restricted to invariant functions is a 1-D operator
-along a single global cylindrical coordinate s: caps are reached by
-continuing the neck change of variables r = eps e^{-+s} beyond the
-seams.
+Every admissible glued metric is g_K + U(s) [ds^2 + q(s) g_{S^{n-1}}],
+U = u^{4/(n-2)}, along one global cylindrical coordinate s (the caps
+continue r = eps e^{-+s} beyond the seams), so L = Delta + S/(m-1) on
+functions of s is 1-D.  Grid weights, neck scalar curvature and the 1-D
+Laplacian come in closed form from the profile callback s -> (u, q) and
+its exact jets (``gluing.glued_warp``, ``gluing.Jet``); no metric
+components are sampled.
 
 The discretization is conservative (flux form)
     (L u)_i = [K_{i+1/2} (u_{i+1}-u_i)/h_i - K_{i-1/2} (u_i-u_{i-1})/h_{i-1}] / V_i
@@ -21,34 +21,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-# scalar_curvature is not called here, but bench/spans.py wraps it by name
-from .curvature import line_jet, scalar_curvature  # noqa: F401
-from .errors import NearSingularOperator, NoConvergence, NonSymmetricModel
+# scalar_curvature and glued_metric are not called here, but
+# bench/spans.py wraps them by name
+from .curvature import scalar_curvature  # noqa: F401
+from .errors import NearSingularOperator, NoConvergence
 from .geometry import (
-    MetricField,
     ModelGeometry,
     THETA_SAMPLE,
     Z_SAMPLE_SPHERE2,
     Z_SAMPLE_TORUS,
-    fermi_metric,
+    normal_radius,
+    product_components,
 )
-from .gluing import GluingConfig, glued_metric, psi_of_t
+from .gluing import GluingConfig, Jet, glued_metric, glued_warp, psi_of_t  # noqa: F401
 
 _GAUSS4_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
                           0.3399810435848563, 0.8611363115940526])
 _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
                             0.6521451548625461, 0.3478548451374538])
 
-SYMMETRY_TOL = 1e-8
 MIN_ABS_EIG = 1e-8
 MAX_REFINE = 2
-NECK_STEP = 1e-2   # base t-step of the neck curvature differences
-NECK_LEVELS = 3    # Richardson levels (step halvings) of those differences
+ROUNDING_ULPS = 64  # rounding bars: this many eps_mach of the summed term sizes
 
 
 def _z_sample(model: ModelGeometry) -> tuple:
@@ -59,12 +57,8 @@ def _z_sample(model: ModelGeometry) -> tuple:
     return Z_SAMPLE_TORUS[: model.k]
 
 
-def _theta_sample(n: int, theta1: float | None = None) -> tuple:
-    th = list(THETA_SAMPLE) + [0.9, 1.2]
-    out = th[: n - 1]
-    if theta1 is not None:
-        out[0] = theta1
-    return tuple(out)
+def _theta_sample(n: int) -> tuple:
+    return tuple((list(THETA_SAMPLE) + [0.9, 1.2])[: n - 1])
 
 
 @dataclass
@@ -76,7 +70,7 @@ class RadialGrid:
     coefficient g^{ss}, ``K_half`` the flux coefficients W*A at
     midpoints, ``V`` dual-cell volumes.  ``region`` is -1/0/+1 for
     cap-1/neck/cap-2, ``pole`` flags orbit collapse at the two ends,
-    and ``jacobians`` records dr/dt at the two chart interfaces.
+    and ``interfaces`` records dr/dt at the two chart seams.
     """
 
     s: np.ndarray
@@ -103,48 +97,38 @@ def _segment(a: float, b: float, resolution: int) -> np.ndarray:
     return np.linspace(a, b, nseg + 1)
 
 
-def _sample_line(field: MetricField, chart_id: str, model: ModelGeometry,
-                 s: np.ndarray, theta1: float | None = None):
-    """W = sqrt(det g) and A = g^{ss} along a fixed (z, theta) radial line."""
-    k, m = model.k, model.m
-    pts = np.zeros((s.size, m))
-    pts[:, :k] = _z_sample(model)
-    pts[:, k] = s
-    pts[:, k + 1:] = _theta_sample(model.n, theta1)
-    g = field.components(chart_id, pts, check=False)
-    W = np.sqrt(np.abs(np.linalg.det(g)))
-    # g^{ss}: poles make the full inverse singular, but the s-row is
-    # block-separated for every admissible field, so 1/g_ss is exact.
-    A = 1.0 / g[:, k, k]
-    return W, A
+def laplacian_coefficients(warp, n: int, t):
+    """(A, b) with Delta f = A (f'' + b f') for f = f(t) on the neck metric.
 
-
-def _asymmetric(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when a and b differ by more than SYMMETRY_TOL relative to b.
-
-    Relative, because W spans many decades along the neck: W/W[0] grows
-    like eps^-3 towards the seams.
+    On g_K + U [dt^2 + q g_{S^{n-1}}], U = u^{4/(n-2)}, the orbit volume
+    is W ~ U^{n/2} q^{(n-1)/2} and g^{tt} = A = 1/U, so
+    Delta f = (1/W)(W A f')' = A (f'' + (2 u'/u + (n-1) q'/(2q)) f').
     """
-    return bool(np.any(np.abs(a - b) > SYMMETRY_TOL * np.abs(b)))
+    u, q = map(Jet.lift, warp(Jet.variable(t)))  # jets of (u, q); q may be 1
+    return u.v ** (-4.0 / (n - 2)), 2.0 * u.d / u.v + (n - 1) * q.d / (2.0 * q.v)
 
 
-def _check_orbit_symmetry(sample, s_test):
-    base = None
-    for theta1 in (0.62, 1.18, 2.05):
-        W, A = sample(s_test, theta1)
-        prof = np.concatenate([W / W[0], A / A[0]])
-        if base is None:
-            base = prof
-        elif _asymmetric(prof, base):
-            raise NonSymmetricModel(
-                "metric is not invariant along the symmetry orbits"
-            )
-
-
-def _radial_grid(s, W, A, K_half, sample, region, interfaces,
+def _radial_grid(model: ModelGeometry, warp, s, region, interfaces,
                  cfg) -> RadialGrid:
-    """RadialGrid with dual-cell volumes V and pole flags from the weights W."""
+    """RadialGrid of g_K + U [ds^2 + q g_{S^{n-1}}] from warp(|s|) = (u, q).
+
+    In closed form, sqrt(det g) = w0 U^{n/2} q^{(n-1)/2} at the sample
+    orbit, w0 being sqrt(det) of g_K + ds^2 + g_{S^{n-1}} at the sample
+    (z, theta), and A = g^{ss} = 1/U with U = u^{4/(n-2)}.  The flux
+    coefficient W A is taken at the cell midpoints.
+    """
+    n = model.n
+    pt = np.array([*_z_sample(model), 0.0, *_theta_sample(n)])
+    w0 = math.sqrt(np.linalg.det(product_components(model, pt, 1.0, 1.0)))
+
+    def weights(x):
+        u, q = warp(np.abs(x))
+        U = u ** (4.0 / (n - 2))
+        return w0 * U ** (n / 2.0) * q ** ((n - 1) / 2.0), 1.0 / U
+
     h = np.diff(s)
+    W, A = weights(s)
+    Wm, Am = weights(0.5 * (s[:-1] + s[1:]))
     V = np.empty_like(W)
     V[1:-1] = W[1:-1] * 0.5 * (h[:-1] + h[1:])
     # end cells: integrate W over the half cell so orbit collapse at a
@@ -152,47 +136,30 @@ def _radial_grid(s, W, A, K_half, sample, region, interfaces,
     for i, (s0, s1) in ((0, (s[0], s[0] + 0.5 * h[0])),
                         (W.size - 1, (s[-1] - 0.5 * h[-1], s[-1]))):
         nodes = 0.5 * (s1 - s0) * _GAUSS4_NODES + 0.5 * (s0 + s1)
-        Wq, _ = sample(nodes)
-        V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ Wq)
+        V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ weights(nodes)[0])
     wmax = float(np.max(W))
     pole = (W[0] < 1e-9 * wmax, W[-1] < 1e-9 * wmax)
-    return RadialGrid(s, h, W, A, K_half, V, region, pole, interfaces, cfg)
+    return RadialGrid(s, h, W, A, Wm * Am, V, region, pole, interfaces, cfg)
 
 
-def build_grid(cfg: GluingConfig, resolution: int = 64,
-               field: MetricField | None = None) -> RadialGrid:
-    """Sample the glued metric along a radial line into a RadialGrid.
+def build_grid(cfg: GluingConfig, resolution: int = 64, warp=None) -> RadialGrid:
+    """The glued metric along the global cylindrical coordinate as a RadialGrid.
 
     ``resolution`` counts nodes per unit of the cylindrical coordinate.
-    The mesh is built on the nonnegative half and mirrored, so identical
-    summands produce bitwise mirror-symmetric grids.
+    ``warp`` is the profile callback t -> (u, q), by default the glued
+    metric's (``gluing.glued_warp``); it covers the caps too.  W and A
+    are taken at |s|, so the grid is mirror symmetric by construction.
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16 nodes per unit t")
-    field = glued_metric(cfg) if field is None else field
-    sample = partial(_sample_line, field, "neck", cfg.model_1)
+    warp = glued_warp(cfg) if warp is None else warp
     T = cfg.t_max
-    cap_len = math.log(cfg.model_1.r_max)
 
     # one uniform spacing across caps and neck: the glued metric is smooth
     # at the chart seams, and a single mesh width keeps the flux scheme
     # second order everywhere
-    s_half = _segment(0.0, T + cap_len, resolution)
+    s_half = _segment(0.0, T + math.log(cfg.model_1.r_max), resolution)
     s = np.concatenate([-s_half[:0:-1], s_half])
-
-    _check_orbit_symmetry(sample, np.linspace(0.0, T + 0.5 * cap_len, 7))
-
-    W_half, A_half = sample(s_half)
-    Wm_half, Am_half = sample(0.5 * (s_half[:-1] + s_half[1:]))
-
-    # verify mirror symmetry of the actual field before exploiting it
-    W_neg, A_neg = sample(-s_half[1:8])
-    if _asymmetric(W_neg, W_half[1:8]) or _asymmetric(A_neg, A_half[1:8]):
-        raise NonSymmetricModel("metric is not mirror symmetric across the neck")
-
-    W = np.concatenate([W_half[:0:-1], W_half])
-    A = np.concatenate([A_half[:0:-1], A_half])
-    K_half = np.concatenate([(Wm_half * Am_half)[::-1], Wm_half * Am_half])
     region = np.zeros(s.size, dtype=int)
     region[s <= -T] = -1
     region[s >= T] = 1
@@ -202,24 +169,22 @@ def build_grid(cfg: GluingConfig, resolution: int = 64,
         "side_2": {"s": T, "index": int(np.argmin(np.abs(s - T))),
                    "dr_dt": 1.0},
     }
-    return _radial_grid(s, W, A, K_half, sample, region, interfaces, cfg)
+
+    return _radial_grid(cfg.model_1, warp, s, region, interfaces, cfg)
 
 
 def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
     """Sanity-mode grid on one summand alone: radial coordinate r on (0, r_max).
 
-    Used for discrete-versus-analytic spectrum checks; the orbit weight
-    is sqrt(det g) of the exact summand metric, e.g. proportional to
-    sin^2 r for a round S^3 normal factor.
+    Used for discrete-versus-analytic spectrum checks; the summand is
+    g_K + dr^2 + f(r)^2 g_{S^{n-1}}, i.e. u = 1 and q = f^2, so the orbit
+    weight is proportional to f^{n-1}, e.g. sin^2 r for a round S^3.
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16 nodes per unit t")
-    sample = partial(_sample_line, fermi_metric(model), "cap-1", model)
+    warp = lambda r: (np.ones_like(r), normal_radius(model.normal_factor, r) ** 2)
     r = _segment(0.0, model.r_max, resolution)
-    W, A = sample(r)
-    Wm, Am = sample(0.5 * (r[:-1] + r[1:]))
-    return _radial_grid(r, W, A, Wm * Am, sample, np.zeros(r.size, dtype=int),
-                        {}, None)
+    return _radial_grid(model, warp, r, np.zeros(r.size, dtype=int), {}, None)
 
 
 def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
@@ -374,63 +339,46 @@ class SolveReport:
     C_third: float | None = None
 
 
-def neck_scalar_curvature(cfg: GluingConfig, t,
-                          field: MetricField | None = None):
+def neck_scalar_curvature(cfg: GluingConfig, t, warp=None):
     """Scalar curvature (S, err) of the glued metric on the neck at t.
 
-    Both summands carry the same K and S, so the neck metric is
-    g_K + U(t) [dt^2 + q(t) g_{S^{n-1}}], i.e. g_K + dtau^2 + f^2 g_{S^{n-1}}
-    with dtau = sqrt(U) dt and f = sqrt(U q), and
-        S = S_K - 2(n-1) f_tautau / f + (n-1)(n-2) (1 - f_tau^2) / f^2.
-    In a = log f and b = log U, read off the field's neck components,
-    f_tautau / f = (a_tt + a_t^2 - a_t b_t / 2) / U and
-    f_tau^2 / f^2 = a_t^2 / U.  The error bar is twice the last Richardson
-    change plus the rounding of a_tt, amplified by 1/U: the two 1/U-sized
-    terms cancel to O(1).
+    The neck metric is g_K + u^{4/(n-2)} h with h = dt^2 + w^2 g_{S^{n-1}},
+    w = sqrt(q), so S = S_K + S_N with the conformal law in dimension n
+        S_N = u^{-(n+2)/(n-2)} (S_h u - 4(n-1)/(n-2) Delta_h u),
+        S_h = -2(n-1) w''/w + (n-1)(n-2) (1 - w'^2)/w^2,
+        Delta_h u = u'' + (n-1) (w'/w) u',
+    on exact jets of (u, q) from ``warp`` (the glued metric's by default).
+    The error bar is a rounding bound, ROUNDING_ULPS eps_mach times |S|
+    plus the sizes of the terms, whose 1/U-sized parts cancel to O(1).
     """
-    field = glued_metric(cfg) if field is None else field
-    k, m, n = cfg.k, cfg.m, cfg.n
-
-    def log_profiles(tt):
-        pts = np.zeros(tt.shape + (m,))
-        pts[..., :k] = _z_sample(cfg.model_1)
-        pts[..., k] = tt
-        pts[..., k + 1:] = _theta_sample(n)
-        g = field.components("neck", pts, check=False)
-        # the first angular entry of the polar sphere metric is 1
-        return np.stack([0.5 * np.log(g[..., k + 1, k + 1]), np.log(g[..., k, k])])
-
-    (a, b), (d1, d1_prev), (d2, d2_prev) = line_jet(
-        log_profiles, np.asarray(t, dtype=float), NECK_STEP, NECK_LEVELS)
+    warp = glued_warp(cfg) if warp is None else warp
+    n = cfg.n
+    u, q = map(Jet.lift, warp(Jet.variable(t)))  # jets of (u, q); q may be 1
+    w = np.sqrt(q)
     S_K = sum(f.scalar_curvature() for f in cfg.model_1.k_factors)
-    U = np.exp(b)
-
-    def curvature(d1_, d2_):
-        (a_t, b_t), a_tt = d1_, d2_[0]
-        return (S_K - 2 * (n - 1) * (a_tt + a_t**2 - 0.5 * a_t * b_t) / U
-                + (n - 1) * (n - 2) * (np.exp(-2.0 * a) - a_t**2 / U))
-
-    S = curvature(d1, d2)
-    h_min = NECK_STEP / 2 ** (NECK_LEVELS - 1)
-    # 16 = 4 (stencil weights) x 2 (Richardson weights) x 2 ulp of a
-    rounding = (16 * np.finfo(float).eps * (1.0 + np.abs(a)) / h_min**2
-                * 2 * (n - 1) / U)
-    return S, 2.0 * np.abs(S - curvature(d1_prev, d2_prev)) + rounding
+    S_h = (-2 * (n - 1) * w.dd / w.v, (n - 1) * (n - 2) / w.v**2,
+           -(n - 1) * (n - 2) * (w.d / w.v) ** 2)
+    lap = (u.dd, (n - 1) * w.d / w.v * u.d)
+    kappa = 4.0 * (n - 1) / (n - 2)
+    scale = u.v ** (-(n + 2.0) / (n - 2))
+    S = S_K + scale * (sum(S_h) * u.v - kappa * sum(lap))
+    mag = (abs(S_K) + scale * (sum(np.abs(x) for x in S_h) * u.v
+                               + kappa * sum(np.abs(x) for x in lap)))
+    return S, ROUNDING_ULPS * np.finfo(float).eps * (np.abs(S) + mag)
 
 
-def glued_curvature_profile(cfg: GluingConfig, grid: RadialGrid,
-                            field: MetricField | None = None):
+def glued_curvature_profile(cfg: GluingConfig, grid: RadialGrid, warp=None):
     """Scalar curvature of the glued metric at the grid nodes.
 
     Cap nodes carry the exact constant S of the summands; neck nodes take
     neck_scalar_curvature at |s|, so the profile is mirror symmetric by
-    construction.  Returns (profile, fd_error).
+    construction.  Returns (profile, error bar).
     """
     prof = np.full(grid.s.shape, cfg.S, dtype=float)
     err = np.zeros_like(prof)
     inner = np.abs(grid.s) < cfg.t_max - 1e-12
     prof[inner], err[inner] = neck_scalar_curvature(
-        cfg, np.abs(grid.s[inner]), field)
+        cfg, np.abs(grid.s[inner]), warp)
     return prof, err
 
 

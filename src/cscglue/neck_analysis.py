@@ -12,7 +12,10 @@ Three groups of checks on the polyneck of a glued metric:
   weighted local a priori estimate it implies.
 
 Remainder orders are established by log-log slope fits with attached
-finite-difference error bars rather than symbolically.
+error bars rather than symbolically.  The deviation and the barrier are
+1-D on the neck's exact profile jets; the conjugation identity is
+measured with the 5-D finite-difference engine, whose probes depend on
+theta and z as well.
 """
 
 from __future__ import annotations
@@ -33,14 +36,16 @@ from .geometry import (
     k_laplacian_metric,
     sphere_polar_diag,
 )
-from .gluing import GluingConfig, glued_metric, psi_of_t
+from .gluing import GluingConfig, Jet, glued_metric, glued_warp, psi_of_t
 from .linear_solver import (
+    ROUNDING_ULPS,
     RadialGrid,
     _theta_sample,
     _z_sample,
     assemble_L,
     build_grid,
     glued_curvature_profile,
+    laplacian_coefficients,
     neck_scalar_curvature,
     solve_dirichlet,
 )
@@ -83,7 +88,7 @@ class DeviationFit:
 
 
 def deviation_profile(cfg: GluingConfig, t_grid=None, points_per_unit: int = 16,
-                      field_: MetricField | None = None) -> DeviationProfile:
+                      warp=None) -> DeviationProfile:
     """Measure |S_glued - S| on the window |t| <= |log eps| - 1.
 
     S_glued depends on t alone (neck_scalar_curvature), so one radial
@@ -91,7 +96,8 @@ def deviation_profile(cfg: GluingConfig, t_grid=None, points_per_unit: int = 16,
     about t = 0; an explicit ``t_grid`` inside the window may be passed
     instead.  The probe value is always taken at the window edge
     t = log(eps) + 1, and fit data keeps only points whose deviation
-    exceeds ten times its finite-difference error bar.
+    exceeds ten times its error bar.  ``warp`` is the neck profile
+    callback of the metric measured, by default the glued one.
     """
     T = cfg.t_max
     if T <= 1.0:
@@ -105,12 +111,12 @@ def deviation_profile(cfg: GluingConfig, t_grid=None, points_per_unit: int = 16,
         if t[0] < -(T - 1.0) - 1e-12 or t[-1] > T - 1.0 + 1e-12:
             raise ValueError("t_grid must lie inside |t| <= |log eps| - 1")
     # the probe rides along as entry 0
-    S, err = neck_scalar_curvature(cfg, np.concatenate([[-(T - 1.0)], t]), field_)
+    S, err = neck_scalar_curvature(cfg, np.concatenate([[-(T - 1.0)], t]), warp)
     dev = np.abs(S - cfg.S)
     sup_dev, fd_err = dev[1:], err[1:]
     resolved = sup_dev > RESOLVED_FACTOR * fd_err
     if not np.any(resolved):
-        raise NotResolved("finite-difference error bars exceed the deviation")
+        raise NotResolved("error bars exceed the deviation")
     n = cfg.n
     bound_shape = np.cosh(t) ** (1 - n) / cfg.eps
     weighted = cfg.eps * np.cosh(t) ** (n - 1) * sup_dev
@@ -177,7 +183,7 @@ def ell_leading(cfg: GluingConfig, w, t, theta=None, z=None,
     t = np.asarray(t, dtype=float)
     nu = cfg.nu
 
-    _, _, (d2t, _) = line_jet(lambda ts: w(z, ts, theta), t, t_step, 3)
+    d2t = line_jet(lambda ts: w(z, ts, theta), t, t_step, 3)
 
     sph = _unit_sphere_field(n)
     lap_th = np.array([
@@ -304,8 +310,7 @@ def induced_eps_alpha(n: int, delta: float, alpha: float | None = None) -> float
 
 
 def barrier_profile(cfg: GluingConfig, delta: float, t):
-    """phi_delta = u^{-1} (cosh t)^delta (delta <= 0) or u^{-1} cosh(delta t)."""
-    t = np.asarray(t, dtype=float)
+    """phi_delta = u^{-1} (cosh t)^delta (delta <= 0) or u^{-1} cosh(delta t); t may be a jet."""
     u = cfg.u(t)
     if delta <= 0:
         return np.cosh(t) ** delta / u
@@ -327,18 +332,18 @@ class BarrierReport:
 
 
 def barrier_margin(cfg: GluingConfig, delta: float | None = None,
-                   points_per_unit: int = 16,
-                   scheme: DerivativeScheme | None = None) -> BarrierReport:
+                   points_per_unit: int = 16) -> BarrierReport:
     """Margins -(Delta phi_delta + C u^{-4/(n-2)} phi_delta) on T^eps_alpha.
 
     A nonnegative minimum certifies the barrier inequality numerically at
     this (eps, alpha, delta).  phi_delta depends on t alone and the neck
-    is a warped product, so one (z, theta) line carries every margin.
-    Preconditions: |delta| < (n-2)/2 and eps small enough that
-    log eps + alpha < 0 and e^{-alpha} <= C.
+    is a warped product, so Delta phi = A (phi'' + b phi') with (A, b)
+    from laplacian_coefficients and phi's exact jets; ``fd_err`` is the
+    rounding bound of the margins.  Preconditions: |delta| < (n-2)/2 and
+    eps small enough that log eps + alpha < 0 and e^{-alpha} <= C.
     """
     delta = cfg.delta if delta is None else delta
-    n, k, m = cfg.n, cfg.k, cfg.m
+    n = cfg.n
     nu = (n - 2) / 2.0
     if not -nu < delta < nu:
         raise DeltaOutOfRange(f"delta must lie in (-{nu}, {nu}), got {delta}")
@@ -356,15 +361,11 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None,
     ta = cfg.t_max - cfg.alpha
     nt = max(5, int(round(2 * ta * points_per_unit)) + 1)
     t = np.linspace(-ta, ta, nt)
-    pts = np.zeros((nt, m))
-    pts[:, :k] = _z_sample(cfg.model_1)
-    pts[:, k] = t
-    pts[:, k + 1:] = _theta_sample(n)
-    lap, err = laplace_beltrami(
-        glued_metric(cfg), lambda c: barrier_profile(cfg, delta, c[..., k]),
-        ("neck", pts), scheme or DerivativeScheme())
-    margins = -(lap + C * cfg.u(t) ** (-4.0 / (n - 2.0))
-                * barrier_profile(cfg, delta, t))
+    phi = barrier_profile(cfg, delta, Jet.variable(t))
+    A, b = laplacian_coefficients(glued_warp(cfg), n, t)
+    terms = (A * phi.dd, A * b * phi.d, C * A * phi.v)  # A = u^{-4/(n-2)}
+    margins = -sum(terms)
+    err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)
     if not np.all(np.isfinite(margins)):
         raise ArithmeticError("barrier margins must be finite on the region")
     return BarrierReport(delta, cfg.eps, cfg.alpha, C, a_min, eps_a, t,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -226,7 +227,49 @@ def test_point_gluing_degenerate_case():
     field = gluing.glued_metric(cfg)
     pt = np.array([0.0, 1.0831, 0.9, 1.2, 0.47])
     assert geometry.is_spd(field.components("neck", pt))
-    grid = build_grid(cfg, 32, field=field)
-    prof, _ = glued_curvature_profile(cfg, grid, field=field)
+    warp = gluing.glued_warp(cfg)
+    grid = build_grid(cfg, 32, warp=warp)
+    prof, _ = glued_curvature_profile(cfg, grid, warp=warp)
     lam = smallest_eigenvalue(assemble_L(grid, prof, s5.m))
     assert abs(lam) < 1e-3  # below the uniform-invertibility floor
+
+
+def _jet_probe(x, lib, two):
+    """One expression through every jet rule: +, -, *, /, pow, exp, log, sin, cosh, sqrt."""
+    return (lib.log(lib.sqrt(x) * lib.exp(two * x)) / (1 + lib.sin(x)) ** 2
+            - lib.cosh(x) / x + (3 - x) * x ** 1.5 + two / x)
+
+
+def test_jet_derivatives_match_mpmath():
+    # numpy scalars on the left exercise the jet's __array_ufunc__ path
+    t = np.linspace(0.3, 1.7, 7)
+    jet = _jet_probe(gluing.Jet.variable(t), np, np.float64(2.0))
+    with mp.workdps(30):
+        for i, ti in enumerate(t):
+            ref = [float(mp.diff(lambda x: _jet_probe(x, mp, 2), mp.mpf(ti), j))
+                   for j in range(3)]
+            assert [jet.v[i], jet.d[i], jet.dd[i]] == pytest.approx(ref, rel=1e-12)
+
+
+def test_mollifier_jet_matches_mpmath():
+    # B(s) = E(s) / (E(s) + E(1 - s)) with its first two derivatives, on
+    # both plateaus, near their edges and inside the transition band
+    def B(s):
+        E = lambda x: mp.exp(-1 / x) if x > 0 else mp.mpf(0)
+        return E(s) / (E(s) + E(1 - s))
+
+    s = np.array([-0.2, 0.0, 1e-3, 0.05, 0.3, 0.5, 0.8, 0.97, 1.0, 1.3])
+    jet = gluing.mollifier_step(gluing.Jet.variable(s))
+    # a jet carries the array evaluation itself as its value
+    assert np.array_equal(jet.v, gluing.mollifier_step(s))
+    with mp.workdps(30):
+        for j, got in enumerate((jet.v, jet.d, jet.dd)):
+            ref = np.array([float(mp.diff(B, mp.mpf(x), j)) for x in s])
+            assert np.allclose(got, ref, rtol=1e-10, atol=1e-12), j
+
+
+def test_glued_warp_jet_values_equal_array_values(cfg05):
+    t = np.linspace(-cfg05.t_max - 1.0, cfg05.t_max + 1.0, 41)
+    warp = gluing.glued_warp(cfg05)
+    (u, q), (uj, qj) = warp(t), warp(gluing.Jet.variable(t))
+    assert np.array_equal(uj.v, u) and np.array_equal(qj.v, q)

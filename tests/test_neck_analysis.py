@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cscglue import gluing, neck_analysis as na
-from cscglue.curvature import DerivativeScheme, scalar_curvature
+from cscglue import geometry, gluing, neck_analysis as na
+from cscglue.curvature import DerivativeScheme, laplace_beltrami, scalar_curvature
 from cscglue.errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved
 
 
@@ -55,7 +55,7 @@ def test_deviation_synthetic_unresolved(model_flat):
     cfg = gluing.GluingConfig(model_flat, model_flat, eps=0.05)
     field = gluing.synthetic_exact_metric(cfg)
     with pytest.raises(NotResolved):
-        na.deviation_profile(cfg, field_=field)
+        na.deviation_profile(cfg, warp=gluing.synthetic_exact_warp(cfg))
     # and the raw deviation really is at the numerical floor
     ts = np.linspace(math.log(cfg.eps) + 1.0, 0.0, 9)
     pts = np.zeros((9, 5))
@@ -108,6 +108,28 @@ def test_barrier_margins_nonnegative(model_a):
             assert rep.C == pytest.approx(0.5 * (0.25 - delta**2))
             assert np.all(np.isfinite(rep.margins))
             assert rep.min_margin >= 0.0
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+@pytest.mark.parametrize("eps", [0.02, 0.005])
+@pytest.mark.parametrize("delta", [-0.3, 0.0, 0.3])
+def test_barrier_margins_match_5d_engine(name, eps, delta):
+    # phi_delta depends on t alone: the 1-D margins must agree with the
+    # 5-D Laplace-Beltrami of the full glued metric within its error bar
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    rep = na.barrier_margin(cfg, delta=delta)
+    k, n = model.k, model.n
+    pts = np.zeros((rep.t.size, model.m))
+    pts[:, :k] = geometry.Z_SAMPLE_SPHERE2[:k]
+    pts[:, k] = rep.t
+    pts[:, k + 1:] = geometry.THETA_SAMPLE[:n - 1]
+    lap, err = laplace_beltrami(
+        gluing.glued_metric(cfg), lambda c: na.barrier_profile(cfg, delta, c[..., k]),
+        ("neck", pts))
+    margins = -(lap + rep.C * cfg.u(rep.t) ** (-4.0 / (n - 2))
+                * na.barrier_profile(cfg, delta, rep.t))
+    assert np.all(np.abs(rep.margins - margins) <= err)
 
 
 def test_barrier_preconditions(model_a):

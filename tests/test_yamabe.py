@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cscglue import gluing, yamabe
+from cscglue import (curvature, geometry, gluing, linear_solver, neck_analysis,
+                     yamabe)
 from cscglue.errors import DeltaOutOfRange, IterateOutOfBall
 
 
@@ -66,8 +67,7 @@ def test_picard_monotone_shrinkage(model_a):
 
 def test_picard_synthetic_exact_returns_zero(model_flat):
     cfg = gluing.GluingConfig(model_flat, model_flat, eps=0.05)
-    field = gluing.synthetic_exact_metric(cfg)
-    rep = yamabe.picard_solve(cfg, field_=field)
+    rep = yamabe.picard_solve(cfg, warp=gluing.synthetic_exact_warp(cfg))
     assert rep.v.sup() <= 1e-8
 
 
@@ -78,6 +78,24 @@ def test_verify_identity_factor_returns_pre_deviation(cfg05, report05):
     rep0.v.values[:] = 0.0
     chk = yamabe.verify_constant_curvature(rep0, cfg05)
     assert chk.post_dev == pytest.approx(chk.pre_dev, rel=1e-12)
+
+
+def test_verify_constant_factor_uses_total_dimension(cfg05, report05):
+    # v = c has vanishing spline derivatives, so the corrected curvature is
+    # (1 + c)^{-4/(m-2)} S_glued at every sample; an exponent in the
+    # codimension n would give (1 + c)^{-4} here
+    import copy
+
+    rep = copy.deepcopy(report05)
+    c = 0.2
+    rep.v.values[:] = c
+    chk = yamabe.verify_constant_curvature(rep, cfg05)
+    t = np.array([x for chart, x in chk.samples if chart == "neck"])
+    S_neck, _ = linear_solver.neck_scalar_curvature(cfg05, t)
+    S_g = np.concatenate([S_neck, np.full(len(chk.samples) - t.size, cfg05.S)])
+    expected = np.abs((1 + c) ** (-4.0 / (cfg05.m - 2)) * S_g - cfg05.S)
+    # to rounding: the spline's derivatives of constant data are ~ 1e-12
+    assert np.max(np.abs(chk.post_values - expected)) <= chk.fd_err
 
 
 def test_verify_constancy_and_caps(cfg05, report05):
@@ -132,3 +150,25 @@ def test_picard_stable_under_resolution_doubling(model_a, eps):
     coarse, fine = (yamabe.picard_solve(cfg, resolution=r) for r in (64, 128))
     assert coarse.v.sup() == pytest.approx(fine.v.sup(), rel=1e-3)
     assert coarse.v.cap_sup() == pytest.approx(fine.v.cap_sup(), rel=1e-3)
+
+
+def test_one_d_path_never_touches_the_5d_engine(monkeypatch, model_a):
+    # the whole 1-D pipeline reads the metric through its profile jets only
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the 1-D path called the 5-D engine")
+
+    for mod in (curvature, linear_solver, neck_analysis, yamabe):
+        for name in ("scalar_curvature", "conformal_scalar", "laplace_beltrami"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
+    monkeypatch.setattr(gluing, "_warped_components", forbidden)
+    monkeypatch.setattr(geometry.MetricField, "components", forbidden)
+
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.05, alpha=2.7)
+    grid = linear_solver.build_grid(cfg, 64)
+    prof = linear_solver.glued_curvature_profile(cfg, grid)
+    rep = yamabe.picard_solve(cfg, grid=grid, profile=prof)
+    assert yamabe.verify_constant_curvature(rep, cfg).post_dev < rep.pre_dev
+    neck_analysis.deviation_profile(cfg)
+    assert neck_analysis.barrier_margin(cfg, delta=0.3).min_margin >= 0.0
+    neck_analysis.local_estimate_ratio(cfg, grid=grid, profile=prof[0])
