@@ -171,8 +171,14 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if int(self["grid.resolution"]) < 16:
             raise ConfigError("grid.resolution must be >= 16")
-        if float(self["solver.tol"]) <= 0:
-            raise ConfigError("solver.tol must be positive")
+        # a chained comparison with NaN is False, so NaN is rejected too
+        if not 0 < float(self["solver.tol"]) < math.inf:
+            raise ConfigError("solver.tol must be positive and finite")
+        if int(self["yamabe.max_iter"]) < 1:
+            raise ConfigError("yamabe.max_iter must be >= 1")
+        alpha = float(self["gluing.alpha"])
+        if not 0 < alpha < math.inf:
+            raise ConfigError("gluing.alpha must be positive and finite")
         nu = (model.n - 2) / 2.0
         deltas = self.delta_list() if subcommand == "barrier" else [self.delta()]
         for d in deltas:
@@ -183,7 +189,6 @@ class RunConfig:
             if not 0.0 < eps < math.exp(-1.0):
                 raise ConfigError(f"gluing.epsilon = {eps} outside (0, e^-1)")
         if subcommand == "barrier":
-            alpha = float(self["gluing.alpha"])
             for d in deltas:
                 C = neck_analysis.barrier_constant(model.n, d)
                 if math.exp(-alpha) > C:

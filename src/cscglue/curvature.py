@@ -138,18 +138,6 @@ def _richardson(seq):
     return row[-1], prev_diag
 
 
-def line_jet(f: Callable, t: np.ndarray, h: float, levels: int):
-    """Second-order part of f's line jet: the central second difference
-    along t over steps h, h/2, ..., h/2^(levels-1), Richardson-extrapolated.
-    """
-    f0 = f(t)
-    d2 = []
-    for lev in range(levels):
-        hh = h / 2**lev
-        d2.append((f(t + hh) - 2.0 * f0 + f(t - hh)) / hh**2)
-    return _richardson(d2)[0]
-
-
 def _metric_jet(field, chart_id, pts, scheme):
     """g, inverse, and Richardson-extrapolated dg, d2g at points.
 

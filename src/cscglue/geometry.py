@@ -147,8 +147,8 @@ def make_model(
     for f, lo in (("torus_side", torus_side), ("sphere2_radius_sq", sphere2_radius_sq),
                   ("sphere3_radius", sphere3_radius), ("sphere5_radius", sphere5_radius),
                   ("ball3_radius", ball3_radius)):
-        if lo <= 0:
-            raise ValueError(f"factor parameter {f} must be positive")
+        if not 0 < lo < math.inf:  # NaN fails the comparison too
+            raise ValueError(f"factor parameter {f} must be positive and finite")
     if name == "torus2_x_sphere3":
         return _build_model(name, [Factor("torus", 2, torus_side)],
                             Factor("sphere", 3, sphere3_radius))
@@ -426,7 +426,7 @@ def product_components(model: ModelGeometry, coords: np.ndarray, a, b,
 
 
 def k_laplacian_metric(model: ModelGeometry) -> "MetricField":
-    """The K factors alone as a metric field (used by probe operators)."""
+    """The K factors alone as a metric field, for Delta_K of a probe's K factor."""
     k = model.k
     names = tuple(f"z{i + 1}" for i in range(k))
     lo, hi, elo, ehi, per = _k_coord_bounds(model)

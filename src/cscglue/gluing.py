@@ -47,8 +47,8 @@ __all__ = [
 class Jet:
     """Second-order Taylor jet (f, f', f'') of a function of one variable.
 
-    Arithmetic with jets or constants and numpy's exp, log, sin, cosh and
-    sqrt propagate it by the chain rule (Taylor-mode differentiation), so
+    Arithmetic with jets or constants and numpy's exp, log, sin, cos, cosh
+    and sqrt propagate it by the chain rule (Taylor-mode differentiation), so
     a profile written once for arrays returns its first two derivatives
     when handed ``Jet.variable(t)``, and values bitwise equal to the
     array evaluation.
@@ -120,6 +120,7 @@ _JET_UNARY = {  # f, f', f'' at x
     np.exp: lambda x: (np.exp(x),) * 3,
     np.log: lambda x: (np.log(x), x**-1.0, -x**-2.0),
     np.sin: lambda x: (np.sin(x), np.cos(x), -np.sin(x)),
+    np.cos: lambda x: (np.cos(x), -np.sin(x), -np.cos(x)),
     np.cosh: lambda x: (np.cosh(x), np.sinh(x), np.cosh(x)),
     np.sqrt: lambda x: (np.sqrt(x), 0.5 * x**-0.5, -0.25 * x**-1.5),
 }
@@ -228,8 +229,8 @@ class GluingConfig:
         if not -nu < self.delta < nu:
             raise DeltaOutOfRange(
                 f"delta must lie in (-{nu}, {nu}), got {self.delta}")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:  # NaN fails the comparison too
+            raise ValueError("alpha must be positive and finite")
 
     @property
     def n(self) -> int:

@@ -12,10 +12,10 @@ Three groups of checks on the polyneck of a glued metric:
   weighted local a priori estimate it implies.
 
 Remainder orders are established by log-log slope fits with attached
-error bars rather than symbolically.  The deviation and the barrier are
-1-D on the neck's exact profile jets; the conjugation identity is
-measured with the 5-D finite-difference engine, whose probes depend on
-theta and z as well.
+error bars rather than symbolically.  All three are 1-D in t on the
+neck's exact profile jets.  The conjugation probes are separable
+products a(t) Y(theta) Z(z), so the finite-difference engine only
+differentiates Y on S^{n-1} and Z on K, at one point each.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # scalar_curvature is not called here, but bench/spans.py wraps it by name
-from .curvature import (DerivativeScheme, laplace_beltrami, line_jet,  # noqa: F401
-                        scalar_curvature)
+from .curvature import DerivativeScheme, laplace_beltrami, scalar_curvature  # noqa: F401
 from .errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved
 from .geometry import (
     AXIS_MARGIN,
@@ -36,7 +35,8 @@ from .geometry import (
     k_laplacian_metric,
     sphere_polar_diag,
 )
-from .gluing import GluingConfig, Jet, glued_metric, glued_warp, psi_of_t
+# glued_metric is not called here, but bench/spans.py wraps it by name
+from .gluing import GluingConfig, Jet, glued_metric, glued_warp, psi_of_t  # noqa: F401
 from .linear_solver import (
     ROUNDING_ULPS,
     RadialGrid,
@@ -165,71 +165,76 @@ def _unit_sphere_field(n: int) -> MetricField:
     return MetricField(n - 1, (chart,), comps)
 
 
-def ell_leading(cfg: GluingConfig, w, t, theta=None, z=None,
-                scheme: DerivativeScheme | None = None, t_step: float = 5e-3):
+# Separable probes v = a(t) Y(theta) Z(z): ``a`` maps a jet of t to a jet or
+# a constant, Y and Z take points of S^{n-1} and of K (coordinates on the
+# last axis)
+PROBES = {
+    "const": (lambda t: 1.0, lambda th: np.ones(th.shape[:-1]),
+              lambda z: np.ones(z.shape[:-1])),
+    "wavy": (lambda t: 1.0 + 0.3 * np.cos(t),
+             lambda th: 1.0 + 0.2 * np.cos(th[..., 0]),
+             lambda z: 1.0 + 0.1 * np.sin(z[..., 0])),
+}
+
+
+def factor_laplacians(cfg: GluingConfig, Y, Z,
+                      scheme: DerivativeScheme | None = None):
+    """(Y, Delta_theta Y, Z, Delta_K Z) of a probe's factors.
+
+    Taken at the neck line's sample (theta, z), with one finite-difference
+    call per factor on its own metric at ``scheme``'s steps; with no K
+    factor Z is 1.
+    """
+    scheme = scheme or DerivativeScheme()
+
+    def factor(fld, chart_id, g, x):
+        x = np.asarray(x, float)
+        return float(g(x)), laplace_beltrami(fld, g, (chart_id, x), scheme).value
+
+    zf = (factor(k_laplacian_metric(cfg.model_1), "k-factor", Z,
+                 _z_sample(cfg.model_1)) if cfg.k else (1.0, 0.0))
+    return factor(_unit_sphere_field(cfg.n), "sphere", Y, _theta_sample(cfg.n)) + zf
+
+
+def neck_coefficients(cfg: GluingConfig, t):
+    """(A, b, q) of the glued neck g_K + U [dt^2 + q g_{S^{n-1}}] at t.
+
+    Delta f = A (f'' + b f') for f = f(t), with A = 1/U
+    (laplacian_coefficients).
+    """
+    warp = glued_warp(cfg)
+    return (*laplacian_coefficients(warp, cfg.n, t), warp(t)[1])
+
+
+def separable_terms(cfg: GluingConfig, f: Jet, factors, neck):
+    """(Delta_g w, L_neck w) of w = f(t) Y(theta) Z(z) at the t of ``neck``.
+
+    ``f`` is the jet of the t factor there, ``factors`` is
+    factor_laplacians(cfg, Y, Z) and ``neck`` is neck_coefficients(cfg, t):
+    Delta_g w = Delta_K w + A (w'' + b w') + (A / q) Delta_theta w and
+    L_neck w = w'' - nu^2 w + Delta_theta w + U Delta_K w.
+    """
+    y, lap_y, zf, lap_z = factors
+    A, b, q = neck
+    lap = f.v * y * lap_z + A * ((f.dd + b * f.d) * y * zf + f.v * lap_y * zf / q)
+    ell = ((f.dd - cfg.nu**2 * f.v) * y * zf
+           + f.v * (lap_y * zf + y * lap_z / A))
+    return lap, ell
+
+
+def ell_leading(cfg: GluingConfig, w, t):
     """Leading neck operator d_t^2 - nu^2 + Delta_theta + u^{4/(n-2)} Delta_z.
 
-    ``w(z, t, theta)`` is a callback with vectorized pieces; evaluated at
-    the line (z, t_i, theta).  The O(|x|) remainder is deliberately
-    omitted; comparing against the true Laplacian measures it.  The
-    second t-derivative uses a coarser base step than the metric engine:
-    its result is amplified by the large conjugation prefactor, so the
-    rounding floor matters more than truncation here.
+    ``w = (f, Y, Z)`` is a separable function f(t) Y(theta) Z(z) as in
+    PROBES, evaluated along the line (z, t_i, theta).  The O(|x|)
+    remainder is deliberately omitted; comparing against the true
+    Laplacian measures it.
     """
-    scheme = scheme or DerivativeScheme(base_step=1e-3, levels=3)
-    n, k = cfg.n, cfg.k
-    theta = np.asarray(theta if theta is not None else _theta_sample(n), float)
-    z = np.asarray(z if z is not None else _z_sample(cfg.model_1), float)
+    f, Y, Z = w
     t = np.asarray(t, dtype=float)
-    nu = cfg.nu
-
-    d2t = line_jet(lambda ts: w(z, ts, theta), t, t_step, 3)
-
-    sph = _unit_sphere_field(n)
-    lap_th = np.array([
-        laplace_beltrami(sph, lambda th: w(z, ti, th), ("sphere", theta),
-                         scheme).value
-        for ti in t
-    ])
-    if k > 0:
-        kf = k_laplacian_metric(cfg.model_1)
-        lap_z = np.array([
-            laplace_beltrami(kf, lambda zz: w(zz, ti, theta), ("k-factor", z),
-                             scheme).value
-            for ti in t
-        ])
-    else:
-        lap_z = np.zeros_like(t)
-    u = cfg.u(t)
-    U = u ** (4.0 / (n - 2))
-    w0 = w(z, t, theta)
-    return d2t - nu**2 * w0 + lap_th + U * lap_z
-
-
-def _probe_carrier(zz, tt, th):
-    """Zero array with the broadcast shape of all probe arguments."""
-    s = np.asarray(tt, dtype=float) * 0.0
-    th = np.asarray(th, dtype=float)
-    if th.size:
-        s = s + th[..., 0] * 0.0
-    zz = np.asarray(zz, dtype=float)
-    if zz.shape[-1:] != (0,) and zz.size:
-        s = s + zz[..., 0] * 0.0
-    return s
-
-
-def _probe_const(zz, tt, th):
-    return 1.0 + _probe_carrier(zz, tt, th)
-
-
-def _probe_wavy(zz, tt, th):
-    base = _probe_carrier(zz, tt, th)
-    out = (1.0 + base + 0.3 * np.cos(np.asarray(tt, dtype=float))) \
-        * (1.0 + 0.2 * np.cos(np.asarray(th, dtype=float)[..., 0]))
-    zz = np.asarray(zz, dtype=float)
-    if zz.shape[-1:] != (0,) and zz.size:
-        out = out * (1.0 + 0.1 * np.sin(zz[..., 0]))
-    return out
+    fj = Jet.lift(f(Jet.variable(t)))
+    return separable_terms(cfg, fj, factor_laplacians(cfg, Y, Z),
+                           neck_coefficients(cfg, t))[1]
 
 
 @dataclass
@@ -239,49 +244,38 @@ class ConjugationReport:
     t: np.ndarray
 
 
-def conjugation_residual(cfg: GluingConfig, t_samples=None, probes=None,
+def conjugation_residual(cfg: GluingConfig, t_samples=None,
                          scheme: DerivativeScheme | None = None) -> ConjugationReport:
-    """Measure |Delta v - u^{-(n+2)/(n-2)} L_neck(u v)| / (|x| scale).
+    """Measure |Delta v - u^{-(n+2)/(n-2)} L_neck(u v)| / (|x| scale) for the PROBES.
 
     The scale is u^{-(n+2)/(n-2)} times the largest second-order datum of
     u v, so a bounded ratio certifies that the discrepancy is a second
-    order operator with O(|x|)-sized coefficients.
+    order operator with O(|x|)-sized coefficients.  Both sides come from
+    separable_terms on the same factor Laplacians, so the difference is
+    the warped product's remainder
+    U^{-1} [((n-1)/2)(q'/q) v_t - (u''/u - nu^2) v + (1/q - 1) Delta_theta v]
+    up to rounding; ``scheme`` sets the steps of the factor Laplacians.
     """
-    scheme = scheme or DerivativeScheme()
-    n, k, m = cfg.n, cfg.k, cfg.m
     T = cfg.t_max
     t = (np.asarray(t_samples, float) if t_samples is not None
          else np.linspace(-(T - 0.6), T - 0.6, 9))
-    z = np.asarray(_z_sample(cfg.model_1), float)
-    theta = np.asarray(_theta_sample(n), float)
-    fld = glued_metric(cfg)
-
-    if probes is None:
-        probes = [("const", _probe_const), ("wavy", _probe_wavy)]
-    pexp = (n + 2.0) / (n - 2.0)
-    u_of = cfg.u
+    pexp = (cfg.n + 2.0) / (cfg.n - 2.0)
+    tj = Jet.variable(t)
+    u = cfg.u(tj)
+    neck = neck_coefficients(cfg, t)
+    xabs = cfg.eps * np.exp(np.abs(t))
     results = []
-    for name, v in probes:
-        def full(c, v=v):
-            return v(c[..., :k], c[..., k], c[..., k + 1:])
-
-        pts = np.zeros((t.size, m))
-        pts[:, :k] = z
-        pts[:, k] = t
-        pts[:, k + 1:] = theta
-        lhs = laplace_beltrami(fld, full, ("neck", pts), scheme).value
-
-        def uv(zz, tt, th, v=v):
-            return u_of(tt) * v(zz, tt, th)
-
-        ell = ell_leading(cfg, uv, t, theta, z, scheme=scheme)
-        u = u_of(t)
-        rhs = u ** (-pexp) * ell
+    for name, (a, Y, Z) in PROBES.items():
+        factors = factor_laplacians(cfg, Y, Z, scheme)
+        v = Jet.lift(a(tj))
+        uv = u * v
+        lhs, _ = separable_terms(cfg, v, factors, neck)
+        _, ell = separable_terms(cfg, uv, factors, neck)
+        w0 = uv.v * factors[0] * factors[2]
+        rhs = u.v ** (-pexp) * ell
         # scale: largest second-order datum entering the identity
-        w0 = uv(z, t, theta)
-        scale = u ** (-pexp) * np.maximum.reduce([
+        scale = u.v ** (-pexp) * np.maximum.reduce([
             np.abs(ell), np.abs(w0), np.full_like(w0, 1e-12)])
-        xabs = cfg.eps * np.exp(np.abs(t))
         ratio = np.abs(lhs - rhs) / (xabs * np.maximum(scale, np.abs(lhs)))
         results.append((name, float(np.max(ratio)), ratio))
     return ConjugationReport(max(r[1] for r in results), results, t)

@@ -56,6 +56,12 @@ def test_config_validation_exit_codes(cfg_file, tmp_path):
     code = cli.main(["solve", "--config", cfg_file,
                      "--set", "grid.resolution=8", "--out", out])
     assert code == 2
+    # settings the solver cannot run with: a configuration error, never a
+    # traceback (exit 1 means a check failed)
+    for bad in ("gluing.alpha=0", "gluing.alpha=nan", "yamabe.max_iter=0",
+                "solver.tol=nan", "solver.tol=inf", "model.torus_side=nan"):
+        code = cli.main(["solve", "--config", cfg_file, "--set", bad, "--out", out])
+        assert code == 2, bad
 
 
 def test_validate_tensors(cfg_file, tmp_path):

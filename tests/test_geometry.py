@@ -26,8 +26,11 @@ def test_make_model_rejects_zero_curvature():
 
 
 def test_make_model_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        geometry.make_model("torus2_x_sphere3", sphere3_radius=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            geometry.make_model("torus2_x_sphere3", sphere3_radius=bad)
+        with pytest.raises(ValueError):
+            geometry.make_model("sphere2_x_sphere3", sphere2_radius_sq=bad)
     with pytest.raises(ValueError):
         geometry.make_model("no_such_model")
 

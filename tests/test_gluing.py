@@ -17,6 +17,9 @@ def test_config_validation(model_a, model_b):
         gluing.GluingConfig(model_a, model_a, eps=0.05, delta=0.5)
     with pytest.raises(ValueError):
         gluing.GluingConfig(model_a, model_b, eps=0.05)  # different S and K
+    for alpha in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gluing.GluingConfig(model_a, model_a, eps=0.05, alpha=alpha)
 
 
 def test_chi_plateaus():
@@ -235,9 +238,9 @@ def test_point_gluing_degenerate_case():
 
 
 def _jet_probe(x, lib, two):
-    """One expression through every jet rule: +, -, *, /, pow, exp, log, sin, cosh, sqrt."""
+    """One expression through every jet rule: +, -, *, /, pow, exp, log, sin, cos, cosh, sqrt."""
     return (lib.log(lib.sqrt(x) * lib.exp(two * x)) / (1 + lib.sin(x)) ** 2
-            - lib.cosh(x) / x + (3 - x) * x ** 1.5 + two / x)
+            - lib.cosh(x) / x + (3 - x) * x ** 1.5 + two / x + lib.cos(two * x))
 
 
 def test_jet_derivatives_match_mpmath():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cscglue import geometry, gluing, neck_analysis as na
+from cscglue import geometry, gluing, linear_solver, neck_analysis as na
 from cscglue.curvature import DerivativeScheme, laplace_beltrami, scalar_curvature
 from cscglue.errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved
 
@@ -66,10 +66,12 @@ def test_deviation_synthetic_unresolved(model_flat):
     assert np.max(np.abs(s - model_flat.S)) <= 1e-5
 
 
-def test_conjugation_bounded_over_sweep(model_a):
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+def test_conjugation_bounded_over_sweep(name):
+    model = geometry.make_model(name)
     ratios = []
     for eps in (0.02, 0.04, 0.08, 0.16):
-        cfg = gluing.GluingConfig(model_a, model_a, eps=eps)
+        cfg = gluing.GluingConfig(model, model, eps=eps)
         ratios.append(na.conjugation_residual(cfg).max_ratio)
     assert max(ratios) <= 1.0  # O(|x|)-sized remainder, fitted constant
 
@@ -84,9 +86,43 @@ def test_conjugation_exact_for_flat_normal(model_flat):
         assert rep.max_ratio <= 1e-8
 
 
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+@pytest.mark.parametrize("eps", [0.02, 0.08])
+@pytest.mark.parametrize("probe", ["const", "wavy"])
+def test_separable_laplacian_matches_5d_engine(name, eps, probe):
+    # the 1-D Delta_g v of a separable probe must agree with the 5-D
+    # Laplace-Beltrami of the full glued metric within its error bar
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    k = model.k
+    t = na.conjugation_residual(cfg).t
+    a, Y, Z = na.PROBES[probe]
+    lap, _ = na.separable_terms(cfg, gluing.Jet.lift(a(gluing.Jet.variable(t))),
+                                na.factor_laplacians(cfg, Y, Z),
+                                na.neck_coefficients(cfg, t))
+    pts = np.zeros((t.size, model.m))
+    pts[:, :k] = linear_solver._z_sample(model)
+    pts[:, k] = t
+    pts[:, k + 1:] = linear_solver._theta_sample(model.n)
+    ref, err = laplace_beltrami(
+        gluing.glued_metric(cfg),
+        lambda c: a(c[..., k]) * Y(c[..., k + 1:]) * Z(c[..., :k]), ("neck", pts))
+    assert np.all(np.abs(lap - ref) <= err)
+
+
+def test_conjugation_never_builds_the_glued_field(monkeypatch, model_a):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conjugation_residual sampled the glued components")
+
+    monkeypatch.setattr(gluing, "_warped_components", forbidden)
+    monkeypatch.setattr(na, "glued_metric", forbidden)
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.05)
+    assert na.conjugation_residual(cfg).max_ratio <= 1.0
+
+
 def test_ell_leading_annihilates_critical_exponential(cfg05):
-    w = lambda z, t, th: np.exp(cfg05.nu * np.asarray(t)) \
-        + na._probe_carrier(z, t, th)
+    _, Y, Z = na.PROBES["const"]
+    w = (lambda t: np.exp(cfg05.nu * t), Y, Z)
     vals = na.ell_leading(cfg05, w, np.array([-1.2, 0.0, 0.8]))
     assert np.max(np.abs(vals)) <= 1e-6
 
