@@ -23,7 +23,6 @@ from .geometry import (
     Factor,
     MetricField,
     ModelGeometry,
-    Transition,
     fermi_metric,
     flat_metric,
     injectivity_gap,
@@ -34,13 +33,11 @@ from .geometry import (
 from .gluing import (
     GluingConfig,
     Jet,
-    NeckAtlas,
     chi,
     eta,
     glued_metric,
     glued_warp,
     psi_of_t,
-    psi_weight,
     synthetic_exact_metric,
     synthetic_exact_warp,
     u_eps,

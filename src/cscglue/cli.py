@@ -164,11 +164,11 @@ class RunConfig:
         )
 
     def validate(self, subcommand: str) -> None:
-        """Check every numeric field against module preconditions upfront."""
-        try:
-            model = self.model()
-        except (GlueError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        """Check every numeric field against module preconditions upfront.
+
+        The model and a GluingConfig for each (eps, delta) the subcommand
+        will run are built here, so their own range checks apply.
+        """
         if int(self["grid.resolution"]) < 16:
             raise ConfigError("grid.resolution must be >= 16")
         # a chained comparison with NaN is False, so NaN is rejected too
@@ -176,19 +176,18 @@ class RunConfig:
             raise ConfigError("solver.tol must be positive and finite")
         if int(self["yamabe.max_iter"]) < 1:
             raise ConfigError("yamabe.max_iter must be >= 1")
-        alpha = float(self["gluing.alpha"])
-        if not 0 < alpha < math.inf:
-            raise ConfigError("gluing.alpha must be positive and finite")
-        nu = (model.n - 2) / 2.0
         deltas = self.delta_list() if subcommand == "barrier" else [self.delta()]
-        for d in deltas:
-            if not -nu < d < nu:
-                raise ConfigError(
-                    f"gluing.delta = {d} outside (-{nu}, {nu})")
-        for eps in self.eps_list():
-            if not 0.0 < eps < math.exp(-1.0):
-                raise ConfigError(f"gluing.epsilon = {eps} outside (0, e^-1)")
+        try:
+            model = self.model()
+            for d in deltas:
+                for eps in self.eps_list():
+                    self.gluing_config(eps, delta=d)
+            if subcommand == "spectrum":  # its summand check needs exact spectra
+                model.normal_factor.spectrum(0.0)
+        except (GlueError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
         if subcommand == "barrier":
+            alpha = float(self["gluing.alpha"])
             for d in deltas:
                 C = neck_analysis.barrier_constant(model.n, d)
                 if math.exp(-alpha) > C:
@@ -314,7 +313,7 @@ def cmd_validate_tensors(cfg: RunConfig, out: Path) -> Checks:
     fm = geometry.fermi_metric(model)
     k = model.k
     u = lambda x: np.exp(0.2 * np.sin(x[..., k]) + 0.1 * np.cos(x[..., k + 1]))
-    pt = fm.point("cap-1", ([0.5] * k) + [1.9, 1.2, 0.8])
+    pt = fm.point("cap-1", [0.5] * k + [1.9] + [1.2, 0.8, 0.9, 1.1][:model.n - 1])
     a = conformal_scalar(fm, u, pt, scheme, dim=model.m)
     b = scalar_curvature(rescale_field(fm, u, model.m), pt, scheme)
     rel = abs(a.value - b.value) / max(abs(a.value), 1.0)

@@ -33,10 +33,9 @@ COND_LIMIT = 1e12
 class DerivativeScheme:
     """Finite-difference configuration.
 
-    ``base_step`` is the step per coordinate (scalar or length-m array);
-    charts with a ``step_scale`` shrink it pointwise.  ``levels`` is the
-    number of Richardson levels (step halvings); with one level no error
-    estimate is available.
+    ``base_step`` is the step per coordinate (scalar or length-m array).
+    ``levels`` is the number of Richardson levels (step halvings); with
+    one level no error estimate is available.
     """
 
     base_step: float | tuple = 1e-3
@@ -46,14 +45,9 @@ class DerivativeScheme:
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
 
-    def steps(self, field: MetricField, chart_id: str, pts: np.ndarray) -> np.ndarray:
-        h = np.broadcast_to(np.asarray(self.base_step, dtype=float),
-                            (field.dim,)).copy()
-        chart = field.chart(chart_id)
-        out = np.broadcast_to(h, pts.shape).copy()
-        if chart.step_scale is not None:
-            out = out * chart.step_scale(pts)[..., None]
-        return out
+    def steps(self, pts: np.ndarray) -> np.ndarray:
+        """The base step of every coordinate at every point, shaped like ``pts``."""
+        return np.broadcast_to(np.asarray(self.base_step, dtype=float), pts.shape)
 
 
 class ValueWithError(NamedTuple):
@@ -145,7 +139,7 @@ def _metric_jet(field, chart_id, pts, scheme):
     the ``_prev`` pair is the previous extrapolation diagonal, used for
     error estimates.  dg[..., e, i, j] = d_e g_ij.
     """
-    steps = scheme.steps(field, chart_id, pts)
+    steps = scheme.steps(pts)
     _check_stencil(field, chart_id, pts, steps)
     m = field.dim
     d1_levels, d2_levels = [], []
@@ -280,7 +274,7 @@ def laplace_beltrami(field: MetricField, u: Callable, point,
     """
     scheme = scheme or DerivativeScheme()
     chart_id, pts, squeeze = _as_batch(point)
-    steps = scheme.steps(field, chart_id, pts)
+    steps = scheme.steps(pts)
     g, ginv, (dg, _), (dgp, _), noise_g = _metric_jet(field, chart_id, pts, scheme)
     u0, (du, d2u), (dup, d2up), _, umax = _scalar_jet(
         u, chart_id, pts, steps, scheme.levels)
@@ -316,7 +310,7 @@ def conformal_scalar(field: MetricField, u: Callable, point,
     if d < 3:
         raise ValueError("conformal dimension must be >= 3")
     chart_id, pts, squeeze = _as_batch(point)
-    steps = scheme.steps(field, chart_id, pts)
+    steps = scheme.steps(pts)
     g, ginv, (dg, d2g), (dgp, d2gp), noise = _metric_jet(field, chart_id, pts, scheme)
     u0, (du, d2u), (dup, d2up), umin, umax = _scalar_jet(
         u, chart_id, pts, steps, scheme.levels)
@@ -354,5 +348,4 @@ def rescale_field(field: MetricField, u: Callable, dim: int | None = None) -> Me
         g = field.component_fn(chart_id, coords)
         return np.asarray(u(coords), dtype=float)[..., None, None] ** expo * g
 
-    return MetricField(field.dim, field.charts, comps, field.transitions,
-                       meta=dict(field.meta))
+    return MetricField(field.dim, field.charts, comps, meta=dict(field.meta))

@@ -7,9 +7,11 @@ quantity exactly computable: scalar curvature is the sum of factor
 curvatures, the Laplace spectrum is the sum-set of factor spectra, and
 Fermi coordinates around K x {pole} take an explicit warped-polar form.
 
-A ``MetricField`` carries a metric as a chart atlas plus a vectorized
+A ``MetricField`` carries a metric as one chart plus a vectorized
 callback returning component matrices, which the finite-difference
-curvature engine differentiates.  Every model's normal block is
+curvature engine differentiates.  Every chart is a product of factor
+coordinates (``factor_metric``, ``polar_chart``): K alone, S^{n-1} alone,
+or (z, r, theta) in warped-polar form.  Every model's normal block is
 dr^2 + f(r)^2 g_{S^{n-1}} with f = ``normal_radius``, the closed form
 the neck pipeline works on instead.
 """
@@ -112,17 +114,11 @@ class ModelGeometry:
         return self.k_factors + (self.normal_factor,)
 
 
-
 def _build_model(name, k_factors, normal_factor):
     k = sum(f.dim for f in k_factors)
     n = normal_factor.dim
-    m = k + n
-    if n < 3:
-        raise CodimensionTooSmall(f"codimension m - k = {n} < 3 for {name!r}")
     S = sum(f.scalar_curvature() for f in k_factors) + normal_factor.scalar_curvature()
-    if abs(S) < 1e-14:
-        raise ZeroScalarCurvature(f"factor sizes give S = 0 for {name!r}")
-    return ModelGeometry(name, m, k, n, S, tuple(k_factors), normal_factor)
+    return ModelGeometry(name, k + n, k, n, S, tuple(k_factors), normal_factor)
 
 
 def make_model(
@@ -202,7 +198,7 @@ def injectivity_gap(model: ModelGeometry, cutoff: float,
 
 
 # ---------------------------------------------------------------------------
-# Charts, transitions, metric fields
+# Charts and metric fields
 # ---------------------------------------------------------------------------
 
 
@@ -214,9 +210,7 @@ class Chart:
     points.  ``eval_lower``/``eval_upper`` bound where the component
     formula may actually be evaluated (wider, so finite-difference
     stencils near a chart seam stay legal).  Periodic coordinates are
-    unbounded.  ``step_scale``, when set, returns a per-point multiplier
-    for finite-difference steps (raw Fermi charts shrink steps with the
-    distance to the gluing locus).
+    unbounded.
     """
 
     chart_id: str
@@ -226,7 +220,6 @@ class Chart:
     eval_lower: tuple[float, ...]
     eval_upper: tuple[float, ...]
     periodic: tuple[bool, ...]
-    step_scale: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -244,18 +237,8 @@ class ChartPoint:
 
 
 @dataclass(frozen=True)
-class Transition:
-    """Coordinate change between two charts with its analytic jacobian."""
-
-    source: str
-    target: str
-    map: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]  # d(target)/d(source)
-
-
-@dataclass(frozen=True)
 class MetricField:
-    """Chart atlas plus a vectorized metric-component callback.
+    """Charts plus a vectorized metric-component callback.
 
     ``components(chart_id, coords)`` accepts coordinates of shape
     ``(..., m)`` and returns component matrices of shape ``(..., m, m)``.
@@ -266,14 +249,13 @@ class MetricField:
     dim: int
     charts: tuple[Chart, ...]
     component_fn: Callable[[str, np.ndarray], np.ndarray]
-    transitions: Mapping[tuple[str, str], Transition] = field(default_factory=dict)
     meta: Mapping = field(default_factory=dict)
 
     def chart(self, chart_id: str) -> Chart:
         for c in self.charts:
             if c.chart_id == chart_id:
                 return c
-        raise OutOfChart(f"no chart {chart_id!r} in atlas")
+        raise OutOfChart(f"no chart {chart_id!r} in this field")
 
     def point(self, chart_id: str, coords) -> ChartPoint:
         """Validate coordinates against the nominal chart domain."""
@@ -307,21 +289,9 @@ class MetricField:
     def at(self, point: ChartPoint) -> np.ndarray:
         return self.components(point.chart_id, point.coords)
 
-    def pull_components(self, source: str, target: str, coords) -> np.ndarray:
-        """Components in `source` coordinates computed through `target`.
-
-        Uses g_src = J^T g_tgt(phi(x)) J with the registered transition.
-        """
-        tr = self.transitions[(source, target)]
-        x = np.asarray(coords, dtype=float)
-        y = tr.map(x)
-        J = tr.jacobian(x)
-        g = self.components(target, y)
-        return np.einsum("...ai,...ab,...bj->...ij", J, g, J)
-
 
 # ---------------------------------------------------------------------------
-# Polar-coordinate helpers
+# Factor metrics and the warped-polar charts
 # ---------------------------------------------------------------------------
 
 
@@ -334,37 +304,6 @@ def sphere_polar_diag(theta: np.ndarray, radius: float = 1.0) -> np.ndarray:
     return radius**2 * out
 
 
-def sphere_embed(theta: np.ndarray) -> np.ndarray:
-    """Unit vector in R^d for polar angles (..., d-1)."""
-    theta = np.asarray(theta, dtype=float)
-    d1 = theta.shape[-1]
-    out = np.empty(theta.shape[:-1] + (d1 + 1,))
-    sines = np.ones(theta.shape[:-1])
-    for i in range(d1):
-        out[..., i] = sines * np.cos(theta[..., i])
-        sines = sines * np.sin(theta[..., i])
-    out[..., d1] = sines
-    return out
-
-
-def sphere_embed_jacobian(theta: np.ndarray) -> np.ndarray:
-    """d(embedding)/d(theta), shape (..., d, d-1)."""
-    theta = np.asarray(theta, dtype=float)
-    d1 = theta.shape[-1]
-    h = np.zeros(theta.shape[:-1] + (d1 + 1, d1))
-    pre = np.ones(theta.shape[:-1])  # product of sin(theta_i), i < j
-    for j in range(d1):
-        # components i >= j of the embedding depend on theta_j
-        h[..., j, j] = -pre * np.sin(theta[..., j])
-        sines = pre * np.cos(theta[..., j])
-        for i in range(j + 1, d1):
-            h[..., i, j] = sines * np.cos(theta[..., i])
-            sines = sines * np.sin(theta[..., i])
-        h[..., d1, j] = sines
-        pre = pre * np.sin(theta[..., j])
-    return h
-
-
 def normal_radius(factor: Factor, r):
     """f(r) with normal block dr^2 + f(r)^2 g_{S^{n-1}}; takes arrays or jets."""
     if factor.kind == "sphere":
@@ -374,107 +313,86 @@ def normal_radius(factor: Factor, r):
     raise ValueError(f"unsupported normal factor kind {factor.kind!r}")
 
 
-def _k_block(model: ModelGeometry, z: np.ndarray) -> np.ndarray:
-    """Metric of the K factors at z, shape (..., k, k)."""
-    k = model.k
-    out = np.zeros(z.shape[:-1] + (k, k))
+def _factor_block(factors: tuple[Factor, ...], z: np.ndarray) -> np.ndarray:
+    """Metric of a product of torus and sphere factors at z, shape (..., d, d)."""
+    d = sum(f.dim for f in factors)
+    out = np.zeros(z.shape[:-1] + (d, d))
     i = 0
-    for f in model.k_factors:
+    for f in factors:
+        ii = np.arange(i, i + f.dim)
         if f.kind == "torus":
-            for j in range(f.dim):
-                out[..., i + j, i + j] = 1.0
-        elif f.kind == "sphere":
-            ang = z[..., i:i + f.dim - 1]
-            diag = sphere_polar_diag(ang, f.size)
-            for j in range(f.dim - 1):
-                out[..., i + j, i + j] = diag[..., j]
-            out[..., i + f.dim - 1, i + f.dim - 1] = (
-                f.size**2 * np.prod(np.sin(ang) ** 2, axis=-1)
-            )
+            out[..., ii, ii] = 1.0
+        elif f.kind == "sphere":  # polar angles then azimuth
+            out[..., ii, ii] = sphere_polar_diag(z[..., i:i + f.dim], f.size)
         else:
-            raise ValueError(f"unsupported K factor kind {f.kind!r}")
+            raise ValueError(f"unsupported factor kind {f.kind!r}")
         i += f.dim
     return out
 
 
-def product_components(model: ModelGeometry, coords: np.ndarray, a, b,
-                       raw: bool = False) -> np.ndarray:
-    """Components of g_K(z) + (normal block) at coords, shape (..., m, m).
+def _factor_rows(factors: tuple[Factor, ...], prefix: str) -> list:
+    """Chart rows of a factor product, one per coordinate.
 
-    Polar charts (z..., rho, theta...) get the normal block
-    a drho^2 + b g_{S^{n-1}}; raw Fermi charts (z..., x) get
-    a xhat xhat^T + b (I - xhat xhat^T).  ``a`` and ``b`` broadcast
-    against the point shape.  The summand, glued and synthetic metrics
-    are all of this form and differ only in (a, b).
+    A row is (name, lower, upper, eval_lower, eval_upper, periodic).  Torus
+    coordinates are periodic; a sphere's polar angles lie in
+    [0, pi] and are evaluated AXIS_MARGIN off the axes, its azimuth is
+    periodic.
+    """
+    free = (-np.inf, np.inf, -np.inf, np.inf, True)
+    polar = (0.0, math.pi, AXIS_MARGIN, math.pi - AXIS_MARGIN, False)
+    rows = []
+    for f in factors:
+        rows += [free] * f.dim if f.kind == "torus" else [polar] * (f.dim - 1) + [free]
+    return [(f"{prefix}{i + 1}",) + row for i, row in enumerate(rows)]
+
+
+def _chart(chart_id: str, rows: list) -> Chart:
+    return Chart(chart_id, *(tuple(col) for col in zip(*rows)))
+
+
+def factor_metric(factors: tuple[Factor, ...], prefix: str) -> MetricField:
+    """A product of torus and sphere factors alone, as a field with one chart.
+
+    The chart is named ``prefix`` and its coordinates ``<prefix>1``, ...;
+    e.g. the K factors of a model, or ``Factor("sphere", n - 1, 1.0)``
+    with prefix ``theta`` for the orbit sphere S^{n-1} of a normal block.
+    """
+    chart = _chart(prefix, _factor_rows(factors, prefix))
+    return MetricField(chart.dim, (chart,), lambda chart_id, z: _factor_block(factors, z))
+
+
+def polar_chart(model: ModelGeometry, chart_id: str, radial: tuple) -> Chart:
+    """The chart (z..., radial, theta...) of a warped-polar metric on ``model``.
+
+    ``radial`` is the row (name, lower, upper, eval_lower, eval_upper,
+    periodic) of the radial coordinate, between the K factors and the
+    angles of S^{n-1}.
+    """
+    return _chart(chart_id, _factor_rows(model.k_factors, "z") + [radial]
+                  + _factor_rows((Factor("sphere", model.n - 1, 1.0),), "theta"))
+
+
+def product_components(model: ModelGeometry, coords: np.ndarray, a, b) -> np.ndarray:
+    """Components of g_K(z) + a drho^2 + b g_{S^{n-1}} at (z..., rho, theta...).
+
+    Returns shape (..., m, m); ``a`` and ``b`` broadcast against the point
+    shape.  The summand, glued and synthetic metrics are all of this form
+    and differ only in (a, b).
     """
     k, m = model.k, model.m
     out = np.zeros(coords.shape[:-1] + (m, m))
-    out[..., :k, :k] = _k_block(model, coords[..., :k])
+    out[..., :k, :k] = _factor_block(model.k_factors, coords[..., :k])
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if raw:
-        x = coords[..., k:]
-        xhat = x / np.linalg.norm(x, axis=-1)[..., None]
-        proj = np.einsum("...a,...b->...ab", xhat, xhat)
-        out[..., k:, k:] = (b[..., None, None] * (np.eye(model.n) - proj)
-                            + a[..., None, None] * proj)
-        return out
     out[..., k, k] = a
-    diag = sphere_polar_diag(coords[..., k + 1:]) * b[..., None]
-    for j in range(model.n - 1):
-        out[..., k + 1 + j, k + 1 + j] = diag[..., j]
+    ii = np.arange(k + 1, m)
+    out[..., ii, ii] = sphere_polar_diag(coords[..., k + 1:]) * b[..., None]
     return out
-
-
-def k_laplacian_metric(model: ModelGeometry) -> "MetricField":
-    """The K factors alone as a metric field, for Delta_K of a probe's K factor."""
-    k = model.k
-    names = tuple(f"z{i + 1}" for i in range(k))
-    lo, hi, elo, ehi, per = _k_coord_bounds(model)
-    chart = Chart("k-factor", names, lo, hi, elo, ehi, per)
-
-    def comps(chart_id, z):
-        return _k_block(model, z)
-
-    return MetricField(k, (chart,), comps)
-
-
-def _k_coord_bounds(model):
-    lo, hi, elo, ehi, per = [], [], [], [], []
-    for f in model.k_factors:
-        if f.kind == "torus":
-            for _ in range(f.dim):
-                lo.append(-np.inf); hi.append(np.inf)
-                elo.append(-np.inf); ehi.append(np.inf)
-                per.append(True)
-        else:  # sphere: polar angles then azimuth
-            for j in range(f.dim - 1):
-                lo.append(0.0); hi.append(math.pi)
-                elo.append(AXIS_MARGIN); ehi.append(math.pi - AXIS_MARGIN)
-                per.append(False)
-            lo.append(-np.inf); hi.append(np.inf)
-            elo.append(-np.inf); ehi.append(np.inf)
-            per.append(True)
-    return tuple(lo), tuple(hi), tuple(elo), tuple(ehi), tuple(per)
-
-
-def _theta_coord_bounds(n):
-    lo, hi, elo, ehi, per = [], [], [], [], []
-    for j in range(n - 2):
-        lo.append(0.0); hi.append(math.pi)
-        elo.append(AXIS_MARGIN); ehi.append(math.pi - AXIS_MARGIN)
-        per.append(False)
-    lo.append(-np.inf); hi.append(np.inf)
-    elo.append(-np.inf); ehi.append(np.inf)
-    per.append(True)
-    return lo, hi, elo, ehi, per
 
 
 def flat_metric(dim: int, half_width: float = 10.0) -> MetricField:
     """Euclidean metric on a cube chart, mostly for oracle tests."""
-    names = tuple(f"x{i + 1}" for i in range(dim))
-    b = (half_width,) * dim
-    chart = Chart("flat", names, tuple(-v for v in b), b,
-                  tuple(-v for v in b), b, (False,) * dim)
+    row = (-half_width, half_width, -half_width, half_width, False)
+    chart = _chart("flat", [(f"x{i + 1}",) + row for i in range(dim)])
 
     def comps(chart_id, x):
         out = np.zeros(x.shape[:-1] + (dim, dim))
@@ -488,68 +406,22 @@ def flat_metric(dim: int, half_width: float = 10.0) -> MetricField:
 def fermi_metric(model: ModelGeometry, side: int = 1) -> MetricField:
     """Exact summand metric in Fermi coordinates around K x {pole}.
 
-    Charts: ``cap-<side>`` with coordinates (z..., r, theta...) in
-    warped-polar form (tangential block g_K exactly, normal block
-    dr^2 + rho^2 sin^2(r/rho) g_{S^{n-1}}, vanishing cross block), and
-    ``raw-fermi-<side>`` with normal exponential coordinates (z..., x).
+    One chart, ``cap-<side>``, with coordinates (z..., r, theta...) in
+    warped-polar form: tangential block g_K exactly, normal block
+    dr^2 + f(r)^2 g_{S^{n-1}} with f = normal_radius, vanishing cross
+    block.
     """
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    m, k, n = model.m, model.k, model.n
     r_max = model.r_max
-    cap_id = f"cap-{side}"
-    raw_id = f"raw-fermi-{side}"
-
-    z_lo, z_hi, z_elo, z_ehi, z_per = _k_coord_bounds(model)
-    t_lo, t_hi, t_elo, t_ehi, t_per = _theta_coord_bounds(n)
-    z_names = tuple(f"z{i + 1}" for i in range(k))
-    th_names = tuple(f"theta{i + 1}" for i in range(n - 1))
-
-    cap = Chart(
-        cap_id, z_names + ("r",) + th_names,
-        z_lo + (1.0,) + tuple(t_lo), z_hi + (r_max,) + tuple(t_hi),
-        z_elo + (AXIS_MARGIN,) + tuple(t_elo),
-        z_ehi + (r_max - AXIS_MARGIN,) + tuple(t_ehi),
-        z_per + (False,) + tuple(t_per),
-    )
-    x_names = tuple(f"x{i + 1}" for i in range(n))
-    raw = Chart(
-        raw_id, z_names + x_names,
-        z_lo + (-r_max,) * n, z_hi + (r_max,) * n,
-        z_elo + (-r_max + AXIS_MARGIN,) * n, z_ehi + (r_max - AXIS_MARGIN,) * n,
-        z_per + (False,) * n,
-        step_scale=lambda pts: np.linalg.norm(pts[..., k:], axis=-1),
-    )
+    cap = polar_chart(model, f"cap-{side}",
+                      ("r", 1.0, r_max, AXIS_MARGIN, r_max - AXIS_MARGIN, False))
 
     def comps(chart_id, c):
-        if chart_id == cap_id:
-            return product_components(model, c, 1.0,
-                                      normal_radius(model.normal_factor, c[..., k]) ** 2)
-        if chart_id == raw_id:
-            r = np.linalg.norm(c[..., k:], axis=-1)
-            return product_components(
-                model, c, 1.0, (normal_radius(model.normal_factor, r) / r) ** 2, raw=True)
-        raise OutOfChart(f"no chart {chart_id!r} in this field")
+        return product_components(model, c, 1.0,
+                                  normal_radius(model.normal_factor, c[..., model.k]) ** 2)
 
-    def cap_to_raw(c):
-        z, r, theta = c[..., :k], c[..., k], c[..., k + 1:]
-        return np.concatenate([z, r[..., None] * sphere_embed(theta)], axis=-1)
-
-    def cap_to_raw_jac(c):
-        r, theta = c[..., k], c[..., k + 1:]
-        J = np.zeros(c.shape[:-1] + (m, m))
-        ii = np.arange(k)
-        J[..., ii, ii] = 1.0
-        nh = sphere_embed(theta)
-        J[..., k:, k] = nh
-        J[..., k:, k + 1:] = r[..., None, None] * sphere_embed_jacobian(theta)
-        return J
-
-    transitions = {
-        (cap_id, raw_id): Transition(cap_id, raw_id, cap_to_raw, cap_to_raw_jac),
-    }
-    return MetricField(m, (cap, raw), comps, transitions,
-                       meta={"model": model, "side": side})
+    return MetricField(model.m, (cap,), comps, meta={"model": model, "side": side})
 
 
 def is_spd(matrix: np.ndarray) -> bool:

@@ -7,8 +7,14 @@ blending the two normal profiles with cutoffs chi, eta.  The normal block is
 scaled by the conformal factor u_eps(t)^{4/(n-2)} built from the two
 profiles eps^{(n-2)/2} e^{-+(n-2)t/2}.
 
+The glued metric is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}], read
+through the profile callback t -> (u, q) of ``glued_warp``.  Beyond the
+seams |t| = -log eps the profiles saturate to the summand metrics
+written in t, so one chart in (z, t, theta) covers the neck and both
+caps.
+
 Cutoffs use the standard exp(-1/s) mollifier, so the glued components
-match the summand metrics to all orders at the chart seams; the concrete
+match the summand metrics to all orders at the seams; the concrete
 choices are recorded in the docstrings because downstream fitted
 constants depend on them.
 """
@@ -16,31 +22,24 @@ constants depend on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import DeltaOutOfRange, OutOfChart, OutOfNeck
+from .errors import DeltaOutOfRange, OutOfNeck
 from .geometry import (
     AXIS_MARGIN,
-    Chart,
-    ChartPoint,
     MetricField,
     ModelGeometry,
-    Transition,
-    _k_coord_bounds,
-    _theta_coord_bounds,
-    fermi_metric,
     normal_radius,
+    polar_chart,
     product_components,
-    sphere_embed,
 )
 
 __all__ = [
-    "GluingConfig", "NeckAtlas", "Jet", "chi", "eta", "u_eps", "glued_metric",
-    "glued_warp", "synthetic_exact_metric", "synthetic_exact_warp",
-    "psi_weight", "psi_of_t", "mollifier_step", "s_bounds", "s_of_chart",
+    "GluingConfig", "Jet", "chi", "eta", "u_eps", "glued_metric", "glued_warp",
+    "synthetic_exact_metric", "synthetic_exact_warp", "psi_of_t", "mollifier_step",
 ]
 
 
@@ -215,7 +214,7 @@ class GluingConfig:
         # is capped at e^{-1}: that is what keeps chi's transition band
         # inside the neck and t = 0 inside both eta plateaus.
         if not 0.0 < self.eps < math.exp(-1.0):
-            raise ValueError("eps must lie in (0, e^-1)")
+            raise ValueError(f"eps must lie in (0, e^-1), got {self.eps}")
         a, b = self.model_1, self.model_2
         if (a.m, a.k, a.n) != (b.m, b.k, b.n):
             raise ValueError("summands must have equal dimensions")
@@ -230,7 +229,7 @@ class GluingConfig:
             raise DeltaOutOfRange(
                 f"delta must lie in (-{nu}, {nu}), got {self.delta}")
         if not 0.0 < self.alpha < math.inf:  # NaN fails the comparison too
-            raise ValueError("alpha must be positive and finite")
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def n(self) -> int:
@@ -258,53 +257,6 @@ class GluingConfig:
 
     def u(self, t):
         return _u_eps_raw(t, self.eps, self.n)
-
-
-@dataclass(frozen=True)
-class NeckAtlas:
-    """Coordinate bookkeeping for the polyneck of one gluing.
-
-    Side-1 radii r1 = eps e^{-t}, side-2 radii r2 = eps e^{t}; identified
-    points satisfy r1 r2 = eps^2.
-    """
-
-    cfg: GluingConfig
-
-    def r1_of_t(self, t):
-        return self.cfg.eps * np.exp(-np.asarray(t, dtype=float))
-
-    def r2_of_t(self, t):
-        return self.cfg.eps * np.exp(np.asarray(t, dtype=float))
-
-    def t_of_r1(self, r):
-        return math.log(self.cfg.eps) - np.log(np.asarray(r, dtype=float))
-
-    def x_of_t(self, t, theta, side: int = 1):
-        r = self.r1_of_t(t) if side == 1 else self.r2_of_t(t)
-        return np.asarray(r)[..., None] * sphere_embed(theta)
-
-
-def s_bounds(cfg: GluingConfig) -> tuple[float, float]:
-    """Range of the global cylindrical coordinate across caps and neck."""
-    cap = math.log(cfg.model_1.r_max)
-    return (-cfg.t_max - cap, cfg.t_max + math.log(cfg.model_2.r_max))
-
-
-def s_of_chart(cfg: GluingConfig, chart_id: str, coords: np.ndarray):
-    """Global cylindrical coordinate of points in any glued chart."""
-    k = cfg.k
-    c = np.asarray(coords, dtype=float)
-    if chart_id == "neck":
-        return c[..., k]
-    if chart_id == "cap-1":
-        return -cfg.t_max - np.log(c[..., k])
-    if chart_id == "cap-2":
-        return cfg.t_max + np.log(c[..., k])
-    if chart_id == "raw-fermi-1":
-        return -cfg.t_max - np.log(np.linalg.norm(c[..., k:], axis=-1))
-    if chart_id == "raw-fermi-2":
-        return cfg.t_max + np.log(np.linalg.norm(c[..., k:], axis=-1))
-    raise OutOfChart(f"unknown glued chart {chart_id!r}")
 
 
 def glued_warp(cfg: GluingConfig):
@@ -336,100 +288,41 @@ def synthetic_exact_warp(cfg: GluingConfig):
 
 
 def _warped_components(cfg: GluingConfig, warp, chart_id: str, c: np.ndarray):
-    """g_K + U(t) [dt^2 + q(t) g_{S^{n-1}}] in a neck, cap or raw chart.
+    """g_K + U(t) [dt^2 + q(t) g_{S^{n-1}}] at neck coordinates (z..., t, theta...).
 
-    ``warp(t)`` returns (u, q) with U = u^{4/(n-2)}.  The metric is written
-    in the chart's own coordinates: dt = -+dr/r turns dt^2 into dr^2/r^2 on
-    the caps, and r = |x| turns dr^2 + r^2 g_{S^{n-1}} into the raw Fermi
-    block.
+    ``warp(t)`` returns (u, q) with U = u^{4/(n-2)}; ``chart_id`` is the
+    field's one chart, ``neck``.
     """
-    u, q = warp(s_of_chart(cfg, chart_id, c))
+    u, q = warp(c[..., cfg.k])
     U = u ** (4.0 / (cfg.n - 2))
-    if chart_id == "neck":
-        return product_components(cfg.model_1, c, U, U * q)
-    if chart_id in ("cap-1", "cap-2"):
-        return product_components(cfg.model_1, c, U / c[..., cfg.k] ** 2, U * q)
-    rr = np.linalg.norm(c[..., cfg.k:], axis=-1) ** 2
-    return product_components(cfg.model_1, c, U / rr, U * q / rr, raw=True)
+    return product_components(cfg.model_1, c, U, U * q)
+
+
+def _neck_field(cfg: GluingConfig, warp, **meta) -> MetricField:
+    """The metric of profile callback ``warp`` on the one chart ``neck``.
+
+    The nominal domain is t in (log eps, -log eps).  The evaluable domain
+    runs on to r = r_max - AXIS_MARGIN on both caps (r = eps e^{-+t}), so
+    finite-difference stencils may cross the seams.
+    """
+    t_pole = cfg.t_max + math.log(cfg.model_1.r_max - AXIS_MARGIN)
+    neck = polar_chart(cfg.model_1, "neck",
+                       ("t", math.log(cfg.eps), cfg.t_max, -t_pole, t_pole, False))
+    return MetricField(cfg.m, (neck,), partial(_warped_components, cfg, warp),
+                       meta={"cfg": cfg, **meta})
 
 
 def glued_metric(cfg: GluingConfig) -> MetricField:
-    """The approximate solution metric as a MetricField.
+    """The approximate solution metric as a MetricField with one chart, ``neck``.
 
-    Atlas: ``cap-1`` (r in [1, r_max]), ``neck`` (t in (log eps,
-    -log eps)), ``cap-2``, plus raw Fermi charts around each copy of K.
-    On the caps the components are exactly the summand metrics.  On the
-    neck and the raw charts the K block is g_K itself (both summands
-    carry the same K) and the normal block is
-    u_eps^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}], written in the chart's
-    coordinates.
-
-    The neck formula saturates smoothly to the summand metrics beyond the
-    nominal neck, so its evaluable region extends across the caps (poles
-    excluded) and finite-difference stencils may cross the seams.
+    Coordinates (z..., t, theta...).  The K block is g_K itself (both
+    summands carry the same K) and the normal block is
+    u_eps^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}] (``glued_warp``).  Beyond the
+    nominal neck |t| < -log eps the same formula is exactly the summand
+    metric written in t = log eps - log r (side 1) or t = log r - log eps
+    (side 2), so the chart covers the caps as well, poles excluded.
     """
-    m, k, n = cfg.m, cfg.k, cfg.n
-    eps = cfg.eps
-    log_eps = math.log(eps)
-    t_max = cfg.t_max
-    r_max = cfg.model_1.r_max
-    smin, smax = s_bounds(cfg)
-    pole_margin = -math.log1p(-AXIS_MARGIN / r_max)
-
-    z_lo, z_hi, z_elo, z_ehi, z_per = _k_coord_bounds(cfg.model_1)
-    th_lo, th_hi, th_elo, th_ehi, th_per = _theta_coord_bounds(n)
-    z_names = tuple(f"z{i + 1}" for i in range(k))
-    th_names = tuple(f"theta{i + 1}" for i in range(n - 1))
-
-    neck = Chart(
-        "neck", z_names + ("t",) + th_names,
-        z_lo + (log_eps,) + tuple(th_lo), z_hi + (t_max,) + tuple(th_hi),
-        z_elo + (smin + pole_margin,) + tuple(th_elo),
-        z_ehi + (smax - pole_margin,) + tuple(th_ehi),
-        z_per + (False,) + tuple(th_per),
-    )
-    side_fields = {f"cap-{side}": fermi_metric(model, side)
-                   for side, model in ((1, cfg.model_1), (2, cfg.model_2))}
-    # the summands' own charts, with the caps evaluable down to r = 0.97
-    caps = []
-    for chart_id, fld in side_fields.items():
-        lo = fld.chart(chart_id).eval_lower
-        caps.append(replace(fld.chart(chart_id), eval_lower=lo[:k] + (0.97,) + lo[k + 1:]))
-    raws = [side_fields[f"cap-{side}"].chart(f"raw-fermi-{side}") for side in (1, 2)]
-    warp = glued_warp(cfg)
-
-    def comps(chart_id, c):
-        if chart_id in side_fields:
-            return side_fields[chart_id].component_fn(chart_id, c)
-        if chart_id in ("raw-fermi-1", "raw-fermi-2"):
-            r = np.linalg.norm(c[..., k:], axis=-1)
-            if np.any(r > r_max) or np.any(r < eps**2 / r_max):
-                raise OutOfChart(f"radius outside chart {chart_id!r}")
-        return _warped_components(cfg, warp, chart_id, c)
-
-    def _neck_to_cap(side):
-        sgn = -1.0 if side == 1 else 1.0
-
-        def mp(c):
-            out = c.copy()
-            out[..., k] = eps * np.exp(sgn * c[..., k])
-            return out
-
-        def jac(c):
-            J = np.zeros(c.shape[:-1] + (m, m))
-            ii = np.arange(m)
-            J[..., ii, ii] = 1.0
-            r = eps * np.exp(sgn * c[..., k])
-            J[..., k, k] = sgn * r
-            return J
-
-        return Transition("neck", f"cap-{side}", mp, jac)
-
-    transitions = {("neck", f"cap-{side}"): _neck_to_cap(side) for side in (1, 2)}
-    return MetricField(
-        m, (caps[0], neck, caps[1], raws[0], raws[1]), comps, transitions,
-        meta={"cfg": cfg, "atlas": NeckAtlas(cfg)},
-    )
+    return _neck_field(cfg, glued_warp(cfg))
 
 
 def synthetic_exact_metric(cfg: GluingConfig) -> MetricField:
@@ -445,10 +338,7 @@ def synthetic_exact_metric(cfg: GluingConfig) -> MetricField:
     """
     if cfg.model_1.normal_factor.kind != "ball":
         raise ValueError("synthetic exact metric needs flat (ball) normal factors")
-    base = glued_metric(cfg)
-    comps = partial(_warped_components, cfg, synthetic_exact_warp(cfg))
-    return MetricField(cfg.m, base.charts, comps, base.transitions,
-                       meta={"cfg": cfg, "synthetic": True})
+    return _neck_field(cfg, synthetic_exact_warp(cfg), synthetic=True)
 
 
 def psi_of_t(t, cfg: GluingConfig):
@@ -472,8 +362,3 @@ def psi_of_t(t, cfg: GluingConfig):
         band = base ** (1.0 - ramp)
     out = np.where(at <= t0, base, np.where(at >= T, 1.0, band))
     return out if out.shape else float(out)
-
-
-def psi_weight(point: ChartPoint, cfg: GluingConfig):
-    """The global weight at a chart point: eps cosh t on the neck, 1 on caps."""
-    return psi_of_t(s_of_chart(cfg, point.chart_id, point.coords), cfg)

@@ -28,13 +28,7 @@ import numpy as np
 # scalar_curvature is not called here, but bench/spans.py wraps it by name
 from .curvature import DerivativeScheme, laplace_beltrami, scalar_curvature  # noqa: F401
 from .errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved
-from .geometry import (
-    AXIS_MARGIN,
-    Chart,
-    MetricField,
-    k_laplacian_metric,
-    sphere_polar_diag,
-)
+from .geometry import Factor, factor_metric
 # glued_metric is not called here, but bench/spans.py wraps it by name
 from .gluing import GluingConfig, Jet, glued_metric, glued_warp, psi_of_t  # noqa: F401
 from .linear_solver import (
@@ -145,26 +139,6 @@ def deviation_fit(make_cfg, eps_list, **kwargs) -> DeviationFit:
 # ---------------------------------------------------------------------------
 
 
-def _unit_sphere_field(n: int) -> MetricField:
-    names = tuple(f"theta{i + 1}" for i in range(n - 1))
-    lo = [0.0] * (n - 2) + [-np.inf]
-    hi = [math.pi] * (n - 2) + [np.inf]
-    elo = [AXIS_MARGIN] * (n - 2) + [-np.inf]
-    ehi = [math.pi - AXIS_MARGIN] * (n - 2) + [np.inf]
-    per = [False] * (n - 2) + [True]
-    chart = Chart("sphere", names, tuple(lo), tuple(hi), tuple(elo),
-                  tuple(ehi), tuple(per))
-
-    def comps(chart_id, th):
-        d = sphere_polar_diag(th)
-        out = np.zeros(th.shape[:-1] + (n - 1, n - 1))
-        ii = np.arange(n - 1)
-        out[..., ii, ii] = d
-        return out
-
-    return MetricField(n - 1, (chart,), comps)
-
-
 # Separable probes v = a(t) Y(theta) Z(z): ``a`` maps a jet of t to a jet or
 # a constant, Y and Z take points of S^{n-1} and of K (coordinates on the
 # last axis)
@@ -187,13 +161,15 @@ def factor_laplacians(cfg: GluingConfig, Y, Z,
     """
     scheme = scheme or DerivativeScheme()
 
-    def factor(fld, chart_id, g, x):
+    def factor(factors, prefix, g, x):
         x = np.asarray(x, float)
-        return float(g(x)), laplace_beltrami(fld, g, (chart_id, x), scheme).value
+        fld = factor_metric(factors, prefix)
+        return float(g(x)), laplace_beltrami(fld, g, (prefix, x), scheme).value
 
-    zf = (factor(k_laplacian_metric(cfg.model_1), "k-factor", Z,
-                 _z_sample(cfg.model_1)) if cfg.k else (1.0, 0.0))
-    return factor(_unit_sphere_field(cfg.n), "sphere", Y, _theta_sample(cfg.n)) + zf
+    zf = (factor(cfg.model_1.k_factors, "z", Z, _z_sample(cfg.model_1))
+          if cfg.k else (1.0, 0.0))
+    return factor((Factor("sphere", cfg.n - 1, 1.0),), "theta", Y,
+                  _theta_sample(cfg.n)) + zf
 
 
 def neck_coefficients(cfg: GluingConfig, t):

@@ -62,21 +62,28 @@ def test_config_validation_exit_codes(cfg_file, tmp_path):
                 "solver.tol=nan", "solver.tol=inf", "model.torus_side=nan"):
         code = cli.main(["solve", "--config", cfg_file, "--set", bad, "--out", out])
         assert code == 2, bad
+    # a flat ball normal factor has no exact spectrum to check against
+    code = cli.main(["spectrum", "--config", cfg_file,
+                     "--set", "model.name=sphere2_x_ball3", "--out", out])
+    assert code == 2
 
 
 def test_validate_tensors(cfg_file, tmp_path):
-    out = tmp_path / "vt"
-    code = cli.main(["validate-tensors", "--config", cfg_file, "--out", str(out)])
-    assert code == 0
-    table = (out / "tensors.csv").read_text().splitlines()
-    assert table[0].startswith("case,")
-    s3 = [ln for ln in table if ln.startswith("sphere3_scalar")]
-    assert len(s3) == 1
-    fields = s3[0].split(",")
-    assert float(fields[1]) == 6.0
-    assert abs(float(fields[2]) - 6.0) <= 1e-5
-    summary = json.loads((out / "run.json").read_text())
-    assert summary["passed"] is True
+    # the conformal cross-check runs on the configured model, of any n
+    for name in ("torus2_x_sphere3", "sphere5"):
+        out = tmp_path / name
+        code = cli.main(["validate-tensors", "--config", cfg_file,
+                         "--set", f"model.name={name}", "--out", str(out)])
+        assert code == 0, name
+        table = (out / "tensors.csv").read_text().splitlines()
+        assert table[0].startswith("case,")
+        s3 = [ln for ln in table if ln.startswith("sphere3_scalar")]
+        assert len(s3) == 1
+        fields = s3[0].split(",")
+        assert float(fields[1]) == 6.0
+        assert abs(float(fields[2]) - 6.0) <= 1e-5
+        summary = json.loads((out / "run.json").read_text())
+        assert summary["passed"] is True
 
 
 def test_solve_subcommand_pass(cfg_file, tmp_path):

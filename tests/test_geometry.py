@@ -120,13 +120,6 @@ def test_metric_positive_definite_random_points(fermi_a, fermi_b, rng):
         g = field.components("cap-1", pts)
         for i in range(len(pts)):
             assert geometry.is_spd(g[i])
-        # raw Fermi chart near the locus
-        x = rng.uniform(-0.4, 0.4, size=(100, 3))
-        x = x[np.linalg.norm(x, axis=-1) > 0.05]
-        raw = np.concatenate([pts[: len(x), : model.k], x], axis=1)
-        g = field.components("raw-fermi-1", raw)
-        for i in range(len(raw)):
-            assert geometry.is_spd(g[i])
 
 
 def test_product_additivity_exact(model_a, model_b):
@@ -159,33 +152,8 @@ def test_fermi_metric_polar_form(fermi_a, model_a):
     assert np.max(np.abs(off)) == 0.0
 
 
-def test_fermi_metric_osculates_flat(fermi_a, model_a):
-    # normal block in x-coordinates is delta + O(|x|^2)
-    k = model_a.k
-    devs = []
-    radii = [0.2, 0.1, 0.05]
-    for r in radii:
-        x = r * np.array([0.36, 0.48, 0.8])
-        pt = np.concatenate([[0.3, 0.9], x])
-        g = fermi_a.components("raw-fermi-1", pt)
-        devs.append(np.max(np.abs(g[k:, k:] - np.eye(3))))
-    ratios = [devs[i] / radii[i] ** 2 for i in range(3)]
-    assert max(ratios) <= 2 * min(ratios)  # quadratic smallness, stable constant
-
-
 def test_fermi_metric_out_of_chart(fermi_a):
     with pytest.raises(OutOfChart):
         fermi_a.point("cap-1", [0.3, 0.9, 3.4, 1.1, 0.7])  # r beyond diameter
     with pytest.raises(OutOfChart):
         fermi_a.components("cap-1", np.array([0.3, 0.9, 3.3, 1.1, 0.7]))
-
-
-def test_cap_raw_transition_consistency(fermi_a, fermi_b, rng):
-    for field in (fermi_a, fermi_b):
-        model = field.meta["model"]
-        pts = _random_cap_points(model, rng, 20)
-        pts[:, model.k] = rng.uniform(1.0, 2.5, size=20)
-        direct = field.components("cap-1", pts)
-        pulled = field.pull_components("cap-1", "raw-fermi-1", pts)
-        scale = np.max(np.abs(direct))
-        assert np.max(np.abs(direct - pulled)) <= 1e-10 * scale

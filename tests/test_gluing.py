@@ -93,16 +93,39 @@ def test_u_eps_values(cfg05):
 
 
 def test_glued_seam_continuity(cfg05, glued05):
-    eps = cfg05.eps
+    # at the seams t = -+log eps (r = 1) the neck components equal the
+    # summand's cap components pulled back by r = eps e^{-+t}: g_tt = r^2 g_rr
+    eps, k = cfg05.eps, cfg05.k
     z = (0.73, 1.41)
     th = (1.0831, 0.47)
-    for side, chart in ((1, "cap-1"), (2, "cap-2")):
-        t_seam = math.log(eps) if side == 1 else -math.log(eps)
-        pn = np.array([*z, t_seam, *th])
-        pulled = glued05.pull_components("neck", chart, pn[None, :])[0]
-        direct = glued05.components("neck", pn)
+    for side, sgn in ((1, -1.0), (2, 1.0)):
+        t_seam = -sgn * math.log(eps)
+        r = eps * math.exp(sgn * t_seam)
+        pulled = geometry.fermi_metric(cfg05.model_1, side).components(
+            f"cap-{side}", np.array([*z, r, *th]))
+        pulled[k, k] *= r**2
+        direct = glued05.components("neck", np.array([*z, t_seam, *th]))
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(pulled - direct)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+@pytest.mark.parametrize("eps", [0.16, 0.05, 1e-3, 1e-4])
+def test_glued_warp_is_the_summand_beyond_the_seams(name, eps):
+    # at |t| >= -log eps the profiles are the summand's normal block
+    # dr^2 + f(r)^2 g_{S^{n-1}} written in t: U = r^2 and U q = f(r)^2 with
+    # r = eps e^{|t|}, all the way to r = r_max on both sides
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    warp = gluing.glued_warp(cfg)
+    t_cap = np.linspace(cfg.t_max, cfg.t_max + math.log(model.r_max), 400)
+    r = eps * np.exp(t_cap)
+    f_sq = geometry.normal_radius(model.normal_factor, r) ** 2
+    for t in (-t_cap, t_cap):
+        u, q = warp(t)
+        U = u ** (4.0 / (cfg.n - 2))
+        assert np.max(np.abs(U - r**2) / r**2) <= 1e-12
+        assert np.max(np.abs(U * q - f_sq) / f_sq) <= 1e-12
 
 
 def test_reflection_symmetry(cfg05, glued05):
@@ -143,21 +166,10 @@ def test_glued_positive_definite_sweep(model_a):
         assert all(geometry.is_spd(g[i]) for i in range(41))
 
 
-def test_neck_atlas_roundtrip(cfg05, glued05):
-    atlas = glued05.meta["atlas"]
-    t = np.linspace(-2.5, 2.5, 11)
-    theta = np.tile([1.0831, 0.47], (11, 1))
-    x = atlas.x_of_t(t, theta, side=1)
-    back = atlas.t_of_r1(np.linalg.norm(x, axis=-1))
-    assert np.max(np.abs(back - t)) <= 1e-14
-    # identified radii satisfy r1 r2 = eps^2
-    assert np.max(np.abs(atlas.r1_of_t(t) * atlas.r2_of_t(t) - cfg05.eps**2)) <= 1e-17
-
-
-def test_psi_weight_values(cfg05, glued05):
+def test_psi_weight_values(cfg05):
     assert gluing.psi_of_t(0.0, cfg05) == pytest.approx(cfg05.eps)
-    cap_pt = glued05.point("cap-1", [0.73, 1.41, 2.0, 1.0831, 0.47])
-    assert gluing.psi_weight(cap_pt, cfg05) == 1.0
+    # a cap point at r = 2 sits at t = log eps - log r
+    assert gluing.psi_of_t(math.log(cfg05.eps) - math.log(2.0), cfg05) == 1.0
     # monotone in |t| and within (0, 1]
     t = np.linspace(0.0, cfg05.t_max + 0.5, 300)
     psi = gluing.psi_of_t(t, cfg05)
@@ -166,19 +178,12 @@ def test_psi_weight_values(cfg05, glued05):
 
 
 def test_psi_weight_tube_bracket(model_a):
-    # psi is pinned between |x|/2 and 2|x| on the side-1 tube
+    # psi is pinned between |x|/2 and 2|x| on the side-1 tube, |x| = r1
     cfg = gluing.GluingConfig(model_a, model_a, eps=0.02)
-    field = gluing.glued_metric(cfg)
-    atlas = field.meta["atlas"]
     r1 = np.linspace(0.05, 0.9, 60)
-    psi = gluing.psi_of_t(atlas.t_of_r1(r1), cfg)
+    psi = gluing.psi_of_t(math.log(cfg.eps) - np.log(r1), cfg)
     assert np.all(psi >= 0.5 * r1)
     assert np.all(psi <= 2.0 * r1)
-    # and through the raw Fermi chart interface
-    pt = geometry.ChartPoint("raw-fermi-1",
-                             np.array([0.73, 1.41, 0.3, 0.0, 0.0]))
-    expect = gluing.psi_of_t(float(atlas.t_of_r1(0.3)), cfg)
-    assert gluing.psi_weight(pt, cfg) == pytest.approx(expect)
 
 
 def test_synthetic_exact_curvature(model_flat):
@@ -193,30 +198,13 @@ def test_synthetic_exact_curvature(model_flat):
     pts[:, 3], pts[:, 4] = 1.0831, 0.47
     s, err = scalar_curvature(field, ("neck", pts))
     assert np.max(np.abs(s - model_flat.S)) <= 5e-6
-    # off the neck the same metric is written in cap radii and raw x
-    off_neck = {
-        "cap-1": [[1.13, 0.58, 1.3, 1.0831, 0.47], [0.7, 2.1, 2.4, 2.0, 4.0]],
-        "cap-2": [[1.13, 0.58, 1.3, 1.0831, 0.47], [0.7, 2.1, 2.4, 2.0, 4.0]],
-        "raw-fermi-1": [[1.13, 0.58, 0.216, 0.288, 0.48],
-                        [0.7, 2.1, 0.9, -1.2, 0.5]],
-    }
-    for chart, pts in off_neck.items():
-        s, err = scalar_curvature(field, (chart, np.array(pts)))
-        assert np.max(np.abs(s - model_flat.S)) <= 1e-6, chart
-
-
-def test_cross_chart_curvature_consistency(cfg05, glued05):
-    # the same point through the cylindrical and the raw Fermi chart must
-    # produce the same scalar curvature
-    from cscglue.curvature import scalar_curvature
-
-    atlas = glued05.meta["atlas"]
-    th = np.array([1.0831, 0.47])
-    for t0 in (-1.6, -1.1, -0.5):
-        x = atlas.x_of_t(np.array([t0]), th[None, :], side=1)[0]
-        s_neck = scalar_curvature(glued05, ("neck", np.array([0.73, 1.41, t0, *th])))
-        s_raw = scalar_curvature(glued05, ("raw-fermi-1", np.array([0.73, 1.41, *x])))
-        assert abs(s_neck.value - s_raw.value) <= 10 * (s_neck.error + s_raw.error)
+    # beyond the seams the same chart reaches the caps: r = eps e^{-+t}
+    cap = np.array([[1.13, 0.58, 1.3, 1.0831, 0.47], [0.7, 2.1, 2.4, 2.0, 4.0]])
+    for sgn in (-1.0, 1.0):
+        pts = cap.copy()
+        pts[:, 2] = sgn * (np.log(cap[:, 2]) - math.log(cfg.eps))
+        s, err = scalar_curvature(field, ("neck", pts))
+        assert np.max(np.abs(s - model_flat.S)) <= 1e-6, sgn
 
 
 def test_point_gluing_degenerate_case():

@@ -71,9 +71,9 @@ def test_grid_mirror_and_interfaces(stack05, cfg05):
     assert abs(grid.s[i1] + T) <= grid.h[0]
     assert grid.interfaces["side_1"]["dr_dt"] == -1.0
     assert grid.interfaces["side_2"]["dr_dt"] == 1.0
-    # near the interface the cylindrical weight equals the cap-chart
-    # weight times the jacobian |dr/dt| = r
-    field = gluing.glued_metric(cfg05)
+    # near the interface the cylindrical weight equals the summand's
+    # cap-chart weight times the jacobian |dr/dt| = r
+    field = geometry.fermi_metric(cfg05.model_1)
     z, th = (0.73, 1.41), (1.0831, 0.47)
     r = cfg05.eps * math.exp(-grid.s[i1])
     g_cap = field.components("cap-1", np.array([*z, r, *th]))
