@@ -387,7 +387,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> Checks:
         grid = linear_solver.build_grid(gcfg, res)
         prof, _ = linear_solver.glued_curvature_profile(gcfg, grid)
         op = linear_solver.assemble_L(grid, prof, model.m)
-        lam = linear_solver.smallest_eigenvalue(op)
+        lam = op.min_abs_eig()  # cached: the estimate's solve reuses it
         rep = linear_solver.global_estimate_ratio(gcfg, grid=grid, op=op,
                                                   profile=prof)
         lams.append(abs(lam))

@@ -315,15 +315,29 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
 
 
 def smallest_eigenvalue(op: DiscreteOperator) -> float:
-    """Smallest-magnitude eigenvalue, from LAPACK.
+    """Smallest-magnitude eigenvalue, by LAPACK bisection in a window around 0.
 
     The operator is self-adjoint in the V-weighted inner product, so
-    V^{1/2} L V^{-1/2} is a symmetric tridiagonal matrix with the same
-    spectrum; its off-diagonal is sup_i sqrt(V_i / V_{i+1}).
+    V^{1/2} L V^{-1/2} is a symmetric tridiagonal matrix T with the same
+    spectrum; its off-diagonal is sup_i sqrt(V_i / V_{i+1}).  Bisection
+    (``stebz``) finds only the eigenvalues of T in (-r, r], starting at
+    r = 1; while that window is empty r doubles.  Once r exceeds the
+    Gershgorin bound max|diag| + 2 max|off| the window holds the whole
+    spectrum, so the loop always ends with a value.  The tolerance is an
+    absolute 1e-12: LAPACK's default, eps_mach ||T||, grows with the
+    1/U-sized diagonal of the neck (about 8e11 at eps 1e-4) and would
+    cost up to 2e-5 there.
     """
-    vals = eigh_tridiagonal(op.diag, op.sup * np.sqrt(op.V[:-1] / op.V[1:]),
-                            eigvals_only=True)
-    return float(vals[np.argmin(np.abs(vals))])
+    off = op.sup * np.sqrt(op.V[:-1] / op.V[1:])
+    bound = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(off))
+    r = 1.0
+    while True:
+        vals = eigh_tridiagonal(op.diag, off, eigvals_only=True, select="v",
+                                select_range=(-r, r), lapack_driver="stebz",
+                                tol=1e-12)
+        if vals.size or r > bound:
+            return float(vals[np.argmin(np.abs(vals))])
+        r *= 2.0
 
 
 @dataclass

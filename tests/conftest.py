@@ -60,3 +60,19 @@ def rng():
     # function-scoped so every test sees the same deterministic stream
     # regardless of which subset of the suite runs
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def eig_calls(monkeypatch):
+    """Records (select, number of eigenvalues found) per eigh_tridiagonal call
+    made by linear_solver."""
+    calls = []
+    real = linear_solver.eigh_tridiagonal
+
+    def recording(d, e, eigvals_only=False, select="a", *args, **kwargs):
+        vals = real(d, e, eigvals_only, select, *args, **kwargs)
+        calls.append((select, len(vals if eigvals_only else vals[0])))
+        return vals
+
+    monkeypatch.setattr(linear_solver, "eigh_tridiagonal", recording)
+    return calls

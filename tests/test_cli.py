@@ -160,6 +160,19 @@ def test_spectrum_subcommand(cfg_file, tmp_path):
     assert (out / "estimate.csv").read_text().splitlines()[0] == "eps,delta,ratio"
 
 
+def test_spectrum_solves_each_eigenproblem_once(cfg_file, tmp_path, eig_calls):
+    # one summand operator and one glued operator per eps; the estimate's
+    # solve reads the eigenvalue the spectrum row already computed.  Every
+    # eigenproblem ends in exactly one window that holds eigenvalues (a
+    # wider window follows only an empty one), so those calls count them.
+    eps = (0.02, 0.04)
+    code = cli.main(["spectrum", "--config", cfg_file, "--set",
+                     "gluing.epsilon=" + ",".join(map(str, eps)),
+                     "--out", str(tmp_path / "spectrum")])
+    assert code == 0
+    assert sum(found > 0 for _, found in eig_calls) == 1 + len(eps)
+
+
 def test_sweep_deterministic(cfg_file, tmp_path):
     args = ["sweep", "--config", cfg_file,
             "--set", "gluing.epsilon=0.02,0.04",

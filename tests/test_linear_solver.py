@@ -122,6 +122,66 @@ def test_smallest_eigenvalue_matches_dense(case, stack05, model_a):
     assert abs(ls.smallest_eigenvalue(op) - ref.real) <= bound
 
 
+def _glued_operator(name, eps, resolution):
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    grid = ls.build_grid(cfg, resolution)
+    prof, _ = ls.glued_curvature_profile(cfg, grid)
+    return ls.assemble_L(grid, prof, cfg.m)
+
+
+def _mp_sturm_count(diag, off2, x):
+    """Eigenvalues below x of the tridiagonal matrix (diag, off), counted
+    as the negative pivots of T - x = L D L^T; off2[i] = off[i-1]^2."""
+    count, d = 0, mp.mpf(1)
+    for a, b2 in zip(diag, off2):
+        d = (a - x) - b2 / d
+        count += d < 0
+    return count
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+@pytest.mark.parametrize("eps,resolution", [(0.02, 64), (2e-3, 256), (1e-4, 256)])
+def test_smallest_eigenvalue_certified_by_mpmath_sturm_counts(name, eps,
+                                                               resolution):
+    # 40-digit Sturm counts of the float64 symmetrized matrix, no LAPACK:
+    # some eigenvalue lies within delta of the returned value, and none
+    # has a smaller magnitude
+    op = _glued_operator(name, eps, resolution)
+    lam = ls.smallest_eigenvalue(op)
+    off = op.sup * np.sqrt(op.V[:-1] / op.V[1:])
+    with mp.workdps(40):
+        diag = [mp.mpf(a) for a in op.diag]
+        off2 = [mp.mpf(0)] + [mp.mpf(b) ** 2 for b in off]
+        count = lambda x: _mp_sturm_count(diag, off2, x)
+        lam_mp, delta = mp.mpf(lam), mp.mpf(1e-12)
+        assert count(lam_mp + delta) - count(lam_mp - delta) >= 1
+        assert count(abs(lam_mp) - delta) - count(-abs(lam_mp) + delta) == 0
+
+
+@pytest.mark.parametrize("shift", [56.5, -10.0])
+def test_smallest_eigenvalue_widens_an_empty_window(shift, eig_calls):
+    # 56.5 lies between the Neumann levels 49 and 64, so the nearest
+    # eigenvalues sit near +-7.5; at -10 the whole spectrum is negative.
+    # Either way the first window around 0 holds no eigenvalue.
+    op = ls.assemble_L(ls.build_flat_grid(math.pi, 64), shift * 4, 5)
+    vals = _full_spectrum(op)
+    ref = vals[np.argmin(np.abs(vals))]
+    assert abs(ls.smallest_eigenvalue(op) - ref) <= 1e-12 * abs(ref)
+    assert eig_calls[0][1] == 0 and eig_calls[-1][1] > 0
+
+
+def test_smallest_eigenvalue_never_asks_for_the_whole_spectrum(stack05, model_a,
+                                                               eig_calls):
+    flat = ls.build_flat_grid(math.pi, 64)
+    ops = [stack05[2], ls.assemble_L(flat, -40.0, 5),
+           ls.assemble_L(ls.build_grid_single(model_a, 64), model_a.S, model_a.m)]
+    for op in ops:
+        ls.smallest_eigenvalue(op)
+    assert eig_calls
+    assert all(select != "a" for select, _ in eig_calls)
+
+
 def test_refinement_order(model_flat):
     # smooth data: the synthetic exact field has a constant potential, so
     # the measured rate isolates the scheme itself

@@ -133,6 +133,19 @@ def test_sweep_records_divergence_and_continues(model_a):
     assert math.isfinite(by_eps[0.04].sup_v)
 
 
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+def test_sweep_holds_down_to_eps_1e4(name):
+    # the package must work down to eps 1e-4; the rate bound is the
+    # paper's target (n-2)/2 - delta
+    model = geometry.make_model(name)
+    delta = 0.3
+    table = yamabe.convergence_sweep(
+        lambda e: gluing.GluingConfig(model, model, eps=e, delta=delta),
+        [1e-2, 1e-3, 1e-4], delta=delta, resolution=256)
+    assert [row.error for row in table.rows] == ["", "", ""]
+    assert table.slope >= (model.n - 2) / 2.0 - delta
+
+
 def test_picard_second_model(model_b):
     # curved K block through the whole pipeline
     cfg = gluing.GluingConfig(model_b, model_b, eps=0.02)
