@@ -40,7 +40,7 @@ DEFAULTS = {
     "model.sphere3_radius": 1.0,
     "gluing.epsilon": "0.05",
     "gluing.delta": "0.3",
-    "gluing.alpha": 3.0,
+    "gluing.alpha": 2.7,
     "grid.resolution": 64,
     "solver.tol": 1e-11,
     "yamabe.max_iter": 40,
@@ -229,12 +229,8 @@ class Checks:
     def __init__(self):
         self.rows = []
 
-    def add(self, name: str, measured: float, bound_key: str | None = None,
-            bound=None, provenance=None) -> bool:
-        if bound_key is not None:
-            op, b, prov = CHECK_BOUNDS[bound_key]
-        else:
-            op, b, prov = "<=", bound, provenance or "configured"
+    def add(self, name: str, measured: float, bound_key: str) -> bool:
+        op, b, prov = CHECK_BOUNDS[bound_key]
         ok = (measured <= b) if op == "<=" else (measured >= b)
         ok = bool(ok) and math.isfinite(measured)
         self.rows.append({"name": name, "measured": float(measured),

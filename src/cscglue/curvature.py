@@ -2,13 +2,15 @@
 
 Christoffel symbols, scalar curvature, the Laplace-Beltrami operator and
 the conformal transformation law are computed from central-difference
-jets of the metric components, Richardson-extrapolated over halved
-steps.  Metric callbacks may be piecewise-defined (cutoff blends), so
-finite differences with an intrinsic error estimate are used instead of
+jets, Richardson-extrapolated over at least two halved steps; one jet
+routine serves the metric components and scalar callbacks alike, and the
+last two extrapolation diagonals give every value its error bar.  Metric
+callbacks may be piecewise-defined (cutoff blends), so finite
+differences with an intrinsic error estimate are used instead of
 automatic differentiation.
 
 All entry points accept a single ``ChartPoint`` or a batch of points
-(coordinates of shape ``(N, m)``) and are pure.
+(coordinates of shape ``(N, m)``) on the field's one chart and are pure.
 """
 
 from __future__ import annotations
@@ -34,16 +36,16 @@ class DerivativeScheme:
     """Finite-difference configuration.
 
     ``base_step`` is the step per coordinate (scalar or length-m array).
-    ``levels`` is the number of Richardson levels (step halvings); with
-    one level no error estimate is available.
+    ``levels`` is the number of Richardson levels (step halvings), at
+    least two: the last two extrapolation diagonals give the error bar.
     """
 
     base_step: float | tuple = 1e-3
     levels: int = 3
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
+        if self.levels < 2:
+            raise ValueError("levels must be >= 2")
 
     def steps(self, pts: np.ndarray) -> np.ndarray:
         """The base step of every coordinate at every point, shaped like ``pts``."""
@@ -53,19 +55,6 @@ class DerivativeScheme:
 class ValueWithError(NamedTuple):
     value: float | np.ndarray
     error: float | np.ndarray
-
-
-def _check_stencil(field, chart_id, pts, steps):
-    chart = field.chart(chart_id)
-    lo = np.asarray(chart.eval_lower)
-    hi = np.asarray(chart.eval_upper)
-    per = np.asarray(chart.periodic)
-    bad = (~per) & ((pts - 2 * steps < lo) | (pts + 2 * steps > hi))
-    if np.any(bad):
-        i = int(np.argmax(np.any(bad.reshape(-1, pts.shape[-1]), axis=0)))
-        raise StencilOutOfChart(
-            f"stencil leaves chart {chart_id!r} along {chart.coord_names[i]!r}"
-        )
 
 
 def _stencil(pts: np.ndarray, h: np.ndarray):
@@ -99,9 +88,9 @@ def _stencil(pts: np.ndarray, h: np.ndarray):
 def _jet_from_values(vals: np.ndarray, h: np.ndarray, m: int, pair_index):
     """First and second derivative arrays from stencil values.
 
-    ``vals`` has shape (..., K) + item_shape with stencil axis at
-    position -1-ndim(item); here we pass (..., K) for scalars and
-    (..., K, m, m) for metrics and use moveaxis beforehand.
+    ``vals`` has the stencil axis last and ``h`` the coordinate axis last,
+    broadcasting against the other axes of ``vals``; returns d1 (..., m)
+    and d2 (..., m, m).
     """
     v0 = vals[..., 0]
     vp = vals[..., 1:1 + 2 * m:2]
@@ -132,84 +121,80 @@ def _richardson(seq):
     return row[-1], prev_diag
 
 
-def _metric_jet(field, chart_id, pts, scheme):
-    """g, inverse, and Richardson-extrapolated dg, d2g at points.
+def _jet(fn, pts, scheme):
+    """Value and Richardson-extrapolated first and second derivatives of ``fn``.
 
-    Returns (g, ginv, (dg, d2g), (dg_prev, d2g_prev), noise_floor) where
-    the ``_prev`` pair is the previous extrapolation diagonal, used for
-    error estimates.  dg[..., e, i, j] = d_e g_ij.
+    ``fn`` maps coordinates (..., m) to values of shape (...) + item
+    (scalars: item (); metrics: (m, m)).  Returns (v, (d1, d1_prev),
+    (d2, d2_prev), vmin, noise) with d1[..., e, item] = d_e v and
+    d2[..., e, f, item] = d_e d_f v; ``_prev`` is the previous
+    extrapolation diagonal, ``vmin`` the least stencil value and
+    ``noise`` the rounding floor of a second difference at the finest
+    step.
     """
     steps = scheme.steps(pts)
-    _check_stencil(field, chart_id, pts, steps)
-    m = field.dim
+    m = pts.shape[-1]
+    b = pts.ndim - 1  # batch axes; the values' stencil axis follows them
+    batch = tuple(range(b))
     d1_levels, d2_levels = [], []
-    g0 = None
-    gmax = 0.0
+    vmin, vmax = np.inf, 0.0
     for lev in range(scheme.levels):
         h = steps / 2.0**lev
         coords, pair_index = _stencil(pts, h)
-        vals = field.components(chart_id, coords, check=False)
-        if g0 is None:
-            g0 = vals[..., 0, :, :]
-        gmax = max(gmax, float(np.max(np.abs(vals))))
-        # move stencil axis last for the divided differences
-        v = np.moveaxis(vals, -3, -1)  # (..., m, m, K)
-        hh = h[..., None, None, :]  # broadcast over (i, j)
-        d1, d2 = _jet_from_values(v, hh, m, pair_index)
-        # d1: (..., m, m, e) -> (..., e, m, m); d2: (..., m, m, e, f)
-        d1_levels.append(np.moveaxis(d1, -1, -3))
-        d2_levels.append(np.moveaxis(d2, (-2, -1), (-4, -3)))
-    dg, dg_prev = _richardson(d1_levels)
-    d2g, d2g_prev = _richardson(d2_levels)
-    cond = np.linalg.cond(g0)
+        vals = np.asarray(fn(coords), dtype=float)
+        vmin = min(vmin, float(np.min(vals)))
+        vmax = max(vmax, float(np.max(np.abs(vals))))
+        r = vals.ndim - b - 1  # item axes
+        # stencil axis last for the divided differences, derivative axes
+        # back before the item axes after them
+        v = vals.transpose(batch + tuple(range(b + 1, b + 1 + r)) + (b,))
+        if lev == 0:
+            v0 = v[..., 0]
+        d1, d2 = _jet_from_values(v, h.reshape(h.shape[:-1] + (1,) * r + (m,)),
+                                  m, pair_index)
+        item = tuple(range(b, b + r))
+        d1_levels.append(d1.transpose(batch + (b + r,) + item))
+        d2_levels.append(d2.transpose(batch + (b + r, b + r + 1) + item))
+    h_min = float(np.min(steps)) / 2.0 ** (scheme.levels - 1)
+    noise = 8.0 * _EPS * (1.0 + vmax) / h_min**2
+    return v0, _richardson(d1_levels), _richardson(d2_levels), vmin, noise
+
+
+def _metric_jet(field, chart_id, pts, scheme):
+    """(ginv, (dg, dg_prev), (d2g, d2g_prev), noise): ``_jet`` of the metric
+    components, dg[..., e, i, j] = d_e g_ij, with the inverse metric."""
+    name = field.chart_for(chart_id).outside(pts, evaluable=True,
+                                             margin=2 * scheme.steps(pts))
+    if name is not None:
+        raise StencilOutOfChart(f"stencil leaves chart {chart_id!r} along {name!r}")
+    g, d1, d2, _, noise = _jet(field.component_fn, pts, scheme)
+    cond = np.linalg.cond(g)
     if np.any(cond > COND_LIMIT):
         raise IllConditionedMetric(
             f"metric condition number {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}"
         )
-    ginv = np.linalg.inv(g0)
-    h_min = float(np.min(steps)) / 2.0 ** (scheme.levels - 1)
-    noise = 8.0 * _EPS * (1.0 + gmax) / h_min**2
-    return g0, ginv, (dg, d2g), (dg_prev, d2g_prev), noise
+    return np.linalg.inv(g), d1, d2, noise
 
 
-def _scalar_jet(u, chart_id, pts, steps, levels):
-    d1_levels, d2_levels = [], []
-    u0 = None
-    umin = np.inf
-    umax = 0.0
-    m = pts.shape[-1]
-    for lev in range(levels):
-        h = steps / 2.0**lev
-        coords, pair_index = _stencil(pts, h)
-        vals = np.asarray(u(coords), dtype=float)  # (..., K)
-        if u0 is None:
-            u0 = vals[..., 0]
-        umin = min(umin, float(np.min(vals)))
-        umax = max(umax, float(np.max(np.abs(vals))))
-        d1, d2 = _jet_from_values(vals, h, m, pair_index)
-        d1_levels.append(d1)
-        d2_levels.append(d2)
-    du, du_prev = _richardson(d1_levels)
-    d2u, d2u_prev = _richardson(d2_levels)
-    return u0, (du, d2u), (du_prev, d2u_prev), umin, umax
+def _bracket(dg):
+    """d_b g_dc + d_c g_db - d_d g_bc at [..., b, d, c] from dg[..., e, i, j] = d_e g_ij.
+
+    Leading axes pass through, so the bracket of d2g is its derivative.
+    """
+    return dg + np.einsum("...cdb->...bdc", dg) - np.einsum("...dbc->...bdc", dg)
 
 
-def _christoffel_from(ginv, dg):
-    sym = (np.einsum("...bdc->...bdc", dg)
-           + np.einsum("...cdb->...bdc", dg)
-           - np.einsum("...dbc->...bdc", dg))
+def _christoffel_from(ginv, sym):
+    """Gamma^a_{bc} from the inverse metric and the bracket of dg."""
     return 0.5 * np.einsum("...ad,...bdc->...abc", ginv, sym)
 
 
-def _scalar_from(g, ginv, dg, d2g):
-    sym = (dg + np.einsum("...cdb->...bdc", dg)
-           - np.einsum("...dbc->...bdc", dg))
-    gamma = 0.5 * np.einsum("...ad,...bdc->...abc", ginv, sym)
+def _scalar_from(ginv, dg, d2g):
+    sym = _bracket(dg)
+    gamma = _christoffel_from(ginv, sym)
     dginv = -np.einsum("...ip,...epq,...qj->...eij", ginv, dg, ginv)
-    dsym = (d2g + np.einsum("...ecdb->...ebdc", d2g)
-            - np.einsum("...edbc->...ebdc", d2g))
     dgamma = 0.5 * (np.einsum("...ead,...bdc->...eabc", dginv, sym)
-                    + np.einsum("...ad,...ebdc->...eabc", ginv, dsym))
+                    + np.einsum("...ad,...ebdc->...eabc", ginv, _bracket(d2g)))
     t1 = np.einsum("...aabc->...bc", dgamma)
     t2 = np.einsum("...baac->...bc", dgamma)
     tr = np.einsum("...aad->...d", gamma)
@@ -217,6 +202,25 @@ def _scalar_from(g, ginv, dg, d2g):
     t4 = np.einsum("...abd,...dac->...bc", gamma, gamma)
     ricci = t1 - t2 + t3 - t4
     return np.einsum("...bc,...bc->...", ginv, ricci)
+
+
+def _laplacian(ginv, dg, du, d2u):
+    """g^{ab} (d_a d_b u - Gamma^c_{ab} d_c u)."""
+    w = np.einsum("...ab,...cab->...c", ginv, _christoffel_from(ginv, _bracket(dg)))
+    return (np.einsum("...ab,...ab->...", ginv, d2u)
+            - np.einsum("...c,...c->...", w, du))
+
+
+def _with_error(val, prev, noise, squeeze, floor=0.0) -> ValueWithError:
+    """``val`` with error bar 2 |val - prev| + floor + noise (1 + |val|).
+
+    ``prev`` is the value from the previous Richardson diagonal; a
+    ``squeeze``d batch of one point returns floats.
+    """
+    err = 2.0 * np.abs(val - prev) + floor + noise * (1.0 + np.abs(val))
+    if squeeze:
+        return ValueWithError(float(val[0]), float(err[0]))
+    return ValueWithError(val, err)
 
 
 def _as_batch(point):
@@ -237,10 +241,9 @@ def christoffel(field: MetricField, point, scheme: DerivativeScheme | None = Non
     Central differences of the components with Richardson extrapolation;
     exactly symmetric in the lower index pair by construction.
     """
-    scheme = scheme or DerivativeScheme()
     chart_id, pts, squeeze = _as_batch(point)
-    g, ginv, (dg, _), _, _ = _metric_jet(field, chart_id, pts, scheme)
-    gamma = _christoffel_from(ginv, dg)
+    ginv, (dg, _), _, _ = _metric_jet(field, chart_id, pts, scheme or DerivativeScheme())
+    gamma = _christoffel_from(ginv, _bracket(dg))
     return gamma[0] if squeeze else gamma
 
 
@@ -251,18 +254,11 @@ def scalar_curvature(field: MetricField, point,
     S = g^{bc} (d_a Gamma^a_{bc} - d_b Gamma^a_{ac}
                 + Gamma^a_{ad} Gamma^d_{bc} - Gamma^a_{bd} Gamma^d_{ac}).
     """
-    scheme = scheme or DerivativeScheme()
     chart_id, pts, squeeze = _as_batch(point)
-    g, ginv, (dg, d2g), (dgp, d2gp), noise = _metric_jet(field, chart_id, pts, scheme)
-    s = _scalar_from(g, ginv, dg, d2g)
-    if scheme.levels > 1:
-        s_prev = _scalar_from(g, ginv, dgp, d2gp)
-        err = 2.0 * np.abs(s - s_prev) + noise * (1.0 + np.abs(s))
-    else:
-        err = np.full_like(s, np.nan)
-    if squeeze:
-        return ValueWithError(float(s[0]), float(err[0]))
-    return ValueWithError(s, err)
+    ginv, (dg, dgp), (d2g, d2gp), noise = _metric_jet(
+        field, chart_id, pts, scheme or DerivativeScheme())
+    return _with_error(_scalar_from(ginv, dg, d2g), _scalar_from(ginv, dgp, d2gp),
+                       noise, squeeze)
 
 
 def laplace_beltrami(field: MetricField, u: Callable, point,
@@ -274,28 +270,10 @@ def laplace_beltrami(field: MetricField, u: Callable, point,
     """
     scheme = scheme or DerivativeScheme()
     chart_id, pts, squeeze = _as_batch(point)
-    steps = scheme.steps(pts)
-    g, ginv, (dg, _), (dgp, _), noise_g = _metric_jet(field, chart_id, pts, scheme)
-    u0, (du, d2u), (dup, d2up), _, umax = _scalar_jet(
-        u, chart_id, pts, steps, scheme.levels)
-
-    def combine(dg_, du_, d2u_):
-        gamma = _christoffel_from(ginv, dg_)
-        w = np.einsum("...ab,...cab->...c", ginv, gamma)
-        return (np.einsum("...ab,...ab->...", ginv, d2u_)
-                - np.einsum("...c,...c->...", w, du_))
-
-    val = combine(dg, du, d2u)
-    if scheme.levels > 1:
-        prev = combine(dgp, dup, d2up)
-        h_min = float(np.min(steps)) / 2.0 ** (scheme.levels - 1)
-        noise = 8.0 * _EPS * (1.0 + umax) / h_min**2 * float(np.max(np.abs(ginv)))
-        err = 2.0 * np.abs(val - prev) + noise + noise_g * (1.0 + np.abs(val))
-    else:
-        err = np.full_like(val, np.nan)
-    if squeeze:
-        return ValueWithError(float(val[0]), float(err[0]))
-    return ValueWithError(val, err)
+    ginv, (dg, dgp), _, noise_g = _metric_jet(field, chart_id, pts, scheme)
+    _, (du, dup), (d2u, d2up), _, noise_u = _jet(u, pts, scheme)
+    return _with_error(_laplacian(ginv, dg, du, d2u), _laplacian(ginv, dgp, dup, d2up),
+                       noise_g, squeeze, floor=noise_u * float(np.max(np.abs(ginv))))
 
 
 def conformal_scalar(field: MetricField, u: Callable, point,
@@ -310,33 +288,20 @@ def conformal_scalar(field: MetricField, u: Callable, point,
     if d < 3:
         raise ValueError("conformal dimension must be >= 3")
     chart_id, pts, squeeze = _as_batch(point)
-    steps = scheme.steps(pts)
-    g, ginv, (dg, d2g), (dgp, d2gp), noise = _metric_jet(field, chart_id, pts, scheme)
-    u0, (du, d2u), (dup, d2up), umin, umax = _scalar_jet(
-        u, chart_id, pts, steps, scheme.levels)
+    ginv, (dg, dgp), (d2g, d2gp), noise = _metric_jet(field, chart_id, pts, scheme)
+    u0, (du, dup), (d2u, d2up), umin, _ = _jet(u, pts, scheme)
     if umin <= 0.0:
         raise NonpositiveConformalFactor(
             f"conformal factor reaches {umin:.3e} on the stencil"
         )
     kappa = 4.0 * (d - 1) / (d - 2)
 
-    def combine(dg_, d2g_, du_, d2u_):
-        s = _scalar_from(g, ginv, dg_, d2g_)
-        gamma = _christoffel_from(ginv, dg_)
-        w = np.einsum("...ab,...cab->...c", ginv, gamma)
-        lap = (np.einsum("...ab,...ab->...", ginv, d2u_)
-               - np.einsum("...c,...c->...", w, du_))
+    def law(dg_, d2g_, du_, d2u_):
+        s = _scalar_from(ginv, dg_, d2g_)
+        lap = _laplacian(ginv, dg_, du_, d2u_)
         return u0 ** (-(d + 2.0) / (d - 2.0)) * (s * u0 - kappa * lap)
 
-    val = combine(dg, d2g, du, d2u)
-    if scheme.levels > 1:
-        prev = combine(dgp, d2gp, dup, d2up)
-        err = 2.0 * np.abs(val - prev) + noise * (1.0 + np.abs(val))
-    else:
-        err = np.full_like(val, np.nan)
-    if squeeze:
-        return ValueWithError(float(val[0]), float(err[0]))
-    return ValueWithError(val, err)
+    return _with_error(law(dg, d2g, du, d2u), law(dgp, d2gp, dup, d2up), noise, squeeze)
 
 
 def rescale_field(field: MetricField, u: Callable, dim: int | None = None) -> MetricField:
@@ -344,8 +309,8 @@ def rescale_field(field: MetricField, u: Callable, dim: int | None = None) -> Me
     d = dim if dim is not None else field.dim
     expo = 4.0 / (d - 2.0)
 
-    def comps(chart_id, coords):
-        g = field.component_fn(chart_id, coords)
+    def comps(coords):
+        g = field.component_fn(coords)
         return np.asarray(u(coords), dtype=float)[..., None, None] ** expo * g
 
-    return MetricField(field.dim, field.charts, comps, meta=dict(field.meta))
+    return MetricField(field.chart, comps, meta=dict(field.meta))

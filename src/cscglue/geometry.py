@@ -8,12 +8,12 @@ curvatures, the Laplace spectrum is the sum-set of factor spectra, and
 Fermi coordinates around K x {pole} take an explicit warped-polar form.
 
 A ``MetricField`` carries a metric as one chart plus a vectorized
-callback returning component matrices, which the finite-difference
-curvature engine differentiates.  Every chart is a product of factor
-coordinates (``factor_metric``, ``polar_chart``): K alone, S^{n-1} alone,
-or (z, r, theta) in warped-polar form.  Every model's normal block is
-dr^2 + f(r)^2 g_{S^{n-1}} with f = ``normal_radius``, the closed form
-the neck pipeline works on instead.
+callback of the coordinates alone, returning component matrices, which
+the finite-difference curvature engine differentiates.  Every chart is
+a product of factor coordinates (``factor_metric``, ``polar_chart``): K
+alone, S^{n-1} alone, or (z, r, theta) in warped-polar form.  Every
+model's normal block is dr^2 + f(r)^2 g_{S^{n-1}} with f =
+``normal_radius``, the closed form the neck pipeline works on instead.
 """
 
 from __future__ import annotations
@@ -127,22 +127,19 @@ def make_model(
     torus_side: float = _TWO_PI,
     sphere2_radius_sq: float = 2.0,
     sphere3_radius: float = 1.0,
-    sphere5_radius: float = 1.0,
-    ball3_radius: float = math.pi,
 ) -> ModelGeometry:
     """Instantiate a built-in model by name.
 
     Built-ins:
       - ``torus2_x_sphere3``: T^2 x S^3, K = T^2 x {p}   (m=5, k=2, n=3)
       - ``sphere2_x_sphere3``: S^2 x S^3, K = S^2 x {p}  (m=5, k=2, n=3)
-      - ``sphere2_x_ball3``: S^2 x flat ball, the exact-conformal test
-        fixture (the normal metric is literally flat)
-      - ``sphere5``: round S^5, K = {p}                  (m=5, k=0, n=5)
+      - ``sphere2_x_ball3``: S^2 x flat ball of radius pi, the
+        exact-conformal test fixture (the normal metric is literally flat)
+      - ``sphere5``: round unit S^5, K = {p}             (m=5, k=0, n=5)
       - ``torus2_x_torus3``: always rejected (S = 0)
     """
     for f, lo in (("torus_side", torus_side), ("sphere2_radius_sq", sphere2_radius_sq),
-                  ("sphere3_radius", sphere3_radius), ("sphere5_radius", sphere5_radius),
-                  ("ball3_radius", ball3_radius)):
+                  ("sphere3_radius", sphere3_radius)):
         if not 0 < lo < math.inf:  # NaN fails the comparison too
             raise ValueError(f"factor parameter {f} must be positive and finite")
     if name == "torus2_x_sphere3":
@@ -153,9 +150,9 @@ def make_model(
                             Factor("sphere", 3, sphere3_radius))
     if name == "sphere2_x_ball3":
         return _build_model(name, [Factor("sphere", 2, math.sqrt(sphere2_radius_sq))],
-                            Factor("ball", 3, ball3_radius))
+                            Factor("ball", 3, math.pi))
     if name == "sphere5":
-        return _build_model(name, [], Factor("sphere", 5, sphere5_radius))
+        return _build_model(name, [], Factor("sphere", 5, 1.0))
     if name == "torus2_x_torus3":
         return _build_model(name, [Factor("torus", 2, torus_side)],
                             Factor("torus", 3, torus_side))
@@ -225,6 +222,20 @@ class Chart:
     def dim(self) -> int:
         return len(self.coord_names)
 
+    def outside(self, x: np.ndarray, evaluable: bool = False, margin=0.0) -> str | None:
+        """Name of the first coordinate of ``x`` (..., dim) off the domain, else None.
+
+        The domain is the nominal one, or the evaluable one if
+        ``evaluable``; ``x +- margin`` (a scalar or an array shaped like
+        ``x``) must lie in it too.
+        """
+        lo, hi = (self.eval_lower, self.eval_upper) if evaluable else (self.lower, self.upper)
+        bad = ~np.asarray(self.periodic) & ((x - margin < np.asarray(lo))
+                                            | (x + margin > np.asarray(hi)))
+        if not np.any(bad):
+            return None
+        return self.coord_names[int(np.argmax(np.any(bad.reshape(-1, self.dim), axis=0)))]
+
 
 @dataclass(frozen=True)
 class ChartPoint:
@@ -238,53 +249,45 @@ class ChartPoint:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Charts plus a vectorized metric-component callback.
+    """One chart plus a vectorized metric-component callback.
 
-    ``components(chart_id, coords)`` accepts coordinates of shape
-    ``(..., m)`` and returns component matrices of shape ``(..., m, m)``.
-    The callback is pure; fields are immutable and safe to share across
+    ``component_fn(coords)`` accepts coordinates of shape ``(..., m)``
+    and returns component matrices of shape ``(..., m, m)``.  Points name
+    their chart; any name but ``chart.chart_id`` raises OutOfChart.  The
+    callback is pure; fields are immutable and safe to share across
     threads.
     """
 
-    dim: int
-    charts: tuple[Chart, ...]
-    component_fn: Callable[[str, np.ndarray], np.ndarray]
+    chart: Chart
+    component_fn: Callable[[np.ndarray], np.ndarray]
     meta: Mapping = field(default_factory=dict)
 
-    def chart(self, chart_id: str) -> Chart:
-        for c in self.charts:
-            if c.chart_id == chart_id:
-                return c
-        raise OutOfChart(f"no chart {chart_id!r} in this field")
+    @property
+    def dim(self) -> int:
+        return self.chart.dim
+
+    def chart_for(self, chart_id: str) -> Chart:
+        """The field's chart, if ``chart_id`` names it."""
+        if chart_id != self.chart.chart_id:
+            raise OutOfChart(f"no chart {chart_id!r} in this field")
+        return self.chart
 
     def point(self, chart_id: str, coords) -> ChartPoint:
         """Validate coordinates against the nominal chart domain."""
-        c = self.chart(chart_id)
+        c = self.chart_for(chart_id)
         x = np.asarray(coords, dtype=float)
         if x.shape[-1] != self.dim:
             raise OutOfChart(f"expected {self.dim} coordinates, got {x.shape[-1]}")
-        lo, hi = np.asarray(c.lower), np.asarray(c.upper)
-        per = np.asarray(c.periodic)
-        bad = (~per) & ((x < lo) | (x > hi))
-        if np.any(bad):
-            i = int(np.argmax(np.any(bad.reshape(-1, self.dim), axis=0)))
-            raise OutOfChart(
-                f"coordinate {c.coord_names[i]!r} out of chart {chart_id!r} domain"
-            )
+        name = c.outside(x)
+        if name is not None:
+            raise OutOfChart(f"coordinate {name!r} out of chart {chart_id!r} domain")
         return ChartPoint(chart_id, x)
 
-    def components(self, chart_id: str, coords, check: bool = True) -> np.ndarray:
+    def components(self, chart_id: str, coords) -> np.ndarray:
         x = np.asarray(coords, dtype=float)
-        if check:
-            c = self.chart(chart_id)
-            lo, hi = np.asarray(c.eval_lower), np.asarray(c.eval_upper)
-            per = np.asarray(c.periodic)
-            bad = (~per) & ((x < lo) | (x > hi))
-            if np.any(bad):
-                raise OutOfChart(
-                    f"evaluation outside valid region of chart {chart_id!r}"
-                )
-        return self.component_fn(chart_id, x)
+        if self.chart_for(chart_id).outside(x, evaluable=True) is not None:
+            raise OutOfChart(f"evaluation outside valid region of chart {chart_id!r}")
+        return self.component_fn(x)
 
     def at(self, point: ChartPoint) -> np.ndarray:
         return self.components(point.chart_id, point.coords)
@@ -357,8 +360,8 @@ def factor_metric(factors: tuple[Factor, ...], prefix: str) -> MetricField:
     e.g. the K factors of a model, or ``Factor("sphere", n - 1, 1.0)``
     with prefix ``theta`` for the orbit sphere S^{n-1} of a normal block.
     """
-    chart = _chart(prefix, _factor_rows(factors, prefix))
-    return MetricField(chart.dim, (chart,), lambda chart_id, z: _factor_block(factors, z))
+    return MetricField(_chart(prefix, _factor_rows(factors, prefix)),
+                       lambda z: _factor_block(factors, z))
 
 
 def polar_chart(model: ModelGeometry, chart_id: str, radial: tuple) -> Chart:
@@ -394,13 +397,13 @@ def flat_metric(dim: int, half_width: float = 10.0) -> MetricField:
     row = (-half_width, half_width, -half_width, half_width, False)
     chart = _chart("flat", [(f"x{i + 1}",) + row for i in range(dim)])
 
-    def comps(chart_id, x):
+    def comps(x):
         out = np.zeros(x.shape[:-1] + (dim, dim))
         idx = np.arange(dim)
         out[..., idx, idx] = 1.0
         return out
 
-    return MetricField(dim, (chart,), comps)
+    return MetricField(chart, comps)
 
 
 def fermi_metric(model: ModelGeometry, side: int = 1) -> MetricField:
@@ -417,11 +420,11 @@ def fermi_metric(model: ModelGeometry, side: int = 1) -> MetricField:
     cap = polar_chart(model, f"cap-{side}",
                       ("r", 1.0, r_max, AXIS_MARGIN, r_max - AXIS_MARGIN, False))
 
-    def comps(chart_id, c):
+    def comps(c):
         return product_components(model, c, 1.0,
                                   normal_radius(model.normal_factor, c[..., model.k]) ** 2)
 
-    return MetricField(model.m, (cap,), comps, meta={"model": model, "side": side})
+    return MetricField(cap, comps, meta={"model": model, "side": side})
 
 
 def is_spd(matrix: np.ndarray) -> bool:

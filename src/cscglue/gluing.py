@@ -287,18 +287,17 @@ def synthetic_exact_warp(cfg: GluingConfig):
     return lambda t: (_u_profile(t, eps, n, 1) + _u_profile(t, eps, n, 2), 1.0)
 
 
-def _warped_components(cfg: GluingConfig, warp, chart_id: str, c: np.ndarray):
+def _warped_components(cfg: GluingConfig, warp, c: np.ndarray):
     """g_K + U(t) [dt^2 + q(t) g_{S^{n-1}}] at neck coordinates (z..., t, theta...).
 
-    ``warp(t)`` returns (u, q) with U = u^{4/(n-2)}; ``chart_id`` is the
-    field's one chart, ``neck``.
+    ``warp(t)`` returns (u, q) with U = u^{4/(n-2)}.
     """
     u, q = warp(c[..., cfg.k])
     U = u ** (4.0 / (cfg.n - 2))
     return product_components(cfg.model_1, c, U, U * q)
 
 
-def _neck_field(cfg: GluingConfig, warp, **meta) -> MetricField:
+def _neck_field(cfg: GluingConfig, warp) -> MetricField:
     """The metric of profile callback ``warp`` on the one chart ``neck``.
 
     The nominal domain is t in (log eps, -log eps).  The evaluable domain
@@ -308,8 +307,7 @@ def _neck_field(cfg: GluingConfig, warp, **meta) -> MetricField:
     t_pole = cfg.t_max + math.log(cfg.model_1.r_max - AXIS_MARGIN)
     neck = polar_chart(cfg.model_1, "neck",
                        ("t", math.log(cfg.eps), cfg.t_max, -t_pole, t_pole, False))
-    return MetricField(cfg.m, (neck,), partial(_warped_components, cfg, warp),
-                       meta={"cfg": cfg, **meta})
+    return MetricField(neck, partial(_warped_components, cfg, warp))
 
 
 def glued_metric(cfg: GluingConfig) -> MetricField:
@@ -338,7 +336,7 @@ def synthetic_exact_metric(cfg: GluingConfig) -> MetricField:
     """
     if cfg.model_1.normal_factor.kind != "ball":
         raise ValueError("synthetic exact metric needs flat (ball) normal factors")
-    return _neck_field(cfg, synthetic_exact_warp(cfg), synthetic=True)
+    return _neck_field(cfg, synthetic_exact_warp(cfg))
 
 
 def psi_of_t(t, cfg: GluingConfig):

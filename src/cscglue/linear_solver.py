@@ -45,7 +45,7 @@ _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
                             0.6521451548625461, 0.3478548451374538])
 
 MIN_ABS_EIG = 1e-8
-MAX_REFINE = 2
+RESIDUAL_TOL = 1e-12  # relative residual a solve must reach
 ROUNDING_ULPS = 64  # rounding bars: this many eps_mach of the summed term sizes
 
 
@@ -82,7 +82,6 @@ class RadialGrid:
     region: np.ndarray
     pole: tuple[bool, bool]
     interfaces: dict
-    cfg: GluingConfig | None = None
 
     @property
     def size(self) -> int:
@@ -108,8 +107,7 @@ def laplacian_coefficients(warp, n: int, t):
     return u.v ** (-4.0 / (n - 2)), 2.0 * u.d / u.v + (n - 1) * q.d / (2.0 * q.v)
 
 
-def _radial_grid(model: ModelGeometry, warp, s, region, interfaces,
-                 cfg) -> RadialGrid:
+def _radial_grid(model: ModelGeometry, warp, s, region, interfaces) -> RadialGrid:
     """RadialGrid of g_K + U [ds^2 + q g_{S^{n-1}}] from warp(|s|) = (u, q).
 
     In closed form, sqrt(det g) = w0 U^{n/2} q^{(n-1)/2} at the sample
@@ -139,7 +137,7 @@ def _radial_grid(model: ModelGeometry, warp, s, region, interfaces,
         V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ weights(nodes)[0])
     wmax = float(np.max(W))
     pole = (W[0] < 1e-9 * wmax, W[-1] < 1e-9 * wmax)
-    return RadialGrid(s, h, W, A, Wm * Am, V, region, pole, interfaces, cfg)
+    return RadialGrid(s, h, W, A, Wm * Am, V, region, pole, interfaces)
 
 
 def build_grid(cfg: GluingConfig, resolution: int = 64, warp=None) -> RadialGrid:
@@ -170,7 +168,7 @@ def build_grid(cfg: GluingConfig, resolution: int = 64, warp=None) -> RadialGrid
                    "dr_dt": 1.0},
     }
 
-    return _radial_grid(cfg.model_1, warp, s, region, interfaces, cfg)
+    return _radial_grid(cfg.model_1, warp, s, region, interfaces)
 
 
 def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
@@ -184,7 +182,7 @@ def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
         raise ValueError("resolution must be >= 16 nodes per unit t")
     warp = lambda r: (np.ones_like(r), normal_radius(model.normal_factor, r) ** 2)
     r = _segment(0.0, model.r_max, resolution)
-    return _radial_grid(model, warp, r, np.zeros(r.size, dtype=int), {}, None)
+    return _radial_grid(model, warp, r, np.zeros(r.size, dtype=int), {})
 
 
 def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
@@ -197,7 +195,7 @@ def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
     V[0] = 0.5 * h[0]
     V[-1] = 0.5 * h[-1]
     return RadialGrid(s, h, W, np.ones_like(s), np.ones(s.size - 1), V,
-                      np.zeros(s.size, dtype=int), (False, False), {}, None)
+                      np.zeros(s.size, dtype=int), (False, False), {})
 
 
 @dataclass
@@ -208,7 +206,6 @@ class DiscreteOperator:
     diag: np.ndarray
     sup: np.ndarray
     V: np.ndarray
-    potential: np.ndarray
     grid: RadialGrid | None = None
     _min_eig: float | None = field(default=None, repr=False)
 
@@ -253,41 +250,37 @@ def assemble_L(grid: RadialGrid, scalar_profile, m: int) -> DiscreteOperator:
     diag[-1] = -flux[-1] / grid.V[-1]
     diag[1:-1] = -(flux[:-1] + flux[1:]) / grid.V[1:-1]
     diag += c
-    return DiscreteOperator(sub, diag, sup, grid.V, c, grid)
+    return DiscreteOperator(sub, diag, sup, grid.V, grid)
 
 
-def _solve_raw(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
-    ab = np.zeros((3, op.size))
-    ab[0, 1:] = op.sup
-    ab[1, :] = op.diag
-    ab[2, :-1] = op.sub
-    return solve_banded((1, 1), ab, f)
+def _banded(sub, diag, sup) -> np.ndarray:
+    """A tridiagonal matrix in the (1, 1) band storage of solve_banded."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = sup
+    ab[1, :] = diag
+    ab[2, :-1] = sub
+    return ab
 
 
-def solve(op: DiscreteOperator, f: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Tridiagonal solve with up to MAX_REFINE steps of iterative refinement.
+def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
+    """One banded solve of L x = f, checked by its residual.
 
     Raises NearSingularOperator when the smallest-magnitude eigenvalue
     falls below 1e-8 (the numerical symptom of a failed injectivity
-    hypothesis), and NoConvergence if the relative residual cannot be
-    pushed below ``tol``.
+    hypothesis), and NoConvergence if the relative residual exceeds
+    RESIDUAL_TOL.
     """
     if abs(op.min_abs_eig()) < MIN_ABS_EIG:
         raise NearSingularOperator(
             f"smallest |eigenvalue| = {op.min_abs_eig():.3e} < {MIN_ABS_EIG:g}"
         )
     f = np.asarray(f, dtype=float)
-    x = _solve_raw(op, f)
+    x = solve_banded((1, 1), _banded(op.sub, op.diag, op.sup), f)
     scale = float(np.max(np.abs(f)) + np.max(np.abs(op.diag)) * np.max(np.abs(x))
                   + np.finfo(float).tiny)
-    for _ in range(MAX_REFINE):
-        r = f - op.apply(x)
-        if np.max(np.abs(r)) / scale <= tol:
-            break
-        x = x + _solve_raw(op, r)
-    r = f - op.apply(x)
-    if np.max(np.abs(r)) / scale > tol:
-        raise NoConvergence("iterative refinement stalled above tolerance")
+    res = float(np.max(np.abs(f - op.apply(x)))) / scale
+    if res > RESIDUAL_TOL:
+        raise NoConvergence(f"relative residual {res:.3e} above {RESIDUAL_TOL:g}")
     return x
 
 
@@ -297,20 +290,14 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
 
     Returns the full window vector including the boundary nodes.
     """
-    n = i1 - i0 + 1
-    if n < 3:
+    if i1 - i0 < 2:
         raise ValueError("window too small")
-    sub = op.sub[i0:i1].copy()
-    diag = op.diag[i0:i1 + 1].copy()
-    sup = op.sup[i0:i1].copy()
+    sub = op.sub[i0:i1]
+    sup = op.sup[i0:i1]
     rhs = np.asarray(f, dtype=float)[i0 + 1:i1].copy()
     rhs[0] -= sub[0] * left
     rhs[-1] -= sup[-1] * right
-    ab = np.zeros((3, n - 2))
-    ab[0, 1:] = sup[1:-1]
-    ab[1, :] = diag[1:-1]
-    ab[2, :-1] = sub[1:-1]
-    inner = solve_banded((1, 1), ab, rhs)
+    inner = solve_banded((1, 1), _banded(sub[1:-1], op.diag[i0 + 1:i1], sup[1:-1]), rhs)
     return np.concatenate([[left], inner, [right]])
 
 
@@ -342,15 +329,9 @@ def smallest_eigenvalue(op: DiscreteOperator) -> float:
 
 @dataclass
 class SolveReport:
-    """Diagnostics of one linear solve inside the nonlinear pipeline."""
+    """Diagnostics of the linear operator inside the nonlinear pipeline."""
 
-    solution: np.ndarray
-    residual: float
     min_abs_eig: float
-    ratio: float | None = None
-    C_prime: float | None = None
-    C_second: float | None = None
-    C_third: float | None = None
 
 
 def neck_scalar_curvature(cfg: GluingConfig, t, warp=None):

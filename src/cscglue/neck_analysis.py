@@ -45,6 +45,7 @@ from .linear_solver import (
 )
 
 RESOLVED_FACTOR = 10.0  # a deviation counts as resolved above 10x its error bar
+POINTS_PER_UNIT = 16    # t samples per unit on the deviation and barrier windows
 
 
 def loglog_slope(x, y) -> float:
@@ -81,8 +82,7 @@ class DeviationFit:
     weighted_ratio: float  # max/min of W(eps) over the sweep
 
 
-def deviation_profile(cfg: GluingConfig, t_grid=None, points_per_unit: int = 16,
-                      warp=None) -> DeviationProfile:
+def deviation_profile(cfg: GluingConfig, t_grid=None, warp=None) -> DeviationProfile:
     """Measure |S_glued - S| on the window |t| <= |log eps| - 1.
 
     S_glued depends on t alone (neck_scalar_curvature), so one radial
@@ -97,7 +97,7 @@ def deviation_profile(cfg: GluingConfig, t_grid=None, points_per_unit: int = 16,
     if T <= 1.0:
         raise EpsilonTooLarge("window |t| <= |log eps| - 1 is empty")
     if t_grid is None:
-        nt = max(5, int(round((T - 1) * points_per_unit)) + 1)
+        nt = max(5, int(round((T - 1) * POINTS_PER_UNIT)) + 1)
         t_half = np.linspace(-(T - 1.0), 0.0, nt)
         t = np.concatenate([t_half, -t_half[-2::-1]])
     else:
@@ -301,8 +301,7 @@ class BarrierReport:
     fd_err: np.ndarray
 
 
-def barrier_margin(cfg: GluingConfig, delta: float | None = None,
-                   points_per_unit: int = 16) -> BarrierReport:
+def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierReport:
     """Margins -(Delta phi_delta + C u^{-4/(n-2)} phi_delta) on T^eps_alpha.
 
     A nonnegative minimum certifies the barrier inequality numerically at
@@ -329,7 +328,7 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None,
             f"alpha = {cfg.alpha} too small for C = {C:.4g}; "
             f"need alpha >= {a_min:.4g} (eps_alpha = {eps_a:.4g})")
     ta = cfg.t_max - cfg.alpha
-    nt = max(5, int(round(2 * ta * points_per_unit)) + 1)
+    nt = max(5, int(round(2 * ta * POINTS_PER_UNIT)) + 1)
     t = np.linspace(-ta, ta, nt)
     phi = barrier_profile(cfg, delta, Jet.variable(t))
     A, b = laplacian_coefficients(glued_warp(cfg), n, t)

@@ -196,9 +196,6 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     mirror = float(np.max(np.abs(v - v[::-1])))
     contraction = float(np.median([diffs[i + 1] / diffs[i]
                                    for i in range(len(diffs) - 1)])) if len(diffs) > 1 else 0.0
-    linear = SolveReport(solution=v.copy(), residual=residual,
-                         min_abs_eig=min_eig, ratio=None,
-                         C_prime=C_prime, C_second=C_second, C_third=C_third)
     return FixedPointReport(
         eps=eps, delta=delta, sup_history=sup_history, increments=diffs,
         v=RadialProfile(grid, v), residual=residual, r_eps=r_eps,
@@ -206,7 +203,8 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
         iterations=iterations, converged=converged, mirror_defect=mirror,
         contraction=contraction,
         pre_dev=float(np.max(np.abs(s_dev))),
-        profile=profile, profile_err=profile_err, operator=op, linear=linear,
+        profile=profile, profile_err=profile_err, operator=op,
+        linear=SolveReport(min_eig),
     )
 
 
@@ -219,8 +217,11 @@ class CurvatureCheck:
     post_values: np.ndarray = None
 
 
+VERIFY_NECK_SAMPLES = 14  # t samples on the neck
+VERIFY_CAP_SAMPLES = 6    # r samples on each cap
+
+
 def verify_constant_curvature(report: FixedPointReport, cfg: GluingConfig,
-                              n_neck: int = 14, n_cap: int = 6,
                               warp=None) -> CurvatureCheck:
     """Measure sup |S(conformal metric) - S| at sample points.
 
@@ -242,14 +243,14 @@ def verify_constant_curvature(report: FixedPointReport, cfg: GluingConfig,
     spl = make_interp_spline(grid.s, v, k=5)
     m, T, S = cfg.m, cfg.t_max, cfg.S
 
-    ts = np.linspace(-(T - 0.4), T - 0.4, n_neck)
-    rs = np.linspace(1.05, 0.85 * cfg.model_1.r_max, n_cap)
+    ts = np.linspace(-(T - 0.4), T - 0.4, VERIFY_NECK_SAMPLES)
+    rs = np.linspace(1.05, 0.85 * cfg.model_1.r_max, VERIFY_CAP_SAMPLES)
     s = np.concatenate([ts, -T - np.log(rs), T + np.log(rs)])
     samples = ([("neck", float(t)) for t in ts]
                + [(chart, float(r)) for chart in ("cap-1", "cap-2") for r in rs])
     S_g = np.full(s.shape, S)    # caps carry the summand metric exactly
     err_g = np.zeros_like(s)
-    S_g[:n_neck], err_g[:n_neck] = neck_scalar_curvature(cfg, ts, warp)
+    S_g[:ts.size], err_g[:ts.size] = neck_scalar_curvature(cfg, ts, warp)
 
     w, w1, w2 = 1.0 + spl(s), spl(s, 1), spl(s, 2)
     A, b = laplacian_coefficients(warp, cfg.n, s)

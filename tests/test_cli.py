@@ -127,6 +127,12 @@ def test_barrier_subcommand(cfg_file, tmp_path):
     assert all(float(r.split(",")[3]) >= 0.0 for r in rows[1:])
 
 
+def test_barrier_runs_with_its_own_defaults(tmp_path):
+    out = tmp_path / "barrier"
+    assert cli.main(["barrier", "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["parameters"]["gluing.alpha"] == 2.7
+
+
 def test_neck_estimate_subcommand(cfg_file, tmp_path):
     out = tmp_path / "neck"
     code = cli.main(["neck-estimate", "--config", cfg_file,

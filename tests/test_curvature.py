@@ -15,6 +15,7 @@ from cscglue.curvature import (
 from cscglue.errors import (
     IllConditionedMetric,
     NonpositiveConformalFactor,
+    OutOfChart,
     StencilOutOfChart,
 )
 
@@ -200,15 +201,55 @@ def test_ill_conditioned_metric_raises():
     chart = geometry.Chart("flat", ("x1", "x2"), (-1, -1), (1, 1),
                            (-1, -1), (1, 1), (False, False))
 
-    def comps(chart_id, x):
+    def comps(x):
         out = np.zeros(x.shape[:-1] + (2, 2))
         out[..., 0, 0] = 1.0
         out[..., 1, 1] = 1e-13
         return out
 
-    field = geometry.MetricField(2, (chart,), comps)
+    field = geometry.MetricField(chart, comps)
     with pytest.raises(IllConditionedMetric):
         scalar_curvature(field, ("flat", np.array([0.0, 0.0])))
+
+
+def _round_sphere2():
+    """The unit 2-sphere in polar angles, from a callback of coordinates only."""
+    chart = geometry.Chart("s2", ("theta", "phi"), (0.0, -math.inf), (math.pi, math.inf),
+                           (1e-3, -math.inf), (math.pi - 1e-3, math.inf), (False, True))
+
+    def comps(x):
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0
+        out[..., 1, 1] = np.sin(x[..., 0]) ** 2
+        return out
+
+    return geometry.MetricField(chart, comps)
+
+
+def test_one_argument_callback_field_evaluates():
+    field = _round_sphere2()
+    pts = np.array([[0.7, 0.1], [1.9, -2.0]])
+    s, err = scalar_curvature(field, ("s2", pts))
+    assert np.all(np.abs(s - 2.0) <= np.maximum(err, 1e-6))
+    lap = laplace_beltrami(field, lambda x: np.cos(x[..., 0]), field.point("s2", [0.7, 0.1]))
+    assert lap.value == pytest.approx(-2.0 * math.cos(0.7), abs=1e-6)
+
+
+def test_wrong_chart_id_is_out_of_chart():
+    field = _round_sphere2()
+    x = np.array([0.7, 0.1])
+    for call in (lambda: field.point("neck", x), lambda: field.components("cap-1", x),
+                 lambda: scalar_curvature(field, ("flat", x)),
+                 lambda: laplace_beltrami(field, np.ones_like, ("theta", x))):
+        with pytest.raises(OutOfChart, match="no chart"):
+            call()
+
+
+def test_derivative_scheme_needs_two_levels():
+    # the error bar comes from the last two Richardson diagonals
+    with pytest.raises(ValueError, match="levels"):
+        DerivativeScheme(levels=1)
+    assert DerivativeScheme(levels=2).levels == 2
 
 
 def test_stencil_out_of_chart(fermi_a):
