@@ -11,21 +11,20 @@ automatic differentiation.
 
 All entry points accept a single ``ChartPoint`` or a batch of points
 (coordinates of shape ``(N, m)``) on the field's one chart and are pure.
+Every stencil must lie in the chart's box (``MetricField.check``), else
+StencilOutOfChart.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    IllConditionedMetric,
-    NonpositiveConformalFactor,
-    StencilOutOfChart,
-)
-from .geometry import ChartPoint, MetricField
+from .errors import IllConditionedMetric, NonpositiveConformalFactor
+from .geometry import MetricField
 
 _EPS = np.finfo(float).eps
 COND_LIMIT = 1e12
@@ -35,21 +34,19 @@ COND_LIMIT = 1e12
 class DerivativeScheme:
     """Finite-difference configuration.
 
-    ``base_step`` is the step per coordinate (scalar or length-m array).
+    ``base_step`` is the step of every coordinate, positive and finite.
     ``levels`` is the number of Richardson levels (step halvings), at
     least two: the last two extrapolation diagonals give the error bar.
     """
 
-    base_step: float | tuple = 1e-3
+    base_step: float = 1e-3
     levels: int = 3
 
     def __post_init__(self):
+        if not 0.0 < self.base_step < math.inf:  # NaN fails the comparison too
+            raise ValueError(f"base_step must be positive and finite, got {self.base_step}")
         if self.levels < 2:
             raise ValueError("levels must be >= 2")
-
-    def steps(self, pts: np.ndarray) -> np.ndarray:
-        """The base step of every coordinate at every point, shaped like ``pts``."""
-        return np.broadcast_to(np.asarray(self.base_step, dtype=float), pts.shape)
 
 
 class ValueWithError(NamedTuple):
@@ -57,7 +54,7 @@ class ValueWithError(NamedTuple):
     error: float | np.ndarray
 
 
-def _stencil(pts: np.ndarray, h: np.ndarray):
+def _stencil(pts: np.ndarray, h: float):
     """All stencil coordinates for value/gradient/Hessian at once.
 
     Layout: [center, (+e_a, -e_a) per axis, (++, +-, -+, --) per pair].
@@ -81,16 +78,15 @@ def _stencil(pts: np.ndarray, h: np.ndarray):
             pair_index[(a, b)] = idx
             idx += 4
     offs = np.asarray(offs)  # (K, m)
-    coords = pts[..., None, :] + offs * h[..., None, :]
+    coords = pts[..., None, :] + offs * h
     return coords, pair_index
 
 
-def _jet_from_values(vals: np.ndarray, h: np.ndarray, m: int, pair_index):
-    """First and second derivative arrays from stencil values.
+def _jet_from_values(vals: np.ndarray, h: float, m: int, pair_index):
+    """First and second derivative arrays from stencil values at step ``h``.
 
-    ``vals`` has the stencil axis last and ``h`` the coordinate axis last,
-    broadcasting against the other axes of ``vals``; returns d1 (..., m)
-    and d2 (..., m, m).
+    ``vals`` has the stencil axis last; returns d1 (..., m) and
+    d2 (..., m, m).
     """
     v0 = vals[..., 0]
     vp = vals[..., 1:1 + 2 * m:2]
@@ -101,7 +97,7 @@ def _jet_from_values(vals: np.ndarray, h: np.ndarray, m: int, pair_index):
     d2[..., np.arange(m), np.arange(m)] = (vp - 2.0 * v0[..., None] + vm) / h**2
     for (a, b), i in pair_index.items():
         mixed = (vals[..., i] - vals[..., i + 1]
-                 - vals[..., i + 2] + vals[..., i + 3]) / (4.0 * h[..., a] * h[..., b])
+                 - vals[..., i + 2] + vals[..., i + 3]) / (4.0 * h * h)
         d2[..., a, b] = mixed
         d2[..., b, a] = mixed
     return d1, d2
@@ -132,14 +128,13 @@ def _jet(fn, pts, scheme):
     ``noise`` the rounding floor of a second difference at the finest
     step.
     """
-    steps = scheme.steps(pts)
     m = pts.shape[-1]
     b = pts.ndim - 1  # batch axes; the values' stencil axis follows them
     batch = tuple(range(b))
     d1_levels, d2_levels = [], []
     vmin, vmax = np.inf, 0.0
     for lev in range(scheme.levels):
-        h = steps / 2.0**lev
+        h = scheme.base_step / 2.0**lev
         coords, pair_index = _stencil(pts, h)
         vals = np.asarray(fn(coords), dtype=float)
         vmin = min(vmin, float(np.min(vals)))
@@ -150,12 +145,11 @@ def _jet(fn, pts, scheme):
         v = vals.transpose(batch + tuple(range(b + 1, b + 1 + r)) + (b,))
         if lev == 0:
             v0 = v[..., 0]
-        d1, d2 = _jet_from_values(v, h.reshape(h.shape[:-1] + (1,) * r + (m,)),
-                                  m, pair_index)
+        d1, d2 = _jet_from_values(v, h, m, pair_index)
         item = tuple(range(b, b + r))
         d1_levels.append(d1.transpose(batch + (b + r,) + item))
         d2_levels.append(d2.transpose(batch + (b + r, b + r + 1) + item))
-    h_min = float(np.min(steps)) / 2.0 ** (scheme.levels - 1)
+    h_min = scheme.base_step / 2.0 ** (scheme.levels - 1)
     noise = 8.0 * _EPS * (1.0 + vmax) / h_min**2
     return v0, _richardson(d1_levels), _richardson(d2_levels), vmin, noise
 
@@ -163,10 +157,7 @@ def _jet(fn, pts, scheme):
 def _metric_jet(field, chart_id, pts, scheme):
     """(ginv, (dg, dg_prev), (d2g, d2g_prev), noise): ``_jet`` of the metric
     components, dg[..., e, i, j] = d_e g_ij, with the inverse metric."""
-    name = field.chart_for(chart_id).outside(pts, evaluable=True,
-                                             margin=2 * scheme.steps(pts))
-    if name is not None:
-        raise StencilOutOfChart(f"stencil leaves chart {chart_id!r} along {name!r}")
+    field.check(chart_id, pts, 2 * scheme.base_step)
     g, d1, d2, _, noise = _jet(field.component_fn, pts, scheme)
     cond = np.linalg.cond(g)
     if np.any(cond > COND_LIMIT):
@@ -224,10 +215,7 @@ def _with_error(val, prev, noise, squeeze, floor=0.0) -> ValueWithError:
 
 
 def _as_batch(point):
-    if isinstance(point, ChartPoint):
-        chart_id, coords = point.chart_id, point.coords
-    else:
-        chart_id, coords = point
+    chart_id, coords = point  # a ChartPoint or a (chart_id, coords) pair
     coords = np.asarray(coords, dtype=float)
     squeeze = coords.ndim == 1
     if squeeze:
@@ -313,4 +301,4 @@ def rescale_field(field: MetricField, u: Callable, dim: int | None = None) -> Me
         g = field.component_fn(coords)
         return np.asarray(u(coords), dtype=float)[..., None, None] ** expo * g
 
-    return MetricField(field.chart, comps, meta=dict(field.meta))
+    return MetricField(field.chart, comps)

@@ -11,7 +11,10 @@ A ``MetricField`` carries a metric as one chart plus a vectorized
 callback of the coordinates alone, returning component matrices, which
 the finite-difference curvature engine differentiates.  Every chart is
 a product of factor coordinates (``factor_metric``, ``polar_chart``): K
-alone, S^{n-1} alone, or (z, r, theta) in warped-polar form.  Every
+alone, S^{n-1} alone, or (z, r, theta) in warped-polar form.  A chart
+is one box, where its callback may be evaluated; ``MetricField.check``
+holds every point and stencil to it and rejects NaN, infinite and
+malformed coordinates.  Every
 model's normal block is dr^2 + f(r)^2 g_{S^{n-1}} with f =
 ``normal_radius``, the closed form the neck pipeline works on instead.
 """
@@ -19,12 +22,12 @@ model's normal block is dr^2 + f(r)^2 g_{S^{n-1}} with f =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import CodimensionTooSmall, OutOfChart, ZeroScalarCurvature
+from .errors import CodimensionTooSmall, OutOfChart, StencilOutOfChart, ZeroScalarCurvature
 
 AXIS_MARGIN = 1e-3  # polar-axis exclusion for finite-difference work
 
@@ -201,12 +204,8 @@ def injectivity_gap(model: ModelGeometry, cutoff: float,
 
 @dataclass(frozen=True)
 class Chart:
-    """A coordinate chart with nominal and evaluable domains.
-
-    ``lower``/``upper`` bound the nominal domain used to validate chart
-    points.  ``eval_lower``/``eval_upper`` bound where the component
-    formula may actually be evaluated (wider, so finite-difference
-    stencils near a chart seam stay legal).  Periodic coordinates are
+    """A coordinate chart: the box ``lower`` <= x <= ``upper`` in which its
+    component callback may be evaluated.  Angles that wrap around are
     unbounded.
     """
 
@@ -214,24 +213,19 @@ class Chart:
     coord_names: tuple[str, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    eval_lower: tuple[float, ...]
-    eval_upper: tuple[float, ...]
-    periodic: tuple[bool, ...]
 
     @property
     def dim(self) -> int:
         return len(self.coord_names)
 
-    def outside(self, x: np.ndarray, evaluable: bool = False, margin=0.0) -> str | None:
-        """Name of the first coordinate of ``x`` (..., dim) off the domain, else None.
+    def outside(self, x: np.ndarray, margin: float) -> str | None:
+        """Name of the first coordinate of ``x`` (..., dim) off the box, else None.
 
-        The domain is the nominal one, or the evaluable one if
-        ``evaluable``; ``x +- margin`` (a scalar or an array shaped like
-        ``x``) must lie in it too.
+        ``x +- margin`` must lie in the box; NaN and infinite coordinates
+        never do.
         """
-        lo, hi = (self.eval_lower, self.eval_upper) if evaluable else (self.lower, self.upper)
-        bad = ~np.asarray(self.periodic) & ((x - margin < np.asarray(lo))
-                                            | (x + margin > np.asarray(hi)))
+        bad = ~(np.isfinite(x) & (x - margin >= np.asarray(self.lower))
+                & (x + margin <= np.asarray(self.upper)))
         if not np.any(bad):
             return None
         return self.coord_names[int(np.argmax(np.any(bad.reshape(-1, self.dim), axis=0)))]
@@ -253,41 +247,40 @@ class MetricField:
 
     ``component_fn(coords)`` accepts coordinates of shape ``(..., m)``
     and returns component matrices of shape ``(..., m, m)``.  Points name
-    their chart; any name but ``chart.chart_id`` raises OutOfChart.  The
-    callback is pure; fields are immutable and safe to share across
-    threads.
+    their chart, and ``check`` holds them to its box.  The callback is
+    pure; fields are immutable and safe to share across threads.
     """
 
     chart: Chart
     component_fn: Callable[[np.ndarray], np.ndarray]
-    meta: Mapping = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
-    def chart_for(self, chart_id: str) -> Chart:
-        """The field's chart, if ``chart_id`` names it."""
+    def check(self, chart_id: str, coords, margin: float = 0.0) -> np.ndarray:
+        """``coords`` as a float array (..., m), if ``chart_id`` names the
+        chart and ``coords +- margin`` lies in its box; else OutOfChart.
+
+        A positive ``margin`` is the reach of a finite-difference stencil,
+        and a coordinate off the box then raises StencilOutOfChart.
+        """
         if chart_id != self.chart.chart_id:
             raise OutOfChart(f"no chart {chart_id!r} in this field")
-        return self.chart
+        x = np.asarray(coords, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise OutOfChart(f"expected {self.dim} coordinates, got shape {x.shape}")
+        name = self.chart.outside(x, margin)
+        if name is not None:
+            error = StencilOutOfChart if margin > 0 else OutOfChart
+            raise error(f"coordinate {name!r} leaves chart {chart_id!r}")
+        return x
 
     def point(self, chart_id: str, coords) -> ChartPoint:
-        """Validate coordinates against the nominal chart domain."""
-        c = self.chart_for(chart_id)
-        x = np.asarray(coords, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise OutOfChart(f"expected {self.dim} coordinates, got {x.shape[-1]}")
-        name = c.outside(x)
-        if name is not None:
-            raise OutOfChart(f"coordinate {name!r} out of chart {chart_id!r} domain")
-        return ChartPoint(chart_id, x)
+        return ChartPoint(chart_id, self.check(chart_id, coords))
 
     def components(self, chart_id: str, coords) -> np.ndarray:
-        x = np.asarray(coords, dtype=float)
-        if self.chart_for(chart_id).outside(x, evaluable=True) is not None:
-            raise OutOfChart(f"evaluation outside valid region of chart {chart_id!r}")
-        return self.component_fn(x)
+        return self.component_fn(self.check(chart_id, coords))
 
     def at(self, point: ChartPoint) -> np.ndarray:
         return self.components(point.chart_id, point.coords)
@@ -336,13 +329,12 @@ def _factor_block(factors: tuple[Factor, ...], z: np.ndarray) -> np.ndarray:
 def _factor_rows(factors: tuple[Factor, ...], prefix: str) -> list:
     """Chart rows of a factor product, one per coordinate.
 
-    A row is (name, lower, upper, eval_lower, eval_upper, periodic).  Torus
-    coordinates are periodic; a sphere's polar angles lie in
-    [0, pi] and are evaluated AXIS_MARGIN off the axes, its azimuth is
-    periodic.
+    A row is (name, lower, upper).  Torus coordinates and a sphere's
+    azimuth wrap around, so are unbounded; a sphere's polar angles stay
+    AXIS_MARGIN off the axes.
     """
-    free = (-np.inf, np.inf, -np.inf, np.inf, True)
-    polar = (0.0, math.pi, AXIS_MARGIN, math.pi - AXIS_MARGIN, False)
+    free = (-np.inf, np.inf)
+    polar = (AXIS_MARGIN, math.pi - AXIS_MARGIN)
     rows = []
     for f in factors:
         rows += [free] * f.dim if f.kind == "torus" else [polar] * (f.dim - 1) + [free]
@@ -367,9 +359,8 @@ def factor_metric(factors: tuple[Factor, ...], prefix: str) -> MetricField:
 def polar_chart(model: ModelGeometry, chart_id: str, radial: tuple) -> Chart:
     """The chart (z..., radial, theta...) of a warped-polar metric on ``model``.
 
-    ``radial`` is the row (name, lower, upper, eval_lower, eval_upper,
-    periodic) of the radial coordinate, between the K factors and the
-    angles of S^{n-1}.
+    ``radial`` is the row (name, lower, upper) of the radial coordinate,
+    between the K factors and the angles of S^{n-1}.
     """
     return _chart(chart_id, _factor_rows(model.k_factors, "z") + [radial]
                   + _factor_rows((Factor("sphere", model.n - 1, 1.0),), "theta"))
@@ -392,10 +383,9 @@ def product_components(model: ModelGeometry, coords: np.ndarray, a, b) -> np.nda
     return out
 
 
-def flat_metric(dim: int, half_width: float = 10.0) -> MetricField:
-    """Euclidean metric on a cube chart, mostly for oracle tests."""
-    row = (-half_width, half_width, -half_width, half_width, False)
-    chart = _chart("flat", [(f"x{i + 1}",) + row for i in range(dim)])
+def flat_metric(dim: int) -> MetricField:
+    """Euclidean metric on the cube [-10, 10]^dim, mostly for oracle tests."""
+    chart = _chart("flat", [(f"x{i + 1}", -10.0, 10.0) for i in range(dim)])
 
     def comps(x):
         out = np.zeros(x.shape[:-1] + (dim, dim))
@@ -406,25 +396,21 @@ def flat_metric(dim: int, half_width: float = 10.0) -> MetricField:
     return MetricField(chart, comps)
 
 
-def fermi_metric(model: ModelGeometry, side: int = 1) -> MetricField:
+def fermi_metric(model: ModelGeometry) -> MetricField:
     """Exact summand metric in Fermi coordinates around K x {pole}.
 
-    One chart, ``cap-<side>``, with coordinates (z..., r, theta...) in
+    One chart, ``cap-1``, with coordinates (z..., r, theta...) in
     warped-polar form: tangential block g_K exactly, normal block
     dr^2 + f(r)^2 g_{S^{n-1}} with f = normal_radius, vanishing cross
-    block.
+    block.  r stays AXIS_MARGIN off both poles.
     """
-    if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
-    r_max = model.r_max
-    cap = polar_chart(model, f"cap-{side}",
-                      ("r", 1.0, r_max, AXIS_MARGIN, r_max - AXIS_MARGIN, False))
+    cap = polar_chart(model, "cap-1", ("r", AXIS_MARGIN, model.r_max - AXIS_MARGIN))
 
     def comps(c):
         return product_components(model, c, 1.0,
                                   normal_radius(model.normal_factor, c[..., model.k]) ** 2)
 
-    return MetricField(cap, comps, meta={"model": model, "side": side})
+    return MetricField(cap, comps)
 
 
 def is_spd(matrix: np.ndarray) -> bool:

@@ -300,13 +300,12 @@ def _warped_components(cfg: GluingConfig, warp, c: np.ndarray):
 def _neck_field(cfg: GluingConfig, warp) -> MetricField:
     """The metric of profile callback ``warp`` on the one chart ``neck``.
 
-    The nominal domain is t in (log eps, -log eps).  The evaluable domain
-    runs on to r = r_max - AXIS_MARGIN on both caps (r = eps e^{-+t}), so
-    finite-difference stencils may cross the seams.
+    t runs across the neck and on through both caps (r = eps e^{-+t}) to
+    r = r_max - AXIS_MARGIN, so points and stencils may cross the seams
+    |t| = -log eps.
     """
     t_pole = cfg.t_max + math.log(cfg.model_1.r_max - AXIS_MARGIN)
-    neck = polar_chart(cfg.model_1, "neck",
-                       ("t", math.log(cfg.eps), cfg.t_max, -t_pole, t_pole, False))
+    neck = polar_chart(cfg.model_1, "neck", ("t", -t_pole, t_pole))
     return MetricField(neck, partial(_warped_components, cfg, warp))
 
 
@@ -316,8 +315,8 @@ def glued_metric(cfg: GluingConfig) -> MetricField:
     Coordinates (z..., t, theta...).  The K block is g_K itself (both
     summands carry the same K) and the normal block is
     u_eps^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}] (``glued_warp``).  Beyond the
-    nominal neck |t| < -log eps the same formula is exactly the summand
-    metric written in t = log eps - log r (side 1) or t = log r - log eps
+    neck |t| < -log eps the same formula is exactly the summand metric
+    written in t = log eps - log r (side 1) or t = log r - log eps
     (side 2), so the chart covers the caps as well, poles excluded.
     """
     return _neck_field(cfg, glued_warp(cfg))

@@ -69,8 +69,7 @@ class RadialGrid:
     orbit, up to one global constant), ``A`` the radial inverse-metric
     coefficient g^{ss}, ``K_half`` the flux coefficients W*A at
     midpoints, ``V`` dual-cell volumes.  ``region`` is -1/0/+1 for
-    cap-1/neck/cap-2, ``pole`` flags orbit collapse at the two ends,
-    and ``interfaces`` records dr/dt at the two chart seams.
+    cap-1/neck/cap-2.
     """
 
     s: np.ndarray
@@ -80,8 +79,6 @@ class RadialGrid:
     K_half: np.ndarray
     V: np.ndarray
     region: np.ndarray
-    pole: tuple[bool, bool]
-    interfaces: dict
 
     @property
     def size(self) -> int:
@@ -107,7 +104,7 @@ def laplacian_coefficients(warp, n: int, t):
     return u.v ** (-4.0 / (n - 2)), 2.0 * u.d / u.v + (n - 1) * q.d / (2.0 * q.v)
 
 
-def _radial_grid(model: ModelGeometry, warp, s, region, interfaces) -> RadialGrid:
+def _radial_grid(model: ModelGeometry, warp, s, region) -> RadialGrid:
     """RadialGrid of g_K + U [ds^2 + q g_{S^{n-1}}] from warp(|s|) = (u, q).
 
     In closed form, sqrt(det g) = w0 U^{n/2} q^{(n-1)/2} at the sample
@@ -135,9 +132,7 @@ def _radial_grid(model: ModelGeometry, warp, s, region, interfaces) -> RadialGri
                         (W.size - 1, (s[-1] - 0.5 * h[-1], s[-1]))):
         nodes = 0.5 * (s1 - s0) * _GAUSS4_NODES + 0.5 * (s0 + s1)
         V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ weights(nodes)[0])
-    wmax = float(np.max(W))
-    pole = (W[0] < 1e-9 * wmax, W[-1] < 1e-9 * wmax)
-    return RadialGrid(s, h, W, A, Wm * Am, V, region, pole, interfaces)
+    return RadialGrid(s, h, W, A, Wm * Am, V, region)
 
 
 def build_grid(cfg: GluingConfig, resolution: int = 64, warp=None) -> RadialGrid:
@@ -161,14 +156,7 @@ def build_grid(cfg: GluingConfig, resolution: int = 64, warp=None) -> RadialGrid
     region = np.zeros(s.size, dtype=int)
     region[s <= -T] = -1
     region[s >= T] = 1
-    interfaces = {
-        "side_1": {"s": -T, "index": int(np.argmin(np.abs(s + T))),
-                   "dr_dt": -1.0},     # dr/dt = -r with r = 1 at the seam
-        "side_2": {"s": T, "index": int(np.argmin(np.abs(s - T))),
-                   "dr_dt": 1.0},
-    }
-
-    return _radial_grid(cfg.model_1, warp, s, region, interfaces)
+    return _radial_grid(cfg.model_1, warp, s, region)
 
 
 def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
@@ -182,7 +170,7 @@ def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
         raise ValueError("resolution must be >= 16 nodes per unit t")
     warp = lambda r: (np.ones_like(r), normal_radius(model.normal_factor, r) ** 2)
     r = _segment(0.0, model.r_max, resolution)
-    return _radial_grid(model, warp, r, np.zeros(r.size, dtype=int), {})
+    return _radial_grid(model, warp, r, np.zeros(r.size, dtype=int))
 
 
 def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
@@ -195,7 +183,7 @@ def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
     V[0] = 0.5 * h[0]
     V[-1] = 0.5 * h[-1]
     return RadialGrid(s, h, W, np.ones_like(s), np.ones(s.size - 1), V,
-                      np.zeros(s.size, dtype=int), (False, False), {})
+                      np.zeros(s.size, dtype=int))
 
 
 @dataclass
@@ -214,10 +202,7 @@ class DiscreteOperator:
         return self.diag.size
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        out = self.diag * u
-        out[:-1] += self.sup * u[1:]
-        out[1:] += self.sub * u[:-1]
-        return out
+        return _apply(self.sub, self.diag, self.sup, u)
 
     def asymmetry(self) -> float:
         """Max relative defect of V_i L_{i,i+1} = V_{i+1} L_{i+1,i}."""
@@ -253,13 +238,30 @@ def assemble_L(grid: RadialGrid, scalar_profile, m: int) -> DiscreteOperator:
     return DiscreteOperator(sub, diag, sup, grid.V, grid)
 
 
-def _banded(sub, diag, sup) -> np.ndarray:
-    """A tridiagonal matrix in the (1, 1) band storage of solve_banded."""
-    ab = np.zeros((3, diag.size))
+def _apply(sub, diag, sup, u: np.ndarray) -> np.ndarray:
+    """The tridiagonal matrix (sub, diag, sup) times u."""
+    out = diag * u
+    out[:-1] += sup * u[1:]
+    out[1:] += sub * u[:-1]
+    return out
+
+
+def _banded_solve(sub, diag, sup, f: np.ndarray) -> np.ndarray:
+    """One banded solve of the tridiagonal system (sub, diag, sup) x = f.
+
+    Raises NoConvergence if the relative residual exceeds RESIDUAL_TOL.
+    """
+    ab = np.zeros((3, diag.size))  # the (1, 1) band storage of solve_banded
     ab[0, 1:] = sup
     ab[1, :] = diag
     ab[2, :-1] = sub
-    return ab
+    x = solve_banded((1, 1), ab, f)
+    scale = float(np.max(np.abs(f)) + np.max(np.abs(diag)) * np.max(np.abs(x))
+                  + np.finfo(float).tiny)
+    res = float(np.max(np.abs(f - _apply(sub, diag, sup, x)))) / scale
+    if res > RESIDUAL_TOL:
+        raise NoConvergence(f"relative residual {res:.3e} above {RESIDUAL_TOL:g}")
+    return x
 
 
 def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
@@ -274,21 +276,15 @@ def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
         raise NearSingularOperator(
             f"smallest |eigenvalue| = {op.min_abs_eig():.3e} < {MIN_ABS_EIG:g}"
         )
-    f = np.asarray(f, dtype=float)
-    x = solve_banded((1, 1), _banded(op.sub, op.diag, op.sup), f)
-    scale = float(np.max(np.abs(f)) + np.max(np.abs(op.diag)) * np.max(np.abs(x))
-                  + np.finfo(float).tiny)
-    res = float(np.max(np.abs(f - op.apply(x)))) / scale
-    if res > RESIDUAL_TOL:
-        raise NoConvergence(f"relative residual {res:.3e} above {RESIDUAL_TOL:g}")
-    return x
+    return _banded_solve(op.sub, op.diag, op.sup, np.asarray(f, dtype=float))
 
 
 def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
                     left: float, right: float) -> np.ndarray:
     """Solve L v = f on nodes i0..i1 with Dirichlet values at i0 and i1.
 
-    Returns the full window vector including the boundary nodes.
+    Returns the full window vector including the boundary nodes; raises
+    NoConvergence as ``solve`` does.
     """
     if i1 - i0 < 2:
         raise ValueError("window too small")
@@ -297,7 +293,7 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
     rhs = np.asarray(f, dtype=float)[i0 + 1:i1].copy()
     rhs[0] -= sub[0] * left
     rhs[-1] -= sup[-1] * right
-    inner = solve_banded((1, 1), _banded(sub[1:-1], op.diag[i0 + 1:i1], sup[1:-1]), rhs)
+    inner = _banded_solve(sub[1:-1], op.diag[i0 + 1:i1], sup[1:-1], rhs)
     return np.concatenate([[left], inner, [right]])
 
 

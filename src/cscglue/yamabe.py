@@ -22,7 +22,8 @@ import numpy as np
 # conformal_scalar, scalar_curvature and glued_metric are not called here,
 # but bench/spans.py wraps them by name
 from .curvature import conformal_scalar, scalar_curvature  # noqa: F401
-from .errors import DeltaOutOfRange, IterateOutOfBall, IterationDiverged
+from .errors import (ConfigError, DeltaOutOfRange, GlueError, IterateOutOfBall,
+                     IterationDiverged)
 from .gluing import GluingConfig, glued_metric, glued_warp, psi_of_t  # noqa: F401
 from .neck_analysis import loglog_slope
 from .linear_solver import (
@@ -112,7 +113,6 @@ class FixedPointReport:
     profile_err: np.ndarray = field(repr=False, default=None)
     operator: DiscreteOperator = field(repr=False, default=None)
     linear: SolveReport = field(repr=False, default=None)
-    post_dev: float | None = None
 
 
 def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
@@ -166,11 +166,7 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        try:
-            f = F_eps(v, s_dev, consts, S)
-        except IterateOutOfBall as exc:
-            raise IterationDiverged(str(exc)) from exc
-        v_new = solve(op, f)
+        v_new = solve(op, F_eps(v, s_dev, consts, S))
         d = float(np.max(np.abs(v_new - v)))
         sup = float(np.max(np.abs(v_new)))
         if sup > 0.5:
@@ -263,10 +259,8 @@ def verify_constant_curvature(report: FixedPointReport, cfg: GluingConfig,
                                          + np.abs(b) * (np.abs(w1) + vmax / h))
     err = w ** (-4.0 / (m - 2)) * err_g + ROUNDING_ULPS * np.finfo(float).eps * scale * mag
 
-    check = CurvatureCheck(float(np.max(post)), float(np.max(err)),
-                           float(np.max(np.abs(S_g - S))), samples, post)
-    report.post_dev = check.post_dev
-    return check
+    return CurvatureCheck(float(np.max(post)), float(np.max(err)),
+                          float(np.max(np.abs(S_g - S))), samples, post)
 
 
 @dataclass
@@ -291,32 +285,37 @@ class SweepTable:
     slope: float
 
 
-def convergence_sweep(make_cfg, eps_list, delta: float = 0.3,
+def convergence_sweep(make_cfg, eps_list, delta: float | None = None,
                       resolution: int = 64, tol: float = 1e-11,
                       max_iter: int = 40, verify: bool = True) -> SweepTable:
     """Run picard_solve per eps (descending) and fit the smallness rate.
 
-    Requires max(0, (n-4)/2) < delta < (n-2)/2; per-run failures are
-    recorded in their row and the sweep continues.
+    ``make_cfg`` maps eps to a GluingConfig; every config must carry the
+    same delta, which ``delta`` (by default the configs' own) repeats.
+    Requires max(0, (n-4)/2) < delta < (n-2)/2.  A run that fails with a
+    GlueError is recorded in its row and the sweep continues.
     """
     eps_sorted = sorted(eps_list, reverse=True)
-    cfg0 = make_cfg(eps_sorted[0])
-    n = cfg0.n
+    cfgs = [make_cfg(eps) for eps in eps_sorted]
+    delta = cfgs[0].delta if delta is None else delta
+    n = cfgs[0].n
     lo = max(0.0, (n - 4) / 2.0)
     hi = (n - 2) / 2.0
     if not lo < delta < hi:
         raise DeltaOutOfRange(
             f"sweep requires delta in ({lo}, {hi}), got {delta}")
+    if any(cfg.delta != delta for cfg in cfgs):
+        raise ConfigError(f"sweep delta {delta} differs from the configs' "
+                          f"{sorted({cfg.delta for cfg in cfgs})}")
 
     rows, eps_done, sup_done = [], [], []
-    for eps in eps_sorted:
+    for eps, cfg in zip(eps_sorted, cfgs):
         try:
-            cfg = make_cfg(eps)
             rep = picard_solve(cfg, resolution=resolution, tol=tol,
                                max_iter=max_iter)
-            if verify:
-                verify_constant_curvature(rep, cfg)
-        except Exception as exc:  # recorded per row, sweep continues
+            post_dev = (verify_constant_curvature(rep, cfg).post_dev if verify
+                        else float("nan"))
+        except GlueError as exc:  # recorded per row, sweep continues
             rows.append(SweepRow(eps, delta, *([float("nan")] * 3),
                                  0, *([float("nan")] * 4),
                                  error=f"{type(exc).__name__}: {exc}"))
@@ -325,7 +324,6 @@ def convergence_sweep(make_cfg, eps_list, delta: float = 0.3,
         sup_done.append(rep.v.sup())
         rows.append(SweepRow(
             eps, delta, rep.v.sup(), rep.r_eps, rep.v.cap_sup(),
-            rep.iterations, rep.residual, rep.pre_dev,
-            rep.post_dev if rep.post_dev is not None else float("nan"),
+            rep.iterations, rep.residual, rep.pre_dev, post_dev,
             loglog_slope(eps_done, sup_done)))
     return SweepTable(rows, delta, loglog_slope(eps_done, sup_done))

@@ -198,8 +198,7 @@ def test_nonpositive_conformal_factor(fermi_a):
 
 
 def test_ill_conditioned_metric_raises():
-    chart = geometry.Chart("flat", ("x1", "x2"), (-1, -1), (1, 1),
-                           (-1, -1), (1, 1), (False, False))
+    chart = geometry.Chart("flat", ("x1", "x2"), (-1, -1), (1, 1))
 
     def comps(x):
         out = np.zeros(x.shape[:-1] + (2, 2))
@@ -214,8 +213,8 @@ def test_ill_conditioned_metric_raises():
 
 def _round_sphere2():
     """The unit 2-sphere in polar angles, from a callback of coordinates only."""
-    chart = geometry.Chart("s2", ("theta", "phi"), (0.0, -math.inf), (math.pi, math.inf),
-                           (1e-3, -math.inf), (math.pi - 1e-3, math.inf), (False, True))
+    chart = geometry.Chart("s2", ("theta", "phi"), (1e-3, -math.inf),
+                           (math.pi - 1e-3, math.inf))
 
     def comps(x):
         out = np.zeros(x.shape[:-1] + (2, 2))
@@ -250,6 +249,31 @@ def test_derivative_scheme_needs_two_levels():
     with pytest.raises(ValueError, match="levels"):
         DerivativeScheme(levels=1)
     assert DerivativeScheme(levels=2).levels == 2
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+def test_derivative_scheme_needs_a_positive_finite_step(step):
+    with pytest.raises(ValueError, match="base_step"):
+        DerivativeScheme(base_step=step)
+
+
+def test_nonfinite_coordinates_are_out_of_chart(fermi_a):
+    for bad in (math.nan, math.inf):
+        x = np.array([0.3, 0.9, bad, 1.1, 0.6])
+        for call in (lambda: fermi_a.point("cap-1", x),
+                     lambda: fermi_a.components("cap-1", x),
+                     lambda: scalar_curvature(fermi_a, ("cap-1", x))):
+            with pytest.raises(OutOfChart):
+                call()
+
+
+def test_wrong_coordinate_count_is_out_of_chart(fermi_a):
+    for x in (np.zeros(4), np.zeros((3, 6))):
+        for call in (lambda: fermi_a.point("cap-1", x),
+                     lambda: fermi_a.components("cap-1", x),
+                     lambda: scalar_curvature(fermi_a, ("cap-1", x))):
+            with pytest.raises(OutOfChart, match="expected 5 coordinates"):
+                call()
 
 
 def test_stencil_out_of_chart(fermi_a):

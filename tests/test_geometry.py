@@ -113,9 +113,8 @@ def _random_cap_points(model, rng, count):
     return pts
 
 
-def test_metric_positive_definite_random_points(fermi_a, fermi_b, rng):
-    for field in (fermi_a, fermi_b):
-        model = field.meta["model"]
+def test_metric_positive_definite_random_points(fermi_a, fermi_b, model_a, model_b, rng):
+    for field, model in ((fermi_a, model_a), (fermi_b, model_b)):
         pts = _random_cap_points(model, rng, 100)
         g = field.components("cap-1", pts)
         for i in range(len(pts)):
@@ -128,11 +127,10 @@ def test_product_additivity_exact(model_a, model_b):
         assert model.S == pytest.approx(total, rel=1e-15)
 
 
-def test_product_additivity_vs_curvature_engine(fermi_a, fermi_b, rng):
+def test_product_additivity_vs_curvature_engine(fermi_a, fermi_b, model_a, model_b, rng):
     from cscglue.curvature import scalar_curvature
 
-    for field in (fermi_a, fermi_b):
-        model = field.meta["model"]
+    for field, model in ((fermi_a, model_a), (fermi_b, model_b)):
         pts = _random_cap_points(model, rng, 10)
         s, _ = scalar_curvature(field, ("cap-1", pts))
         assert np.max(np.abs(s - model.S)) <= 1e-6 * abs(model.S)

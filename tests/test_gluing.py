@@ -98,11 +98,11 @@ def test_glued_seam_continuity(cfg05, glued05):
     eps, k = cfg05.eps, cfg05.k
     z = (0.73, 1.41)
     th = (1.0831, 0.47)
-    for side, sgn in ((1, -1.0), (2, 1.0)):
+    for model, sgn in ((cfg05.model_1, -1.0), (cfg05.model_2, 1.0)):
         t_seam = -sgn * math.log(eps)
         r = eps * math.exp(sgn * t_seam)
-        pulled = geometry.fermi_metric(cfg05.model_1, side).components(
-            f"cap-{side}", np.array([*z, r, *th]))
+        pulled = geometry.fermi_metric(model).components(
+            "cap-1", np.array([*z, r, *th]))
         pulled[k, k] *= r**2
         direct = glued05.components("neck", np.array([*z, t_seam, *th]))
         scale = np.max(np.abs(direct))

@@ -5,7 +5,7 @@ import pytest
 
 from cscglue import (curvature, geometry, gluing, linear_solver, neck_analysis,
                      yamabe)
-from cscglue.errors import DeltaOutOfRange, IterateOutOfBall
+from cscglue.errors import ConfigError, DeltaOutOfRange, IterateOutOfBall
 
 
 def test_constants_dimension_five():
@@ -118,6 +118,27 @@ def test_sweep_delta_precondition(model_a):
         yamabe.convergence_sweep(
             lambda e: gluing.GluingConfig(model_a, model_a, eps=e, delta=0.3),
             [0.02], delta=0.55)
+
+
+def test_sweep_delta_comes_from_the_configs(model_a):
+    # rows carry the delta the solves used; a differing one is refused
+    make = lambda e: gluing.GluingConfig(model_a, model_a, eps=e, delta=0.2)
+    table = yamabe.convergence_sweep(make, [0.04, 0.02], resolution=48, verify=False)
+    assert table.delta == 0.2
+    assert [row.delta for row in table.rows] == [0.2, 0.2]
+    with pytest.raises(ConfigError):
+        yamabe.convergence_sweep(make, [0.04, 0.02], delta=0.1, resolution=48)
+
+
+def test_sweep_propagates_programming_errors(model_a, monkeypatch):
+    # only GlueErrors become rows; a bug surfaces as itself
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(yamabe, "picard_solve", broken)
+    with pytest.raises(TypeError, match="bug"):
+        yamabe.convergence_sweep(
+            lambda e: gluing.GluingConfig(model_a, model_a, eps=e), [0.02])
 
 
 def test_sweep_records_divergence_and_continues(model_a):
