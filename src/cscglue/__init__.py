@@ -66,7 +66,6 @@ from .neck_analysis import (
     conjugation_residual,
     deviation_fit,
     deviation_profile,
-    ell_leading,
     local_estimate_ratio,
     loglog_slope,
 )

@@ -112,7 +112,7 @@ class RunConfig:
     def load(cls, path: str | None, overrides=()) -> "RunConfig":
         values = dict(DEFAULTS)
         if path is not None:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
             for k, v in parse_kv_text(text).items():
                 values[k] = _coerce(k, v)
         for item in overrides:
@@ -213,16 +213,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: Path, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_dat(path: Path, header: list, rows: list) -> None:
-    lines = ["# " + " ".join(header)]
-    lines += [" ".join(_fmt(x) for x in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+def write_table(out: Path, stem: str, header: list, rows: list) -> None:
+    """The table as ``stem``.csv and as the gnuplot-friendly ``stem``.dat."""
+    for suffix, sep, lead in ((".csv", ",", ""), (".dat", " ", "# ")):
+        lines = [lead + sep.join(header)]
+        lines += [sep.join(_fmt(x) for x in row) for row in rows]
+        (out / (stem + suffix)).write_text("\n".join(lines) + "\n")
 
 
 class Checks:
@@ -318,8 +314,7 @@ def cmd_validate_tensors(cfg: RunConfig, out: Path) -> Checks:
                  a.error + b.error, int(ok)))
 
     header = ["case", "expected", "measured", "rel_err", "fd_err", "passed"]
-    write_csv(out / "tensors.csv", header, rows)
-    write_dat(out / "tensors.dat", header, rows)
+    write_table(out, "tensors", header, rows)
     write_summary(out, "validate-tensors", cfg, checks)
     return checks
 
@@ -334,12 +329,10 @@ def cmd_neck_estimate(cfg: RunConfig, out: Path) -> Checks:
     for prof in fit.profiles:
         for t, d, e in zip(prof.t, prof.sup_dev, prof.fd_err):
             rows.append((prof.eps, t, d,
-                         prof.c_fit * math.cosh(t) ** (1 - n) / prof.eps, e))
-    header = ["eps", "t", "sup_dev", "bound", "fd_err"]
-    write_csv(out / "deviation.csv", header, rows)
-    write_dat(out / "deviation.dat", header, rows)
+                         prof.weighted_sup * math.cosh(t) ** (1 - n) / prof.eps, e))
+    write_table(out, "deviation", ["eps", "t", "sup_dev", "bound", "fd_err"], rows)
     fitted = {"weighted_ratio": fit.weighted_ratio,
-              "c_fit": {repr(p.eps): p.c_fit for p in fit.profiles}}
+              "c_fit": {repr(p.eps): p.weighted_sup for p in fit.profiles}}
     if len(eps_list) >= 2:  # a slope needs two eps values
         fitted["probe_slope"] = fit.probe_slope
         checks.add("weighted_dev_ratio", fit.weighted_ratio, "weighted_dev_ratio")
@@ -358,9 +351,7 @@ def cmd_barrier(cfg: RunConfig, out: Path) -> Checks:
             rows.append((delta, eps, gcfg.alpha, rep.min_margin, rep.C))
             checks.add(f"barrier_min_margin:delta={delta:g},eps={eps:g}",
                        rep.min_margin, "barrier_min_margin")
-    header = ["delta", "eps", "alpha", "min_margin", "C"]
-    write_csv(out / "barrier.csv", header, rows)
-    write_dat(out / "barrier.dat", header, rows)
+    write_table(out, "barrier", ["delta", "eps", "alpha", "min_margin", "C"], rows)
     write_summary(out, "barrier", cfg, checks)
     return checks
 
@@ -380,20 +371,13 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> Checks:
     lams, ratios = [], []
     for eps in sorted(cfg.eps_list()):
         gcfg = cfg.gluing_config(eps)
-        grid = linear_solver.build_grid(gcfg, res)
-        prof, _ = linear_solver.glued_curvature_profile(gcfg, grid)
-        op = linear_solver.assemble_L(grid, prof, model.m)
-        lam = op.min_abs_eig()  # cached: the estimate's solve reuses it
-        rep = linear_solver.global_estimate_ratio(gcfg, grid=grid, op=op,
-                                                  profile=prof)
-        lams.append(abs(lam))
+        rep = linear_solver.global_estimate_ratio(gcfg, resolution=res)
+        lams.append(abs(rep.min_abs_eig))
         ratios.append(rep.ratio)
-        spec_rows.append((eps, abs(lam)))
+        spec_rows.append((eps, abs(rep.min_abs_eig)))
         est_rows.append((eps, gcfg.delta, rep.ratio))
-    write_csv(out / "spectrum.csv", ["eps", "min_abs_eig"], spec_rows)
-    write_dat(out / "spectrum.dat", ["eps", "min_abs_eig"], spec_rows)
-    write_csv(out / "estimate.csv", ["eps", "delta", "ratio"], est_rows)
-    write_dat(out / "estimate.dat", ["eps", "delta", "ratio"], est_rows)
+    write_table(out, "spectrum", ["eps", "min_abs_eig"], spec_rows)
+    write_table(out, "estimate", ["eps", "delta", "ratio"], est_rows)
     checks.add("eig_floor", min(lams), "eig_floor")
     if len(lams) >= 2:
         checks.add("eig_ratio", max(lams) / min(lams), "eig_ratio")
@@ -404,14 +388,13 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> Checks:
     return checks
 
 
-def _sweep_rows_to_csv(table, out: Path):
+def _write_sweep_table(sweep_rows: list, out: Path):
     header = ["eps", "delta", "sup_v", "r_eps", "cap_sup_v", "iters",
               "residual", "pre_dev", "post_dev", "slope_so_far"]
     rows = [(r.eps, r.delta, r.sup_v, r.r_eps, r.cap_sup_v, r.iters,
              r.residual, r.pre_dev, r.post_dev, r.slope_so_far)
-            for r in table.rows]
-    write_csv(out / "sweep.csv", header, rows)
-    write_dat(out / "sweep.dat", header, rows)
+            for r in sweep_rows]
+    write_table(out, "sweep", header, rows)
 
 
 def cmd_solve(cfg: RunConfig, out: Path) -> Checks:
@@ -425,7 +408,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> Checks:
     row = yamabe.SweepRow(eps, gcfg.delta, rep.v.sup(), rep.r_eps,
                           rep.v.cap_sup(), rep.iterations, rep.residual,
                           rep.pre_dev, chk.post_dev, float("nan"))
-    _sweep_rows_to_csv(yamabe.SweepTable([row], gcfg.delta, float("nan")), out)
+    _write_sweep_table([row], out)
     checks.add("rows_converged", 1.0 if rep.converged else 0.0, "rows_converged")
     checks.add("solve_iterations", rep.iterations, "solve_iterations")
     checks.add("solve_residual", rep.residual, "solve_residual")
@@ -451,7 +434,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> Checks:
         delta=cfg.delta(),
         resolution=int(cfg["grid.resolution"]),
         tol=float(cfg["solver.tol"]), max_iter=int(cfg["yamabe.max_iter"]))
-    _sweep_rows_to_csv(table, out)
+    _write_sweep_table(table.rows, out)
     ok_rows = [r for r in table.rows if not r.error]
     checks.add("rows_converged", 1.0 if len(ok_rows) == len(table.rows) else 0.0,
                "rows_converged")
@@ -494,14 +477,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
 
+    out = Path(args.out)
     try:
         cfg = RunConfig.load(args.config, args.overrides)
         cfg.validate(args.subcommand)
-    except (ConfigError, FileNotFoundError) as exc:
+        # an --out naming an existing file raises FileExistsError
+        out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, FileNotFoundError, IsADirectoryError,
+            UnicodeDecodeError, FileExistsError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         checks = COMMANDS[args.subcommand](cfg, out)
     except GlueError as exc:

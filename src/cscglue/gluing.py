@@ -164,7 +164,8 @@ def _eta_raw(t, eps: float):
 def _check_neck(t, eps):
     t = np.asarray(t, dtype=float)
     tmax = -math.log(eps)
-    if np.any(t <= -tmax) or np.any(t >= tmax):
+    # written so that NaN, for which every comparison is false, fails it
+    if not np.all(np.abs(t) < tmax):
         raise OutOfNeck(f"t outside (log eps, -log eps) = (-{tmax:.6g}, {tmax:.6g})")
     return t
 

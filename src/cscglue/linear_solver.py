@@ -194,7 +194,6 @@ class DiscreteOperator:
     diag: np.ndarray
     sup: np.ndarray
     V: np.ndarray
-    grid: RadialGrid | None = None
     _min_eig: float | None = field(default=None, repr=False)
 
     @property
@@ -235,7 +234,7 @@ def assemble_L(grid: RadialGrid, scalar_profile, m: int) -> DiscreteOperator:
     diag[-1] = -flux[-1] / grid.V[-1]
     diag[1:-1] = -(flux[:-1] + flux[1:]) / grid.V[1:-1]
     diag += c
-    return DiscreteOperator(sub, diag, sup, grid.V, grid)
+    return DiscreteOperator(sub, diag, sup, grid.V)
 
 
 def _apply(sub, diag, sup, u: np.ndarray) -> np.ndarray:
@@ -386,22 +385,21 @@ class EstimateReport:
     min_abs_eig: float
 
 
-def global_estimate_ratio(cfg: GluingConfig, probes=None, resolution: int = 64,
-                          grid: RadialGrid | None = None,
-                          op: DiscreteOperator | None = None,
-                          profile: np.ndarray | None = None) -> EstimateReport:
+def global_estimate_ratio(cfg: GluingConfig, probes=None,
+                          resolution: int = 64) -> EstimateReport:
     """Empirical constant in sup|psi^{(n-2)/2-d} v| <= C sup|psi^{(n+2)/2-d} f|.
 
-    Default probe is the conformal source c_m (S - S_glued); boundedness
-    of the ratio uniformly in eps is the content of the global weighted
-    a priori estimate.
+    Builds the glued metric's grid at ``resolution``, its curvature
+    profile and the operator L, and solves L v = f for each source.
+    ``probes`` is a list of sources on that grid; by default it is the
+    one conformal source c_m (S - S_glued).  Boundedness of the ratio
+    uniformly in eps is the content of the global weighted a priori
+    estimate.  The report's ``min_abs_eig`` is the eigenvalue the solves
+    already checked.
     """
-    if grid is None:
-        grid = build_grid(cfg, resolution)
-    if profile is None:
-        profile, _ = glued_curvature_profile(cfg, grid)
-    if op is None:
-        op = assemble_L(grid, profile, cfg.m)
+    grid = build_grid(cfg, resolution)
+    profile, _ = glued_curvature_profile(cfg, grid)
+    op = assemble_L(grid, profile, cfg.m)
     n, delta = cfg.n, cfg.delta
     psi = psi_of_t(grid.s, cfg)
     lo = (n - 2) / 2.0 - delta

@@ -33,7 +33,6 @@ from .geometry import Factor, factor_metric
 from .gluing import GluingConfig, Jet, glued_metric, glued_warp, psi_of_t  # noqa: F401
 from .linear_solver import (
     ROUNDING_ULPS,
-    RadialGrid,
     _theta_sample,
     _z_sample,
     assemble_L,
@@ -65,11 +64,11 @@ class DeviationProfile:
     sup_dev: np.ndarray
     fd_err: np.ndarray
     bound_shape: np.ndarray       # eps^-1 (cosh t)^{1-n}
-    weighted_sup: float           # W(eps) = sup eps (cosh t)^{n-1} |dev|
+    # W(eps) = sup eps (cosh t)^{n-1} |dev| over the resolved points: the
+    # smallest c for which the bound c eps^-1 (cosh t)^{1-n} holds there
+    weighted_sup: float
     probe_dev: float              # deviation at t = log eps + 1
-    probe_err: float
-    c_fit: float                  # smallest c making the bound hold on the grid
-    resolved: np.ndarray = field(repr=False, default=None)
+    resolved: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -82,28 +81,23 @@ class DeviationFit:
     weighted_ratio: float  # max/min of W(eps) over the sweep
 
 
-def deviation_profile(cfg: GluingConfig, t_grid=None, warp=None) -> DeviationProfile:
+def deviation_profile(cfg: GluingConfig, warp=None) -> DeviationProfile:
     """Measure |S_glued - S| on the window |t| <= |log eps| - 1.
 
     S_glued depends on t alone (neck_scalar_curvature), so one radial
-    line carries the whole deviation.  The default grid is symmetric
-    about t = 0; an explicit ``t_grid`` inside the window may be passed
-    instead.  The probe value is always taken at the window edge
-    t = log(eps) + 1, and fit data keeps only points whose deviation
-    exceeds ten times its error bar.  ``warp`` is the neck profile
-    callback of the metric measured, by default the glued one.
+    line carries the whole deviation.  The t grid is symmetric about
+    t = 0 with POINTS_PER_UNIT samples per unit and ends at the window
+    edges; the probe value is the deviation at the edge t = log(eps) + 1.
+    Fit data keeps only points whose deviation exceeds ten times its
+    error bar.  ``warp`` is the neck profile callback of the metric
+    measured, by default the glued one.
     """
     T = cfg.t_max
     if T <= 1.0:
         raise EpsilonTooLarge("window |t| <= |log eps| - 1 is empty")
-    if t_grid is None:
-        nt = max(5, int(round((T - 1) * POINTS_PER_UNIT)) + 1)
-        t_half = np.linspace(-(T - 1.0), 0.0, nt)
-        t = np.concatenate([t_half, -t_half[-2::-1]])
-    else:
-        t = np.sort(np.asarray(t_grid, dtype=float))
-        if t[0] < -(T - 1.0) - 1e-12 or t[-1] > T - 1.0 + 1e-12:
-            raise ValueError("t_grid must lie inside |t| <= |log eps| - 1")
+    nt = max(5, int(round((T - 1) * POINTS_PER_UNIT)) + 1)
+    t_half = np.linspace(-(T - 1.0), 0.0, nt)
+    t = np.concatenate([t_half, -t_half[-2::-1]])
     # the probe rides along as entry 0
     S, err = neck_scalar_curvature(cfg, np.concatenate([[-(T - 1.0)], t]), warp)
     dev = np.abs(S - cfg.S)
@@ -114,21 +108,18 @@ def deviation_profile(cfg: GluingConfig, t_grid=None, warp=None) -> DeviationPro
     n = cfg.n
     bound_shape = np.cosh(t) ** (1 - n) / cfg.eps
     weighted = cfg.eps * np.cosh(t) ** (n - 1) * sup_dev
-    W = float(np.max(weighted[resolved]))
     return DeviationProfile(
-        cfg.eps, t, sup_dev, fd_err, bound_shape, W,
-        probe_dev=float(dev[0]), probe_err=float(err[0]), c_fit=W,
-        resolved=resolved,
-    )
+        cfg.eps, t, sup_dev, fd_err, bound_shape,
+        float(np.max(weighted[resolved])), float(dev[0]), resolved)
 
 
-def deviation_fit(make_cfg, eps_list, **kwargs) -> DeviationFit:
+def deviation_fit(make_cfg, eps_list) -> DeviationFit:
     """Deviation profiles over an eps sweep plus the probe-rate fit.
 
     ``make_cfg`` maps eps to a GluingConfig (typically a partial of
     GluingConfig with both models fixed).
     """
-    profiles = [deviation_profile(make_cfg(e), **kwargs) for e in eps_list]
+    profiles = [deviation_profile(make_cfg(e)) for e in eps_list]
     slope = loglog_slope(eps_list, [p.probe_dev for p in profiles])
     Ws = [p.weighted_sup for p in profiles]
     return DeviationFit(list(eps_list), profiles, slope, max(Ws) / min(Ws))
@@ -196,21 +187,6 @@ def separable_terms(cfg: GluingConfig, f: Jet, factors, neck):
     ell = ((f.dd - cfg.nu**2 * f.v) * y * zf
            + f.v * (lap_y * zf + y * lap_z / A))
     return lap, ell
-
-
-def ell_leading(cfg: GluingConfig, w, t):
-    """Leading neck operator d_t^2 - nu^2 + Delta_theta + u^{4/(n-2)} Delta_z.
-
-    ``w = (f, Y, Z)`` is a separable function f(t) Y(theta) Z(z) as in
-    PROBES, evaluated along the line (z, t_i, theta).  The O(|x|)
-    remainder is deliberately omitted; comparing against the true
-    Laplacian measures it.
-    """
-    f, Y, Z = w
-    t = np.asarray(t, dtype=float)
-    fj = Jet.lift(f(Jet.variable(t)))
-    return separable_terms(cfg, fj, factor_laplacians(cfg, Y, Z),
-                           neck_coefficients(cfg, t))[1]
 
 
 @dataclass
@@ -293,8 +269,6 @@ class BarrierReport:
     eps: float
     alpha: float
     C: float
-    alpha_min: float
-    eps_alpha: float
     t: np.ndarray
     margins: np.ndarray
     min_margin: float
@@ -337,8 +311,8 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
     err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)
     if not np.all(np.isfinite(margins)):
         raise ArithmeticError("barrier margins must be finite on the region")
-    return BarrierReport(delta, cfg.eps, cfg.alpha, C, a_min, eps_a, t,
-                         margins, float(np.min(margins)), err)
+    return BarrierReport(delta, cfg.eps, cfg.alpha, C, t, margins,
+                         float(np.min(margins)), err)
 
 
 # ---------------------------------------------------------------------------
@@ -350,32 +324,30 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
 class LocalEstimateReport:
     max_ratio: float
     per_probe: list
-    window: tuple
 
 
 def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
-                         probes: str = "standard",
-                         grid: RadialGrid | None = None,
-                         profile: np.ndarray | None = None) -> LocalEstimateReport:
+                         probes=None) -> LocalEstimateReport:
     """Empirical constant of the local weighted estimate on T^eps_alpha.
 
-    For solutions of L v = f on the window with boundary data on its
-    edge, returns the max over probe pairs of
+    Builds the glued metric's grid at ``resolution``, its curvature
+    profile and the operator L.  For solutions of L v = f on the window
+    with boundary data on its edge, returns the max over probe cases of
         sup |psi^{(n-2)/2-d} v| / (sup |psi^{(n+2)/2-d} f|
                                    + sup_boundary |psi^{(n-2)/2-d} v|).
-    Probes: the discrete harmonic extension of boundary data 1, the
-    barrier profile itself, and a smooth interior source with zero
-    boundary data.
+    ``probes`` is a list of cases (name, f, left, right), f a source on
+    the whole grid and left/right the Dirichlet values at the window
+    edges.  By default the three standard cases run: the discrete
+    harmonic extension of boundary data 1, the barrier profile itself,
+    and a smooth interior source with zero boundary data.
     """
     n, delta = cfg.n, cfg.delta
     T = cfg.t_max
     ta = T - cfg.alpha
     if ta <= 0:
         raise EpsilonTooLarge("window T^eps_alpha is empty")
-    if grid is None:
-        grid = build_grid(cfg, resolution)
-    if profile is None:
-        profile, _ = glued_curvature_profile(cfg, grid)
+    grid = build_grid(cfg, resolution)
+    profile, _ = glued_curvature_profile(cfg, grid)
     op = assemble_L(grid, profile, cfg.m)
     s = grid.s
     inside = np.where(np.abs(s) <= ta + 1e-12)[0]
@@ -387,26 +359,20 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
     hi = (n + 2) / 2.0 - delta
 
     win = slice(i0, i1 + 1)
-    cases = []
-    if probes == "standard":
-        zero = np.zeros(grid.size)
-        cases.append(("harmonic-extension", zero, 1.0, 1.0))
+    if probes is None:
         phi = barrier_profile(cfg, delta, s)
-        fphi = op.apply(phi)
-        cases.append(("barrier-profile", fphi, phi[i0], phi[i1]))
-        span = s[i1] - s[i0]
         fr = np.zeros(grid.size)
-        xi = (s[win] - s[i0]) / span
+        xi = (s[win] - s[i0]) / (s[i1] - s[i0])
         fr[win] = np.sin(math.pi * xi) * (1.0 + 0.4 * np.cos(3 * math.pi * xi))
-        cases.append(("interior-source", fr, 0.0, 0.0))
-    else:
-        cases = probes
+        probes = [("harmonic-extension", np.zeros(grid.size), 1.0, 1.0),
+                  ("barrier-profile", op.apply(phi), phi[i0], phi[i1]),
+                  ("interior-source", fr, 0.0, 0.0)]
 
     out = []
-    for name, f, left, right in cases:
+    for name, f, left, right in probes:
         v = solve_dirichlet(op, f, i0, i1, left, right)
         num = float(np.max(psi**lo * np.abs(v)))
         den = float(np.max(psi**hi * np.abs(np.asarray(f)[win])))
         den_b = max(psi[0]**lo * abs(v[0]), psi[-1]**lo * abs(v[-1]))
         out.append((name, num / (den + den_b)))
-    return LocalEstimateReport(max(r[1] for r in out), out, (i0, i1))
+    return LocalEstimateReport(max(r[1] for r in out), out)

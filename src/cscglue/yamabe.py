@@ -94,8 +94,6 @@ class RadialProfile:
 class FixedPointReport:
     """History and certificates of one Picard solve."""
 
-    eps: float
-    delta: float
     sup_history: list
     increments: list
     v: RadialProfile
@@ -109,8 +107,6 @@ class FixedPointReport:
     mirror_defect: float
     contraction: float
     pre_dev: float
-    profile: np.ndarray = field(repr=False, default=None)
-    profile_err: np.ndarray = field(repr=False, default=None)
     operator: DiscreteOperator = field(repr=False, default=None)
     linear: SolveReport = field(repr=False, default=None)
 
@@ -136,6 +132,9 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     ball raises IterationDiverged, a reportable outcome rather than
     undefined behavior.  ``warp`` is the neck profile callback of the
     metric to correct, by default the glued one (``gluing.glued_warp``).
+    ``grid`` and ``profile`` let a caller that already built them reuse
+    its grid and its glued_curvature_profile pair (values, error bar);
+    only the values of the pair are read.
     """
     n, m, delta = cfg.n, cfg.m, cfg.delta
     nu = cfg.nu
@@ -143,10 +142,8 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     consts = YamabeConstants(m)
     if grid is None:
         grid = build_grid(cfg, resolution, warp)
-    if profile is None:
-        profile, profile_err = glued_curvature_profile(cfg, grid, warp)
-    else:
-        profile, profile_err = profile
+    profile, _ = (glued_curvature_profile(cfg, grid, warp) if profile is None
+                  else profile)
     op = assemble_L(grid, profile, m)
     min_eig = op.min_abs_eig()
 
@@ -193,13 +190,12 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     contraction = float(np.median([diffs[i + 1] / diffs[i]
                                    for i in range(len(diffs) - 1)])) if len(diffs) > 1 else 0.0
     return FixedPointReport(
-        eps=eps, delta=delta, sup_history=sup_history, increments=diffs,
+        sup_history=sup_history, increments=diffs,
         v=RadialProfile(grid, v), residual=residual, r_eps=r_eps,
         C_prime=C_prime, C_second=C_second, C_third=C_third,
         iterations=iterations, converged=converged, mirror_defect=mirror,
         contraction=contraction,
-        pre_dev=float(np.max(np.abs(s_dev))),
-        profile=profile, profile_err=profile_err, operator=op,
+        pre_dev=float(np.max(np.abs(s_dev))), operator=op,
         linear=SolveReport(min_eig),
     )
 
@@ -287,12 +283,13 @@ class SweepTable:
 
 def convergence_sweep(make_cfg, eps_list, delta: float | None = None,
                       resolution: int = 64, tol: float = 1e-11,
-                      max_iter: int = 40, verify: bool = True) -> SweepTable:
-    """Run picard_solve per eps (descending) and fit the smallness rate.
+                      max_iter: int = 40) -> SweepTable:
+    """Solve and verify per eps (descending) and fit the smallness rate.
 
-    ``make_cfg`` maps eps to a GluingConfig; every config must carry the
-    same delta, which ``delta`` (by default the configs' own) repeats.
-    Requires max(0, (n-4)/2) < delta < (n-2)/2.  A run that fails with a
+    Each row runs picard_solve, then verify_constant_curvature for its
+    post_dev.  ``make_cfg`` maps eps to a GluingConfig; every config must
+    carry the same delta, which ``delta`` (by default the configs' own)
+    repeats.  Requires max(0, (n-4)/2) < delta < (n-2)/2.  A run that fails with a
     GlueError is recorded in its row and the sweep continues.
     """
     eps_sorted = sorted(eps_list, reverse=True)
@@ -313,8 +310,7 @@ def convergence_sweep(make_cfg, eps_list, delta: float | None = None,
         try:
             rep = picard_solve(cfg, resolution=resolution, tol=tol,
                                max_iter=max_iter)
-            post_dev = (verify_constant_curvature(rep, cfg).post_dev if verify
-                        else float("nan"))
+            post_dev = verify_constant_curvature(rep, cfg).post_dev
         except GlueError as exc:  # recorded per row, sweep continues
             rows.append(SweepRow(eps, delta, *([float("nan")] * 3),
                                  0, *([float("nan")] * 4),

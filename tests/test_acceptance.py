@@ -55,13 +55,10 @@ def dev_fit(model):
 def spectrum_sweep(model):
     lams, ratios = [], []
     for eps in EPS_SWEEP:
-        cfg = _cfg(model, eps)
-        grid = linear_solver.build_grid(cfg, RESOLUTION)
-        prof, _ = linear_solver.glued_curvature_profile(cfg, grid)
-        op = linear_solver.assemble_L(grid, prof, model.m)
-        lams.append(abs(linear_solver.smallest_eigenvalue(op)))
-        ratios.append(linear_solver.global_estimate_ratio(
-            cfg, grid=grid, op=op, profile=prof).ratio)
+        rep = linear_solver.global_estimate_ratio(_cfg(model, eps),
+                                                  resolution=RESOLUTION)
+        lams.append(abs(rep.min_abs_eig))
+        ratios.append(rep.ratio)
     return lams, ratios
 
 

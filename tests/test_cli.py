@@ -195,6 +195,55 @@ def test_sweep_deterministic(cfg_file, tmp_path):
         assert a == b
 
 
+@pytest.mark.parametrize("args", [
+    ["validate-tensors"],
+    ["neck-estimate", "--set", "gluing.epsilon=0.02,0.04"],
+    ["barrier"],
+    ["spectrum", "--set", "gluing.epsilon=0.02,0.04"],
+    ["solve"],
+], ids=lambda args: args[0])
+def test_subcommand_deterministic(args, tmp_path):
+    # the sweep has its own test above; identical configurations must give
+    # byte-identical files for every other subcommand too
+    outs = [tmp_path / name for name in ("r1", "r2")]
+    for out in outs:
+        assert cli.main(args + ["--out", str(out)]) in (0, 1)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def _exits_as_configuration_error(argv, capsys):
+    # exit 2 with a one-line message: never a traceback, and never exit 1,
+    # which means a check failed
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_config_naming_a_directory_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    _exits_as_configuration_error(
+        ["barrier", "--config", str(tmp_path), "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_config_not_utf8_is_a_configuration_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes("model.name = torus2_x_sphere3  # \u00e9\n".encode("latin-1"))
+    out = tmp_path / "out"
+    _exits_as_configuration_error(
+        ["barrier", "--config", str(cfg), "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    _exits_as_configuration_error(["barrier", "--out", str(out)], capsys)
+    assert out.read_text() == "keep\n"
+
+
 def test_spectrum_detects_failed_hypothesis(cfg_file, tmp_path):
     # round S^5 has kernel exactly at S/(m-1): the eigenvalue floor check
     # must fail and the run exit 1

@@ -56,6 +56,17 @@ def test_neck_domain_enforced():
         gluing.u_eps(3.1, 0.05, 3)
 
 
+def test_neck_domain_rejects_nan():
+    # every comparison with NaN is false, so a test written as "t outside
+    # the neck" lets NaN through and the profiles return NaN
+    with pytest.raises(OutOfNeck):
+        gluing.chi(math.nan, 0.05)
+    with pytest.raises(OutOfNeck):
+        gluing.u_eps(math.nan, 0.05, 3)
+    with pytest.raises(OutOfNeck):
+        gluing.eta(np.array([0.0, math.nan]), 0.05)
+
+
 def _second_differences(f, t0, hs):
     return np.array([(f(t0 + h) - 2 * f(t0) + f(t0 - h)) / h**2 for h in hs])
 

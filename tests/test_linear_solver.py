@@ -226,16 +226,14 @@ def test_global_estimate_homogeneity_and_cap_source(cfg05, stack05):
     grid, (prof, _), op = stack05
     c_m = -(cfg05.m - 2) / (4.0 * (cfg05.m - 1))
     f = c_m * (cfg05.S - prof)
-    rep1 = ls.global_estimate_ratio(cfg05, probes=[f], grid=grid, op=op,
-                                    profile=prof)
-    rep2 = ls.global_estimate_ratio(cfg05, probes=[2.0 * f], grid=grid, op=op,
-                                    profile=prof)
+    # the estimate rebuilds the stack05 operator at its default resolution
+    rep1 = ls.global_estimate_ratio(cfg05, probes=[f])
+    rep2 = ls.global_estimate_ratio(cfg05, probes=[2.0 * f])
     assert rep2.ratio == pytest.approx(rep1.ratio, rel=1e-12)
 
     # source supported on the caps: the weights there are exactly one
     f_cap = np.where(grid.cap_mask(), 1.0, 0.0)
-    rep = ls.global_estimate_ratio(cfg05, probes=[f_cap], grid=grid, op=op,
-                                   profile=prof)
+    rep = ls.global_estimate_ratio(cfg05, probes=[f_cap])
     psi = gluing.psi_of_t(grid.s, cfg05)
     v = ls.solve(op, f_cap)
     lo = (cfg05.n - 2) / 2.0 - cfg05.delta

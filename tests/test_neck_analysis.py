@@ -18,22 +18,12 @@ def test_deviation_profile_structure(cfg05):
     # the fitted constant is the weighted sup, so the bound holds on-grid
     resolved = prof.resolved
     assert np.all(prof.sup_dev[resolved]
-                  <= prof.c_fit * prof.bound_shape[resolved] * (1 + 1e-12))
+                  <= prof.weighted_sup * prof.bound_shape[resolved] * (1 + 1e-12))
     # center value obeys the fitted c * eps^{-1} bound
     mid = np.argmin(np.abs(prof.t))
-    assert prof.sup_dev[mid] <= prof.c_fit / cfg05.eps
+    assert prof.sup_dev[mid] <= prof.weighted_sup / cfg05.eps
     # probe entry is the window edge
     assert prof.probe_dev == prof.sup_dev[0]
-
-
-def test_deviation_profile_explicit_grid(cfg05):
-    prof = na.deviation_profile(cfg05, t_grid=np.linspace(-1.8, 1.8, 19))
-    default = na.deviation_profile(cfg05)
-    # the probe is pinned to the window edge regardless of the grid
-    assert prof.probe_dev == default.probe_dev
-    assert prof.t[0] == pytest.approx(-1.8)
-    with pytest.raises(ValueError):
-        na.deviation_profile(cfg05, t_grid=np.array([0.0, cfg05.t_max - 0.5]))
 
 
 def test_weighted_sup_uniform_small_eps(model_a):
@@ -121,9 +111,13 @@ def test_conjugation_never_builds_the_glued_field(monkeypatch, model_a):
 
 
 def test_ell_leading_annihilates_critical_exponential(cfg05):
+    # the leading neck operator d_t^2 - nu^2 + ... kills e^{nu t} Y Z
+    # for the constant probe
     _, Y, Z = na.PROBES["const"]
-    w = (lambda t: np.exp(cfg05.nu * t), Y, Z)
-    vals = na.ell_leading(cfg05, w, np.array([-1.2, 0.0, 0.8]))
+    t = np.array([-1.2, 0.0, 0.8])
+    f = gluing.Jet.lift(np.exp(cfg05.nu * gluing.Jet.variable(t)))
+    _, vals = na.separable_terms(cfg05, f, na.factor_laplacians(cfg05, Y, Z),
+                                 na.neck_coefficients(cfg05, t))
     assert np.max(np.abs(vals)) <= 1e-6
 
 
@@ -196,16 +190,13 @@ def test_local_estimate_harmonic_and_barrier_probes(model_a):
 
 def test_local_estimate_ratio_homogeneity(model_a):
     cfg = gluing.GluingConfig(model_a, model_a, eps=0.05, alpha=2.7)
-    from cscglue.linear_solver import build_grid, glued_curvature_profile
-    grid = build_grid(cfg, 48)
-    prof, _ = glued_curvature_profile(cfg, grid)
+    grid = linear_solver.build_grid(cfg, 48)
     T = cfg.t_max
     i0 = int(np.argmin(np.abs(grid.s + (T - cfg.alpha))))
     i1 = int(np.argmin(np.abs(grid.s - (T - cfg.alpha))))
     f = np.zeros(grid.size)
     f[i0 + 2:i1 - 2] = 1.0
-    base = na.local_estimate_ratio(cfg, grid=grid, profile=prof,
-                                   probes=[("f", f, 0.2, 0.1)])
-    scaled = na.local_estimate_ratio(cfg, grid=grid, profile=prof,
+    base = na.local_estimate_ratio(cfg, 48, probes=[("f", f, 0.2, 0.1)])
+    scaled = na.local_estimate_ratio(cfg, 48,
                                      probes=[("f", 7.3 * f, 7.3 * 0.2, 7.3 * 0.1)])
     assert scaled.max_ratio == pytest.approx(base.max_ratio, rel=1e-12)

@@ -123,7 +123,7 @@ def test_sweep_delta_precondition(model_a):
 def test_sweep_delta_comes_from_the_configs(model_a):
     # rows carry the delta the solves used; a differing one is refused
     make = lambda e: gluing.GluingConfig(model_a, model_a, eps=e, delta=0.2)
-    table = yamabe.convergence_sweep(make, [0.04, 0.02], resolution=48, verify=False)
+    table = yamabe.convergence_sweep(make, [0.04, 0.02], resolution=48)
     assert table.delta == 0.2
     assert [row.delta for row in table.rows] == [0.2, 0.2]
     with pytest.raises(ConfigError):
@@ -146,7 +146,7 @@ def test_sweep_records_divergence_and_continues(model_a):
     # record the failure while the remaining rows still complete
     table = yamabe.convergence_sweep(
         lambda e: gluing.GluingConfig(model_a, model_a, eps=e),
-        [0.04, 0.08], resolution=48, verify=False)
+        [0.04, 0.08], resolution=48)
     by_eps = {r.eps: r for r in table.rows}
     assert by_eps[0.08].error != ""
     assert "IterationDiverged" in by_eps[0.08].error
@@ -205,4 +205,4 @@ def test_one_d_path_never_touches_the_5d_engine(monkeypatch, model_a):
     assert yamabe.verify_constant_curvature(rep, cfg).post_dev < rep.pre_dev
     neck_analysis.deviation_profile(cfg)
     assert neck_analysis.barrier_margin(cfg, delta=0.3).min_margin >= 0.0
-    neck_analysis.local_estimate_ratio(cfg, grid=grid, profile=prof[0])
+    neck_analysis.local_estimate_ratio(cfg)
