@@ -19,7 +19,6 @@ from .curvature import (
 )
 from .geometry import (
     Chart,
-    ChartPoint,
     Factor,
     MetricField,
     ModelGeometry,

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -167,10 +167,11 @@ class RunConfig:
         """Check every numeric field against module preconditions upfront.
 
         The model and a GluingConfig for each (eps, delta) the subcommand
-        will run are built here, so their own range checks apply.
+        will run are built here, so their own range checks apply, and for
+        ``barrier`` so is neck_analysis.barrier_region.
         """
-        if int(self["grid.resolution"]) < 16:
-            raise ConfigError("grid.resolution must be >= 16")
+        if int(self["grid.resolution"]) < linear_solver.MIN_RESOLUTION:
+            raise ConfigError(f"grid.resolution must be >= {linear_solver.MIN_RESOLUTION}")
         # a chained comparison with NaN is False, so NaN is rejected too
         if not 0 < float(self["solver.tol"]) < math.inf:
             raise ConfigError("solver.tol must be positive and finite")
@@ -181,23 +182,13 @@ class RunConfig:
             model = self.model()
             for d in deltas:
                 for eps in self.eps_list():
-                    self.gluing_config(eps, delta=d)
+                    gcfg = self.gluing_config(eps, delta=d)
+                    if subcommand == "barrier":
+                        neck_analysis.barrier_region(gcfg, d)
             if subcommand == "spectrum":  # its summand check needs exact spectra
                 model.normal_factor.spectrum(0.0)
         except (GlueError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        if subcommand == "barrier":
-            alpha = float(self["gluing.alpha"])
-            for d in deltas:
-                C = neck_analysis.barrier_constant(model.n, d)
-                if math.exp(-alpha) > C:
-                    raise ConfigError(
-                        f"alpha = {alpha} too small for delta = {d}: "
-                        f"need alpha >= {neck_analysis.required_alpha(model.n, d):.4g}")
-            for eps in self.eps_list():
-                if math.log(eps) + alpha >= 0:
-                    raise ConfigError(
-                        f"barrier region empty at eps = {eps}, alpha = {alpha}")
         if subcommand in ("solve",) and len(self.eps_list()) != 1:
             raise ConfigError("solve expects a single gluing.epsilon")
 
@@ -240,23 +231,23 @@ class Checks:
 
 
 def write_summary(out: Path, subcommand: str, cfg: RunConfig, checks: Checks,
-                  fitted: dict | None = None) -> None:
+                  fitted: dict) -> None:
     doc = {
         "subcommand": subcommand,
         "parameters": {k: cfg.values[k] for k in sorted(cfg.values)},
         "checks": checks.rows,
-        "fitted": fitted or {},
+        "fitted": fitted,
         "passed": checks.all_passed,
     }
     (out / "run.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each writes its tables and returns (checks, fitted values)
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate_tensors(cfg: RunConfig, out: Path) -> Checks:
+def cmd_validate_tensors(cfg: RunConfig, out: Path) -> tuple[Checks, dict]:
     checks = Checks()
     rows = []
     scheme = DerivativeScheme()
@@ -297,7 +288,7 @@ def cmd_validate_tensors(cfg: RunConfig, out: Path) -> Checks:
     flat5 = geometry.flat_metric(5)
     u5 = lambda x: (2.0 / (1.0 + np.sum(x**2, axis=-1))) ** 1.5
     s = conformal_scalar(flat5, u5, flat5.point("flat", [0.3, -0.2, 0.1, 0.25, -0.15]),
-                         scheme, dim=5)
+                         scheme)
     record("stereographic_sphere5", 20.0, s.value, s.error, "conformal_rel_err")
 
     # conformal law vs literally rescaled metric on the configured model
@@ -306,8 +297,8 @@ def cmd_validate_tensors(cfg: RunConfig, out: Path) -> Checks:
     k = model.k
     u = lambda x: np.exp(0.2 * np.sin(x[..., k]) + 0.1 * np.cos(x[..., k + 1]))
     pt = fm.point("cap-1", [0.5] * k + [1.9] + [1.2, 0.8, 0.9, 1.1][:model.n - 1])
-    a = conformal_scalar(fm, u, pt, scheme, dim=model.m)
-    b = scalar_curvature(rescale_field(fm, u, model.m), pt, scheme)
+    a = conformal_scalar(fm, u, pt, scheme)
+    b = scalar_curvature(rescale_field(fm, u), pt, scheme)
     rel = abs(a.value - b.value) / max(abs(a.value), 1.0)
     ok = checks.add("conformal_rel_err:crosscheck", rel, "conformal_rel_err")
     rows.append(("conformal_crosscheck", a.value, b.value, rel,
@@ -315,11 +306,10 @@ def cmd_validate_tensors(cfg: RunConfig, out: Path) -> Checks:
 
     header = ["case", "expected", "measured", "rel_err", "fd_err", "passed"]
     write_table(out, "tensors", header, rows)
-    write_summary(out, "validate-tensors", cfg, checks)
-    return checks
+    return checks, {}
 
 
-def cmd_neck_estimate(cfg: RunConfig, out: Path) -> Checks:
+def cmd_neck_estimate(cfg: RunConfig, out: Path) -> tuple[Checks, dict]:
     checks = Checks()
     eps_list = sorted(cfg.eps_list())
     n = cfg.model().n
@@ -337,11 +327,10 @@ def cmd_neck_estimate(cfg: RunConfig, out: Path) -> Checks:
         fitted["probe_slope"] = fit.probe_slope
         checks.add("weighted_dev_ratio", fit.weighted_ratio, "weighted_dev_ratio")
         checks.add("probe_slope", fit.probe_slope, "probe_slope")
-    write_summary(out, "neck-estimate", cfg, checks, fitted)
-    return checks
+    return checks, fitted
 
 
-def cmd_barrier(cfg: RunConfig, out: Path) -> Checks:
+def cmd_barrier(cfg: RunConfig, out: Path) -> tuple[Checks, dict]:
     checks = Checks()
     rows = []
     for delta in cfg.delta_list():
@@ -352,11 +341,10 @@ def cmd_barrier(cfg: RunConfig, out: Path) -> Checks:
             checks.add(f"barrier_min_margin:delta={delta:g},eps={eps:g}",
                        rep.min_margin, "barrier_min_margin")
     write_table(out, "barrier", ["delta", "eps", "alpha", "min_margin", "C"], rows)
-    write_summary(out, "barrier", cfg, checks)
-    return checks
+    return checks, {}
 
 
-def cmd_spectrum(cfg: RunConfig, out: Path) -> Checks:
+def cmd_spectrum(cfg: RunConfig, out: Path) -> tuple[Checks, dict]:
     checks = Checks()
     model = cfg.model()
     res = int(cfg["grid.resolution"])
@@ -383,21 +371,16 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> Checks:
         checks.add("eig_ratio", max(lams) / min(lams), "eig_ratio")
         checks.add("estimate_ratio_spread", max(ratios) / min(ratios),
                    "estimate_ratio_spread")
-    write_summary(out, "spectrum", cfg, checks,
-                  {"summand_gap_exact": gap_exact, "summand_gap_discrete": lam1})
-    return checks
+    return checks, {"summand_gap_exact": gap_exact, "summand_gap_discrete": lam1}
 
 
 def _write_sweep_table(sweep_rows: list, out: Path):
-    header = ["eps", "delta", "sup_v", "r_eps", "cap_sup_v", "iters",
-              "residual", "pre_dev", "post_dev", "slope_so_far"]
-    rows = [(r.eps, r.delta, r.sup_v, r.r_eps, r.cap_sup_v, r.iters,
-             r.residual, r.pre_dev, r.post_dev, r.slope_so_far)
-            for r in sweep_rows]
-    write_table(out, "sweep", header, rows)
+    """The SweepRows as the ``sweep`` table, one column per field but ``error``."""
+    header = [f.name for f in fields(yamabe.SweepRow) if f.name != "error"]
+    write_table(out, "sweep", header, [[getattr(r, h) for h in header] for r in sweep_rows])
 
 
-def cmd_solve(cfg: RunConfig, out: Path) -> Checks:
+def cmd_solve(cfg: RunConfig, out: Path) -> tuple[Checks, dict]:
     checks = Checks()
     eps = cfg.eps_list()[0]
     gcfg = cfg.gluing_config(eps)
@@ -417,17 +400,16 @@ def cmd_solve(cfg: RunConfig, out: Path) -> Checks:
     checks.add("mirror_defect", rep.mirror_defect, "mirror_defect")
     floor = max(10.0 * chk.fd_err, chk.pre_dev / 50.0)
     checks.add("constancy", chk.post_dev / floor, "constancy")
-    write_summary(out, "solve", cfg, checks, {
+    return checks, {
         "C_prime": rep.C_prime, "C_second": rep.C_second,
         "C_third": rep.C_third, "r_eps": rep.r_eps,
         "contraction": rep.contraction,
         "min_abs_eig": rep.linear.min_abs_eig,
         "post_dev": chk.post_dev, "fd_floor": chk.fd_err,
-    })
-    return checks
+    }
 
 
-def cmd_sweep(cfg: RunConfig, out: Path) -> Checks:
+def cmd_sweep(cfg: RunConfig, out: Path) -> tuple[Checks, dict]:
     checks = Checks()
     table = yamabe.convergence_sweep(
         lambda e: cfg.gluing_config(e), cfg.eps_list(),
@@ -451,8 +433,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> Checks:
     tail = [r for r in ok_rows if abs(r.eps - 0.02) < 1e-12]
     if tail:
         checks.add("cap_sup_tail", tail[0].cap_sup_v, "cap_sup_tail")
-    write_summary(out, "sweep", cfg, checks, {"slope": table.slope})
-    return checks
+    return checks, {"slope": table.slope}
 
 
 COMMANDS = {
@@ -481,17 +462,18 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args.config, args.overrides)
         cfg.validate(args.subcommand)
-        # an --out naming an existing file raises FileExistsError
+        # an --out naming an existing file, or running through one, raises
+        # an OSError, as does a --config that cannot be read
         out.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, FileNotFoundError, IsADirectoryError,
-            UnicodeDecodeError, FileExistsError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        checks = COMMANDS[args.subcommand](cfg, out)
+        checks, fitted = COMMANDS[args.subcommand](cfg, out)
     except GlueError as exc:
         print(f"precondition error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    write_summary(out, args.subcommand, cfg, checks, fitted)
     for row in checks.rows:
         status = "PASS" if row["passed"] else "FAIL"
         print(f"[{status}] {row['name']}: measured {row['measured']:.6g} "

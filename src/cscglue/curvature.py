@@ -9,10 +9,11 @@ callbacks may be piecewise-defined (cutoff blends), so finite
 differences with an intrinsic error estimate are used instead of
 automatic differentiation.
 
-All entry points accept a single ``ChartPoint`` or a batch of points
-(coordinates of shape ``(N, m)``) on the field's one chart and are pure.
-Every stencil must lie in the chart's box (``MetricField.check``), else
-StencilOutOfChart.
+All entry points take a point as a ``(chart_id, coords)`` pair on the
+field's one chart, with coords of shape ``(m,)`` for a single point or
+``(N, m)`` for a batch, and are pure.  Every stencil must lie in the
+chart's box (``MetricField.check``), else StencilOutOfChart.  Conformal
+rescalings u^{4/(d-2)} g are taken in the field's own dimension d.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _with_error(val, prev, noise, squeeze, floor=0.0) -> ValueWithError:
 
 
 def _as_batch(point):
-    chart_id, coords = point  # a ChartPoint or a (chart_id, coords) pair
+    chart_id, coords = point
     coords = np.asarray(coords, dtype=float)
     squeeze = coords.ndim == 1
     if squeeze:
@@ -265,14 +266,14 @@ def laplace_beltrami(field: MetricField, u: Callable, point,
 
 
 def conformal_scalar(field: MetricField, u: Callable, point,
-                     scheme: DerivativeScheme | None = None,
-                     dim: int | None = None) -> ValueWithError:
+                     scheme: DerivativeScheme | None = None) -> ValueWithError:
     """Scalar curvature of u^{4/(d-2)} g via the transformation law.
 
-    S~ = u^{-(d+2)/(d-2)} (S_g u - (4(d-1)/(d-2)) Delta_g u), d >= 3.
+    S~ = u^{-(d+2)/(d-2)} (S_g u - (4(d-1)/(d-2)) Delta_g u), with d =
+    ``field.dim`` >= 3.
     """
     scheme = scheme or DerivativeScheme()
-    d = dim if dim is not None else field.dim
+    d = field.dim
     if d < 3:
         raise ValueError("conformal dimension must be >= 3")
     chart_id, pts, squeeze = _as_batch(point)
@@ -292,10 +293,9 @@ def conformal_scalar(field: MetricField, u: Callable, point,
     return _with_error(law(dg, d2g, du, d2u), law(dgp, d2gp, dup, d2up), noise, squeeze)
 
 
-def rescale_field(field: MetricField, u: Callable, dim: int | None = None) -> MetricField:
-    """The literally rescaled field u^{4/(d-2)} g as a new MetricField."""
-    d = dim if dim is not None else field.dim
-    expo = 4.0 / (d - 2.0)
+def rescale_field(field: MetricField, u: Callable) -> MetricField:
+    """The literally rescaled field u^{4/(d-2)} g, d = ``field.dim``."""
+    expo = 4.0 / (field.dim - 2.0)
 
     def comps(coords):
         g = field.component_fn(coords)

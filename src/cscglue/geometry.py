@@ -40,6 +40,17 @@ Z_SAMPLE_SPHERE2 = (1.13, 0.58)
 THETA_SAMPLE = (1.0831, 0.47)
 
 
+def sample_orbit(model: ModelGeometry) -> tuple[tuple, tuple]:
+    """(z, theta): the sample point on K and on S^{n-1} of ``model``.
+
+    Profiles that depend on the radial coordinate alone are evaluated on
+    the orbit through this point; z is empty when K is a point.
+    """
+    sphere = model.k and model.k_factors[0].kind == "sphere"
+    z = (Z_SAMPLE_SPHERE2 if sphere else Z_SAMPLE_TORUS)[: model.k]
+    return z, (THETA_SAMPLE + (0.9, 1.2))[: model.n - 1]
+
+
 @dataclass(frozen=True)
 class Factor:
     """One factor of a product model.
@@ -232,23 +243,14 @@ class Chart:
 
 
 @dataclass(frozen=True)
-class ChartPoint:
-    chart_id: str
-    coords: np.ndarray
-
-    def __iter__(self):
-        yield self.chart_id
-        yield self.coords
-
-
-@dataclass(frozen=True)
 class MetricField:
     """One chart plus a vectorized metric-component callback.
 
     ``component_fn(coords)`` accepts coordinates of shape ``(..., m)``
-    and returns component matrices of shape ``(..., m, m)``.  Points name
-    their chart, and ``check`` holds them to its box.  The callback is
-    pure; fields are immutable and safe to share across threads.
+    and returns component matrices of shape ``(..., m, m)``.  A point is
+    a ``(chart_id, coords)`` pair, and ``check`` holds it to the chart's
+    box.  The callback is pure; fields are immutable and safe to share
+    across threads.
     """
 
     chart: Chart
@@ -276,14 +278,12 @@ class MetricField:
             raise error(f"coordinate {name!r} leaves chart {chart_id!r}")
         return x
 
-    def point(self, chart_id: str, coords) -> ChartPoint:
-        return ChartPoint(chart_id, self.check(chart_id, coords))
+    def point(self, chart_id: str, coords) -> tuple[str, np.ndarray]:
+        """The point ``(chart_id, coords)``, its coordinates checked."""
+        return chart_id, self.check(chart_id, coords)
 
     def components(self, chart_id: str, coords) -> np.ndarray:
         return self.component_fn(self.check(chart_id, coords))
-
-    def at(self, point: ChartPoint) -> np.ndarray:
-        return self.components(point.chart_id, point.coords)
 
 
 # ---------------------------------------------------------------------------

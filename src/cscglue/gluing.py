@@ -200,7 +200,10 @@ def u_eps(t, eps: float, n: int):
 class GluingConfig:
     """Parameters of one glued metric.
 
-    eps is the neck parameter, delta the weight exponent in
+    The two summands are one model: ``model_2`` must equal ``model_1``.
+    Both carry the same S and are glued along a common K, and with
+    sphere or ball normal factors equal K, S and r_max force equal
+    models.  eps is the neck parameter, delta the weight exponent in
     (-(n-2)/2, (n-2)/2), and alpha the barrier margin parameter.
     """
 
@@ -216,15 +219,8 @@ class GluingConfig:
         # inside the neck and t = 0 inside both eta plateaus.
         if not 0.0 < self.eps < math.exp(-1.0):
             raise ValueError(f"eps must lie in (0, e^-1), got {self.eps}")
-        a, b = self.model_1, self.model_2
-        if (a.m, a.k, a.n) != (b.m, b.k, b.n):
-            raise ValueError("summands must have equal dimensions")
-        if abs(a.S - b.S) > 1e-12:
-            raise ValueError("summands must carry the same scalar curvature")
-        if a.k_factors != b.k_factors:
-            raise ValueError("summands must share the gluing locus geometry")
-        if abs(a.r_max - b.r_max) > 1e-12:
-            raise ValueError("normal charts must have equal radial extent")
+        if self.model_2 != self.model_1:
+            raise ValueError("the two summands must be the same model")
         nu = (self.model_1.n - 2) / 2.0
         if not -nu < self.delta < nu:
             raise DeltaOutOfRange(
@@ -264,19 +260,20 @@ def glued_warp(cfg: GluingConfig):
     """The neck profiles (u, q) of the glued metric as a callback of t.
 
     Every admissible gluing is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}]
-    with u = u_eps and q = chi q_1(eps e^{-t}) + (1 - chi) q_2(eps e^{t}),
-    q_i(r) = (f_i(r) / r)^2 for the normal block dr^2 + f_i(r)^2 g_{S^{n-1}}
-    of summand i.  The callback takes arrays or jets of t; beyond the neck
-    it saturates to the summand metrics, so it covers the caps as well.
+    with u = u_eps and q = chi q_N(eps e^{-t}) + (1 - chi) q_N(eps e^{t}),
+    q_N(r) = (f(r) / r)^2 for the normal block dr^2 + f(r)^2 g_{S^{n-1}}
+    of the summand model.  The callback takes arrays or jets of t; beyond
+    the neck it saturates to the summand metrics, so it covers the caps as
+    well.
     """
     eps, n = cfg.eps, cfg.n
-    f1, f2 = cfg.model_1.normal_factor, cfg.model_2.normal_factor
+    f = cfg.model_1.normal_factor
 
     def warp(t):
         r1, r2 = eps * np.exp(-t), eps * np.exp(t)
         c = _chi_raw(t)
-        q = (c * (normal_radius(f1, r1) / r1) ** 2
-             + (1.0 - c) * (normal_radius(f2, r2) / r2) ** 2)
+        q = (c * (normal_radius(f, r1) / r1) ** 2
+             + (1.0 - c) * (normal_radius(f, r2) / r2) ** 2)
         return _u_eps_raw(t, eps, n), q
 
     return warp

@@ -29,14 +29,7 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 # bench/spans.py wraps them by name
 from .curvature import scalar_curvature  # noqa: F401
 from .errors import NearSingularOperator, NoConvergence
-from .geometry import (
-    ModelGeometry,
-    THETA_SAMPLE,
-    Z_SAMPLE_SPHERE2,
-    Z_SAMPLE_TORUS,
-    normal_radius,
-    product_components,
-)
+from .geometry import ModelGeometry, normal_radius, product_components, sample_orbit
 from .gluing import GluingConfig, Jet, glued_metric, glued_warp, psi_of_t  # noqa: F401
 
 _GAUSS4_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
@@ -45,20 +38,9 @@ _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
                             0.6521451548625461, 0.3478548451374538])
 
 MIN_ABS_EIG = 1e-8
+MIN_RESOLUTION = 16  # least grid nodes per unit of the radial coordinate
 RESIDUAL_TOL = 1e-12  # relative residual a solve must reach
 ROUNDING_ULPS = 64  # rounding bars: this many eps_mach of the summed term sizes
-
-
-def _z_sample(model: ModelGeometry) -> tuple:
-    if model.k == 0:
-        return ()
-    if model.k_factors[0].kind == "sphere":
-        return Z_SAMPLE_SPHERE2[: model.k]
-    return Z_SAMPLE_TORUS[: model.k]
-
-
-def _theta_sample(n: int) -> tuple:
-    return tuple((list(THETA_SAMPLE) + [0.9, 1.2])[: n - 1])
 
 
 @dataclass
@@ -89,6 +71,8 @@ class RadialGrid:
 
 
 def _segment(a: float, b: float, resolution: int) -> np.ndarray:
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION} nodes per unit t")
     nseg = max(1, int(round((b - a) * resolution)))
     return np.linspace(a, b, nseg + 1)
 
@@ -113,7 +97,8 @@ def _radial_grid(model: ModelGeometry, warp, s, region) -> RadialGrid:
     coefficient W A is taken at the cell midpoints.
     """
     n = model.n
-    pt = np.array([*_z_sample(model), 0.0, *_theta_sample(n)])
+    z, theta = sample_orbit(model)
+    pt = np.array([*z, 0.0, *theta])
     w0 = math.sqrt(np.linalg.det(product_components(model, pt, 1.0, 1.0)))
 
     def weights(x):
@@ -143,8 +128,6 @@ def build_grid(cfg: GluingConfig, resolution: int = 64, warp=None) -> RadialGrid
     metric's (``gluing.glued_warp``); it covers the caps too.  W and A
     are taken at |s|, so the grid is mirror symmetric by construction.
     """
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16 nodes per unit t")
     warp = glued_warp(cfg) if warp is None else warp
     T = cfg.t_max
 
@@ -166,8 +149,6 @@ def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
     g_K + dr^2 + f(r)^2 g_{S^{n-1}}, i.e. u = 1 and q = f^2, so the orbit
     weight is proportional to f^{n-1}, e.g. sin^2 r for a round S^3.
     """
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16 nodes per unit t")
     warp = lambda r: (np.ones_like(r), normal_radius(model.normal_factor, r) ** 2)
     r = _segment(0.0, model.r_max, resolution)
     return _radial_grid(model, warp, r, np.zeros(r.size, dtype=int))

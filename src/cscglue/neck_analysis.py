@@ -28,13 +28,11 @@ import numpy as np
 # scalar_curvature is not called here, but bench/spans.py wraps it by name
 from .curvature import DerivativeScheme, laplace_beltrami, scalar_curvature  # noqa: F401
 from .errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved
-from .geometry import Factor, factor_metric
+from .geometry import Factor, factor_metric, sample_orbit
 # glued_metric is not called here, but bench/spans.py wraps it by name
 from .gluing import GluingConfig, Jet, glued_metric, glued_warp, psi_of_t  # noqa: F401
 from .linear_solver import (
     ROUNDING_ULPS,
-    _theta_sample,
-    _z_sample,
     assemble_L,
     build_grid,
     glued_curvature_profile,
@@ -75,7 +73,6 @@ class DeviationProfile:
 class DeviationFit:
     """Deviation sweep over eps with the edge-rate fit."""
 
-    eps_list: list
     profiles: list
     probe_slope: float
     weighted_ratio: float  # max/min of W(eps) over the sweep
@@ -122,7 +119,7 @@ def deviation_fit(make_cfg, eps_list) -> DeviationFit:
     profiles = [deviation_profile(make_cfg(e)) for e in eps_list]
     slope = loglog_slope(eps_list, [p.probe_dev for p in profiles])
     Ws = [p.weighted_sup for p in profiles]
-    return DeviationFit(list(eps_list), profiles, slope, max(Ws) / min(Ws))
+    return DeviationFit(profiles, slope, max(Ws) / min(Ws))
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +154,9 @@ def factor_laplacians(cfg: GluingConfig, Y, Z,
         fld = factor_metric(factors, prefix)
         return float(g(x)), laplace_beltrami(fld, g, (prefix, x), scheme).value
 
-    zf = (factor(cfg.model_1.k_factors, "z", Z, _z_sample(cfg.model_1))
-          if cfg.k else (1.0, 0.0))
-    return factor((Factor("sphere", cfg.n - 1, 1.0),), "theta", Y,
-                  _theta_sample(cfg.n)) + zf
+    z, theta = sample_orbit(cfg.model_1)
+    zf = factor(cfg.model_1.k_factors, "z", Z, z) if cfg.k else (1.0, 0.0)
+    return factor((Factor("sphere", cfg.n - 1, 1.0),), "theta", Y, theta) + zf
 
 
 def neck_coefficients(cfg: GluingConfig, t):
@@ -255,6 +251,33 @@ def induced_eps_alpha(n: int, delta: float, alpha: float | None = None) -> float
     return math.exp(-a)
 
 
+def barrier_region(cfg: GluingConfig, delta: float) -> float:
+    """C(n, delta), once T^eps_alpha is a barrier region for ``delta``.
+
+    The one statement of the barrier preconditions: |delta| < (n-2)/2
+    (else DeltaOutOfRange), the region |t| <= -log eps - alpha is
+    non-empty, i.e. log eps + alpha < 0, and e^{-alpha} <= C(n, delta).
+    Either of the last two failing raises EpsilonTooLarge naming eps,
+    delta and alpha.
+    """
+    n, eps, alpha = cfg.n, cfg.eps, cfg.alpha
+    nu = (n - 2) / 2.0
+    if not -nu < delta < nu:
+        raise DeltaOutOfRange(f"delta must lie in (-{nu}, {nu}), got {delta}")
+    C = barrier_constant(n, delta)
+    where = f"at eps = {eps}, delta = {delta}, alpha = {alpha}"
+    gap = math.log(eps) + alpha
+    if gap >= 0.0:
+        raise EpsilonTooLarge(
+            f"barrier region empty {where}: log eps + alpha = {gap:.4f} >= 0 "
+            f"(eps_alpha = {induced_eps_alpha(n, delta, alpha):.4g})")
+    if math.exp(-alpha) > C:
+        raise EpsilonTooLarge(
+            f"alpha too small {where}: e^-alpha > C = {C:.4g}; "
+            f"need alpha >= {required_alpha(n, delta):.4g}")
+    return C
+
+
 def barrier_profile(cfg: GluingConfig, delta: float, t):
     """phi_delta = u^{-1} (cosh t)^delta (delta <= 0) or u^{-1} cosh(delta t); t may be a jet."""
     u = cfg.u(t)
@@ -282,30 +305,15 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
     this (eps, alpha, delta).  phi_delta depends on t alone and the neck
     is a warped product, so Delta phi = A (phi'' + b phi') with (A, b)
     from laplacian_coefficients and phi's exact jets; ``fd_err`` is the
-    rounding bound of the margins.  Preconditions: |delta| < (n-2)/2 and
-    eps small enough that log eps + alpha < 0 and e^{-alpha} <= C.
+    rounding bound of the margins.  The preconditions are barrier_region's.
     """
     delta = cfg.delta if delta is None else delta
-    n = cfg.n
-    nu = (n - 2) / 2.0
-    if not -nu < delta < nu:
-        raise DeltaOutOfRange(f"delta must lie in (-{nu}, {nu}), got {delta}")
-    C = barrier_constant(n, delta)
-    a_min = required_alpha(n, delta)
-    eps_a = induced_eps_alpha(n, delta, cfg.alpha)
-    if math.log(cfg.eps) + cfg.alpha >= 0.0:
-        raise EpsilonTooLarge(
-            f"barrier region empty: log eps + alpha = "
-            f"{math.log(cfg.eps) + cfg.alpha:.4f} >= 0 (eps_alpha = {eps_a:.4g})")
-    if math.exp(-cfg.alpha) > C:
-        raise EpsilonTooLarge(
-            f"alpha = {cfg.alpha} too small for C = {C:.4g}; "
-            f"need alpha >= {a_min:.4g} (eps_alpha = {eps_a:.4g})")
+    C = barrier_region(cfg, delta)
     ta = cfg.t_max - cfg.alpha
     nt = max(5, int(round(2 * ta * POINTS_PER_UNIT)) + 1)
     t = np.linspace(-ta, ta, nt)
     phi = barrier_profile(cfg, delta, Jet.variable(t))
-    A, b = laplacian_coefficients(glued_warp(cfg), n, t)
+    A, b = laplacian_coefficients(glued_warp(cfg), cfg.n, t)
     terms = (A * phi.dd, A * b * phi.d, C * A * phi.v)  # A = u^{-4/(n-2)}
     margins = -sum(terms)
     err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)

@@ -102,13 +102,16 @@ class FixedPointReport:
     C_prime: float
     C_second: float
     C_third: float
-    iterations: int
     converged: bool
     mirror_defect: float
     contraction: float
     pre_dev: float
     operator: DiscreteOperator = field(repr=False, default=None)
     linear: SolveReport = field(repr=False, default=None)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.sup_history)
 
 
 def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
@@ -161,7 +164,6 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     sup_history = []
     diffs = []
     converged = False
-    iterations = 0
     for _ in range(max_iter):
         v_new = solve(op, F_eps(v, s_dev, consts, S))
         d = float(np.max(np.abs(v_new - v)))
@@ -169,7 +171,6 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
         if sup > 0.5:
             raise IterationDiverged(
                 f"iterate sup|v| = {sup:.3e} exceeds the smallness bound 1/2")
-        iterations += 1
         sup_history.append(sup)
         diffs.append(d)
         v = v_new
@@ -193,7 +194,7 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
         sup_history=sup_history, increments=diffs,
         v=RadialProfile(grid, v), residual=residual, r_eps=r_eps,
         C_prime=C_prime, C_second=C_second, C_third=C_third,
-        iterations=iterations, converged=converged, mirror_defect=mirror,
+        converged=converged, mirror_defect=mirror,
         contraction=contraction,
         pre_dev=float(np.max(np.abs(s_dev))), operator=op,
         linear=SolveReport(min_eig),
@@ -213,14 +214,14 @@ VERIFY_NECK_SAMPLES = 14  # t samples on the neck
 VERIFY_CAP_SAMPLES = 6    # r samples on each cap
 
 
-def verify_constant_curvature(report: FixedPointReport, cfg: GluingConfig,
-                              warp=None) -> CurvatureCheck:
+def verify_constant_curvature(report: FixedPointReport,
+                              cfg: GluingConfig) -> CurvatureCheck:
     """Measure sup |S(conformal metric) - S| at sample points.
 
     The conformal factor w = 1 + v is the quintic spline through the
-    solved v, a function of s alone, on g = g_K + U [ds^2 + q g_{S^{n-1}}]
-    from ``warp`` (the glued metric's by default).  The conformal law in
-    dimension m reads S~ = w^{-(m+2)/(m-2)} (S_g w - 4(m-1)/(m-2) Delta w)
+    solved v, a function of s alone, on the glued metric
+    g = g_K + U [ds^2 + q g_{S^{n-1}}] (``gluing.glued_warp``).  The
+    conformal law in dimension m reads S~ = w^{-(m+2)/(m-2)} (S_g w - 4(m-1)/(m-2) Delta w)
     with Delta w = A (w'' + b w') from laplacian_coefficients and the
     spline's exact derivatives; S_g is neck_scalar_curvature on the neck
     and S on the caps.  ``fd_err`` carries S_g's bar through the law plus
@@ -229,7 +230,7 @@ def verify_constant_curvature(report: FixedPointReport, cfg: GluingConfig,
     # imported here: scipy.interpolate is slow to import and only used here
     from scipy.interpolate import make_interp_spline
 
-    warp = glued_warp(cfg) if warp is None else warp
+    warp = glued_warp(cfg)
     grid = report.v.grid
     v = report.v.values
     spl = make_interp_spline(grid.s, v, k=5)

@@ -90,10 +90,9 @@ def test_criterion_01_tensor_oracles(rng):
         "cap-1", [1.13, 0.58, 1.7, 0.9, 0.4]), scheme)
     worst = 0.0
     flat5 = geometry.flat_metric(5)
-    fields = [(flat3, "flat", 3), (flat5, "flat", 5),
-              (fermi_a, "cap-1", 5), (fermi_b, "cap-1", 5)]
+    fields = [(flat3, "flat"), (flat5, "flat"), (fermi_a, "cap-1"), (fermi_b, "cap-1")]
     for i in range(20):
-        field, chart, d = fields[i % 4]
+        field, chart = fields[i % 4]
         if chart == "flat":
             pt = field.point(chart, rng.uniform(-0.5, 0.5, size=field.dim))
         else:
@@ -102,8 +101,8 @@ def test_criterion_01_tensor_oracles(rng):
                                      rng.uniform(0, 6)])
         a = rng.uniform(-0.3, 0.3, size=field.dim)
         u = lambda x, a=a: np.exp(np.tensordot(np.sin(x), a, axes=([-1], [0])))
-        va = conformal_scalar(field, u, pt, scheme, dim=d)
-        vb = scalar_curvature(rescale_field(field, u, d), pt, scheme)
+        va = conformal_scalar(field, u, pt, scheme)
+        vb = scalar_curvature(rescale_field(field, u), pt, scheme)
         worst = max(worst, abs(va.value - vb.value) / max(abs(va.value), 1.0))
     ok = (abs(s_flat.value) <= 1e-6 and abs(s3.value - 6) / 6 <= 1e-6
           and abs(s7.value - 7) / 7 <= 1e-6 and worst <= 1e-5)

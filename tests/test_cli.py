@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import cscglue
-from cscglue import cli
-from cscglue.errors import ConfigError
+from cscglue import cli, geometry, gluing, neck_analysis
+from cscglue.errors import ConfigError, EpsilonTooLarge
 
 BASE = """
 # experiment configuration
@@ -127,6 +127,29 @@ def test_barrier_subcommand(cfg_file, tmp_path):
     assert all(float(r.split(",")[3]) >= 0.0 for r in rows[1:])
 
 
+@pytest.mark.parametrize("eps, alpha, code", [
+    (0.05, 3.0, 2),  # log eps + alpha >= 0: the region T^eps_alpha is empty
+    (0.01, 1.0, 2),  # e^-alpha > C(3, 0.3) = 0.08
+    (0.02, 2.7, 0),
+], ids=["region-empty", "alpha-too-small", "admissible"])
+def test_barrier_region_rule_is_the_analysis_rule(eps, alpha, code, tmp_path, capsys):
+    # the CLI rejects a barrier configuration upfront, writing nothing,
+    # with the message barrier_margin raises for it
+    model = geometry.make_model("torus2_x_sphere3")
+    gcfg = gluing.GluingConfig(model, model, eps=eps, delta=0.3, alpha=alpha)
+    err = ""
+    if code == 2:
+        with pytest.raises(EpsilonTooLarge) as exc:
+            neck_analysis.barrier_margin(gcfg)
+        err = f"configuration error: {exc.value}\n"
+    out = tmp_path / "out"
+    assert cli.main(["barrier", "--set", f"gluing.epsilon={eps}", "--set",
+                     f"gluing.alpha={alpha}", "--set", "gluing.delta=0.3",
+                     "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
+
+
 def test_barrier_runs_with_its_own_defaults(tmp_path):
     out = tmp_path / "barrier"
     assert cli.main(["barrier", "--out", str(out)]) == 0
@@ -242,6 +265,13 @@ def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys):
     out.write_text("keep\n")
     _exits_as_configuration_error(["barrier", "--out", str(out)], capsys)
     assert out.read_text() == "keep\n"
+
+
+def test_out_through_a_file_is_a_configuration_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    _exits_as_configuration_error(["barrier", "--out", str(taken / "sub")], capsys)
+    assert taken.read_text() == "keep\n"
 
 
 def test_spectrum_detects_failed_hypothesis(cfg_file, tmp_path):

@@ -140,14 +140,14 @@ def test_laplace_product_splits(fermi_a, model_a):
 def test_conformal_identity_factor(fermi_a):
     pt = fermi_a.point("cap-1", [0.3, 0.9, 1.3, 1.1, 0.6])
     s = scalar_curvature(fermi_a, pt)
-    c = conformal_scalar(fermi_a, lambda x: 1.0 + 0.0 * x[..., 0], pt, dim=5)
+    c = conformal_scalar(fermi_a, lambda x: 1.0 + 0.0 * x[..., 0], pt)
     assert c.value == pytest.approx(s.value, rel=1e-9)
 
 
 def test_conformal_stereographic_sphere5(flat5):
     u = lambda x: (2.0 / (1.0 + np.sum(x**2, axis=-1))) ** 1.5
     for p in ([0.3, -0.2, 0.1, 0.25, -0.15], [0.0, 0.4, 0.0, -0.3, 0.2]):
-        c = conformal_scalar(flat5, u, flat5.point("flat", p), dim=5)
+        c = conformal_scalar(flat5, u, flat5.point("flat", p))
         assert abs(c.value - 20.0) / 20.0 <= 1e-5
 
 
@@ -164,19 +164,19 @@ def _random_factor(rng, m):
 def test_conformal_vs_rescaled_field(flat3, flat5, fermi_a, fermi_b, rng):
     cases = []
     for _ in range(5):
-        cases.append((flat3, ("flat", rng.uniform(-0.5, 0.5, size=3)), 3))
-        cases.append((flat5, ("flat", rng.uniform(-0.5, 0.5, size=5)), 5))
+        cases.append((flat3, ("flat", rng.uniform(-0.5, 0.5, size=3))))
+        cases.append((flat5, ("flat", rng.uniform(-0.5, 0.5, size=5))))
         cases.append((fermi_a, ("cap-1", np.array([
             rng.uniform(0, 6), rng.uniform(0, 6), rng.uniform(1.1, 2.5),
-            rng.uniform(0.4, 2.7), rng.uniform(0, 6)])), 5))
+            rng.uniform(0.4, 2.7), rng.uniform(0, 6)]))))
         cases.append((fermi_b, ("cap-1", np.array([
             rng.uniform(0.4, 2.6), rng.uniform(0, 6), rng.uniform(1.1, 2.5),
-            rng.uniform(0.4, 2.7), rng.uniform(0, 6)])), 5))
+            rng.uniform(0.4, 2.7), rng.uniform(0, 6)]))))
     assert len(cases) == 20
-    for field, point, d in cases:
+    for field, point in cases:
         u = _random_factor(rng, field.dim)
-        a = conformal_scalar(field, u, point, dim=d)
-        b = scalar_curvature(rescale_field(field, u, d), point)
+        a = conformal_scalar(field, u, point)
+        b = scalar_curvature(rescale_field(field, u), point)
         scale = max(abs(a.value), 1.0)
         assert abs(a.value - b.value) / scale <= 1e-5
 
@@ -185,8 +185,8 @@ def test_conformal_cocycle(fermi_a, rng):
     point = ("cap-1", np.array([0.3, 0.9, 1.5, 1.1, 0.6]))
     u1 = _random_factor(rng, 5)
     u2 = _random_factor(rng, 5)
-    both = conformal_scalar(fermi_a, lambda x: u1(x) * u2(x), point, dim=5)
-    staged = conformal_scalar(rescale_field(fermi_a, u1, 5), u2, point, dim=5)
+    both = conformal_scalar(fermi_a, lambda x: u1(x) * u2(x), point)
+    staged = conformal_scalar(rescale_field(fermi_a, u1), u2, point)
     scale = max(abs(both.value), 1.0)
     assert abs(both.value - staged.value) / scale <= 1e-5
 
@@ -194,7 +194,7 @@ def test_conformal_cocycle(fermi_a, rng):
 def test_nonpositive_conformal_factor(fermi_a):
     pt = fermi_a.point("cap-1", [0.3, 0.9, 1.3, 1.1, 0.6])
     with pytest.raises(NonpositiveConformalFactor):
-        conformal_scalar(fermi_a, lambda x: x[..., 2] - 1.3, pt, dim=5)
+        conformal_scalar(fermi_a, lambda x: x[..., 2] - 1.3, pt)
 
 
 def test_ill_conditioned_metric_raises():

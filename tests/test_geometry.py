@@ -138,7 +138,7 @@ def test_product_additivity_vs_curvature_engine(fermi_a, fermi_b, model_a, model
 
 def test_fermi_metric_polar_form(fermi_a, model_a):
     pt = fermi_a.point("cap-1", [0.4, 1.0, math.pi / 2, 1.1, 0.7])
-    g = fermi_a.at(pt)
+    g = fermi_a.components(*pt)
     k = model_a.k
     assert g[k, k] == pytest.approx(1.0)  # g_rr = 1
     # angular block = sin^2(pi/2) g_{S^2} at r = pi/2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -17,6 +18,8 @@ def test_config_validation(model_a, model_b):
         gluing.GluingConfig(model_a, model_a, eps=0.05, delta=0.5)
     with pytest.raises(ValueError):
         gluing.GluingConfig(model_a, model_b, eps=0.05)  # different S and K
+    with pytest.raises(ValueError):  # the same geometry under another name
+        gluing.GluingConfig(model_a, dataclasses.replace(model_a, name="copy"), eps=0.05)
     for alpha in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             gluing.GluingConfig(model_a, model_a, eps=0.05, alpha=alpha)

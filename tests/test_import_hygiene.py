@@ -1,4 +1,4 @@
-"""Every name a cscglue module imports is used in that module."""
+"""Every name a cscglue module imports is used in that module and public."""
 
 import ast
 from pathlib import Path
@@ -31,7 +31,19 @@ def _unused_imports(tree: ast.Module) -> set:
     return imported - used
 
 
+def _private_imports(tree: ast.Module) -> set:
+    return {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for a in node.names if a.name.startswith("_")}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_import(path):
     unused = _unused_imports(ast.parse(path.read_text()))
     assert unused == BENCH_ONLY.get(path.stem, set())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_imports_no_private_name(path):
+    # a leading underscore keeps a name to its own module; a rule that two
+    # modules need belongs under a public name
+    assert _private_imports(ast.parse(path.read_text())) == set()

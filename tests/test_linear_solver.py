@@ -254,9 +254,15 @@ def test_build_grid_small_eps(name, eps):
     assert ls.assemble_L(grid, cfg.S, cfg.m).asymmetry() <= 1e-12
 
 
-def test_build_grid_resolution_precondition(cfg05):
-    with pytest.raises(ValueError):
-        ls.build_grid(cfg05, 8)
+def test_build_grid_resolution_precondition(cfg05, model_a):
+    # every grid builder holds the one floor of 16 nodes per unit
+    for build in (lambda res: ls.build_grid(cfg05, res),
+                  lambda res: ls.build_grid_single(model_a, res),
+                  lambda res: ls.build_flat_grid(math.pi, res)):
+        for res in (8, 15):
+            with pytest.raises(ValueError):
+                build(res)
+        assert build(16).size > 0
 
 
 def _neck_profile(name, eps):

@@ -91,9 +91,8 @@ def test_separable_laplacian_matches_5d_engine(name, eps, probe):
                                 na.factor_laplacians(cfg, Y, Z),
                                 na.neck_coefficients(cfg, t))
     pts = np.zeros((t.size, model.m))
-    pts[:, :k] = linear_solver._z_sample(model)
+    pts[:, :k], pts[:, k + 1:] = geometry.sample_orbit(model)
     pts[:, k] = t
-    pts[:, k + 1:] = linear_solver._theta_sample(model.n)
     ref, err = laplace_beltrami(
         gluing.glued_metric(cfg),
         lambda c: a(c[..., k]) * Y(c[..., k + 1:]) * Z(c[..., :k]), ("neck", pts))
