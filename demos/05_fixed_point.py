@@ -10,9 +10,9 @@ deviation of the unsolved glued metric.
 
 from cscglue import (
     GluingConfig,
+    SyntheticExactConfig,
     make_model,
     picard_solve,
-    synthetic_exact_warp,
     verify_constant_curvature,
 )
 
@@ -39,6 +39,6 @@ print(f"  its rounding error bar                = {chk.fd_err:.1e}")
 # sanity anchor: on the exact flat-normal fixture the source vanishes
 # identically and the solve returns zero
 F = make_model("sphere2_x_ball3")
-cfgF = GluingConfig(F, F, eps=0.05)
-repF = picard_solve(cfgF, warp=synthetic_exact_warp(cfgF))
+cfgF = SyntheticExactConfig(F, F, eps=0.05)
+repF = picard_solve(cfgF)
 print(f"\nflat-normal fixture: sup|v| = {repF.v.sup():.2e} (exact solution is 0)")

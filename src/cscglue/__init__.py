@@ -32,13 +32,11 @@ from .geometry import (
 from .gluing import (
     GluingConfig,
     Jet,
+    SyntheticExactConfig,
     chi,
     eta,
     glued_metric,
-    glued_warp,
     psi_of_t,
-    synthetic_exact_metric,
-    synthetic_exact_warp,
     u_eps,
 )
 from .linear_solver import (

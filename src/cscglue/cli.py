@@ -470,10 +470,13 @@ def main(argv=None) -> int:
         return 2
     try:
         checks, fitted = COMMANDS[args.subcommand](cfg, out)
+        write_summary(out, args.subcommand, cfg, checks, fitted)
     except GlueError as exc:
         print(f"precondition error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    write_summary(out, args.subcommand, cfg, checks, fitted)
+    except OSError as exc:  # an artifact path taken, e.g. by a directory
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     for row in checks.rows:
         status = "PASS" if row["passed"] else "FAIL"
         print(f"[{status}] {row['name']}: measured {row['measured']:.6g} "

@@ -8,10 +8,12 @@ scaled by the conformal factor u_eps(t)^{4/(n-2)} built from the two
 profiles eps^{(n-2)/2} e^{-+(n-2)t/2}.
 
 The glued metric is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}], read
-through the profile callback t -> (u, q) of ``glued_warp``.  Beyond the
-seams |t| = -log eps the profiles saturate to the summand metrics
-written in t, so one chart in (z, t, theta) covers the neck and both
-caps.
+through the profile callback t -> (u, q) of ``GluingConfig.warp``: a
+config fixes its metric, and every stage reads the metric from the
+config.  Beyond the seams |t| = -log eps the profiles saturate to the
+summand metrics written in t, so one chart in (z, t, theta) covers the
+neck and both caps.  ``SyntheticExactConfig`` is the exact-solution
+fixture: the same interface with a metric of constant scalar curvature.
 
 Cutoffs use the standard exp(-1/s) mollifier, so the glued components
 match the summand metrics to all orders at the seams; the concrete
@@ -38,8 +40,8 @@ from .geometry import (
 )
 
 __all__ = [
-    "GluingConfig", "Jet", "chi", "eta", "u_eps", "glued_metric", "glued_warp",
-    "synthetic_exact_metric", "synthetic_exact_warp", "psi_of_t", "mollifier_step",
+    "GluingConfig", "SyntheticExactConfig", "Jet", "chi", "eta", "u_eps",
+    "glued_metric", "psi_of_t", "mollifier_step",
 ]
 
 
@@ -253,36 +255,55 @@ class GluingConfig:
         return -math.log(self.eps)
 
     def u(self, t):
+        """The normal conformal factor of this config's metric, u_eps; t may be a jet.
+
+        The u of ``warp``, for stages that need u alone: q costs as much again.
+        """
         return _u_eps_raw(t, self.eps, self.n)
 
+    def warp(self):
+        """The neck profiles (u, q) of this config's metric as a callback of t.
 
-def glued_warp(cfg: GluingConfig):
-    """The neck profiles (u, q) of the glued metric as a callback of t.
+        Every admissible gluing is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}]
+        with u = ``self.u`` and q = chi q_N(eps e^{-t}) + (1 - chi) q_N(eps e^{t}),
+        q_N(r) = (f(r) / r)^2 for the normal block dr^2 + f(r)^2 g_{S^{n-1}}
+        of the summand model.  The callback takes arrays or jets of t; beyond
+        the neck it saturates to the summand metrics, so it covers the caps
+        as well.  Every stage reads the metric through this callback.
+        """
+        f = self.model_1.normal_factor
 
-    Every admissible gluing is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}]
-    with u = u_eps and q = chi q_N(eps e^{-t}) + (1 - chi) q_N(eps e^{t}),
-    q_N(r) = (f(r) / r)^2 for the normal block dr^2 + f(r)^2 g_{S^{n-1}}
-    of the summand model.  The callback takes arrays or jets of t; beyond
-    the neck it saturates to the summand metrics, so it covers the caps as
-    well.
+        def warp(t):
+            r1, r2 = self.eps * np.exp(-t), self.eps * np.exp(t)
+            c = _chi_raw(t)
+            q = (c * (normal_radius(f, r1) / r1) ** 2
+                 + (1.0 - c) * (normal_radius(f, r2) / r2) ** 2)
+            return self.u(t), q
+
+        return warp
+
+
+class SyntheticExactConfig(GluingConfig):
+    """Exact-solution fixture: flat normal factors, no cutoffs.
+
+    Requires a ball normal factor (else ValueError).  u = u^{(1)} + u^{(2)}
+    on the whole manifold (no eta blending) and q = 1, so
+    h = eps^{n-2} |x|^{2-n} is exactly euclidean-harmonic and the scalar
+    curvature is identically the K curvature S.  On it the deviation
+    profile is unresolved, the Picard solve returns v = 0, the post-solve
+    check reads 0 and the conjugation identity holds to rounding.
     """
-    eps, n = cfg.eps, cfg.n
-    f = cfg.model_1.normal_factor
 
-    def warp(t):
-        r1, r2 = eps * np.exp(-t), eps * np.exp(t)
-        c = _chi_raw(t)
-        q = (c * (normal_radius(f, r1) / r1) ** 2
-             + (1.0 - c) * (normal_radius(f, r2) / r2) ** 2)
-        return _u_eps_raw(t, eps, n), q
+    def __post_init__(self):
+        super().__post_init__()
+        if self.model_1.normal_factor.kind != "ball":
+            raise ValueError("synthetic exact metric needs flat (ball) normal factors")
 
-    return warp
+    def u(self, t):
+        return _u_profile(t, self.eps, self.n, 1) + _u_profile(t, self.eps, self.n, 2)
 
-
-def synthetic_exact_warp(cfg: GluingConfig):
-    """The (u, q) of synthetic_exact_metric: u = u^{(1)} + u^{(2)}, q = 1."""
-    eps, n = cfg.eps, cfg.n
-    return lambda t: (_u_profile(t, eps, n, 1) + _u_profile(t, eps, n, 2), 1.0)
+    def warp(self):
+        return lambda t: (self.u(t), 1.0)
 
 
 def _warped_components(cfg: GluingConfig, warp, c: np.ndarray):
@@ -295,45 +316,21 @@ def _warped_components(cfg: GluingConfig, warp, c: np.ndarray):
     return product_components(cfg.model_1, c, U, U * q)
 
 
-def _neck_field(cfg: GluingConfig, warp) -> MetricField:
-    """The metric of profile callback ``warp`` on the one chart ``neck``.
-
-    t runs across the neck and on through both caps (r = eps e^{-+t}) to
-    r = r_max - AXIS_MARGIN, so points and stencils may cross the seams
-    |t| = -log eps.
-    """
-    t_pole = cfg.t_max + math.log(cfg.model_1.r_max - AXIS_MARGIN)
-    neck = polar_chart(cfg.model_1, "neck", ("t", -t_pole, t_pole))
-    return MetricField(neck, partial(_warped_components, cfg, warp))
-
-
 def glued_metric(cfg: GluingConfig) -> MetricField:
-    """The approximate solution metric as a MetricField with one chart, ``neck``.
+    """The metric of ``cfg`` as a MetricField with one chart, ``neck``.
 
     Coordinates (z..., t, theta...).  The K block is g_K itself (both
     summands carry the same K) and the normal block is
-    u_eps^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}] (``glued_warp``).  Beyond the
-    neck |t| < -log eps the same formula is exactly the summand metric
-    written in t = log eps - log r (side 1) or t = log r - log eps
-    (side 2), so the chart covers the caps as well, poles excluded.
+    u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}] from ``cfg.warp()``.  For the
+    glued metric, beyond the neck |t| < -log eps the same formula is
+    exactly the summand metric written in t = log eps - log r (side 1) or
+    t = log r - log eps (side 2).  t runs on through both caps to
+    r = r_max - AXIS_MARGIN, poles excluded, so points and stencils may
+    cross the seams |t| = -log eps.
     """
-    return _neck_field(cfg, glued_warp(cfg))
-
-
-def synthetic_exact_metric(cfg: GluingConfig) -> MetricField:
-    """Exact-solution fixture: flat normal factors, no cutoffs.
-
-    Requires ball normal factors and constant-curvature K blocks.  The
-    normal conformal factor is taken as u^{(1)} + u^{(2)} on the whole
-    manifold (no eta blending), so h = eps^{n-2} |x|^{2-n} is exactly
-    euclidean-harmonic and the scalar curvature is identically the K
-    curvature S.  Used to pin down what the cutoffs cost: against this
-    field, deviation profiles and the nonlinear solve must return zero
-    within discretization error.
-    """
-    if cfg.model_1.normal_factor.kind != "ball":
-        raise ValueError("synthetic exact metric needs flat (ball) normal factors")
-    return _neck_field(cfg, synthetic_exact_warp(cfg))
+    t_pole = cfg.t_max + math.log(cfg.model_1.r_max - AXIS_MARGIN)
+    neck = polar_chart(cfg.model_1, "neck", ("t", -t_pole, t_pole))
+    return MetricField(neck, partial(_warped_components, cfg, cfg.warp()))
 
 
 def psi_of_t(t, cfg: GluingConfig):

@@ -4,9 +4,9 @@ Every admissible glued metric is g_K + U(s) [ds^2 + q(s) g_{S^{n-1}}],
 U = u^{4/(n-2)}, along one global cylindrical coordinate s (the caps
 continue r = eps e^{-+s} beyond the seams), so L = Delta + S/(m-1) on
 functions of s is 1-D.  Grid weights, neck scalar curvature and the 1-D
-Laplacian come in closed form from the profile callback s -> (u, q) and
-its exact jets (``gluing.glued_warp``, ``gluing.Jet``); no metric
-components are sampled.
+Laplacian come in closed form from the config's profile callback
+s -> (u, q) and its exact jets (``GluingConfig.warp``, ``gluing.Jet``);
+no metric components are sampled.
 
 The discretization is conservative (flux form)
     (L u)_i = [K_{i+1/2} (u_{i+1}-u_i)/h_i - K_{i-1/2} (u_i-u_{i-1})/h_{i-1}] / V_i
@@ -30,7 +30,7 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from .curvature import scalar_curvature  # noqa: F401
 from .errors import NearSingularOperator, NoConvergence
 from .geometry import ModelGeometry, normal_radius, product_components, sample_orbit
-from .gluing import GluingConfig, Jet, glued_metric, glued_warp, psi_of_t  # noqa: F401
+from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
 
 _GAUSS4_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
                           0.3399810435848563, 0.8611363115940526])
@@ -77,14 +77,15 @@ def _segment(a: float, b: float, resolution: int) -> np.ndarray:
     return np.linspace(a, b, nseg + 1)
 
 
-def laplacian_coefficients(warp, n: int, t):
-    """(A, b) with Delta f = A (f'' + b f') for f = f(t) on the neck metric.
+def laplacian_coefficients(cfg: GluingConfig, t):
+    """(A, b) with Delta f = A (f'' + b f') for f = f(t) on the metric of cfg.
 
     On g_K + U [dt^2 + q g_{S^{n-1}}], U = u^{4/(n-2)}, the orbit volume
     is W ~ U^{n/2} q^{(n-1)/2} and g^{tt} = A = 1/U, so
     Delta f = (1/W)(W A f')' = A (f'' + (2 u'/u + (n-1) q'/(2q)) f').
     """
-    u, q = map(Jet.lift, warp(Jet.variable(t)))  # jets of (u, q); q may be 1
+    n = cfg.n
+    u, q = map(Jet.lift, cfg.warp()(Jet.variable(t)))  # jets of (u, q); q may be 1
     return u.v ** (-4.0 / (n - 2)), 2.0 * u.d / u.v + (n - 1) * q.d / (2.0 * q.v)
 
 
@@ -120,15 +121,13 @@ def _radial_grid(model: ModelGeometry, warp, s, region) -> RadialGrid:
     return RadialGrid(s, h, W, A, Wm * Am, V, region)
 
 
-def build_grid(cfg: GluingConfig, resolution: int = 64, warp=None) -> RadialGrid:
-    """The glued metric along the global cylindrical coordinate as a RadialGrid.
+def build_grid(cfg: GluingConfig, resolution: int = 64) -> RadialGrid:
+    """The metric of cfg along the global cylindrical coordinate as a RadialGrid.
 
     ``resolution`` counts nodes per unit of the cylindrical coordinate.
-    ``warp`` is the profile callback t -> (u, q), by default the glued
-    metric's (``gluing.glued_warp``); it covers the caps too.  W and A
-    are taken at |s|, so the grid is mirror symmetric by construction.
+    W and A come from ``cfg.warp()``, which covers the caps too, taken at
+    |s|, so the grid is mirror symmetric by construction.
     """
-    warp = glued_warp(cfg) if warp is None else warp
     T = cfg.t_max
 
     # one uniform spacing across caps and neck: the glued metric is smooth
@@ -139,7 +138,7 @@ def build_grid(cfg: GluingConfig, resolution: int = 64, warp=None) -> RadialGrid
     region = np.zeros(s.size, dtype=int)
     region[s <= -T] = -1
     region[s >= T] = 1
-    return _radial_grid(cfg.model_1, warp, s, region)
+    return _radial_grid(cfg.model_1, cfg.warp(), s, region)
 
 
 def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
@@ -310,21 +309,20 @@ class SolveReport:
     min_abs_eig: float
 
 
-def neck_scalar_curvature(cfg: GluingConfig, t, warp=None):
-    """Scalar curvature (S, err) of the glued metric on the neck at t.
+def neck_scalar_curvature(cfg: GluingConfig, t):
+    """Scalar curvature (S, err) of the metric of cfg on the neck at t.
 
     The neck metric is g_K + u^{4/(n-2)} h with h = dt^2 + w^2 g_{S^{n-1}},
     w = sqrt(q), so S = S_K + S_N with the conformal law in dimension n
         S_N = u^{-(n+2)/(n-2)} (S_h u - 4(n-1)/(n-2) Delta_h u),
         S_h = -2(n-1) w''/w + (n-1)(n-2) (1 - w'^2)/w^2,
         Delta_h u = u'' + (n-1) (w'/w) u',
-    on exact jets of (u, q) from ``warp`` (the glued metric's by default).
+    on exact jets of (u, q) from ``cfg.warp()``.
     The error bar is a rounding bound, ROUNDING_ULPS eps_mach times |S|
     plus the sizes of the terms, whose 1/U-sized parts cancel to O(1).
     """
-    warp = glued_warp(cfg) if warp is None else warp
     n = cfg.n
-    u, q = map(Jet.lift, warp(Jet.variable(t)))  # jets of (u, q); q may be 1
+    u, q = map(Jet.lift, cfg.warp()(Jet.variable(t)))  # jets of (u, q); q may be 1
     w = np.sqrt(q)
     S_K = sum(f.scalar_curvature() for f in cfg.model_1.k_factors)
     S_h = (-2 * (n - 1) * w.dd / w.v, (n - 1) * (n - 2) / w.v**2,
@@ -338,8 +336,8 @@ def neck_scalar_curvature(cfg: GluingConfig, t, warp=None):
     return S, ROUNDING_ULPS * np.finfo(float).eps * (np.abs(S) + mag)
 
 
-def glued_curvature_profile(cfg: GluingConfig, grid: RadialGrid, warp=None):
-    """Scalar curvature of the glued metric at the grid nodes.
+def glued_curvature_profile(cfg: GluingConfig, grid: RadialGrid):
+    """Scalar curvature of the metric of cfg at the grid nodes.
 
     Cap nodes carry the exact constant S of the summands; neck nodes take
     neck_scalar_curvature at |s|, so the profile is mirror symmetric by
@@ -348,8 +346,7 @@ def glued_curvature_profile(cfg: GluingConfig, grid: RadialGrid, warp=None):
     prof = np.full(grid.s.shape, cfg.S, dtype=float)
     err = np.zeros_like(prof)
     inner = np.abs(grid.s) < cfg.t_max - 1e-12
-    prof[inner], err[inner] = neck_scalar_curvature(
-        cfg, np.abs(grid.s[inner]), warp)
+    prof[inner], err[inner] = neck_scalar_curvature(cfg, np.abs(grid.s[inner]))
     return prof, err
 
 

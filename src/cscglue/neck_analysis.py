@@ -30,7 +30,7 @@ from .curvature import DerivativeScheme, laplace_beltrami, scalar_curvature  # n
 from .errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved
 from .geometry import Factor, factor_metric, sample_orbit
 # glued_metric is not called here, but bench/spans.py wraps it by name
-from .gluing import GluingConfig, Jet, glued_metric, glued_warp, psi_of_t  # noqa: F401
+from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
 from .linear_solver import (
     ROUNDING_ULPS,
     assemble_L,
@@ -78,7 +78,7 @@ class DeviationFit:
     weighted_ratio: float  # max/min of W(eps) over the sweep
 
 
-def deviation_profile(cfg: GluingConfig, warp=None) -> DeviationProfile:
+def deviation_profile(cfg: GluingConfig) -> DeviationProfile:
     """Measure |S_glued - S| on the window |t| <= |log eps| - 1.
 
     S_glued depends on t alone (neck_scalar_curvature), so one radial
@@ -86,8 +86,7 @@ def deviation_profile(cfg: GluingConfig, warp=None) -> DeviationProfile:
     t = 0 with POINTS_PER_UNIT samples per unit and ends at the window
     edges; the probe value is the deviation at the edge t = log(eps) + 1.
     Fit data keeps only points whose deviation exceeds ten times its
-    error bar.  ``warp`` is the neck profile callback of the metric
-    measured, by default the glued one.
+    error bar.
     """
     T = cfg.t_max
     if T <= 1.0:
@@ -96,7 +95,7 @@ def deviation_profile(cfg: GluingConfig, warp=None) -> DeviationProfile:
     t_half = np.linspace(-(T - 1.0), 0.0, nt)
     t = np.concatenate([t_half, -t_half[-2::-1]])
     # the probe rides along as entry 0
-    S, err = neck_scalar_curvature(cfg, np.concatenate([[-(T - 1.0)], t]), warp)
+    S, err = neck_scalar_curvature(cfg, np.concatenate([[-(T - 1.0)], t]))
     dev = np.abs(S - cfg.S)
     sup_dev, fd_err = dev[1:], err[1:]
     resolved = sup_dev > RESOLVED_FACTOR * fd_err
@@ -160,13 +159,12 @@ def factor_laplacians(cfg: GluingConfig, Y, Z,
 
 
 def neck_coefficients(cfg: GluingConfig, t):
-    """(A, b, q) of the glued neck g_K + U [dt^2 + q g_{S^{n-1}}] at t.
+    """(A, b, q) of the neck g_K + U [dt^2 + q g_{S^{n-1}}] of cfg at t.
 
     Delta f = A (f'' + b f') for f = f(t), with A = 1/U
     (laplacian_coefficients).
     """
-    warp = glued_warp(cfg)
-    return (*laplacian_coefficients(warp, cfg.n, t), warp(t)[1])
+    return (*laplacian_coefficients(cfg, t), cfg.warp()(t)[1])
 
 
 def separable_terms(cfg: GluingConfig, f: Jet, factors, neck):
@@ -245,10 +243,9 @@ def required_alpha(n: int, delta: float) -> float:
     return -math.log(barrier_constant(n, delta))
 
 
-def induced_eps_alpha(n: int, delta: float, alpha: float | None = None) -> float:
+def induced_eps_alpha(n: int, delta: float, alpha: float) -> float:
     """Largest admissible eps for the barrier region at this (delta, alpha)."""
-    a = max(alpha if alpha is not None else 0.0, required_alpha(n, delta))
-    return math.exp(-a)
+    return math.exp(-max(alpha, required_alpha(n, delta)))
 
 
 def barrier_region(cfg: GluingConfig, delta: float) -> float:
@@ -313,7 +310,7 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
     nt = max(5, int(round(2 * ta * POINTS_PER_UNIT)) + 1)
     t = np.linspace(-ta, ta, nt)
     phi = barrier_profile(cfg, delta, Jet.variable(t))
-    A, b = laplacian_coefficients(glued_warp(cfg), cfg.n, t)
+    A, b = laplacian_coefficients(cfg, t)
     terms = (A * phi.dd, A * b * phi.d, C * A * phi.v)  # A = u^{-4/(n-2)}
     margins = -sum(terms)
     err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)

@@ -24,7 +24,7 @@ import numpy as np
 from .curvature import conformal_scalar, scalar_curvature  # noqa: F401
 from .errors import (ConfigError, DeltaOutOfRange, GlueError, IterateOutOfBall,
                      IterationDiverged)
-from .gluing import GluingConfig, glued_metric, glued_warp, psi_of_t  # noqa: F401
+from .gluing import GluingConfig, glued_metric, psi_of_t  # noqa: F401
 from .neck_analysis import loglog_slope
 from .linear_solver import (
     ROUNDING_ULPS,
@@ -115,8 +115,7 @@ class FixedPointReport:
 
 
 def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
-                 max_iter: int = 40, warp=None,
-                 grid: RadialGrid | None = None,
+                 max_iter: int = 40, grid: RadialGrid | None = None,
                  profile=None) -> FixedPointReport:
     """Iterate v <- L^{-1} F(v) from v = 0 until sup|v_{j+1} - v_j| <= tol.
 
@@ -133,19 +132,17 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     the exponent juggling is sharp for these weights) are recorded
     separately.  Iterates must stay inside min(1/2, r_eps); leaving the
     ball raises IterationDiverged, a reportable outcome rather than
-    undefined behavior.  ``warp`` is the neck profile callback of the
-    metric to correct, by default the glued one (``gluing.glued_warp``).
-    ``grid`` and ``profile`` let a caller that already built them reuse
-    its grid and its glued_curvature_profile pair (values, error bar);
-    only the values of the pair are read.
+    undefined behavior.  ``grid`` and ``profile`` let a caller that
+    already built them reuse its grid and its glued_curvature_profile
+    pair (values, error bar); only the values of the pair are read.
     """
     n, m, delta = cfg.n, cfg.m, cfg.delta
     nu = cfg.nu
     eps = cfg.eps
     consts = YamabeConstants(m)
     if grid is None:
-        grid = build_grid(cfg, resolution, warp)
-    profile, _ = (glued_curvature_profile(cfg, grid, warp) if profile is None
+        grid = build_grid(cfg, resolution)
+    profile, _ = (glued_curvature_profile(cfg, grid) if profile is None
                   else profile)
     op = assemble_L(grid, profile, m)
     min_eig = op.min_abs_eig()
@@ -219,8 +216,8 @@ def verify_constant_curvature(report: FixedPointReport,
     """Measure sup |S(conformal metric) - S| at sample points.
 
     The conformal factor w = 1 + v is the quintic spline through the
-    solved v, a function of s alone, on the glued metric
-    g = g_K + U [ds^2 + q g_{S^{n-1}}] (``gluing.glued_warp``).  The
+    solved v, a function of s alone, on the metric of cfg, the one the
+    solve corrected: g = g_K + U [ds^2 + q g_{S^{n-1}}] (``cfg.warp()``).  The
     conformal law in dimension m reads S~ = w^{-(m+2)/(m-2)} (S_g w - 4(m-1)/(m-2) Delta w)
     with Delta w = A (w'' + b w') from laplacian_coefficients and the
     spline's exact derivatives; S_g is neck_scalar_curvature on the neck
@@ -230,7 +227,6 @@ def verify_constant_curvature(report: FixedPointReport,
     # imported here: scipy.interpolate is slow to import and only used here
     from scipy.interpolate import make_interp_spline
 
-    warp = glued_warp(cfg)
     grid = report.v.grid
     v = report.v.values
     spl = make_interp_spline(grid.s, v, k=5)
@@ -243,10 +239,10 @@ def verify_constant_curvature(report: FixedPointReport,
                + [(chart, float(r)) for chart in ("cap-1", "cap-2") for r in rs])
     S_g = np.full(s.shape, S)    # caps carry the summand metric exactly
     err_g = np.zeros_like(s)
-    S_g[:ts.size], err_g[:ts.size] = neck_scalar_curvature(cfg, ts, warp)
+    S_g[:ts.size], err_g[:ts.size] = neck_scalar_curvature(cfg, ts)
 
     w, w1, w2 = 1.0 + spl(s), spl(s, 1), spl(s, 2)
-    A, b = laplacian_coefficients(warp, cfg.n, s)
+    A, b = laplacian_coefficients(cfg, s)
     kappa = 4.0 * (m - 1) / (m - 2)
     scale = w ** (-(m + 2.0) / (m - 2))
     post = np.abs(scale * (S_g * w - kappa * A * (w2 + b * w1)) - S)

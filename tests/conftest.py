@@ -42,9 +42,8 @@ def glued05(cfg05):
 @pytest.fixture(scope="session")
 def stack05(cfg05):
     """Grid, curvature profile, and operator at eps = 0.05."""
-    warp = gluing.glued_warp(cfg05)
-    grid = linear_solver.build_grid(cfg05, 64, warp=warp)
-    prof, perr = linear_solver.glued_curvature_profile(cfg05, grid, warp=warp)
+    grid = linear_solver.build_grid(cfg05, 64)
+    prof, perr = linear_solver.glued_curvature_profile(cfg05, grid)
     op = linear_solver.assemble_L(grid, prof, cfg05.m)
     return grid, (prof, perr), op
 

@@ -241,7 +241,9 @@ def _exits_as_configuration_error(argv, capsys):
     # exit 2 with a one-line message: never a traceback, and never exit 1,
     # which means a check failed
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("configuration error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_config_naming_a_directory_is_a_configuration_error(tmp_path, capsys):
@@ -272,6 +274,11 @@ def test_out_through_a_file_is_a_configuration_error(tmp_path, capsys):
     taken.write_text("keep\n")
     _exits_as_configuration_error(["barrier", "--out", str(taken / "sub")], capsys)
     assert taken.read_text() == "keep\n"
+    # an artifact path taken by a directory fails only once the run is done
+    for subcommand, artifact in (("barrier", "run.json"), ("sweep", "sweep.csv")):
+        out = tmp_path / subcommand
+        (out / artifact).mkdir(parents=True)
+        _exits_as_configuration_error([subcommand, "--out", str(out)], capsys)
 
 
 def test_spectrum_detects_failed_hypothesis(cfg_file, tmp_path):

@@ -23,6 +23,8 @@ def test_config_validation(model_a, model_b):
     for alpha in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             gluing.GluingConfig(model_a, model_a, eps=0.05, alpha=alpha)
+    with pytest.raises(ValueError, match="ball"):  # the fixture's normal block is flat
+        gluing.SyntheticExactConfig(model_a, model_a, eps=0.05)
 
 
 def test_chi_plateaus():
@@ -131,7 +133,7 @@ def test_glued_warp_is_the_summand_beyond_the_seams(name, eps):
     # r = eps e^{|t|}, all the way to r = r_max on both sides
     model = geometry.make_model(name)
     cfg = gluing.GluingConfig(model, model, eps=eps)
-    warp = gluing.glued_warp(cfg)
+    warp = cfg.warp()
     t_cap = np.linspace(cfg.t_max, cfg.t_max + math.log(model.r_max), 400)
     r = eps * np.exp(t_cap)
     f_sq = geometry.normal_radius(model.normal_factor, r) ** 2
@@ -203,8 +205,8 @@ def test_psi_weight_tube_bracket(model_a):
 def test_synthetic_exact_curvature(model_flat):
     from cscglue.curvature import scalar_curvature
 
-    cfg = gluing.GluingConfig(model_flat, model_flat, eps=0.05)
-    field = gluing.synthetic_exact_metric(cfg)
+    cfg = gluing.SyntheticExactConfig(model_flat, model_flat, eps=0.05)
+    field = gluing.glued_metric(cfg)
     ts = np.array([-2.5, -1.0, 0.0, 0.7, 2.2])
     pts = np.zeros((ts.size, 5))
     pts[:, 0], pts[:, 1] = 1.13, 0.58
@@ -232,9 +234,8 @@ def test_point_gluing_degenerate_case():
     field = gluing.glued_metric(cfg)
     pt = np.array([0.0, 1.0831, 0.9, 1.2, 0.47])
     assert geometry.is_spd(field.components("neck", pt))
-    warp = gluing.glued_warp(cfg)
-    grid = build_grid(cfg, 32, warp=warp)
-    prof, _ = glued_curvature_profile(cfg, grid, warp=warp)
+    grid = build_grid(cfg, 32)
+    prof, _ = glued_curvature_profile(cfg, grid)
     lam = smallest_eigenvalue(assemble_L(grid, prof, s5.m))
     assert abs(lam) < 1e-3  # below the uniform-invertibility floor
 
@@ -275,6 +276,6 @@ def test_mollifier_jet_matches_mpmath():
 
 def test_glued_warp_jet_values_equal_array_values(cfg05):
     t = np.linspace(-cfg05.t_max - 1.0, cfg05.t_max + 1.0, 41)
-    warp = gluing.glued_warp(cfg05)
+    warp = cfg05.warp()
     (u, q), (uj, qj) = warp(t), warp(gluing.Jet.variable(t))
     assert np.array_equal(uj.v, u) and np.array_equal(qj.v, q)

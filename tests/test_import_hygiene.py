@@ -1,4 +1,5 @@
-"""Every name a cscglue module imports is used in that module and public."""
+"""Every name a cscglue module imports is used in that module and public,
+and the package's settable values stay within a recorded bound."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cscglue
+from cscglue import cli
 
 PACKAGE = Path(cscglue.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -18,6 +20,11 @@ BENCH_ONLY = {
     "neck_analysis": {"scalar_curvature", "glued_metric"},
     "yamabe": {"conformal_scalar", "scalar_curvature", "glued_metric"},
 }
+
+# Settable values of the package: defaulted parameters of every def and
+# lambda, annotated fields of @dataclass classes, and cli.DEFAULTS keys.
+# CHANGES.md records every change to this bound.
+MAX_SETTABLE = 148
 
 
 def _unused_imports(tree: ast.Module) -> set:
@@ -47,3 +54,23 @@ def test_module_imports_no_private_name(path):
     # a leading underscore keeps a name to its own module; a rule that two
     # modules need belongs under a public name
     assert _private_imports(ast.parse(path.read_text())) == set()
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_settable_values_within_bound():
+    params = fields = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                params += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    keys = len(cli.DEFAULTS)
+    assert params + fields + keys <= MAX_SETTABLE, (
+        f"{params} defaulted parameters + {fields} dataclass fields + "
+        f"{keys} cli.DEFAULTS keys = {params + fields + keys} > {MAX_SETTABLE}")

@@ -182,12 +182,11 @@ def test_smallest_eigenvalue_never_asks_for_the_whole_spectrum(stack05, model_a,
 def test_refinement_order(model_flat):
     # smooth data: the synthetic exact field has a constant potential, so
     # the measured rate isolates the scheme itself
-    cfg = gluing.GluingConfig(model_flat, model_flat, eps=0.08)
-    warp = gluing.synthetic_exact_warp(cfg)
+    cfg = gluing.SyntheticExactConfig(model_flat, model_flat, eps=0.08)
 
     def solve_at(res):
-        grid = ls.build_grid(cfg, res, warp=warp)
-        prof, _ = ls.glued_curvature_profile(cfg, grid, warp=warp)
+        grid = ls.build_grid(cfg, res)
+        prof, _ = ls.glued_curvature_profile(cfg, grid)
         op = ls.assemble_L(grid, prof, model_flat.m)
         f = np.exp(-0.5 * grid.s**2) * (1 + 0.2 * np.sin(grid.s))
         return grid.s, ls.solve(op, f)
@@ -268,9 +267,8 @@ def test_build_grid_resolution_precondition(cfg05, model_a):
 def _neck_profile(name, eps):
     model = geometry.make_model(name)
     cfg = gluing.GluingConfig(model, model, eps=eps)
-    warp = gluing.glued_warp(cfg)
-    grid = ls.build_grid(cfg, 64, warp=warp)
-    prof, _ = ls.glued_curvature_profile(cfg, grid, warp=warp)
+    grid = ls.build_grid(cfg, 64)
+    prof, _ = ls.glued_curvature_profile(cfg, grid)
     inner = np.abs(grid.s) < cfg.t_max - 1e-12
     return model, gluing.glued_metric(cfg), grid.s[inner], prof[inner]
 

@@ -42,10 +42,10 @@ def test_probe_rate_asymptotic(model_a):
 
 
 def test_deviation_synthetic_unresolved(model_flat):
-    cfg = gluing.GluingConfig(model_flat, model_flat, eps=0.05)
-    field = gluing.synthetic_exact_metric(cfg)
+    cfg = gluing.SyntheticExactConfig(model_flat, model_flat, eps=0.05)
+    field = gluing.glued_metric(cfg)
     with pytest.raises(NotResolved):
-        na.deviation_profile(cfg, warp=gluing.synthetic_exact_warp(cfg))
+        na.deviation_profile(cfg)
     # and the raw deviation really is at the numerical floor
     ts = np.linspace(math.log(cfg.eps) + 1.0, 0.0, 9)
     pts = np.zeros((9, 5))
@@ -74,6 +74,10 @@ def test_conjugation_exact_for_flat_normal(model_flat):
         rep = na.conjugation_residual(cfg, t_samples=ts,
                                       scheme=DerivativeScheme(8e-3, 3))
         assert rep.max_ratio <= 1e-8
+        # the exact fixture has no cutoffs, so its remainder vanishes at
+        # every default sample, the eta band included
+        exact = gluing.SyntheticExactConfig(model_flat, model_flat, eps=eps)
+        assert na.conjugation_residual(exact).max_ratio <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
@@ -126,7 +130,9 @@ def test_barrier_constant_values():
     # near-extremal delta: tiny constant, very small induced eps_alpha
     C = na.barrier_constant(3, 0.49)
     assert C == pytest.approx(0.5 * (0.25 - 0.2401))
-    assert na.induced_eps_alpha(3, 0.49) == pytest.approx(C)
+    # an alpha below the required one gives way to it
+    assert na.induced_eps_alpha(3, 0.49, 1.0) == pytest.approx(C)
+    assert na.induced_eps_alpha(3, 0.49, 6.0) == pytest.approx(math.exp(-6.0))
 
 
 def test_barrier_margins_nonnegative(model_a):

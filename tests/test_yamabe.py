@@ -66,9 +66,12 @@ def test_picard_monotone_shrinkage(model_a):
 
 
 def test_picard_synthetic_exact_returns_zero(model_flat):
-    cfg = gluing.GluingConfig(model_flat, model_flat, eps=0.05)
-    rep = yamabe.picard_solve(cfg, warp=gluing.synthetic_exact_warp(cfg))
+    cfg = gluing.SyntheticExactConfig(model_flat, model_flat, eps=0.05)
+    rep = yamabe.picard_solve(cfg)
     assert rep.v.sup() <= 1e-8
+    # the check reads the metric the solve corrected
+    chk = yamabe.verify_constant_curvature(rep, cfg)
+    assert chk.post_dev <= 10 * chk.fd_err
 
 
 def test_verify_identity_factor_returns_pre_deviation(cfg05, report05):
