@@ -282,6 +282,13 @@ class GluingConfig:
 
         return warp
 
+    def warp_jets(self, t):
+        """Exact second-order jets (u, q) of ``warp`` at t; q may be the constant 1.
+
+        One evaluation serves every coefficient a stage needs at the same t.
+        """
+        return tuple(map(Jet.lift, self.warp()(Jet.variable(t))))
+
 
 class SyntheticExactConfig(GluingConfig):
     """Exact-solution fixture: flat normal factors, no cutoffs.

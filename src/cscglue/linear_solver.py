@@ -77,15 +77,15 @@ def _segment(a: float, b: float, resolution: int) -> np.ndarray:
     return np.linspace(a, b, nseg + 1)
 
 
-def laplacian_coefficients(cfg: GluingConfig, t):
+def laplacian_coefficients(cfg: GluingConfig, u: Jet, q: Jet):
     """(A, b) with Delta f = A (f'' + b f') for f = f(t) on the metric of cfg.
 
-    On g_K + U [dt^2 + q g_{S^{n-1}}], U = u^{4/(n-2)}, the orbit volume
+    ``u`` and ``q`` are the profile jets ``cfg.warp_jets(t)``.  On
+    g_K + U [dt^2 + q g_{S^{n-1}}], U = u^{4/(n-2)}, the orbit volume
     is W ~ U^{n/2} q^{(n-1)/2} and g^{tt} = A = 1/U, so
     Delta f = (1/W)(W A f')' = A (f'' + (2 u'/u + (n-1) q'/(2q)) f').
     """
     n = cfg.n
-    u, q = map(Jet.lift, cfg.warp()(Jet.variable(t)))  # jets of (u, q); q may be 1
     return u.v ** (-4.0 / (n - 2)), 2.0 * u.d / u.v + (n - 1) * q.d / (2.0 * q.v)
 
 
@@ -309,8 +309,10 @@ class SolveReport:
     min_abs_eig: float
 
 
-def neck_scalar_curvature(cfg: GluingConfig, t):
+def neck_scalar_curvature(cfg: GluingConfig, u: Jet, q: Jet):
     """Scalar curvature (S, err) of the metric of cfg on the neck at t.
+
+    ``u`` and ``q`` are the profile jets ``cfg.warp_jets(t)``.
 
     The neck metric is g_K + u^{4/(n-2)} h with h = dt^2 + w^2 g_{S^{n-1}},
     w = sqrt(q), so S = S_K + S_N with the conformal law in dimension n
@@ -322,7 +324,6 @@ def neck_scalar_curvature(cfg: GluingConfig, t):
     plus the sizes of the terms, whose 1/U-sized parts cancel to O(1).
     """
     n = cfg.n
-    u, q = map(Jet.lift, cfg.warp()(Jet.variable(t)))  # jets of (u, q); q may be 1
     w = np.sqrt(q)
     S_K = sum(f.scalar_curvature() for f in cfg.model_1.k_factors)
     S_h = (-2 * (n - 1) * w.dd / w.v, (n - 1) * (n - 2) / w.v**2,
@@ -346,7 +347,8 @@ def glued_curvature_profile(cfg: GluingConfig, grid: RadialGrid):
     prof = np.full(grid.s.shape, cfg.S, dtype=float)
     err = np.zeros_like(prof)
     inner = np.abs(grid.s) < cfg.t_max - 1e-12
-    prof[inner], err[inner] = neck_scalar_curvature(cfg, np.abs(grid.s[inner]))
+    prof[inner], err[inner] = neck_scalar_curvature(
+        cfg, *cfg.warp_jets(np.abs(grid.s[inner])))
     return prof, err
 
 

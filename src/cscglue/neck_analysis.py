@@ -95,7 +95,8 @@ def deviation_profile(cfg: GluingConfig) -> DeviationProfile:
     t_half = np.linspace(-(T - 1.0), 0.0, nt)
     t = np.concatenate([t_half, -t_half[-2::-1]])
     # the probe rides along as entry 0
-    S, err = neck_scalar_curvature(cfg, np.concatenate([[-(T - 1.0)], t]))
+    S, err = neck_scalar_curvature(
+        cfg, *cfg.warp_jets(np.concatenate([[-(T - 1.0)], t])))
     dev = np.abs(S - cfg.S)
     sup_dev, fd_err = dev[1:], err[1:]
     resolved = sup_dev > RESOLVED_FACTOR * fd_err
@@ -162,9 +163,10 @@ def neck_coefficients(cfg: GluingConfig, t):
     """(A, b, q) of the neck g_K + U [dt^2 + q g_{S^{n-1}}] of cfg at t.
 
     Delta f = A (f'' + b f') for f = f(t), with A = 1/U
-    (laplacian_coefficients).
+    (laplacian_coefficients); q is the value of the same profile jets.
     """
-    return (*laplacian_coefficients(cfg, t), cfg.warp()(t)[1])
+    u, q = cfg.warp_jets(t)
+    return (*laplacian_coefficients(cfg, u, q), q.v)
 
 
 def separable_terms(cfg: GluingConfig, f: Jet, factors, neck):
@@ -310,7 +312,7 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
     nt = max(5, int(round(2 * ta * POINTS_PER_UNIT)) + 1)
     t = np.linspace(-ta, ta, nt)
     phi = barrier_profile(cfg, delta, Jet.variable(t))
-    A, b = laplacian_coefficients(cfg, t)
+    A, b = laplacian_coefficients(cfg, *cfg.warp_jets(t))
     terms = (A * phi.dd, A * b * phi.d, C * A * phi.v)  # A = u^{-4/(n-2)}
     margins = -sum(terms)
     err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)

@@ -18,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 # conformal_scalar, scalar_curvature and glued_metric are not called here,
 # but bench/spans.py wraps them by name
 from .curvature import conformal_scalar, scalar_curvature  # noqa: F401
 from .errors import (ConfigError, DeltaOutOfRange, GlueError, IterateOutOfBall,
                      IterationDiverged)
-from .gluing import GluingConfig, glued_metric, psi_of_t  # noqa: F401
+from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
 from .neck_analysis import loglog_slope
 from .linear_solver import (
     ROUNDING_ULPS,
@@ -209,27 +210,119 @@ class CurvatureCheck:
 
 VERIFY_NECK_SAMPLES = 14  # t samples on the neck
 VERIFY_CAP_SAMPLES = 6    # r samples on each cap
+SPLINE_DEGREE = 5  # of the spline through v; its knot rule needs it odd
+
+
+def _knots_near(knots, ell):
+    """Row r is knots[ell + r + 1 - SPLINE_DEGREE], r = 0 .. 2 SPLINE_DEGREE - 1."""
+    return knots[ell + np.arange(1 - SPLINE_DEGREE, SPLINE_DEGREE + 1)[:, None]]
+
+
+def _raise_degree(h, t, x):
+    """The j + 1 B-splines of degree j nonzero at x, from the j of degree j - 1 in h.
+
+    One Cox-de Boor step (de Boor, A Practical Guide to Splines, ch. X),
+    rounded as scipy.interpolate's evaluator rounds it.  Row a of h is
+    B_{ell-j+1+a} and row a of the result B_{ell-j+a}, for ell the knot
+    interval of x and t = _knots_near(knots, ell).
+    """
+    k, j = SPLINE_DEGREE, len(h)
+    xb, xa = t[k:k + j], t[k - j:k]  # knots[ell + i], knots[ell + i - j] for i = 1..j
+    w = h / (xb - xa)
+    out = np.zeros((j + 1, x.size))
+    out[:j] = w * (xb - x)
+    out[1:] += w * (x - xa)
+    return out
+
+
+def _differentiate(h, t):
+    """Derivatives of the j + 1 B-splines of degree j, from the j of degree j - 1 in h.
+
+    De Boor's derivative step; an h of derivatives gives one order more.
+    """
+    k, j = SPLINE_DEGREE, len(h)
+    w = j * h / (t[k:k + j] - t[k - j:k])
+    out = np.zeros((j + 1, h.shape[1]))
+    out[1:] = w
+    out[:j] -= w
+    return out
+
+
+class InterpolatingSpline:
+    """The not-a-knot spline of degree SPLINE_DEGREE through (s, v), s increasing.
+
+    Knots: s[0] and s[-1] each SPLINE_DEGREE + 1 times around the interior
+    nodes s[3:-3], so there is one B-spline coefficient per node.  Row i of
+    the collocation matrix holds the B-splines nonzero at s_i, raised one
+    degree at a time; its entries SPLINE_DEGREE off the diagonal are exact
+    zeros, so one LAPACK banded LU solve (gbsv, the routine behind
+    ``solve_banded``) in the band (4, 4) gives the coefficients, those of
+    scipy.interpolate.make_interp_spline(s, v, k=5).
+    """
+
+    def __init__(self, s, v):
+        k, n = SPLINE_DEGREE, s.size
+        half = (k + 1) // 2  # s[:3] and s[-3:] are not knots
+        self.knots = np.concatenate([np.full(k + 1, s[0]), s[half:-half],
+                                     np.full(k + 1, s[-1])])
+        i = np.arange(n)
+        ell = np.clip(i + half, k, n - 1)  # knot interval of s_i, = knots[i + 3] inside
+        t = _knots_near(self.knots, ell)
+        B = np.ones((1, n))
+        for _ in range(k):
+            B = _raise_degree(B, t, s)
+        # Entry (i, j) = B[j - ell_i + k, i] goes to abT[j, 2 kl + i - j]: abT
+        # is gbsv's band storage transposed, so gbsv copies nothing.  Inside,
+        # ell_i - i is constant and each row of B fills one column of abT.
+        kl, off = k - 1, k - half
+        abT = np.zeros((n, 3 * kl + 1))
+        for a in range(k + 1):
+            abT[half - off + a:n - half - off + a, 2 * kl + off - a] = B[a, half:n - half]
+        ends = np.r_[:half, n - half:n]
+        j = ell[ends] - k + np.arange(k + 1)[:, None]
+        band = np.abs(ends - j) <= kl
+        abT[j[band], (2 * kl + ends - j)[band]] = B[:, ends][band]
+        _, _, self.coef, info = lapack.dgbsv(kl, kl, abT.T, v, overwrite_ab=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"collocation matrix is singular (gbsv info {info})")
+
+    def jet(self, x) -> Jet:
+        """(w, w', w'') of the spline at x in [s[0], s[-1]], as a Jet."""
+        k = SPLINE_DEGREE
+        # the knot interval of x: knots[ell] <= x < knots[ell + 1], the last one closed
+        ell = np.clip(np.searchsorted(self.knots, x, side="right") - 1,
+                      k, self.coef.size - 1)
+        t = _knots_near(self.knots, ell)
+        B = np.ones((1, x.size))
+        for _ in range(k - 2):
+            B = _raise_degree(B, t, x)
+        B1 = _raise_degree(B, t, x)
+        basis = (_raise_degree(B1, t, x), _differentiate(B1, t),
+                 _differentiate(_differentiate(B, t), t))
+        c = self.coef[ell - k + np.arange(k + 1)[:, None]]
+        return Jet(*(sum(c * b) for b in basis))
 
 
 def verify_constant_curvature(report: FixedPointReport,
                               cfg: GluingConfig) -> CurvatureCheck:
     """Measure sup |S(conformal metric) - S| at sample points.
 
-    The conformal factor w = 1 + v is the quintic spline through the
-    solved v, a function of s alone, on the metric of cfg, the one the
-    solve corrected: g = g_K + U [ds^2 + q g_{S^{n-1}}] (``cfg.warp()``).  The
+    The conformal factor w = 1 + v is the not-a-knot quintic spline
+    through the solved v (InterpolatingSpline: knots s[0] and s[-1] six
+    times around s[3:-3], B-spline coefficients from one LAPACK banded
+    solve, the gbsv of ``scipy.linalg.solve_banded``, in the collocation
+    matrix's true (4, 4) band), a function of s alone, on the metric of
+    cfg, the one the solve corrected:
+    g = g_K + U [ds^2 + q g_{S^{n-1}}] (``cfg.warp()``).  The
     conformal law in dimension m reads S~ = w^{-(m+2)/(m-2)} (S_g w - 4(m-1)/(m-2) Delta w)
     with Delta w = A (w'' + b w') from laplacian_coefficients and the
     spline's exact derivatives; S_g is neck_scalar_curvature on the neck
-    and S on the caps.  ``fd_err`` carries S_g's bar through the law plus
-    the rounding of the spline derivatives, amplified by A.
+    and S on the caps, both read from one evaluation of the profile jets.
+    ``fd_err`` carries S_g's bar through the law plus the rounding of the
+    spline derivatives, amplified by A.
     """
-    # imported here: scipy.interpolate is slow to import and only used here
-    from scipy.interpolate import make_interp_spline
-
     grid = report.v.grid
     v = report.v.values
-    spl = make_interp_spline(grid.s, v, k=5)
     m, T, S = cfg.m, cfg.t_max, cfg.S
 
     ts = np.linspace(-(T - 0.4), T - 0.4, VERIFY_NECK_SAMPLES)
@@ -237,12 +330,13 @@ def verify_constant_curvature(report: FixedPointReport,
     s = np.concatenate([ts, -T - np.log(rs), T + np.log(rs)])
     samples = ([("neck", float(t)) for t in ts]
                + [(chart, float(r)) for chart in ("cap-1", "cap-2") for r in rs])
-    S_g = np.full(s.shape, S)    # caps carry the summand metric exactly
-    err_g = np.zeros_like(s)
-    S_g[:ts.size], err_g[:ts.size] = neck_scalar_curvature(cfg, ts)
+    u, q = cfg.warp_jets(s)
+    S_g, err_g = neck_scalar_curvature(cfg, u, q)
+    S_g[ts.size:], err_g[ts.size:] = S, 0.0  # caps carry the summand metric exactly
 
-    w, w1, w2 = 1.0 + spl(s), spl(s, 1), spl(s, 2)
-    A, b = laplacian_coefficients(cfg, s)
+    spline = InterpolatingSpline(grid.s, v).jet(s)
+    w, w1, w2 = 1.0 + spline.v, spline.d, spline.dd
+    A, b = laplacian_coefficients(cfg, u, q)
     kappa = 4.0 * (m - 1) / (m - 2)
     scale = w ** (-(m + 2.0) / (m - 2))
     post = np.abs(scale * (S_g * w - kappa * A * (w2 + b * w1)) - S)

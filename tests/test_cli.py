@@ -294,13 +294,22 @@ def test_spectrum_detects_failed_hypothesis(cfg_file, tmp_path):
     assert "eig_floor" in failed
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
-    # scipy.interpolate takes about 0.3 s to import and only the post-solve
-    # check uses it; every CLI run would pay for it if the package loaded it
+def test_import_leaves_scipy_interpolate_unloaded(tmp_path):
+    # scipy.interpolate takes about 0.3 s to import and the package does not
+    # use it: the post-solve check builds its spline on scipy.linalg, so
+    # neither the import nor a sweep or solve run may load it
     src = str(Path(cscglue.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import cscglue, sys; print('scipy.interpolate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    small = ["--set", "grid.resolution=16", "--set", "gluing.epsilon=0.05,0.04"]
+    runs = {"import": None,
+            "sweep": ["sweep", *small, "--out", str(tmp_path / "sweep")],
+            "solve": ["solve", *small[:2], "--out", str(tmp_path / "solve")]}
+    for name, args in runs.items():
+        code = ("import contextlib, io, sys\nfrom cscglue import cli\n"
+                + (f"with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    assert cli.main({args!r}) in (0, 1)\n" if args else "")
+                + "print('scipy.interpolate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False", name

@@ -1,5 +1,6 @@
 """Every name a cscglue module imports is used in that module and public,
-and the package's settable values stay within a recorded bound."""
+the only scipy subpackage the package imports is scipy.linalg, and the
+package's settable values stay within a recorded bound."""
 
 import ast
 from pathlib import Path
@@ -54,6 +55,36 @@ def test_module_imports_no_private_name(path):
     # a leading underscore keeps a name to its own module; a rule that two
     # modules need belongs under a public name
     assert _private_imports(ast.parse(path.read_text())) == set()
+
+
+def _scipy_imports(tree: ast.Module) -> set:
+    """Dotted names of the scipy modules a module imports, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names if a.name.split(".")[0] == "scipy"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.split(".")[0] == "scipy"):
+            names |= ({f"scipy.{a.name}" for a in node.names} if node.module == "scipy"
+                      else {node.module})
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=[p.stem for p in sorted(PACKAGE.glob("*.py"))])
+def test_module_imports_only_scipy_linalg(path):
+    # scipy.interpolate alone costs about 0.3 s to import, paid by every CLI
+    # run; a bare `import scipy` would reach every subpackage lazily
+    names = _scipy_imports(ast.parse(path.read_text()))
+    assert {n for n in names if n.split(".")[:2] != ["scipy", "linalg"]} == set()
+
+
+def test_scipy_import_check_sees_every_form():
+    src = ("import scipy\nimport scipy.special as sp\nfrom scipy import optimize\n"
+           "from scipy.linalg import lapack\n"
+           "def f():\n    from scipy.interpolate import make_interp_spline\n")
+    assert _scipy_imports(ast.parse(src)) == {
+        "scipy", "scipy.special", "scipy.optimize", "scipy.linalg", "scipy.interpolate"}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -103,6 +103,29 @@ def test_separable_laplacian_matches_5d_engine(name, eps, probe):
     assert np.all(np.abs(lap - ref) <= err)
 
 
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+def test_neck_coefficients_evaluate_the_profile_once(monkeypatch, name):
+    # q comes from the same profile jets as (A, b); jet values are bitwise
+    # the array evaluation, so (A, b, q) are those of two separate calls
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=0.02)
+    t = na.conjugation_residual(cfg).t
+    A0, b0 = linear_solver.laplacian_coefficients(cfg, *cfg.warp_jets(t))
+    q0 = cfg.warp()(t)[1]
+    calls = []
+    warp = gluing.GluingConfig.warp
+
+    def counted(self):
+        calls.append(self)
+        return warp(self)
+
+    monkeypatch.setattr(gluing.GluingConfig, "warp", counted)
+    A, b, q = na.neck_coefficients(cfg, t)
+    assert len(calls) == 1
+    for got, want in ((A, A0), (b, b0), (q, q0)):
+        assert np.array_equal(got, want)
+
+
 def test_conjugation_never_builds_the_glued_field(monkeypatch, model_a):
     def forbidden(*args, **kwargs):
         raise AssertionError("conjugation_residual sampled the glued components")

@@ -94,7 +94,7 @@ def test_verify_constant_factor_uses_total_dimension(cfg05, report05):
     rep.v.values[:] = c
     chk = yamabe.verify_constant_curvature(rep, cfg05)
     t = np.array([x for chart, x in chk.samples if chart == "neck"])
-    S_neck, _ = linear_solver.neck_scalar_curvature(cfg05, t)
+    S_neck, _ = linear_solver.neck_scalar_curvature(cfg05, *cfg05.warp_jets(t))
     S_g = np.concatenate([S_neck, np.full(len(chk.samples) - t.size, cfg05.S)])
     expected = np.abs((1 + c) ** (-4.0 / (cfg05.m - 2)) * S_g - cfg05.S)
     # to rounding: the spline's derivatives of constant data are ~ 1e-12
@@ -209,3 +209,63 @@ def test_one_d_path_never_touches_the_5d_engine(monkeypatch, model_a):
     neck_analysis.deviation_profile(cfg)
     assert neck_analysis.barrier_margin(cfg, delta=0.3).min_margin >= 0.0
     neck_analysis.local_estimate_ratio(cfg)
+
+
+def _verify_points(cfg):
+    """The s of verify_constant_curvature's samples: neck t, then cap-1 and cap-2 r."""
+    T = cfg.t_max
+    ts = np.linspace(-(T - 0.4), T - 0.4, yamabe.VERIFY_NECK_SAMPLES)
+    rs = np.linspace(1.05, 0.85 * cfg.model_1.r_max, yamabe.VERIFY_CAP_SAMPLES)
+    return np.concatenate([ts, -T - np.log(rs), T + np.log(rs)])
+
+
+def _rounding_bars(v, h):
+    """The spline-derivative rounding term of fd_err for orders 0, 1, 2."""
+    return [linear_solver.ROUNDING_ULPS * np.finfo(float).eps * np.max(np.abs(v)) / h**j
+            for j in range(3)]
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+@pytest.mark.parametrize("resolution", [16, 64, 256])
+def test_spline_matches_scipy_interpolate(name, resolution):
+    # scipy.interpolate is the oracle here only: the package never imports it
+    from scipy.interpolate import make_interp_spline
+
+    model = geometry.make_model(name)
+    rng = np.random.default_rng(resolution)
+    for eps in (0.05, 1e-2, 1e-3, 1e-4):
+        cfg = gluing.GluingConfig(model, model, eps=eps)
+        s = linear_solver.build_grid(cfg, resolution).s
+        v = 0.1 * np.exp(-0.1 * s**2) + 1e-3 * rng.standard_normal(s.size)
+        spline, oracle = yamabe.InterpolatingSpline(s, v), make_interp_spline(s, v, k=5)
+        assert np.array_equal(spline.knots, oracle.t)
+        assert np.max(np.abs(spline.coef - oracle.c)) <= 1e-14 * np.max(np.abs(oracle.c))
+        x = np.concatenate([_verify_points(cfg), s[[0, 1, -2, -1]]])
+        jet = spline.jet(x)
+        for j, (got, bar) in enumerate(zip((jet.v, jet.d, jet.dd),
+                                           _rounding_bars(v, np.min(np.diff(s))))):
+            assert np.max(np.abs(got - oracle(x, j))) <= bar, (eps, j)
+
+
+def test_spline_reproduces_quintics_on_a_nonuniform_grid(rng):
+    s = np.cumsum(rng.uniform(0.2, 1.8, 40))
+    p = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, yamabe.SPLINE_DEGREE + 1))
+    x = np.concatenate([rng.uniform(s[0], s[-1], 50), s[[0, 1, -2, -1]]])
+    jet = yamabe.InterpolatingSpline(s, p(s)).jet(x)
+    for j, (got, bar) in enumerate(zip((jet.v, jet.d, jet.dd),
+                                       _rounding_bars(p(s), np.min(np.diff(s))))):
+        assert np.max(np.abs(got - p.deriv(j)(x))) <= bar, j
+
+
+def test_verify_evaluates_the_profile_once(monkeypatch, cfg05, report05):
+    # neck curvature and Laplacian coefficients share one set of profile jets
+    calls = []
+    warp = gluing.GluingConfig.warp
+
+    def counted(self):
+        calls.append(self)
+        return warp(self)
+
+    monkeypatch.setattr(gluing.GluingConfig, "warp", counted)
+    yamabe.verify_constant_curvature(report05, cfg05)
+    assert len(calls) == 1
