@@ -6,7 +6,9 @@ continue r = eps e^{-+s} beyond the seams), so L = Delta + S/(m-1) on
 functions of s is 1-D.  Grid weights, neck scalar curvature and the 1-D
 Laplacian come in closed form from the config's profile callback
 s -> (u, q) and its exact jets (``GluingConfig.warp``, ``gluing.Jet``);
-no metric components are sampled.
+no metric components are sampled.  The orbit volume is taken as
+W = U^{n/2} q^{(n-1)/2}: the constant volume factor of g_K and
+g_{S^{n-1}} scales W and the fluxes alike and cancels from L.
 
 The discretization is conservative (flux form)
     (L u)_i = [K_{i+1/2} (u_{i+1}-u_i)/h_i - K_{i-1/2} (u_i-u_{i-1})/h_{i-1}] / V_i
@@ -29,7 +31,7 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 # bench/spans.py wraps them by name
 from .curvature import scalar_curvature  # noqa: F401
 from .errors import NearSingularOperator, NoConvergence
-from .geometry import ModelGeometry, normal_radius, product_components, sample_orbit
+from .geometry import ModelGeometry, normal_radius
 from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
 
 _GAUSS4_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
@@ -47,11 +49,11 @@ ROUNDING_ULPS = 64  # rounding bars: this many eps_mach of the summed term sizes
 class RadialGrid:
     """Composite 1-D mesh along the global cylindrical coordinate.
 
-    ``W`` are per-node orbit volume weights (sqrt(det g) at the sample
-    orbit, up to one global constant), ``A`` the radial inverse-metric
+    ``W`` are per-node orbit volume weights U^{n/2} q^{(n-1)/2} (sqrt(det g)
+    up to one global constant), ``A`` the radial inverse-metric
     coefficient g^{ss}, ``K_half`` the flux coefficients W*A at
-    midpoints, ``V`` dual-cell volumes.  ``region`` is -1/0/+1 for
-    cap-1/neck/cap-2.
+    midpoints, ``V`` dual-cell volumes.  ``cap`` marks the nodes on
+    either summand's cap, where the metric is exactly the summand's.
     """
 
     s: np.ndarray
@@ -60,14 +62,11 @@ class RadialGrid:
     A: np.ndarray
     K_half: np.ndarray
     V: np.ndarray
-    region: np.ndarray
+    cap: np.ndarray
 
     @property
     def size(self) -> int:
         return self.s.size
-
-    def cap_mask(self) -> np.ndarray:
-        return self.region != 0
 
 
 def _segment(a: float, b: float, resolution: int) -> np.ndarray:
@@ -89,23 +88,19 @@ def laplacian_coefficients(cfg: GluingConfig, u: Jet, q: Jet):
     return u.v ** (-4.0 / (n - 2)), 2.0 * u.d / u.v + (n - 1) * q.d / (2.0 * q.v)
 
 
-def _radial_grid(model: ModelGeometry, warp, s, region) -> RadialGrid:
+def _radial_grid(n: int, warp, s, cap) -> RadialGrid:
     """RadialGrid of g_K + U [ds^2 + q g_{S^{n-1}}] from warp(|s|) = (u, q).
 
-    In closed form, sqrt(det g) = w0 U^{n/2} q^{(n-1)/2} at the sample
-    orbit, w0 being sqrt(det) of g_K + ds^2 + g_{S^{n-1}} at the sample
-    (z, theta), and A = g^{ss} = 1/U with U = u^{4/(n-2)}.  The flux
-    coefficient W A is taken at the cell midpoints.
+    In closed form, sqrt(det g) is W = U^{n/2} q^{(n-1)/2} up to one
+    global constant, which cancels from L, and A = g^{ss} = 1/U with
+    U = u^{4/(n-2)}.  The flux coefficient W A is taken at the cell
+    midpoints.
     """
-    n = model.n
-    z, theta = sample_orbit(model)
-    pt = np.array([*z, 0.0, *theta])
-    w0 = math.sqrt(np.linalg.det(product_components(model, pt, 1.0, 1.0)))
 
     def weights(x):
         u, q = warp(np.abs(x))
         U = u ** (4.0 / (n - 2))
-        return w0 * U ** (n / 2.0) * q ** ((n - 1) / 2.0), 1.0 / U
+        return U ** (n / 2.0) * q ** ((n - 1) / 2.0), 1.0 / U
 
     h = np.diff(s)
     W, A = weights(s)
@@ -118,7 +113,7 @@ def _radial_grid(model: ModelGeometry, warp, s, region) -> RadialGrid:
                         (W.size - 1, (s[-1] - 0.5 * h[-1], s[-1]))):
         nodes = 0.5 * (s1 - s0) * _GAUSS4_NODES + 0.5 * (s0 + s1)
         V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ weights(nodes)[0])
-    return RadialGrid(s, h, W, A, Wm * Am, V, region)
+    return RadialGrid(s, h, W, A, Wm * Am, V, cap)
 
 
 def build_grid(cfg: GluingConfig, resolution: int = 64) -> RadialGrid:
@@ -126,7 +121,8 @@ def build_grid(cfg: GluingConfig, resolution: int = 64) -> RadialGrid:
 
     ``resolution`` counts nodes per unit of the cylindrical coordinate.
     W and A come from ``cfg.warp()``, which covers the caps too, taken at
-    |s|, so the grid is mirror symmetric by construction.
+    |s|, so the grid is mirror symmetric by construction.  ``cap`` is
+    |s| >= t_max, the one seam rule of the grid and its curvature profile.
     """
     T = cfg.t_max
 
@@ -135,10 +131,7 @@ def build_grid(cfg: GluingConfig, resolution: int = 64) -> RadialGrid:
     # second order everywhere
     s_half = _segment(0.0, T + math.log(cfg.model_1.r_max), resolution)
     s = np.concatenate([-s_half[:0:-1], s_half])
-    region = np.zeros(s.size, dtype=int)
-    region[s <= -T] = -1
-    region[s >= T] = 1
-    return _radial_grid(cfg.model_1, cfg.warp(), s, region)
+    return _radial_grid(cfg.n, cfg.warp(), s, np.abs(s) >= T)
 
 
 def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
@@ -150,20 +143,17 @@ def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
     """
     warp = lambda r: (np.ones_like(r), normal_radius(model.normal_factor, r) ** 2)
     r = _segment(0.0, model.r_max, resolution)
-    return _radial_grid(model, warp, r, np.zeros(r.size, dtype=int))
+    return _radial_grid(model.n, warp, r, np.zeros(r.size, dtype=bool))
 
 
 def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
-    """Toy grid with W = A = 1: the flat 1-D Laplacian with Neumann ends."""
+    """Toy grid with W = A = 1: the flat 1-D Laplacian with Neumann ends.
+
+    It is the radial grid of the constant profile u = q = 1, for any n.
+    """
     s = _segment(0.0, length, resolution)
-    h = np.diff(s)
-    W = np.ones_like(s)
-    V = np.empty_like(W)
-    V[1:-1] = 0.5 * (h[:-1] + h[1:])
-    V[0] = 0.5 * h[0]
-    V[-1] = 0.5 * h[-1]
-    return RadialGrid(s, h, W, np.ones_like(s), np.ones(s.size - 1), V,
-                      np.zeros(s.size, dtype=int))
+    ones = lambda x: (np.ones_like(x), np.ones_like(x))
+    return _radial_grid(3, ones, s, np.zeros(s.size, dtype=bool))
 
 
 @dataclass
@@ -340,13 +330,14 @@ def neck_scalar_curvature(cfg: GluingConfig, u: Jet, q: Jet):
 def glued_curvature_profile(cfg: GluingConfig, grid: RadialGrid):
     """Scalar curvature of the metric of cfg at the grid nodes.
 
-    Cap nodes carry the exact constant S of the summands; neck nodes take
-    neck_scalar_curvature at |s|, so the profile is mirror symmetric by
-    construction.  Returns (profile, error bar).
+    Cap nodes (``grid.cap``) carry the exact constant S of the summands,
+    with error bar 0; neck nodes take neck_scalar_curvature at |s|, so the
+    profile is mirror symmetric by construction.  Returns (profile, error
+    bar).
     """
     prof = np.full(grid.s.shape, cfg.S, dtype=float)
     err = np.zeros_like(prof)
-    inner = np.abs(grid.s) < cfg.t_max - 1e-12
+    inner = ~grid.cap
     prof[inner], err[inner] = neck_scalar_curvature(
         cfg, *cfg.warp_jets(np.abs(grid.s[inner])))
     return prof, err

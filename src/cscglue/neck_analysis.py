@@ -39,6 +39,7 @@ from .linear_solver import (
     laplacian_coefficients,
     neck_scalar_curvature,
     solve_dirichlet,
+    weighted_sup,
 )
 
 RESOLVED_FACTOR = 10.0  # a deviation counts as resolved above 10x its error bar
@@ -378,8 +379,8 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
     out = []
     for name, f, left, right in probes:
         v = solve_dirichlet(op, f, i0, i1, left, right)
-        num = float(np.max(psi**lo * np.abs(v)))
-        den = float(np.max(psi**hi * np.abs(np.asarray(f)[win])))
+        num = weighted_sup(v, psi, lo)
+        den = weighted_sup(np.asarray(f)[win], psi, hi)
         den_b = max(psi[0]**lo * abs(v[0]), psi[-1]**lo * abs(v[-1]))
         out.append((name, num / (den + den_b)))
     return LocalEstimateReport(max(r[1] for r in out), out)

@@ -85,7 +85,7 @@ class RadialProfile:
     values: np.ndarray
 
     def cap_sup(self) -> float:
-        return float(np.max(np.abs(self.values[self.grid.cap_mask()])))
+        return float(np.max(np.abs(self.values[self.grid.cap])))
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))

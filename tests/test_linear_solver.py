@@ -61,21 +61,39 @@ def test_neck_radial_coefficient(cfg05, stack05):
     assert np.max(np.abs(grid.A[inner] - expected) / expected) <= 1e-12
 
 
-def test_grid_mirror_and_interfaces(stack05, cfg05):
-    grid, _, _ = stack05
-    assert np.array_equal(grid.s, -grid.s[::-1])
-    assert np.array_equal(grid.W, grid.W[::-1])
-    T = cfg05.t_max
-    i1 = int(np.argmin(np.abs(grid.s + T)))  # the node nearest the side-1 seam
-    assert abs(grid.s[i1] + T) <= grid.h[0]
-    # near the interface the cylindrical weight equals the summand's
-    # cap-chart weight times the jacobian |dr/dt| = r
-    field = geometry.fermi_metric(cfg05.model_1)
-    z, th = (0.73, 1.41), (1.0831, 0.47)
-    r = cfg05.eps * math.exp(-grid.s[i1])
-    g_cap = field.components("cap-1", np.array([*z, r, *th]))
-    w_cap = r * math.sqrt(abs(np.linalg.det(g_cap)))
-    assert abs(grid.W[i1] - w_cap) <= 1e-10 * w_cap
+def test_grid_mirror_and_interfaces():
+    for name in ("torus2_x_sphere3", "sphere2_x_sphere3"):
+        model = geometry.make_model(name)
+        cfg = gluing.GluingConfig(model, model, eps=0.05)
+        grid = ls.build_grid(cfg, 64)
+        assert np.array_equal(grid.s, -grid.s[::-1])
+        assert np.array_equal(grid.W, grid.W[::-1])
+        T = cfg.t_max
+        i1 = int(np.argmin(np.abs(grid.s + T)))  # the node nearest the side-1 seam
+        assert abs(grid.s[i1] + T) <= grid.h[0]
+        # near the interface the cylindrical weight, times the constant volume
+        # factor w0 of g_K + ds^2 + g_{S^{n-1}} that the grid leaves out,
+        # equals the summand's cap-chart weight times the jacobian |dr/dt| = r
+        z, th = geometry.sample_orbit(model)
+        w0 = math.sqrt(np.linalg.det(geometry.product_components(
+            model, np.array([*z, 0.0, *th]), 1.0, 1.0)))
+        r = cfg.eps * math.exp(-grid.s[i1])
+        g_cap = geometry.fermi_metric(model).components("cap-1",
+                                                        np.array([*z, r, *th]))
+        w_cap = r * math.sqrt(abs(np.linalg.det(g_cap)))
+        assert abs(w0 * grid.W[i1] - w_cap) <= 1e-10 * w_cap
+
+        # one seam rule: the caps are |s| >= t_max, where the profile is the
+        # summands' exact S; every other node takes the neck formula
+        cap = np.abs(grid.s) >= T
+        assert np.array_equal(grid.cap, cap)
+        assert cap[0] and cap[-1] and not cap[grid.size // 2]
+        prof, err = ls.glued_curvature_profile(cfg, grid)
+        assert np.all(prof[cap] == cfg.S) and np.all(err[cap] == 0.0)
+        S_neck, err_neck = ls.neck_scalar_curvature(
+            cfg, *cfg.warp_jets(np.abs(grid.s[~cap])))
+        assert np.array_equal(prof[~cap], S_neck)
+        assert np.array_equal(err[~cap], err_neck)
 
 
 def test_solve_inverse_consistency(stack05, rng):
@@ -231,7 +249,7 @@ def test_global_estimate_homogeneity_and_cap_source(cfg05, stack05):
     assert rep2.ratio == pytest.approx(rep1.ratio, rel=1e-12)
 
     # source supported on the caps: the weights there are exactly one
-    f_cap = np.where(grid.cap_mask(), 1.0, 0.0)
+    f_cap = np.where(grid.cap, 1.0, 0.0)
     rep = ls.global_estimate_ratio(cfg05, probes=[f_cap])
     psi = gluing.psi_of_t(grid.s, cfg05)
     v = ls.solve(op, f_cap)
@@ -269,7 +287,7 @@ def _neck_profile(name, eps):
     cfg = gluing.GluingConfig(model, model, eps=eps)
     grid = ls.build_grid(cfg, 64)
     prof, _ = ls.glued_curvature_profile(cfg, grid)
-    inner = np.abs(grid.s) < cfg.t_max - 1e-12
+    inner = ~grid.cap
     return model, gluing.glued_metric(cfg), grid.s[inner], prof[inner]
 
 
@@ -348,7 +366,7 @@ def test_curvature_profile_within_error_bars_of_mpmath(eps, resolution):
     cfg = gluing.GluingConfig(model, model, eps=eps)
     grid = ls.build_grid(cfg, resolution)
     prof, err = ls.glued_curvature_profile(cfg, grid)
-    inner = np.flatnonzero(np.abs(grid.s) < cfg.t_max - 1e-12)
+    inner = np.flatnonzero(~grid.cap)
     nodes = np.union1d(inner[np.argsort(err[inner])[-4:]],
                        inner[np.linspace(0, inner.size - 1, 8).astype(int)])
     with mp.workdps(40):

@@ -228,3 +228,31 @@ def test_local_estimate_ratio_homogeneity(model_a):
     scaled = na.local_estimate_ratio(cfg, 48,
                                      probes=[("f", 7.3 * f, 7.3 * 0.2, 7.3 * 0.1)])
     assert scaled.max_ratio == pytest.approx(base.max_ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+def test_local_estimate_ratio_is_the_inline_weighted_sup_ratio(monkeypatch, name):
+    # each default probe's ratio, restated inline from the solves the
+    # estimate made, is bitwise the one it reports
+    solves = []
+    real = na.solve_dirichlet
+
+    def recording(op, f, i0, i1, left, right):
+        v = real(op, f, i0, i1, left, right)
+        solves.append((np.asarray(f), i0, i1, v))
+        return v
+
+    monkeypatch.setattr(na, "solve_dirichlet", recording)
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=0.02, alpha=1.2)
+    rep = na.local_estimate_ratio(cfg)
+    s = linear_solver.build_grid(cfg, 64).s
+    lo = (cfg.n - 2) / 2.0 - cfg.delta
+    hi = (cfg.n + 2) / 2.0 - cfg.delta
+    assert len(solves) == len(rep.per_probe) == 3
+    for (_, ratio), (f, i0, i1, v) in zip(rep.per_probe, solves):
+        psi = gluing.psi_of_t(s[i0:i1 + 1], cfg)
+        num = float(np.max(psi**lo * np.abs(v)))
+        den = float(np.max(psi**hi * np.abs(f[i0:i1 + 1])))
+        den_b = max(psi[0]**lo * abs(v[0]), psi[-1]**lo * abs(v[-1]))
+        assert ratio == num / (den + den_b)

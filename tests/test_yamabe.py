@@ -211,6 +211,28 @@ def test_one_d_path_never_touches_the_5d_engine(monkeypatch, model_a):
     neck_analysis.local_estimate_ratio(cfg)
 
 
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+def test_solve_path_never_samples_metric_components(monkeypatch, name):
+    # the grids, the solve and the post-solve check read the profile
+    # (u, q) only: no m x m component matrix is ever built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solve path sampled metric components")
+
+    monkeypatch.setattr(geometry, "product_components", forbidden)
+    monkeypatch.setattr(gluing, "_warped_components", forbidden)
+    monkeypatch.setattr(linear_solver, "product_components", forbidden,
+                        raising=False)
+
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=0.02)
+    linear_solver.build_grid_single(model, 64)
+    linear_solver.build_flat_grid(math.pi, 64)
+    grid = linear_solver.build_grid(cfg, 64)
+    prof = linear_solver.glued_curvature_profile(cfg, grid)
+    rep = yamabe.picard_solve(cfg, grid=grid, profile=prof)
+    assert yamabe.verify_constant_curvature(rep, cfg).post_dev < rep.pre_dev
+
+
 def _verify_points(cfg):
     """The s of verify_constant_curvature's samples: neck t, then cap-1 and cap-2 r."""
     T = cfg.t_max
