@@ -158,13 +158,18 @@ def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
 
 @dataclass
 class DiscreteOperator:
-    """Tridiagonal form of (1/W) D(W A D .) + c, self-adjoint under V."""
+    """Tridiagonal form of (1/W) D(W A D .) + c, self-adjoint under V.
+
+    ``_min_eig`` caches ``min_abs_eig()``; ``_gate`` caches the smallest
+    |eigenvalue| below MIN_ABS_EIG that ``solve`` found (inf if none).
+    """
 
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
     V: np.ndarray
     _min_eig: float | None = field(default=None, repr=False)
+    _gate: float | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -236,15 +241,23 @@ def _banded_solve(sub, diag, sup, f: np.ndarray) -> np.ndarray:
 def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     """One banded solve of L x = f, checked by its residual.
 
-    Raises NearSingularOperator when the smallest-magnitude eigenvalue
-    falls below 1e-8 (the numerical symptom of a failed injectivity
+    Raises NearSingularOperator when L has an eigenvalue of magnitude
+    below MIN_ABS_EIG (the numerical symptom of a failed injectivity
     hypothesis), and NoConvergence if the relative residual exceeds
-    RESIDUAL_TOL.
+    RESIDUAL_TOL.  The gate reads the window (-MIN_ABS_EIG, MIN_ABS_EIG]
+    once per operator, usually empty and then settled by two Sturm
+    counts, or the cached smallest eigenvalue when ``min_abs_eig()`` was
+    read first.  Both come from bisection to an absolute 1e-12, so the
+    two readings can disagree only for an eigenvalue within about 1e-12
+    of +-MIN_ABS_EIG.
     """
-    if abs(op.min_abs_eig()) < MIN_ABS_EIG:
+    if op._gate is None:
+        near = ((op._min_eig,) if op._min_eig is not None
+                else _eigenvalues_within(op, MIN_ABS_EIG))
+        op._gate = float(min(map(abs, near), default=math.inf))
+    if op._gate < MIN_ABS_EIG:
         raise NearSingularOperator(
-            f"smallest |eigenvalue| = {op.min_abs_eig():.3e} < {MIN_ABS_EIG:g}"
-        )
+            f"smallest |eigenvalue| = {op._gate:.3e} < {MIN_ABS_EIG:g}")
     return _banded_solve(op.sub, op.diag, op.sup, np.asarray(f, dtype=float))
 
 
@@ -266,27 +279,41 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
     return np.concatenate([[left], inner, [right]])
 
 
-def smallest_eigenvalue(op: DiscreteOperator) -> float:
-    """Smallest-magnitude eigenvalue, by LAPACK bisection in a window around 0.
+def _symmetric_off(op: DiscreteOperator) -> np.ndarray:
+    """Off-diagonal sup_i sqrt(V_i / V_{i+1}) of T = V^{1/2} L V^{-1/2}."""
+    return op.sup * np.sqrt(op.V[:-1] / op.V[1:])
+
+
+def _eigenvalues_within(op: DiscreteOperator, r: float) -> np.ndarray:
+    """The eigenvalues of L in (-r, r], by LAPACK bisection (``stebz``) on T.
 
     The operator is self-adjoint in the V-weighted inner product, so
-    V^{1/2} L V^{-1/2} is a symmetric tridiagonal matrix T with the same
-    spectrum; its off-diagonal is sup_i sqrt(V_i / V_{i+1}).  Bisection
-    (``stebz``) finds only the eigenvalues of T in (-r, r], starting at
-    r = 1; while that window is empty r doubles.  Once r exceeds the
-    Gershgorin bound max|diag| + 2 max|off| the window holds the whole
-    spectrum, so the loop always ends with a value.  The tolerance is an
+    T = V^{1/2} L V^{-1/2} is a symmetric tridiagonal matrix with the same
+    spectrum.  Sturm counts at -r and r decide which eigenvalues the window
+    holds, so an empty window costs two of them.  The tolerance is an
     absolute 1e-12: LAPACK's default, eps_mach ||T||, grows with the
     1/U-sized diagonal of the neck (about 8e11 at eps 1e-4) and would
     cost up to 2e-5 there.
     """
-    off = op.sup * np.sqrt(op.V[:-1] / op.V[1:])
-    bound = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(off))
+    return eigh_tridiagonal(op.diag, _symmetric_off(op), eigvals_only=True,
+                            select="v", select_range=(-r, r),
+                            lapack_driver="stebz", tol=1e-12)
+
+
+def smallest_eigenvalue(op: DiscreteOperator) -> float:
+    """Smallest-magnitude eigenvalue, by LAPACK bisection in a window around 0.
+
+    ``_eigenvalues_within`` looks in (-r, r], starting at r = 1; while that
+    window is empty r doubles.  Once r exceeds the Gershgorin bound
+    max|diag| + 2 max|off| of T the window holds the whole spectrum, so
+    the loop always ends with a value.  ``solve`` does not call this: its
+    gate reads the much narrower window (-MIN_ABS_EIG, MIN_ABS_EIG].  Read
+    the value through ``DiscreteOperator.min_abs_eig()``, which caches it.
+    """
+    bound = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(_symmetric_off(op)))
     r = 1.0
     while True:
-        vals = eigh_tridiagonal(op.diag, off, eigvals_only=True, select="v",
-                                select_range=(-r, r), lapack_driver="stebz",
-                                tol=1e-12)
+        vals = _eigenvalues_within(op, r)
         if vals.size or r > bound:
             return float(vals[np.argmin(np.abs(vals))])
         r *= 2.0
@@ -294,7 +321,12 @@ def smallest_eigenvalue(op: DiscreteOperator) -> float:
 
 @dataclass
 class SolveReport:
-    """Diagnostics of the linear operator inside the nonlinear pipeline."""
+    """Diagnostics of the linear operator inside the nonlinear pipeline.
+
+    ``min_abs_eig`` is the operator's smallest-magnitude eigenvalue
+    (signed), from ``smallest_eigenvalue``.  The solves themselves never
+    compute it; a report builds it when it is read.
+    """
 
     min_abs_eig: float
 
@@ -365,8 +397,8 @@ def global_estimate_ratio(cfg: GluingConfig, probes=None,
     ``probes`` is a list of sources on that grid; by default it is the
     one conformal source c_m (S - S_glued).  Boundedness of the ratio
     uniformly in eps is the content of the global weighted a priori
-    estimate.  The report's ``min_abs_eig`` is the eigenvalue the solves
-    already checked.
+    estimate.  The report's ``min_abs_eig`` is the operator's smallest
+    eigenvalue, read before the solves so that their gate reuses it.
     """
     grid = build_grid(cfg, resolution)
     profile, _ = glued_curvature_profile(cfg, grid)
@@ -378,10 +410,11 @@ def global_estimate_ratio(cfg: GluingConfig, probes=None,
     if probes is None:
         c_m = -(cfg.m - 2) / (4.0 * (cfg.m - 1))
         probes = [c_m * (cfg.S - profile)]
+    min_eig = op.min_abs_eig()
     out = []
     for f in probes:
         v = solve(op, f)
         num = weighted_sup(v, psi, lo)
         den = weighted_sup(f, psi, hi)
         out.append(num / den)
-    return EstimateReport(max(out), out, op.min_abs_eig())
+    return EstimateReport(max(out), out, min_eig)

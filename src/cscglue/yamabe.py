@@ -93,7 +93,12 @@ class RadialProfile:
 
 @dataclass
 class FixedPointReport:
-    """History and certificates of one Picard solve."""
+    """History and certificates of one Picard solve.
+
+    ``operator`` is the L the iterates were solved with.  ``linear``, its
+    smallest eigenvalue, is computed when first read and cached on the
+    operator: the solve needs only invertibility, which its gate checked.
+    """
 
     sup_history: list
     increments: list
@@ -108,11 +113,14 @@ class FixedPointReport:
     contraction: float
     pre_dev: float
     operator: DiscreteOperator = field(repr=False, default=None)
-    linear: SolveReport = field(repr=False, default=None)
 
     @property
     def iterations(self) -> int:
         return len(self.sup_history)
+
+    @property
+    def linear(self) -> SolveReport:
+        return SolveReport(self.operator.min_abs_eig())
 
 
 def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
@@ -136,6 +144,9 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     undefined behavior.  ``grid`` and ``profile`` let a caller that
     already built them reuse its grid and its glued_curvature_profile
     pair (values, error bar); only the values of the pair are read.
+    Each solve passes ``solve``'s invertibility gate, which checks the
+    operator once; the smallest eigenvalue is not computed here but when
+    the report's ``linear`` is read.
     """
     n, m, delta = cfg.n, cfg.m, cfg.delta
     nu = cfg.nu
@@ -146,7 +157,6 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     profile, _ = (glued_curvature_profile(cfg, grid) if profile is None
                   else profile)
     op = assemble_L(grid, profile, m)
-    min_eig = op.min_abs_eig()
 
     S = cfg.S
     s_dev = S - profile
@@ -195,7 +205,6 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
         converged=converged, mirror_defect=mirror,
         contraction=contraction,
         pre_dev=float(np.max(np.abs(s_dev))), operator=op,
-        linear=SolveReport(min_eig),
     )
 
 

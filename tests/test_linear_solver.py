@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from cscglue import curvature, geometry, gluing, linear_solver as ls
+from cscglue import curvature, geometry, gluing, linear_solver as ls, yamabe
 from cscglue.errors import NearSingularOperator, NoConvergence
 
 
@@ -105,7 +105,7 @@ def test_solve_inverse_consistency(stack05, rng):
     assert np.max(np.abs(ls.solve(op, np.zeros(grid.size)))) == 0.0
 
 
-def test_forced_kernel_near_singular(model_a):
+def test_forced_kernel_near_singular(model_a, cfg05):
     grid = ls.build_grid_single(model_a, 64)
     op0 = ls.assemble_L(grid, 0.0, model_a.m)
     vals = _full_spectrum(op0)
@@ -114,6 +114,18 @@ def test_forced_kernel_near_singular(model_a):
     assert abs(ls.smallest_eigenvalue(op)) <= 1e-8
     with pytest.raises(NearSingularOperator):
         ls.solve(op, np.ones(grid.size))
+    # the kernel shifted to 5e-9, inside the gate's window, and to 2e-8,
+    # outside it; nothing reads min_abs_eig() before the solves
+    shifted = lambda mu: (mu - lam) * (model_a.m - 1) * np.ones(grid.size)
+    op = ls.assemble_L(grid, shifted(5e-9), model_a.m)
+    with pytest.raises(NearSingularOperator):
+        ls.solve(op, np.ones(grid.size))
+    with pytest.raises(NearSingularOperator):
+        yamabe.picard_solve(cfg05, grid=grid, profile=(shifted(5e-9), None))
+    assert abs(ls.smallest_eigenvalue(op) - 5e-9) <= 1e-11
+    op = ls.assemble_L(grid, shifted(2e-8), model_a.m)
+    assert np.all(np.isfinite(ls.solve(op, np.ones(grid.size))))
+    assert abs(ls.smallest_eigenvalue(op) - 2e-8) <= 1e-11
 
 
 @pytest.mark.parametrize("case", ["glued05", "summand_a"])
@@ -256,6 +268,14 @@ def test_global_estimate_homogeneity_and_cap_source(cfg05, stack05):
     lo = (cfg05.n - 2) / 2.0 - cfg05.delta
     direct = np.max(psi**lo * np.abs(v)) / np.max(np.abs(f_cap))
     assert rep.ratio == pytest.approx(direct, rel=1e-14)
+
+
+def test_global_estimate_gate_reuses_its_eigenvalue(cfg05, eig_calls):
+    # the report reads the smallest eigenvalue first, so the probe solves
+    # ask LAPACK for no window of their own
+    ls.global_estimate_ratio(cfg05)
+    assert eig_calls
+    assert all(c.select_range != (-ls.MIN_ABS_EIG, ls.MIN_ABS_EIG) for c in eig_calls)
 
 
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])

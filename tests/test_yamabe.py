@@ -57,6 +57,11 @@ def test_picard_convergence_certificates(report05):
     assert 0 < rep.contraction < 1
 
 
+def test_linear_report_is_the_smallest_eigenvalue(report05):
+    lam = linear_solver.smallest_eigenvalue(report05.operator)
+    assert report05.linear.min_abs_eig == lam
+
+
 def test_picard_monotone_shrinkage(model_a):
     sups = []
     for eps in (0.02, 0.04, 0.05):
@@ -155,6 +160,19 @@ def test_sweep_records_divergence_and_continues(model_a):
     assert "IterationDiverged" in by_eps[0.08].error
     assert by_eps[0.04].error == ""
     assert math.isfinite(by_eps[0.04].sup_v)
+
+
+def test_sweep_does_no_eigensolve(model_a, eig_calls):
+    # one invertibility window per operator, and it holds no eigenvalue;
+    # the smallest eigenvalue itself is never computed
+    eps_list = [1e-2, 2e-3]
+    table = yamabe.convergence_sweep(
+        lambda e: gluing.GluingConfig(model_a, model_a, eps=e), eps_list,
+        resolution=256)
+    assert [row.error for row in table.rows] == ["", ""]
+    r = linear_solver.MIN_ABS_EIG
+    assert [c.select_range for c in eig_calls] == [(-r, r)] * len(eps_list)
+    assert all(found == 0 for _, found in eig_calls)
 
 
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
