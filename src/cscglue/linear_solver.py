@@ -161,7 +161,7 @@ class DiscreteOperator:
     """Tridiagonal form of (1/W) D(W A D .) + c, self-adjoint under V.
 
     ``_min_eig`` caches ``min_abs_eig()``; ``_gate`` caches the smallest
-    |eigenvalue| below MIN_ABS_EIG that ``solve`` found (inf if none).
+    |eigenvalue| in ``solve``'s window (inf if it is empty).
     """
 
     sub: np.ndarray
@@ -245,15 +245,11 @@ def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     below MIN_ABS_EIG (the numerical symptom of a failed injectivity
     hypothesis), and NoConvergence if the relative residual exceeds
     RESIDUAL_TOL.  The gate reads the window (-MIN_ABS_EIG, MIN_ABS_EIG]
-    once per operator, usually empty and then settled by two Sturm
-    counts, or the cached smallest eigenvalue when ``min_abs_eig()`` was
-    read first.  Both come from bisection to an absolute 1e-12, so the
-    two readings can disagree only for an eigenvalue within about 1e-12
-    of +-MIN_ABS_EIG.
+    once per operator and caches its verdict there; an empty window is
+    settled by two Sturm counts.
     """
     if op._gate is None:
-        near = ((op._min_eig,) if op._min_eig is not None
-                else _eigenvalues_within(op, MIN_ABS_EIG))
+        near = _eigenvalues_within(op, MIN_ABS_EIG)
         op._gate = float(min(map(abs, near), default=math.inf))
     if op._gate < MIN_ABS_EIG:
         raise NearSingularOperator(
@@ -398,7 +394,7 @@ def global_estimate_ratio(cfg: GluingConfig, probes=None,
     one conformal source c_m (S - S_glued).  Boundedness of the ratio
     uniformly in eps is the content of the global weighted a priori
     estimate.  The report's ``min_abs_eig`` is the operator's smallest
-    eigenvalue, read before the solves so that their gate reuses it.
+    eigenvalue, computed after the solves have passed their gate.
     """
     grid = build_grid(cfg, resolution)
     profile, _ = glued_curvature_profile(cfg, grid)
@@ -410,11 +406,10 @@ def global_estimate_ratio(cfg: GluingConfig, probes=None,
     if probes is None:
         c_m = -(cfg.m - 2) / (4.0 * (cfg.m - 1))
         probes = [c_m * (cfg.S - profile)]
-    min_eig = op.min_abs_eig()
     out = []
     for f in probes:
         v = solve(op, f)
         num = weighted_sup(v, psi, lo)
         den = weighted_sup(f, psi, hi)
         out.append(num / den)
-    return EstimateReport(max(out), out, min_eig)
+    return EstimateReport(max(out), out, op.min_abs_eig())

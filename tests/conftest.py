@@ -61,27 +61,18 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-class EigCall(tuple):
-    """(select, number of eigenvalues found) of one eigh_tridiagonal call;
-    ``select_range`` is the window it asked for."""
-
-    def __new__(cls, select, found, select_range):
-        call = super().__new__(cls, (select, found))
-        call.select_range = select_range
-        return call
-
-
 @pytest.fixture()
 def eig_calls(monkeypatch):
-    """Records an EigCall per eigh_tridiagonal call made by linear_solver."""
+    """Records (select, number of eigenvalues found, select_range) per
+    eigh_tridiagonal call made by linear_solver."""
     calls = []
     real = linear_solver.eigh_tridiagonal
 
     def recording(d, e, eigvals_only=False, select="a", select_range=None,
                   *args, **kwargs):
         vals = real(d, e, eigvals_only, select, select_range, *args, **kwargs)
-        calls.append(EigCall(select, len(vals if eigvals_only else vals[0]),
-                             select_range))
+        calls.append((select, len(vals if eigvals_only else vals[0]),
+                      select_range))
         return vals
 
     monkeypatch.setattr(linear_solver, "eigh_tridiagonal", recording)

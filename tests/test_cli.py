@@ -191,7 +191,7 @@ def test_spectrum_subcommand(cfg_file, tmp_path):
 
 def test_spectrum_solves_each_eigenproblem_once(cfg_file, tmp_path, eig_calls):
     # one summand operator and one glued operator per eps; the estimate's
-    # solve reads the eigenvalue the spectrum row already computed.  Every
+    # solves gate on a Sturm window that holds no eigenvalue.  Every
     # eigenproblem ends in exactly one window that holds eigenvalues (a
     # wider window follows only an empty one), so those calls count them.
     eps = (0.02, 0.04)
@@ -199,7 +199,7 @@ def test_spectrum_solves_each_eigenproblem_once(cfg_file, tmp_path, eig_calls):
                      "gluing.epsilon=" + ",".join(map(str, eps)),
                      "--out", str(tmp_path / "spectrum")])
     assert code == 0
-    assert sum(found > 0 for _, found in eig_calls) == 1 + len(eps)
+    assert sum(found > 0 for _, found, _ in eig_calls) == 1 + len(eps)
 
 
 def test_sweep_deterministic(cfg_file, tmp_path):

@@ -171,8 +171,8 @@ def test_sweep_does_no_eigensolve(model_a, eig_calls):
         resolution=256)
     assert [row.error for row in table.rows] == ["", ""]
     r = linear_solver.MIN_ABS_EIG
-    assert [c.select_range for c in eig_calls] == [(-r, r)] * len(eps_list)
-    assert all(found == 0 for _, found in eig_calls)
+    assert [select_range for *_, select_range in eig_calls] == [(-r, r)] * len(eps_list)
+    assert all(found == 0 for _, found, _ in eig_calls)
 
 
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
