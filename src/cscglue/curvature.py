@@ -4,10 +4,10 @@ Christoffel symbols, scalar curvature, the Laplace-Beltrami operator and
 the conformal transformation law are computed from central-difference
 jets, Richardson-extrapolated over at least two halved steps; one jet
 routine serves the metric components and scalar callbacks alike, and the
-last two extrapolation diagonals give every value its error bar.  Metric
-callbacks may be piecewise-defined (cutoff blends), so finite
-differences with an intrinsic error estimate are used instead of
-automatic differentiation.
+last two extrapolation diagonals give every value its error bar.  The
+production path differentiates the glued profiles exactly with
+``gluing.Jet``; this engine uses finite differences so that it stays
+independent of the jet path it cross-checks.
 
 All entry points take a point as a ``(chart_id, coords)`` pair on the
 field's one chart, with coords of shape ``(m,)`` for a single point or

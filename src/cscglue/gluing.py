@@ -8,7 +8,7 @@ scaled by the conformal factor u_eps(t)^{4/(n-2)} built from the two
 profiles eps^{(n-2)/2} e^{-+(n-2)t/2}.
 
 The glued metric is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}], read
-through the profile callback t -> (u, q) of ``GluingConfig.warp``: a
+through the profile method t -> (u, q), ``GluingConfig.warp``: a
 config fixes its metric, and every stage reads the metric from the
 config.  Beyond the seams |t| = -log eps the profiles saturate to the
 summand metrics written in t, so one chart in (z, t, theta) covers the
@@ -261,33 +261,29 @@ class GluingConfig:
         """
         return _u_eps_raw(t, self.eps, self.n)
 
-    def warp(self):
-        """The neck profiles (u, q) of this config's metric as a callback of t.
+    def warp(self, t):
+        """The neck profiles (u, q) of this config's metric at t.
 
         Every admissible gluing is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}]
         with u = ``self.u`` and q = chi q_N(eps e^{-t}) + (1 - chi) q_N(eps e^{t}),
         q_N(r) = (f(r) / r)^2 for the normal block dr^2 + f(r)^2 g_{S^{n-1}}
-        of the summand model.  The callback takes arrays or jets of t; beyond
-        the neck it saturates to the summand metrics, so it covers the caps
-        as well.  Every stage reads the metric through this callback.
+        of the summand model.  t may be an array or a jet; beyond the neck
+        the profiles saturate to the summand metrics, so they cover the caps
+        as well.  Every stage reads the metric through this method.
         """
         f = self.model_1.normal_factor
-
-        def warp(t):
-            r1, r2 = self.eps * np.exp(-t), self.eps * np.exp(t)
-            c = _chi_raw(t)
-            q = (c * (normal_radius(f, r1) / r1) ** 2
-                 + (1.0 - c) * (normal_radius(f, r2) / r2) ** 2)
-            return self.u(t), q
-
-        return warp
+        r1, r2 = self.eps * np.exp(-t), self.eps * np.exp(t)
+        c = _chi_raw(t)
+        q = (c * (normal_radius(f, r1) / r1) ** 2
+             + (1.0 - c) * (normal_radius(f, r2) / r2) ** 2)
+        return self.u(t), q
 
     def warp_jets(self, t):
         """Exact second-order jets (u, q) of ``warp`` at t; q may be the constant 1.
 
         One evaluation serves every coefficient a stage needs at the same t.
         """
-        return tuple(map(Jet.lift, self.warp()(Jet.variable(t))))
+        return tuple(map(Jet.lift, self.warp(Jet.variable(t))))
 
 
 class SyntheticExactConfig(GluingConfig):
@@ -309,16 +305,16 @@ class SyntheticExactConfig(GluingConfig):
     def u(self, t):
         return _u_profile(t, self.eps, self.n, 1) + _u_profile(t, self.eps, self.n, 2)
 
-    def warp(self):
-        return lambda t: (self.u(t), 1.0)
+    def warp(self, t):
+        return self.u(t), 1.0
 
 
-def _warped_components(cfg: GluingConfig, warp, c: np.ndarray):
+def _warped_components(cfg: GluingConfig, c: np.ndarray):
     """g_K + U(t) [dt^2 + q(t) g_{S^{n-1}}] at neck coordinates (z..., t, theta...).
 
-    ``warp(t)`` returns (u, q) with U = u^{4/(n-2)}.
+    ``cfg.warp(t)`` returns (u, q) with U = u^{4/(n-2)}.
     """
-    u, q = warp(c[..., cfg.k])
+    u, q = cfg.warp(c[..., cfg.k])
     U = u ** (4.0 / (cfg.n - 2))
     return product_components(cfg.model_1, c, U, U * q)
 
@@ -328,7 +324,7 @@ def glued_metric(cfg: GluingConfig) -> MetricField:
 
     Coordinates (z..., t, theta...).  The K block is g_K itself (both
     summands carry the same K) and the normal block is
-    u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}] from ``cfg.warp()``.  For the
+    u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}] from ``cfg.warp``.  For the
     glued metric, beyond the neck |t| < -log eps the same formula is
     exactly the summand metric written in t = log eps - log r (side 1) or
     t = log r - log eps (side 2).  t runs on through both caps to
@@ -337,7 +333,7 @@ def glued_metric(cfg: GluingConfig) -> MetricField:
     """
     t_pole = cfg.t_max + math.log(cfg.model_1.r_max - AXIS_MARGIN)
     neck = polar_chart(cfg.model_1, "neck", ("t", -t_pole, t_pole))
-    return MetricField(neck, partial(_warped_components, cfg, cfg.warp()))
+    return MetricField(neck, partial(_warped_components, cfg))
 
 
 def psi_of_t(t, cfg: GluingConfig):
@@ -354,10 +350,8 @@ def psi_of_t(t, cfg: GluingConfig):
     t0 = max(0.0, T - cfg.alpha)
     at = np.abs(t)
     base = cfg.eps * np.cosh(t)
-    span = T - t0
-    sigma = np.clip((at - t0) / span, 0.0, 1.0) if span > 0 else np.ones_like(at)
+    sigma = np.clip((at - t0) / (T - t0), 0.0, 1.0)  # T - t0 = min(T, alpha) > 0
     ramp = 0.5 * (1.0 - np.cos(math.pi * sigma))
-    with np.errstate(invalid="ignore"):
-        band = base ** (1.0 - ramp)
+    band = base ** (1.0 - ramp)
     out = np.where(at <= t0, base, np.where(at >= T, 1.0, band))
     return out if out.shape else float(out)

@@ -22,7 +22,8 @@ principle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
@@ -47,10 +48,11 @@ ROUNDING_ULPS = 64  # rounding bars: this many eps_mach of the summed term sizes
 
 @dataclass
 class RadialGrid:
-    """Composite 1-D mesh along the global cylindrical coordinate.
+    """Uniform 1-D mesh along the global cylindrical coordinate.
 
-    ``W`` are per-node orbit volume weights U^{n/2} q^{(n-1)/2} (sqrt(det g)
-    up to one global constant), ``A`` the radial inverse-metric
+    ``h`` is the one mesh width, kept per cell as np.diff(s).  ``W`` are
+    per-node orbit volume weights U^{n/2} q^{(n-1)/2} (sqrt(det g) up to
+    one global constant), ``A`` the radial inverse-metric
     coefficient g^{ss}, ``K_half`` the flux coefficients W*A at
     midpoints, ``V`` dual-cell volumes.  ``cap`` marks the nodes on
     either summand's cap, where the metric is exactly the summand's.
@@ -120,7 +122,7 @@ def build_grid(cfg: GluingConfig, resolution: int = 64) -> RadialGrid:
     """The metric of cfg along the global cylindrical coordinate as a RadialGrid.
 
     ``resolution`` counts nodes per unit of the cylindrical coordinate.
-    W and A come from ``cfg.warp()``, which covers the caps too, taken at
+    W and A come from ``cfg.warp``, which covers the caps too, taken at
     |s|, so the grid is mirror symmetric by construction.  ``cap`` is
     |s| >= t_max, the one seam rule of the grid and its curvature profile.
     """
@@ -131,7 +133,7 @@ def build_grid(cfg: GluingConfig, resolution: int = 64) -> RadialGrid:
     # second order everywhere
     s_half = _segment(0.0, T + math.log(cfg.model_1.r_max), resolution)
     s = np.concatenate([-s_half[:0:-1], s_half])
-    return _radial_grid(cfg.n, cfg.warp(), s, np.abs(s) >= T)
+    return _radial_grid(cfg.n, cfg.warp, s, np.abs(s) >= T)
 
 
 def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
@@ -156,20 +158,19 @@ def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
     return _radial_grid(3, ones, s, np.zeros(s.size, dtype=bool))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteOperator:
     """Tridiagonal form of (1/W) D(W A D .) + c, self-adjoint under V.
 
-    ``_min_eig`` caches ``min_abs_eig()``; ``_gate`` caches the smallest
-    |eigenvalue| in ``solve``'s window (inf if it is empty).
+    The four arrays are the whole operator.  Its spectral facts are
+    computed from them on first read and kept on the instance, so a copy
+    with other arrays (``dataclasses.replace``) starts with none.
     """
 
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
     V: np.ndarray
-    _min_eig: float | None = field(default=None, repr=False)
-    _gate: float | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -184,10 +185,25 @@ class DiscreteOperator:
         b = self.V[1:] * self.sub
         return float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
 
+    @cached_property
+    def symmetric_off(self) -> np.ndarray:
+        """Off-diagonal sup_i sqrt(V_i / V_{i+1}) of T = V^{1/2} L V^{-1/2}."""
+        return self.sup * np.sqrt(self.V[:-1] / self.V[1:])
+
+    @cached_property
     def min_abs_eig(self) -> float:
-        if self._min_eig is None:
-            self._min_eig = smallest_eigenvalue(self)
-        return self._min_eig
+        """Smallest-magnitude eigenvalue (signed), from ``smallest_eigenvalue``."""
+        return smallest_eigenvalue(self)
+
+    @cached_property
+    def gate_abs_eig(self) -> float:
+        """Smallest |eigenvalue| in (-MIN_ABS_EIG, MIN_ABS_EIG], inf if none.
+
+        ``solve``'s invertibility gate; it never reads ``min_abs_eig``, so
+        its verdict does not depend on what was read first.
+        """
+        near = _eigenvalues_within(self, MIN_ABS_EIG)
+        return float(min(map(abs, near), default=math.inf))
 
 
 def assemble_L(grid: RadialGrid, scalar_profile, m: int) -> DiscreteOperator:
@@ -243,17 +259,13 @@ def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
 
     Raises NearSingularOperator when L has an eigenvalue of magnitude
     below MIN_ABS_EIG (the numerical symptom of a failed injectivity
-    hypothesis), and NoConvergence if the relative residual exceeds
-    RESIDUAL_TOL.  The gate reads the window (-MIN_ABS_EIG, MIN_ABS_EIG]
-    once per operator and caches its verdict there; an empty window is
-    settled by two Sturm counts.
+    hypothesis), read from ``op.gate_abs_eig``: one Sturm window per
+    operator, settled by two Sturm counts when it is empty.  Raises
+    NoConvergence if the relative residual exceeds RESIDUAL_TOL.
     """
-    if op._gate is None:
-        near = _eigenvalues_within(op, MIN_ABS_EIG)
-        op._gate = float(min(map(abs, near), default=math.inf))
-    if op._gate < MIN_ABS_EIG:
+    if op.gate_abs_eig < MIN_ABS_EIG:
         raise NearSingularOperator(
-            f"smallest |eigenvalue| = {op._gate:.3e} < {MIN_ABS_EIG:g}")
+            f"smallest |eigenvalue| = {op.gate_abs_eig:.3e} < {MIN_ABS_EIG:g}")
     return _banded_solve(op.sub, op.diag, op.sup, np.asarray(f, dtype=float))
 
 
@@ -275,11 +287,6 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
     return np.concatenate([[left], inner, [right]])
 
 
-def _symmetric_off(op: DiscreteOperator) -> np.ndarray:
-    """Off-diagonal sup_i sqrt(V_i / V_{i+1}) of T = V^{1/2} L V^{-1/2}."""
-    return op.sup * np.sqrt(op.V[:-1] / op.V[1:])
-
-
 def _eigenvalues_within(op: DiscreteOperator, r: float) -> np.ndarray:
     """The eigenvalues of L in (-r, r], by LAPACK bisection (``stebz``) on T.
 
@@ -291,7 +298,7 @@ def _eigenvalues_within(op: DiscreteOperator, r: float) -> np.ndarray:
     1/U-sized diagonal of the neck (about 8e11 at eps 1e-4) and would
     cost up to 2e-5 there.
     """
-    return eigh_tridiagonal(op.diag, _symmetric_off(op), eigvals_only=True,
+    return eigh_tridiagonal(op.diag, op.symmetric_off, eigvals_only=True,
                             select="v", select_range=(-r, r),
                             lapack_driver="stebz", tol=1e-12)
 
@@ -304,9 +311,9 @@ def smallest_eigenvalue(op: DiscreteOperator) -> float:
     max|diag| + 2 max|off| of T the window holds the whole spectrum, so
     the loop always ends with a value.  ``solve`` does not call this: its
     gate reads the much narrower window (-MIN_ABS_EIG, MIN_ABS_EIG].  Read
-    the value through ``DiscreteOperator.min_abs_eig()``, which caches it.
+    the value through the cached ``DiscreteOperator.min_abs_eig``.
     """
-    bound = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(_symmetric_off(op)))
+    bound = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.symmetric_off))
     r = 1.0
     while True:
         vals = _eigenvalues_within(op, r)
@@ -337,7 +344,7 @@ def neck_scalar_curvature(cfg: GluingConfig, u: Jet, q: Jet):
         S_N = u^{-(n+2)/(n-2)} (S_h u - 4(n-1)/(n-2) Delta_h u),
         S_h = -2(n-1) w''/w + (n-1)(n-2) (1 - w'^2)/w^2,
         Delta_h u = u'' + (n-1) (w'/w) u',
-    on exact jets of (u, q) from ``cfg.warp()``.
+    on exact jets of (u, q) from ``cfg.warp``.
     The error bar is a rounding bound, ROUNDING_ULPS eps_mach times |S|
     plus the sizes of the terms, whose 1/U-sized parts cancel to O(1).
     """
@@ -412,4 +419,4 @@ def global_estimate_ratio(cfg: GluingConfig, probes=None,
         num = weighted_sup(v, psi, lo)
         den = weighted_sup(f, psi, hi)
         out.append(num / den)
-    return EstimateReport(max(out), out, op.min_abs_eig())
+    return EstimateReport(max(out), out, op.min_abs_eig)

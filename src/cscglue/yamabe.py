@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import solve_banded
 
 # conformal_scalar, scalar_curvature and glued_metric are not called here,
 # but bench/spans.py wraps them by name
@@ -120,7 +120,7 @@ class FixedPointReport:
 
     @property
     def linear(self) -> SolveReport:
-        return SolveReport(self.operator.min_abs_eig())
+        return SolveReport(self.operator.min_abs_eig)
 
 
 def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
@@ -264,8 +264,8 @@ class InterpolatingSpline:
     nodes s[3:-3], so there is one B-spline coefficient per node.  Row i of
     the collocation matrix holds the B-splines nonzero at s_i, raised one
     degree at a time; its entries SPLINE_DEGREE off the diagonal are exact
-    zeros, so one LAPACK banded LU solve (gbsv, the routine behind
-    ``solve_banded``) in the band (4, 4) gives the coefficients, those of
+    zeros, so one ``solve_banded`` in the band (4, 4), a LAPACK banded LU
+    solve (gbsv), gives the coefficients, those of
     scipy.interpolate.make_interp_spline(s, v, k=5).
     """
 
@@ -280,20 +280,14 @@ class InterpolatingSpline:
         B = np.ones((1, n))
         for _ in range(k):
             B = _raise_degree(B, t, s)
-        # Entry (i, j) = B[j - ell_i + k, i] goes to abT[j, 2 kl + i - j]: abT
-        # is gbsv's band storage transposed, so gbsv copies nothing.  Inside,
-        # ell_i - i is constant and each row of B fills one column of abT.
-        kl, off = k - 1, k - half
-        abT = np.zeros((n, 3 * kl + 1))
-        for a in range(k + 1):
-            abT[half - off + a:n - half - off + a, 2 * kl + off - a] = B[a, half:n - half]
-        ends = np.r_[:half, n - half:n]
-        j = ell[ends] - k + np.arange(k + 1)[:, None]
-        band = np.abs(ends - j) <= kl
-        abT[j[band], (2 * kl + ends - j)[band]] = B[:, ends][band]
-        _, _, self.coef, info = lapack.dgbsv(kl, kl, abT.T, v, overwrite_ab=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"collocation matrix is singular (gbsv info {info})")
+        # entry (i, j) = B[a, i] with j = ell_i - k + a goes to ab[kl + i - j, j],
+        # solve_banded's band storage
+        kl = k - 1
+        j = ell - k + np.arange(k + 1)[:, None]
+        band = np.abs(i - j) <= kl
+        ab = np.zeros((2 * kl + 1, n))
+        ab[(kl + i - j)[band], j[band]] = B[band]
+        self.coef = solve_banded((kl, kl), ab, v)
 
     def jet(self, x) -> Jet:
         """(w, w', w'') of the spline at x in [s[0], s[-1]], as a Jet."""
@@ -322,7 +316,7 @@ def verify_constant_curvature(report: FixedPointReport,
     solve, the gbsv of ``scipy.linalg.solve_banded``, in the collocation
     matrix's true (4, 4) band), a function of s alone, on the metric of
     cfg, the one the solve corrected:
-    g = g_K + U [ds^2 + q g_{S^{n-1}}] (``cfg.warp()``).  The
+    g = g_K + U [ds^2 + q g_{S^{n-1}}] (``cfg.warp``).  The
     conformal law in dimension m reads S~ = w^{-(m+2)/(m-2)} (S_g w - 4(m-1)/(m-2) Delta w)
     with Delta w = A (w'' + b w') from laplacian_coefficients and the
     spline's exact derivatives; S_g is neck_scalar_curvature on the neck

@@ -133,12 +133,11 @@ def test_glued_warp_is_the_summand_beyond_the_seams(name, eps):
     # r = eps e^{|t|}, all the way to r = r_max on both sides
     model = geometry.make_model(name)
     cfg = gluing.GluingConfig(model, model, eps=eps)
-    warp = cfg.warp()
     t_cap = np.linspace(cfg.t_max, cfg.t_max + math.log(model.r_max), 400)
     r = eps * np.exp(t_cap)
     f_sq = geometry.normal_radius(model.normal_factor, r) ** 2
     for t in (-t_cap, t_cap):
-        u, q = warp(t)
+        u, q = cfg.warp(t)
         U = u ** (4.0 / (cfg.n - 2))
         assert np.max(np.abs(U - r**2) / r**2) <= 1e-12
         assert np.max(np.abs(U * q - f_sq) / f_sq) <= 1e-12
@@ -276,6 +275,5 @@ def test_mollifier_jet_matches_mpmath():
 
 def test_glued_warp_jet_values_equal_array_values(cfg05):
     t = np.linspace(-cfg05.t_max - 1.0, cfg05.t_max + 1.0, 41)
-    warp = cfg05.warp()
-    (u, q), (uj, qj) = warp(t), warp(gluing.Jet.variable(t))
+    (u, q), (uj, qj) = cfg05.warp(t), cfg05.warp(gluing.Jet.variable(t))
     assert np.array_equal(uj.v, u) and np.array_equal(qj.v, q)

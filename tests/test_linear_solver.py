@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -115,7 +116,7 @@ def test_forced_kernel_near_singular(model_a, cfg05):
     with pytest.raises(NearSingularOperator):
         ls.solve(op, np.ones(grid.size))
     # the kernel shifted to 5e-9, inside the gate's window, and to 2e-8,
-    # outside it; nothing reads min_abs_eig() before the solves
+    # outside it; the gate reads its window alone, never min_abs_eig
     shifted = lambda mu: (mu - lam) * (model_a.m - 1) * np.ones(grid.size)
     op = ls.assemble_L(grid, shifted(5e-9), model_a.m)
     with pytest.raises(NearSingularOperator):
@@ -126,6 +127,23 @@ def test_forced_kernel_near_singular(model_a, cfg05):
     op = ls.assemble_L(grid, shifted(2e-8), model_a.m)
     assert np.all(np.isfinite(ls.solve(op, np.ones(grid.size))))
     assert abs(ls.smallest_eigenvalue(op) - 2e-8) <= 1e-11
+
+
+def test_replaced_operator_reads_its_own_spectrum(cfg05, stack05):
+    # the spectral facts are cached on an operator, not fields of it, so a
+    # copy with the kernel shifted to about 1e-12 starts without them
+    grid, (prof, _), _ = stack05
+    op = ls.assemble_L(grid, prof, cfg05.m)
+    lam = op.min_abs_eig
+    assert np.all(np.isfinite(ls.solve(op, np.ones(grid.size))))
+    op2 = dataclasses.replace(op, diag=op.diag - lam + 1e-12)
+    with pytest.raises(NearSingularOperator):
+        ls.solve(op2, np.ones(grid.size))
+    # the shift rounds at the spacing of max|diag|, about 3e-11
+    assert abs(op2.min_abs_eig - 1e-12) <= 1e-10
+    assert op.min_abs_eig == lam
+    assert [f.name for f in dataclasses.fields(ls.DiscreteOperator)] == [
+        "sub", "diag", "sup", "V"]
 
 
 @pytest.mark.parametrize("case", ["glued05", "summand_a"])

@@ -111,13 +111,13 @@ def test_neck_coefficients_evaluate_the_profile_once(monkeypatch, name):
     cfg = gluing.GluingConfig(model, model, eps=0.02)
     t = na.conjugation_residual(cfg).t
     A0, b0 = linear_solver.laplacian_coefficients(cfg, *cfg.warp_jets(t))
-    q0 = cfg.warp()(t)[1]
+    q0 = cfg.warp(t)[1]
     calls = []
     warp = gluing.GluingConfig.warp
 
-    def counted(self):
+    def counted(self, t):
         calls.append(self)
-        return warp(self)
+        return warp(self, t)
 
     monkeypatch.setattr(gluing.GluingConfig, "warp", counted)
     A, b, q = na.neck_coefficients(cfg, t)

@@ -302,9 +302,9 @@ def test_verify_evaluates_the_profile_once(monkeypatch, cfg05, report05):
     calls = []
     warp = gluing.GluingConfig.warp
 
-    def counted(self):
+    def counted(self, t):
         calls.append(self)
-        return warp(self)
+        return warp(self, t)
 
     monkeypatch.setattr(gluing.GluingConfig, "warp", counted)
     yamabe.verify_constant_curvature(report05, cfg05)
