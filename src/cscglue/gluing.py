@@ -52,7 +52,11 @@ class Jet:
     and sqrt propagate it by the chain rule (Taylor-mode differentiation), so
     a profile written once for arrays returns its first two derivatives
     when handed ``Jet.variable(t)``, and values bitwise equal to the
-    array evaluation.
+    array evaluation.  A constant operand (a number or an array, on either
+    side) acts on the three parts directly, without the product rule's
+    zero terms, so a derivative part is a scalar where the derivative is
+    constant, as in ``Jet.variable``.  Every operation returns a new jet;
+    none changes a jet in place.
     """
 
     def __init__(self, v, d=0.0, dd=0.0):
@@ -72,11 +76,13 @@ class Jet:
         return Jet(f0, f1 * self.d, f2 * self.d**2 + f1 * self.dd)
 
     def __add__(self, o):
-        o = Jet.lift(o)
+        if not isinstance(o, Jet):
+            return Jet(self.v + o, self.d, self.dd)
         return Jet(self.v + o.v, self.d + o.d, self.dd + o.dd)
 
     def __mul__(self, o):
-        o = Jet.lift(o)
+        if not isinstance(o, Jet):
+            return Jet(self.v * o, self.d * o, self.dd * o)
         return Jet(self.v * o.v, self.d * o.v + self.v * o.d,
                    self.dd * o.v + 2.0 * self.d * o.d + self.v * o.dd)
 
@@ -85,38 +91,48 @@ class Jet:
         return self.chain(x**p, p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0))
 
     def __neg__(self):
-        return self * -1.0
+        return Jet(-self.v, -self.d, -self.dd)
 
     def __sub__(self, o):
-        return self + -Jet.lift(o)
+        if not isinstance(o, Jet):
+            return Jet(self.v - o, self.d, self.dd)
+        return Jet(self.v - o.v, self.d - o.d, self.dd - o.dd)
 
     def __rsub__(self, o):
-        return -self + o
+        return Jet(o - self.v, -self.d, -self.dd)
 
     def __truediv__(self, o):
-        o = Jet.lift(o)
+        if not isinstance(o, Jet):
+            return Jet(self.v / o, self.d / o, self.dd / o)
         v = self.v / o.v
         d = (self.d - v * o.d) / o.v
         return Jet(v, d, (self.dd - 2.0 * d * o.d - v * o.dd) / o.v)
 
     def __rtruediv__(self, o):
-        return Jet.lift(o) / self
+        v = o / self.v
+        d = -v * self.d / self.v
+        return Jet(v, d, -(2.0 * d * self.d + v * self.dd) / self.v)
 
     __radd__, __rmul__ = __add__, __mul__
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        # numpy scalars and arrays hand their arithmetic with a jet here too
+        # numpy scalars and arrays hand their arithmetic with a jet here too;
+        # one on the left takes the jet's reflected method
         if method != "__call__" or kwargs:
             return NotImplemented
         if ufunc in _JET_BINARY:
-            return _JET_BINARY[ufunc](Jet.lift(inputs[0]), inputs[1])
+            a, b = inputs
+            forward, reflected = _JET_BINARY[ufunc]
+            return forward(a, b) if isinstance(a, Jet) else reflected(b, a)
         if ufunc in _JET_UNARY:
             return self.chain(*_JET_UNARY[ufunc](self.v))
         return NotImplemented
 
 
-_JET_BINARY = {np.add: Jet.__add__, np.subtract: Jet.__sub__,
-               np.multiply: Jet.__mul__, np.true_divide: Jet.__truediv__}
+_JET_BINARY = {np.add: (Jet.__add__, Jet.__radd__),
+               np.subtract: (Jet.__sub__, Jet.__rsub__),
+               np.multiply: (Jet.__mul__, Jet.__rmul__),
+               np.true_divide: (Jet.__truediv__, Jet.__rtruediv__)}
 _JET_UNARY = {  # f, f', f'' at x
     np.exp: lambda x: (np.exp(x),) * 3,
     np.log: lambda x: (np.log(x), x**-1.0, -x**-2.0),

@@ -27,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 # scalar_curvature and glued_metric are not called here, but
 # bench/spans.py wraps them by name
@@ -90,13 +91,27 @@ def laplacian_coefficients(cfg: GluingConfig, u: Jet, q: Jet):
     return u.v ** (-4.0 / (n - 2)), 2.0 * u.d / u.v + (n - 1) * q.d / (2.0 * q.v)
 
 
+def _on_mirror_pairs(f, x):
+    """f(x) for an elementwise function f of |x|, as a tuple of arrays.
+
+    When x = -x[::-1], f runs on the half x[x.size // 2:] alone and the
+    other half is its mirror image, bitwise what f gives there.
+    """
+    if not np.array_equal(x, -x[::-1]):
+        return f(x)
+    odd = x.size % 2  # the middle node of an odd x is its own mirror
+    return tuple(np.concatenate([a[odd:][::-1], a]) for a in f(x[x.size // 2:]))
+
+
 def _radial_grid(n: int, warp, s, cap) -> RadialGrid:
     """RadialGrid of g_K + U [ds^2 + q g_{S^{n-1}}] from warp(|s|) = (u, q).
 
     In closed form, sqrt(det g) is W = U^{n/2} q^{(n-1)/2} up to one
     global constant, which cancels from L, and A = g^{ss} = 1/U with
     U = u^{4/(n-2)}.  The flux coefficient W A is taken at the cell
-    midpoints.
+    midpoints.  On a mirror-symmetric s, as ``build_grid`` makes it, the
+    nodes, the midpoints and the end cells' quadrature nodes come in
+    mirror pairs, and warp runs once per pair.
     """
 
     def weights(x):
@@ -105,16 +120,17 @@ def _radial_grid(n: int, warp, s, cap) -> RadialGrid:
         return U ** (n / 2.0) * q ** ((n - 1) / 2.0), 1.0 / U
 
     h = np.diff(s)
-    W, A = weights(s)
-    Wm, Am = weights(0.5 * (s[:-1] + s[1:]))
+    W, A = _on_mirror_pairs(weights, s)
+    Wm, Am = _on_mirror_pairs(weights, 0.5 * (s[:-1] + s[1:]))
     V = np.empty_like(W)
     V[1:-1] = W[1:-1] * 0.5 * (h[:-1] + h[1:])
     # end cells: integrate W over the half cell so orbit collapse at a
     # pole still yields a positive volume
-    for i, (s0, s1) in ((0, (s[0], s[0] + 0.5 * h[0])),
-                        (W.size - 1, (s[-1] - 0.5 * h[-1], s[-1]))):
-        nodes = 0.5 * (s1 - s0) * _GAUSS4_NODES + 0.5 * (s0 + s1)
-        V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ weights(nodes)[0])
+    ends = ((s[0], s[0] + 0.5 * h[0]), (s[-1] - 0.5 * h[-1], s[-1]))
+    nodes = [0.5 * (s1 - s0) * _GAUSS4_NODES + 0.5 * (s0 + s1) for s0, s1 in ends]
+    W_ends = _on_mirror_pairs(weights, np.concatenate(nodes))[0]
+    for i, (s0, s1), Wq in zip((0, -1), ends, np.split(W_ends, 2)):
+        V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ Wq)
     return RadialGrid(s, h, W, A, Wm * Am, V, cap)
 
 
@@ -162,9 +178,10 @@ def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
 class DiscreteOperator:
     """Tridiagonal form of (1/W) D(W A D .) + c, self-adjoint under V.
 
-    The four arrays are the whole operator.  Its spectral facts are
-    computed from them on first read and kept on the instance, so a copy
-    with other arrays (``dataclasses.replace``) starts with none.
+    The four arrays are the whole operator.  Its spectral facts and its
+    LU factors are computed from them on first read and kept on the
+    instance, so a copy with other arrays (``dataclasses.replace``)
+    starts with none; the arrays are never changed in place.
     """
 
     sub: np.ndarray
@@ -205,6 +222,21 @@ class DiscreteOperator:
         near = _eigenvalues_within(self, MIN_ABS_EIG)
         return float(min(map(abs, near), default=math.inf))
 
+    @cached_property
+    def lu_factors(self) -> tuple:
+        """LAPACK's LU factors (dl, d, du, du2, ipiv) of L, from one ``dgttrf``.
+
+        Gaussian elimination with partial pivoting, the factorization
+        ``solve_banded``'s gtsv makes on every call; ``solve`` reuses it.
+        Raises ValueError for a non-finite entry and LinAlgError for an
+        exactly zero pivot, as ``solve_banded`` does.
+        """
+        arrays = (self.sub, self.diag, self.sup)
+        *factors, info = dgttrf(*map(np.asarray_chkfinite, arrays))
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return tuple(factors)
+
 
 def assemble_L(grid: RadialGrid, scalar_profile, m: int) -> DiscreteOperator:
     """Second-order conservative operator Delta + S_profile/(m-1).
@@ -236,45 +268,59 @@ def _apply(sub, diag, sup, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _residual_checked(sub, diag, sup, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x, the answer of a solve of (sub, diag, sup) x = f, once its residual passes.
+
+    Raises NoConvergence unless the relative residual is at most
+    RESIDUAL_TOL, so a NaN residual raises too.
+    """
+    scale = float(np.max(np.abs(f)) + np.max(np.abs(diag)) * np.max(np.abs(x))
+                  + np.finfo(float).tiny)
+    res = float(np.max(np.abs(f - _apply(sub, diag, sup, x)))) / scale
+    if not res <= RESIDUAL_TOL:
+        raise NoConvergence(f"relative residual {res:.3e} above {RESIDUAL_TOL:g}")
+    return x
+
+
 def _banded_solve(sub, diag, sup, f: np.ndarray) -> np.ndarray:
     """One banded solve of the tridiagonal system (sub, diag, sup) x = f.
 
-    Raises NoConvergence if the relative residual exceeds RESIDUAL_TOL.
+    Its answer is checked by ``_residual_checked``.
     """
     ab = np.zeros((3, diag.size))  # the (1, 1) band storage of solve_banded
     ab[0, 1:] = sup
     ab[1, :] = diag
     ab[2, :-1] = sub
-    x = solve_banded((1, 1), ab, f)
-    scale = float(np.max(np.abs(f)) + np.max(np.abs(diag)) * np.max(np.abs(x))
-                  + np.finfo(float).tiny)
-    res = float(np.max(np.abs(f - _apply(sub, diag, sup, x)))) / scale
-    if res > RESIDUAL_TOL:
-        raise NoConvergence(f"relative residual {res:.3e} above {RESIDUAL_TOL:g}")
-    return x
+    return _residual_checked(sub, diag, sup, f, solve_banded((1, 1), ab, f))
 
 
 def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
-    """One banded solve of L x = f, checked by its residual.
+    """One LU solve of L x = f, checked by its residual.
 
     Raises NearSingularOperator when L has an eigenvalue of magnitude
     below MIN_ABS_EIG (the numerical symptom of a failed injectivity
     hypothesis), read from ``op.gate_abs_eig``: one Sturm window per
-    operator, settled by two Sturm counts when it is empty.  Raises
-    NoConvergence if the relative residual exceeds RESIDUAL_TOL.
+    operator, settled by two Sturm counts when it is empty.  The solve
+    is one LAPACK ``dgttrs`` on ``op.lu_factors``, factored once per
+    operator, and gives the bits ``solve_banded((1, 1), ...)`` gives.
+    Raises ValueError for a non-finite f, and NoConvergence if the
+    relative residual exceeds RESIDUAL_TOL.
     """
     if op.gate_abs_eig < MIN_ABS_EIG:
         raise NearSingularOperator(
             f"smallest |eigenvalue| = {op.gate_abs_eig:.3e} < {MIN_ABS_EIG:g}")
-    return _banded_solve(op.sub, op.diag, op.sup, np.asarray(f, dtype=float))
+    f = np.asarray_chkfinite(f, dtype=float)
+    x, _ = dgttrs(*op.lu_factors, f)
+    return _residual_checked(op.sub, op.diag, op.sup, f, x)
 
 
 def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
                     left: float, right: float) -> np.ndarray:
     """Solve L v = f on nodes i0..i1 with Dirichlet values at i0 and i1.
 
-    Returns the full window vector including the boundary nodes; raises
-    NoConvergence as ``solve`` does.
+    One ``solve_banded``: a window is solved once, so unlike ``solve`` it
+    keeps no factorization.  Returns the full window vector including the
+    boundary nodes; raises NoConvergence as ``solve`` does.
     """
     if i1 - i0 < 2:
         raise ValueError("window too small")
@@ -366,15 +412,15 @@ def glued_curvature_profile(cfg: GluingConfig, grid: RadialGrid):
     """Scalar curvature of the metric of cfg at the grid nodes.
 
     Cap nodes (``grid.cap``) carry the exact constant S of the summands,
-    with error bar 0; neck nodes take neck_scalar_curvature at |s|, so the
-    profile is mirror symmetric by construction.  Returns (profile, error
-    bar).
+    with error bar 0; neck nodes take neck_scalar_curvature at |s|, one
+    evaluation per mirror pair, so the profile is mirror symmetric by
+    construction.  Returns (profile, error bar).
     """
     prof = np.full(grid.s.shape, cfg.S, dtype=float)
     err = np.zeros_like(prof)
     inner = ~grid.cap
-    prof[inner], err[inner] = neck_scalar_curvature(
-        cfg, *cfg.warp_jets(np.abs(grid.s[inner])))
+    prof[inner], err[inner] = _on_mirror_pairs(
+        lambda t: neck_scalar_curvature(cfg, *cfg.warp_jets(np.abs(t))), grid.s[inner])
     return prof, err
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 # conformal_scalar, scalar_curvature and glued_metric are not called here,
 # but bench/spans.py wraps them by name
@@ -264,9 +264,11 @@ class InterpolatingSpline:
     nodes s[3:-3], so there is one B-spline coefficient per node.  Row i of
     the collocation matrix holds the B-splines nonzero at s_i, raised one
     degree at a time; its entries SPLINE_DEGREE off the diagonal are exact
-    zeros, so one ``solve_banded`` in the band (4, 4), a LAPACK banded LU
-    solve (gbsv), gives the coefficients, those of
-    scipy.interpolate.make_interp_spline(s, v, k=5).
+    zeros, so one LAPACK banded LU solve (``dgbsv``) in the band (4, 4)
+    gives the coefficients, those of
+    scipy.interpolate.make_interp_spline(s, v, k=5).  The band is packed
+    straight into gbsv's Fortran-ordered layout, which gbsv factors in
+    place, so nothing is copied on the way.
     """
 
     def __init__(self, s, v):
@@ -280,14 +282,17 @@ class InterpolatingSpline:
         B = np.ones((1, n))
         for _ in range(k):
             B = _raise_degree(B, t, s)
-        # entry (i, j) = B[a, i] with j = ell_i - k + a goes to ab[kl + i - j, j],
-        # solve_banded's band storage
+        # entry (i, j) = B[a, i] with j = ell_i - k + a goes to ab[2 kl + i - j, j],
+        # gbsv's band storage: its first kl rows are room for the LU fill-in
         kl = k - 1
         j = ell - k + np.arange(k + 1)[:, None]
         band = np.abs(i - j) <= kl
-        ab = np.zeros((2 * kl + 1, n))
-        ab[(kl + i - j)[band], j[band]] = B[band]
-        self.coef = solve_banded((kl, kl), ab, v)
+        ab = np.zeros((3 * kl + 1, n), order="F")
+        ab[(2 * kl + i - j)[band], j[band]] = B[band]
+        _, _, self.coef, info = dgbsv(kl, kl, ab, np.asarray_chkfinite(v, dtype=float),
+                                      overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"collocation matrix is singular (gbsv info {info})")
 
     def jet(self, x) -> Jet:
         """(w, w', w'') of the spline at x in [s[0], s[-1]], as a Jet."""
@@ -313,8 +318,8 @@ def verify_constant_curvature(report: FixedPointReport,
     The conformal factor w = 1 + v is the not-a-knot quintic spline
     through the solved v (InterpolatingSpline: knots s[0] and s[-1] six
     times around s[3:-3], B-spline coefficients from one LAPACK banded
-    solve, the gbsv of ``scipy.linalg.solve_banded``, in the collocation
-    matrix's true (4, 4) band), a function of s alone, on the metric of
+    solve, ``dgbsv``, in the collocation matrix's true (4, 4) band), a
+    function of s alone, on the metric of
     cfg, the one the solve corrected:
     g = g_K + U [ds^2 + q g_{S^{n-1}}] (``cfg.warp``).  The
     conformal law in dimension m reads S~ = w^{-(m+2)/(m-2)} (S_g w - 4(m-1)/(m-2) Delta w)

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from cscglue import curvature, geometry, gluing, linear_solver as ls, yamabe
 from cscglue.errors import NearSingularOperator, NoConvergence
@@ -258,15 +258,94 @@ def test_discrete_maximum_principle(rng):
 
 
 def test_wrong_banded_answer_is_no_convergence(stack05, monkeypatch):
-    # both solves check the residual of the banded answer they get back
+    # both solves check the residual of the answer LAPACK gives back: solve
+    # gets it from dgttrs, solve_dirichlet from solve_banded; a NaN answer
+    # has a NaN residual, which must fail the check too
     _, _, op = stack05
     f = np.ones(op.size)
-    exact = ls.solve_banded
-    monkeypatch.setattr(ls, "solve_banded", lambda *a: exact(*a) * (1.0 + 1e-6))
-    with pytest.raises(NoConvergence):
-        ls.solve(op, f)
-    with pytest.raises(NoConvergence):
-        ls.solve_dirichlet(op, f, 10, op.size - 11, 1.0, 1.0)
+    exact_lu, exact_banded = ls.dgttrs, ls.solve_banded
+    for wrong in (lambda x: x * (1.0 + 1e-6), lambda x: np.full_like(x, np.nan)):
+        monkeypatch.setattr(ls, "dgttrs", lambda *a: (lambda x, info: (wrong(x), info))(
+            *exact_lu(*a)))
+        monkeypatch.setattr(ls, "solve_banded", lambda *a: wrong(exact_banded(*a)))
+        with pytest.raises(NoConvergence):
+            ls.solve(op, f)
+        with pytest.raises(NoConvergence):
+            ls.solve_dirichlet(op, f, 10, op.size - 11, 1.0, 1.0)
+
+
+def test_solve_rejects_non_finite_source(stack05):
+    # the factored path keeps solve_banded's input checks: a non-finite
+    # source is a ValueError and an exactly zero pivot a LinAlgError
+    _, _, op = stack05
+    for bad in (np.nan, np.inf):
+        f = np.ones(op.size)
+        f[op.size // 2] = bad
+        with pytest.raises(ValueError):
+            ls.solve(op, f)
+    # a first column of zeros: T, which the gate reads, never sees sub
+    singular = dataclasses.replace(op, diag=np.r_[0.0, op.diag[1:]],
+                                   sub=np.r_[0.0, op.sub[1:]])
+    with pytest.raises(np.linalg.LinAlgError):
+        ls.solve(singular, np.ones(op.size))
+
+
+def _solve_banded_tridiagonal(op, f):
+    ab = np.zeros((3, op.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = op.sup, op.diag, op.sub
+    return solve_banded((1, 1), ab, f)
+
+
+@pytest.mark.parametrize("case", ["stack05", "eps2e-3_res256"])
+def test_factored_solve_equals_solve_banded(case, stack05, rng):
+    # one dgttrf per operator and one dgttrs per source give the bits of a
+    # fresh solve_banded((1, 1), ...) per source
+    if case == "stack05":
+        op = stack05[2]
+    else:
+        op = _glued_operator("torus2_x_sphere3", 2e-3, 256)
+    for f in (np.ones(op.size), rng.standard_normal(op.size),
+              op.apply(np.cos(np.linspace(0.0, 3.0, op.size)))):
+        assert ls.solve(op, f).tobytes() == _solve_banded_tridiagonal(op, f).tobytes()
+
+
+def test_one_factorization_per_operator_in_convergence_sweep(model_a, monkeypatch):
+    calls = {"dgttrf": 0, "dgttrs": 0}
+    for name in calls:
+        real = getattr(ls, name)
+
+        def counting(*a, real=real, name=name):
+            calls[name] += 1
+            return real(*a)
+        monkeypatch.setattr(ls, name, counting)
+    cfgs = {e: gluing.GluingConfig(model_a, model_a, eps=e) for e in (0.04, 0.02, 0.01)}
+    table = yamabe.convergence_sweep(cfgs.__getitem__, list(cfgs))
+    assert not any(r.error for r in table.rows)
+    assert calls == {"dgttrf": len(table.rows),
+                     "dgttrs": sum(r.iters for r in table.rows)}
+
+
+def test_grid_and_profile_evaluate_each_mirror_pair_once(monkeypatch):
+    points = []
+    real = gluing.GluingConfig.warp
+
+    def counting(self, t):
+        points.append(np.size(t.v if isinstance(t, gluing.Jet) else t))
+        return real(self, t)
+    monkeypatch.setattr(gluing.GluingConfig, "warp", counting)
+    for name in ("torus2_x_sphere3", "sphere2_x_sphere3"):
+        model = geometry.make_model(name)
+        for eps in (0.05, 2e-3):
+            cfg = gluing.GluingConfig(model, model, eps=eps)
+            points.clear()
+            grid = ls.build_grid(cfg, 64)
+            N = grid.size
+            # half the nodes, half the midpoints, and the four quadrature
+            # nodes that the two mirrored end cells share
+            assert sum(points) <= math.ceil(N / 2) + math.ceil((N - 1) / 2) + 4
+            points.clear()
+            ls.glued_curvature_profile(cfg, grid)
+            assert sum(points) <= math.ceil(np.count_nonzero(~grid.cap) / 2)
 
 
 def test_global_estimate_homogeneity_and_cap_source(cfg05, stack05):
