@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 # scalar_curvature and glued_metric are not called here, but
 # bench/spans.py wraps them by name
@@ -35,6 +33,9 @@ from .curvature import scalar_curvature  # noqa: F401
 from .errors import NearSingularOperator, NoConvergence
 from .geometry import ModelGeometry, normal_radius
 from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
+from .lapack import dgttrf, dgttrs, eigenvalues_between
+# bench/spans.py counts the calls of solve_dirichlet's solver by this name
+from .lapack import solve_tridiagonal as solve_banded
 
 _GAUSS4_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
                           0.3399810435848563, 0.8611363115940526])
@@ -226,10 +227,10 @@ class DiscreteOperator:
     def lu_factors(self) -> tuple:
         """LAPACK's LU factors (dl, d, du, du2, ipiv) of L, from one ``dgttrf``.
 
-        Gaussian elimination with partial pivoting, the factorization
-        ``solve_banded``'s gtsv makes on every call; ``solve`` reuses it.
-        Raises ValueError for a non-finite entry and LinAlgError for an
-        exactly zero pivot, as ``solve_banded`` does.
+        Gaussian elimination with partial pivoting, the factorization a
+        ``dgtsv`` (``lapack.solve_tridiagonal``) makes on every call;
+        ``solve`` reuses it.  Raises ValueError for a non-finite entry and
+        LinAlgError for an exactly zero pivot, as ``solve_tridiagonal`` does.
         """
         arrays = (self.sub, self.diag, self.sup)
         *factors, info = dgttrf(*map(np.asarray_chkfinite, arrays))
@@ -282,18 +283,6 @@ def _residual_checked(sub, diag, sup, f: np.ndarray, x: np.ndarray) -> np.ndarra
     return x
 
 
-def _banded_solve(sub, diag, sup, f: np.ndarray) -> np.ndarray:
-    """One banded solve of the tridiagonal system (sub, diag, sup) x = f.
-
-    Its answer is checked by ``_residual_checked``.
-    """
-    ab = np.zeros((3, diag.size))  # the (1, 1) band storage of solve_banded
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
-    return _residual_checked(sub, diag, sup, f, solve_banded((1, 1), ab, f))
-
-
 def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     """One LU solve of L x = f, checked by its residual.
 
@@ -302,7 +291,7 @@ def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     hypothesis), read from ``op.gate_abs_eig``: one Sturm window per
     operator, settled by two Sturm counts when it is empty.  The solve
     is one LAPACK ``dgttrs`` on ``op.lu_factors``, factored once per
-    operator, and gives the bits ``solve_banded((1, 1), ...)`` gives.
+    operator, and gives the bits one ``dgtsv`` gives (``solve_banded``).
     Raises ValueError for a non-finite f, and NoConvergence if the
     relative residual exceeds RESIDUAL_TOL.
     """
@@ -318,9 +307,11 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
                     left: float, right: float) -> np.ndarray:
     """Solve L v = f on nodes i0..i1 with Dirichlet values at i0 and i1.
 
-    One ``solve_banded``: a window is solved once, so unlike ``solve`` it
-    keeps no factorization.  Returns the full window vector including the
-    boundary nodes; raises NoConvergence as ``solve`` does.
+    One LAPACK ``dgtsv`` (``solve_banded``, from ``lapack.solve_tridiagonal``)
+    on the inner nodes: a window is solved once, so unlike ``solve`` it
+    keeps no factorization.  A one-node window is one division.  Returns
+    the full window vector including the boundary nodes; raises
+    LinAlgError for an exactly zero pivot and NoConvergence as ``solve`` does.
     """
     if i1 - i0 < 2:
         raise ValueError("window too small")
@@ -329,12 +320,13 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
     rhs = np.asarray(f, dtype=float)[i0 + 1:i1].copy()
     rhs[0] -= sub[0] * left
     rhs[-1] -= sup[-1] * right
-    inner = _banded_solve(sub[1:-1], op.diag[i0 + 1:i1], sup[1:-1], rhs)
+    sub, diag, sup = sub[1:-1], op.diag[i0 + 1:i1], sup[1:-1]
+    inner = _residual_checked(sub, diag, sup, rhs, solve_banded(sub, diag, sup, rhs))
     return np.concatenate([[left], inner, [right]])
 
 
 def _eigenvalues_within(op: DiscreteOperator, r: float) -> np.ndarray:
-    """The eigenvalues of L in (-r, r], by LAPACK bisection (``stebz``) on T.
+    """The eigenvalues of L in (-r, r], by one LAPACK bisection (``dstebz``) on T.
 
     The operator is self-adjoint in the V-weighted inner product, so
     T = V^{1/2} L V^{-1/2} is a symmetric tridiagonal matrix with the same
@@ -344,9 +336,7 @@ def _eigenvalues_within(op: DiscreteOperator, r: float) -> np.ndarray:
     1/U-sized diagonal of the neck (about 8e11 at eps 1e-4) and would
     cost up to 2e-5 there.
     """
-    return eigh_tridiagonal(op.diag, op.symmetric_off, eigvals_only=True,
-                            select="v", select_range=(-r, r),
-                            lapack_driver="stebz", tol=1e-12)
+    return eigenvalues_between(op.diag, op.symmetric_off, -r, r, 1e-12)
 
 
 def smallest_eigenvalue(op: DiscreteOperator) -> float:

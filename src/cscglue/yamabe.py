@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 # conformal_scalar, scalar_curvature and glued_metric are not called here,
 # but bench/spans.py wraps them by name
@@ -26,6 +25,7 @@ from .curvature import conformal_scalar, scalar_curvature  # noqa: F401
 from .errors import (ConfigError, DeltaOutOfRange, GlueError, IterateOutOfBall,
                      IterationDiverged)
 from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
+from .lapack import dgbsv
 from .neck_analysis import loglog_slope
 from .linear_solver import (
     ROUNDING_ULPS,
@@ -264,7 +264,7 @@ class InterpolatingSpline:
     nodes s[3:-3], so there is one B-spline coefficient per node.  Row i of
     the collocation matrix holds the B-splines nonzero at s_i, raised one
     degree at a time; its entries SPLINE_DEGREE off the diagonal are exact
-    zeros, so one LAPACK banded LU solve (``dgbsv``) in the band (4, 4)
+    zeros, so one LAPACK banded LU solve (``lapack.dgbsv``) in the band (4, 4)
     gives the coefficients, those of
     scipy.interpolate.make_interp_spline(s, v, k=5).  The band is packed
     straight into gbsv's Fortran-ordered layout, which gbsv factors in
@@ -318,7 +318,7 @@ def verify_constant_curvature(report: FixedPointReport,
     The conformal factor w = 1 + v is the not-a-knot quintic spline
     through the solved v (InterpolatingSpline: knots s[0] and s[-1] six
     times around s[3:-3], B-spline coefficients from one LAPACK banded
-    solve, ``dgbsv``, in the collocation matrix's true (4, 4) band), a
+    solve, ``lapack.dgbsv``, in the collocation matrix's true (4, 4) band), a
     function of s alone, on the metric of
     cfg, the one the solve corrected:
     g = g_K + U [ds^2 + q g_{S^{n-1}}] (``cfg.warp``).  The

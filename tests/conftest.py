@@ -64,16 +64,15 @@ def rng():
 @pytest.fixture()
 def eig_calls(monkeypatch):
     """Records (select, number of eigenvalues found, select_range) per
-    eigh_tridiagonal call made by linear_solver."""
+    eigenvalue window linear_solver asks LAPACK for; every window selects
+    by value ("v"), as eigh_tridiagonal's select="v" does."""
     calls = []
-    real = linear_solver.eigh_tridiagonal
+    real = linear_solver.eigenvalues_between
 
-    def recording(d, e, eigvals_only=False, select="a", select_range=None,
-                  *args, **kwargs):
-        vals = real(d, e, eigvals_only, select, select_range, *args, **kwargs)
-        calls.append((select, len(vals if eigvals_only else vals[0]),
-                      select_range))
+    def recording(d, e, lo, hi, tol):
+        vals = real(d, e, lo, hi, tol)
+        calls.append(("v", len(vals), (lo, hi)))
         return vals
 
-    monkeypatch.setattr(linear_solver, "eigh_tridiagonal", recording)
+    monkeypatch.setattr(linear_solver, "eigenvalues_between", recording)
     return calls

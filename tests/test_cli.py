@@ -294,22 +294,26 @@ def test_spectrum_detects_failed_hypothesis(cfg_file, tmp_path):
     assert "eig_floor" in failed
 
 
-def test_import_leaves_scipy_interpolate_unloaded(tmp_path):
-    # scipy.interpolate takes about 0.3 s to import and the package does not
-    # use it: the post-solve check builds its spline on scipy.linalg, so
-    # neither the import nor a sweep or solve run may load it
+def test_import_leaves_scipy_linalg_and_interpolate_unloaded(tmp_path):
+    # scipy.interpolate takes about 0.3 s to import and scipy.linalg, whose
+    # array-API set-up reaches numpy.f2py and scipy._lib, about 0.4 s; the
+    # package needs neither: it loads scipy's LAPACK extension by its file
+    # (cscglue.lapack), so neither the import nor a sweep, solve or spectrum
+    # run may load them.  The extension itself is scipy.linalg._flapack.
     src = str(Path(cscglue.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     small = ["--set", "grid.resolution=16", "--set", "gluing.epsilon=0.05,0.04"]
     runs = {"import": None,
             "sweep": ["sweep", *small, "--out", str(tmp_path / "sweep")],
-            "solve": ["solve", *small[:2], "--out", str(tmp_path / "solve")]}
+            "solve": ["solve", *small[:2], "--out", str(tmp_path / "solve")],
+            "spectrum": ["spectrum", *small, "--out", str(tmp_path / "spectrum")]}
+    unloaded = ("scipy.interpolate", "scipy.linalg", "scipy._lib", "numpy.f2py")
     for name, args in runs.items():
         code = ("import contextlib, io, sys\nfrom cscglue import cli\n"
                 + (f"with contextlib.redirect_stdout(io.StringIO()):\n"
                    f"    assert cli.main({args!r}) in (0, 1)\n" if args else "")
-                + "print('scipy.interpolate' in sys.modules)")
+                + f"print([m for m in {unloaded!r} if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False", name
+        assert out.stdout.strip() == "[]", name

@@ -1,12 +1,15 @@
 import dataclasses
+import importlib.machinery
+import importlib.util
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from cscglue import curvature, geometry, gluing, linear_solver as ls, yamabe
+from cscglue import curvature, geometry, gluing, lapack, linear_solver as ls, yamabe
 from cscglue.errors import NearSingularOperator, NoConvergence
 
 
@@ -296,17 +299,90 @@ def _solve_banded_tridiagonal(op, f):
     return solve_banded((1, 1), ab, f)
 
 
+@pytest.fixture(scope="module")
+def deep_op():
+    """The deep-eps benchmark's operator: eps 2e-3 at resolution 256."""
+    return _glued_operator("torus2_x_sphere3", 2e-3, 256)
+
+
 @pytest.mark.parametrize("case", ["stack05", "eps2e-3_res256"])
-def test_factored_solve_equals_solve_banded(case, stack05, rng):
+def test_factored_solve_equals_solve_banded(case, stack05, deep_op, rng):
     # one dgttrf per operator and one dgttrs per source give the bits of a
     # fresh solve_banded((1, 1), ...) per source
-    if case == "stack05":
-        op = stack05[2]
-    else:
-        op = _glued_operator("torus2_x_sphere3", 2e-3, 256)
+    op = stack05[2] if case == "stack05" else deep_op
     for f in (np.ones(op.size), rng.standard_normal(op.size),
               op.apply(np.cos(np.linspace(0.0, 3.0, op.size)))):
         assert ls.solve(op, f).tobytes() == _solve_banded_tridiagonal(op, f).tobytes()
+
+
+def _scipy_window(d, e, lo, hi, tol):
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi),
+                            lapack_driver="stebz", tol=tol)
+
+
+def test_lapack_gives_the_bits_of_scipy_linalg(deep_op, monkeypatch):
+    # cscglue.lapack reaches the LAPACK that scipy.linalg wraps without
+    # importing scipy.linalg; its two wrappers must give scipy.linalg's bits
+    op = deep_op
+    assert op.size == 3769
+    d, e = op.diag, op.symmetric_off
+    r = ls.MIN_ABS_EIG
+    for (lo, hi), found in (((-r, r), 0), ((-64.0, 64.0), 16)):
+        vals = lapack.eigenvalues_between(d, e, lo, hi, 1e-12)
+        assert vals.size == found
+        assert vals.tobytes() == _scipy_window(d, e, lo, hi, 1e-12).tobytes()
+    lam = ls.smallest_eigenvalue(op)
+    monkeypatch.setattr(ls, "eigenvalues_between", _scipy_window)
+    assert np.float64(ls.smallest_eigenvalue(op)).tobytes() == np.float64(lam).tobytes()
+    f = op.apply(np.cos(np.linspace(0.0, 3.0, op.size)))
+    x = lapack.solve_tridiagonal(op.sub, op.diag, op.sup, f)
+    assert x.tobytes() == _solve_banded_tridiagonal(op, f).tobytes()
+
+
+def test_lapack_wrappers_check_their_input(stack05):
+    # the checks of the scipy.linalg wrappers they stand for
+    _, _, op = stack05
+    d, e, f = op.diag, op.symmetric_off, np.ones(op.size)
+    nan = np.r_[np.nan, d[1:]]
+    for call in (lambda: lapack.eigenvalues_between(nan, e, -1.0, 1.0, 1e-12),
+                 lambda: lapack.eigenvalues_between(d, e[1:], -1.0, 1.0, 1e-12),
+                 lambda: lapack.eigenvalues_between(d, e, 1.0, -1.0, 1e-12),
+                 lambda: lapack.solve_tridiagonal(op.sub, nan, op.sup, f),
+                 lambda: lapack.solve_tridiagonal(op.sub, d, op.sup, np.r_[f, np.inf]),
+                 lambda: lapack.solve_tridiagonal(op.sub[1:], d, op.sup, f),
+                 lambda: lapack.solve_tridiagonal(op.sub, d, op.sup, f[1:])):
+        with pytest.raises(ValueError):
+            call()
+    # a first column of zeros: an exactly zero pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        lapack.solve_tridiagonal(np.r_[0.0, op.sub[1:]], np.r_[0.0, d[1:]], op.sup, f)
+
+
+def test_lapack_names_the_directory_it_searched(monkeypatch, tmp_path):
+    # no fallback to `import scipy.linalg`: a missing extension is an ImportError
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        lapack._load_flapack()
+
+
+def test_one_node_dirichlet_window(stack05):
+    # i1 = i0 + 2 leaves one inner node: a 1x1 system, which solve_banded
+    # solves by one division and dgtsv's wrapper would refuse
+    _, _, op = stack05
+    f = np.cos(np.arange(op.size, dtype=float))
+    i0, left, right = 20, 0.3, -0.7
+    rhs = f[i0 + 1] - op.sub[i0] * left - op.sup[i0 + 1] * right
+    inner = solve_banded((1, 1), np.array([[0.0], [op.diag[i0 + 1]], [0.0]]), [rhs])
+    v = ls.solve_dirichlet(op, f, i0, i0 + 2, left, right)
+    assert v.tobytes() == np.r_[left, inner, right].tobytes()
+    # a zero pivot there is a typed error, not a division warning (which
+    # pyproject.toml's filterwarnings would turn into a RuntimeWarning error)
+    singular = dataclasses.replace(op, diag=np.where(np.arange(op.size) == i0 + 1,
+                                                     0.0, op.diag))
+    with pytest.raises(np.linalg.LinAlgError):
+        ls.solve_dirichlet(singular, f, i0, i0 + 2, left, right)
 
 
 def test_one_factorization_per_operator_in_convergence_sweep(model_a, monkeypatch):
