@@ -3,11 +3,14 @@
 Christoffel symbols, scalar curvature, the Laplace-Beltrami operator and
 the conformal transformation law are computed from central-difference
 jets, Richardson-extrapolated over at least two halved steps; one jet
-routine serves the metric components and scalar callbacks alike, and the
-last two extrapolation diagonals give every value its error bar.  The
-production path differentiates the glued profiles exactly with
-``gluing.Jet``; this engine uses finite differences so that it stays
-independent of the jet path it cross-checks.
+routine serves the metric components and scalar callbacks alike, calls
+the callback once on the stencils of all levels, and the last two
+extrapolation diagonals give every value its error bar.  The production
+path differentiates the glued profiles exactly with ``gluing.Jet``; this
+engine uses finite differences so that it stays independent of the jet
+path it cross-checks.  Its one production use is the conjugation
+probes' factor Laplacians (``neck_analysis.factor_laplacians``), which
+share each factor's metric jet between the probes.
 
 All entry points take a point as a ``(chart_id, coords)`` pair on the
 field's one chart, with coords of shape ``(m,)`` for a single point or
@@ -18,6 +21,7 @@ rescalings u^{4/(d-2)} g are taken in the field's own dimension d.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -55,104 +59,75 @@ class ValueWithError(NamedTuple):
     error: float | np.ndarray
 
 
-def _stencil(pts: np.ndarray, h: float):
-    """All stencil coordinates for value/gradient/Hessian at once.
+@functools.lru_cache(maxsize=32)
+def _stencil(m: int, scheme: DerivativeScheme):
+    """Steps (L, K, m) of the stencils of all L levels, each level's 2h, h^2
+    and 4 h h as arrays (L,), and the (m, m) index of each second derivative
+    in [d_aa per axis, d_ab per pair a < b].
 
-    Layout: [center, (+e_a, -e_a) per axis, (++, +-, -+, --) per pair].
+    The layout of K is [center, (+e_a, -e_a) per axis, (++, +-, -+, --)
+    per pair].
     """
-    m = pts.shape[-1]
-    offs = [np.zeros(m)]
-    for a in range(m):
-        e = np.zeros(m)
-        e[a] = 1.0
-        offs.append(e)
-        offs.append(-e)
-    pair_index = {}
-    idx = 1 + 2 * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                e = np.zeros(m)
-                e[a] = sa
-                e[b] = sb
-                offs.append(e)
-            pair_index[(a, b)] = idx
-            idx += 4
-    offs = np.asarray(offs)  # (K, m)
-    coords = pts[..., None, :] + offs * h
-    return coords, pair_index
+    eye, (pa, pb) = np.eye(m), np.triu_indices(m, 1)
+    sa, sb = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[..., None]
+    offs = np.concatenate([np.zeros((1, m)), np.stack([eye, -eye], 1).reshape(2 * m, m),
+                           (sa * eye[pa, None] + sb * eye[pb, None]).reshape(-1, m)])
+    second = np.diag(np.arange(m))
+    second[pa, pb] = second[pb, pa] = m + np.arange(pa.size)
+    hs = [scheme.base_step / 2.0**lev for lev in range(scheme.levels)]
+    out = (offs * np.asarray(hs)[:, None, None], np.array([2.0 * h for h in hs]),
+           np.array([h**2 for h in hs]), np.array([4.0 * h * h for h in hs]), second.ravel())
+    for x in out:
+        x.setflags(write=False)
+    return out
 
 
-def _jet_from_values(vals: np.ndarray, h: float, m: int, pair_index):
-    """First and second derivative arrays from stencil values at step ``h``.
-
-    ``vals`` has the stencil axis last; returns d1 (..., m) and
-    d2 (..., m, m).
-    """
-    v0 = vals[..., 0]
-    vp = vals[..., 1:1 + 2 * m:2]
-    vm = vals[..., 2:2 + 2 * m:2]
-    d1 = (vp - vm) / (2.0 * h)
-    shape = vals.shape[:-1]
-    d2 = np.zeros(shape + (m, m))
-    d2[..., np.arange(m), np.arange(m)] = (vp - 2.0 * v0[..., None] + vm) / h**2
-    for (a, b), i in pair_index.items():
-        mixed = (vals[..., i] - vals[..., i + 1]
-                 - vals[..., i + 2] + vals[..., i + 3]) / (4.0 * h * h)
-        d2[..., a, b] = mixed
-        d2[..., b, a] = mixed
-    return d1, d2
-
-
-def _richardson(seq):
-    """Neville tableau for an h^2 error series; returns last two diagonals."""
-    row = [np.asarray(seq[0], dtype=float)]
-    prev_diag = row[0]
-    for lev in range(1, len(seq)):
-        new = [np.asarray(seq[lev], dtype=float)]
-        for j in range(1, lev + 1):
-            fac = 4.0**j
-            new.append((fac * new[j - 1] - row[j - 1]) / (fac - 1.0))
-        prev_diag = new[-2]
-        row = new
-    return row[-1], prev_diag
+def _richardson(rows):
+    """Neville tableau for an h^2 error series along axis 0; returns the last
+    two diagonals."""
+    for j in range(1, len(rows)):
+        fac = 4.0**j
+        prev = rows[-1]
+        rows = (fac * rows[1:] - rows[:-1]) / (fac - 1.0)
+    return rows[-1], prev
 
 
 def _jet(fn, pts, scheme):
     """Value and Richardson-extrapolated first and second derivatives of ``fn``.
 
     ``fn`` maps coordinates (..., m) to values of shape (...) + item
-    (scalars: item (); metrics: (m, m)).  Returns (v, (d1, d1_prev),
-    (d2, d2_prev), vmin, noise) with d1[..., e, item] = d_e v and
-    d2[..., e, f, item] = d_e d_f v; ``_prev`` is the previous
+    (scalars: item (); metrics: (m, m)); it is called once, on the
+    stencils of all levels stacked as (..., L, K, m).  Returns (v,
+    (d1, d1_prev), (d2, d2_prev), vmin, noise) with d1[..., e, item] =
+    d_e v and d2[..., e, f, item] = d_e d_f v; ``_prev`` is the previous
     extrapolation diagonal, ``vmin`` the least stencil value and
     ``noise`` the rounding floor of a second difference at the finest
     step.
     """
-    m = pts.shape[-1]
-    b = pts.ndim - 1  # batch axes; the values' stencil axis follows them
-    batch = tuple(range(b))
-    d1_levels, d2_levels = [], []
-    vmin, vmax = np.inf, 0.0
-    for lev in range(scheme.levels):
-        h = scheme.base_step / 2.0**lev
-        coords, pair_index = _stencil(pts, h)
-        vals = np.asarray(fn(coords), dtype=float)
-        vmin = min(vmin, float(np.min(vals)))
-        vmax = max(vmax, float(np.max(np.abs(vals))))
-        r = vals.ndim - b - 1  # item axes
-        # stencil axis last for the divided differences, derivative axes
-        # back before the item axes after them
-        v = vals.transpose(batch + tuple(range(b + 1, b + 1 + r)) + (b,))
-        if lev == 0:
-            v0 = v[..., 0]
-        d1, d2 = _jet_from_values(v, h, m, pair_index)
-        item = tuple(range(b, b + r))
-        d1_levels.append(d1.transpose(batch + (b + r,) + item))
-        d2_levels.append(d2.transpose(batch + (b + r, b + r + 1) + item))
-    h_min = scheme.base_step / 2.0 ** (scheme.levels - 1)
-    noise = 8.0 * _EPS * (1.0 + vmax) / h_min**2
-    return v0, _richardson(d1_levels), _richardson(d2_levels), vmin, noise
+    m, b, L = pts.shape[-1], pts.ndim - 1, scheme.levels
+    steps, h2, hsq, q4, second = _stencil(m, scheme)
+    vals = np.asarray(fn(pts[..., None, None, :] + steps), dtype=float)
+    r = vals.ndim - b - 2  # item axes
+    batch, item = tuple(range(1, b + 1)), tuple(range(b + 1, b + 1 + r))
+    # level axis first and stencil axis last for the divided differences
+    v = vals.transpose((b, *range(b), *range(b + 2, b + 2 + r), b + 1))
+    per_level = (L,) + (1,) * (b + r + 1)
+    v0, vp, vm = v[..., 0], v[..., 1:1 + 2 * m:2], v[..., 2:2 + 2 * m:2]
+    # d1 is laid out (L, ..., e, item) and d2 (L, ..., item, e, f) in memory,
+    # as one level's differences are, so the contractions see the same strides
+    d1 = np.empty((L, *vals.shape[:b], m, *vals.shape[b + 2:]))
+    d1_last = d1.transpose((0, *batch, *(i + 1 for i in item), b + 1))
+    np.subtract(vp, vm, out=d1_last)
+    d1_last /= h2.reshape(per_level)
+    k = 1 + 2 * m
+    d2 = np.concatenate([(vp - 2.0 * v0[..., None] + vm) / hsq.reshape(per_level),
+                         (v[..., k::4] - v[..., k + 1::4] - v[..., k + 2::4]
+                          + v[..., k + 3::4]) / q4.reshape(per_level)], axis=-1)
+    d2 = d2.take(second, axis=-1).reshape(v.shape[:-1] + (m, m))
+    d2 = d2.transpose((0, *batch, b + r + 1, b + r + 2, *item))
+    h_min = scheme.base_step / 2.0 ** (L - 1)
+    noise = 8.0 * _EPS * (1.0 + float(np.abs(vals).max())) / h_min**2
+    return v0[0], _richardson(d1), _richardson(d2), float(vals.min()), noise
 
 
 def _metric_jet(field, chart_id, pts, scheme):
@@ -250,19 +225,25 @@ def scalar_curvature(field: MetricField, point,
                        noise, squeeze)
 
 
-def laplace_beltrami(field: MetricField, u: Callable, point,
-                     scheme: DerivativeScheme | None = None) -> ValueWithError:
+def laplace_beltrami(field: MetricField, u: Callable | list, point,
+                     scheme: DerivativeScheme | None = None) -> ValueWithError | list:
     """Laplace-Beltrami of a scalar callback at a point.
 
     Delta u = g^{ab} (d_a d_b u - Gamma^c_{ab} d_c u); the callback must
-    accept coordinate arrays of shape (..., m).
+    accept coordinate arrays of shape (..., m).  ``u`` may also be a list
+    of callbacks: they share one metric jet, and the result is a list with
+    one ValueWithError each.
     """
     scheme = scheme or DerivativeScheme()
     chart_id, pts, squeeze = _as_batch(point)
     ginv, (dg, dgp), _, noise_g = _metric_jet(field, chart_id, pts, scheme)
-    _, (du, dup), (d2u, d2up), _, noise_u = _jet(u, pts, scheme)
-    return _with_error(_laplacian(ginv, dg, du, d2u), _laplacian(ginv, dgp, dup, d2up),
-                       noise_g, squeeze, floor=noise_u * float(np.max(np.abs(ginv))))
+
+    def one(fn):
+        _, (du, dup), (d2u, d2up), _, noise_u = _jet(fn, pts, scheme)
+        return _with_error(_laplacian(ginv, dg, du, d2u), _laplacian(ginv, dgp, dup, d2up),
+                           noise_g, squeeze, floor=noise_u * float(np.max(np.abs(ginv))))
+
+    return [one(fn) for fn in u] if isinstance(u, list) else one(u)
 
 
 def conformal_scalar(field: MetricField, u: Callable, point,
@@ -279,7 +260,7 @@ def conformal_scalar(field: MetricField, u: Callable, point,
     chart_id, pts, squeeze = _as_batch(point)
     ginv, (dg, dgp), (d2g, d2gp), noise = _metric_jet(field, chart_id, pts, scheme)
     u0, (du, dup), (d2u, d2up), umin, _ = _jet(u, pts, scheme)
-    if umin <= 0.0:
+    if not umin > 0.0:  # NaN, which reaches umin, is not positive either
         raise NonpositiveConformalFactor(
             f"conformal factor reaches {umin:.3e} on the stencil"
         )

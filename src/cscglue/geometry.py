@@ -51,6 +51,12 @@ def sample_orbit(model: ModelGeometry) -> tuple[tuple, tuple]:
     return z, (THETA_SAMPLE + (0.9, 1.2))[: model.n - 1]
 
 
+def _unique(a):
+    """np.unique(a), without the numpy.ma import np.unique makes on first use."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])[:a.size]]
+
+
 @dataclass(frozen=True)
 class Factor:
     """One factor of a product model.
@@ -76,8 +82,7 @@ class Factor:
             rng = np.arange(-vmax, vmax + 1)
             grids = np.meshgrid(*([rng] * self.dim), indexing="ij")
             sq = sum(g.astype(float) ** 2 for g in grids) * base
-            vals = np.unique(sq[sq <= cutoff])
-            return np.sort(vals)
+            return _unique(sq[sq <= cutoff])
         if self.kind == "sphere":
             d = self.dim
             vals = []
@@ -187,11 +192,11 @@ def model_spectrum(model: ModelGeometry, cutoff: float,
     sums = np.zeros(1)
     for f in model.k_factors:
         vals = np.zeros(1) if symmetric_only else f.spectrum(cutoff)
-        sums = np.unique((sums[:, None] + vals[None, :]).ravel())
+        sums = _unique(sums[:, None] + vals[None, :])
         sums = sums[sums <= cutoff]
     vals = model.normal_factor.spectrum(cutoff)
-    sums = np.unique((sums[:, None] + vals[None, :]).ravel())
-    return np.sort(sums[sums <= cutoff])
+    sums = _unique(sums[:, None] + vals[None, :])
+    return sums[sums <= cutoff]
 
 
 def injectivity_gap(model: ModelGeometry, cutoff: float,

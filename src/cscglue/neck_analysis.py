@@ -144,20 +144,25 @@ def factor_laplacians(cfg: GluingConfig, Y, Z,
                       scheme: DerivativeScheme | None = None):
     """(Y, Delta_theta Y, Z, Delta_K Z) of a probe's factors.
 
-    Taken at the neck line's sample (theta, z), with one finite-difference
-    call per factor on its own metric at ``scheme``'s steps; with no K
-    factor Z is 1.
+    Taken at the neck line's sample (theta, z) by the finite-difference
+    engine, on each factor's own metric at ``scheme``'s steps; with no K
+    factor Z is 1.  ``Y`` and ``Z`` may also be equal-length lists, one
+    entry per probe: the result is then a list of tuples, and each
+    factor's metric jet serves every probe.
     """
     scheme = scheme or DerivativeScheme()
+    Ys, Zs = (Y, Z) if isinstance(Y, list) else ([Y], [Z])
 
-    def factor(factors, prefix, g, x):
+    def factor(factors, prefix, gs, x):
         x = np.asarray(x, float)
-        fld = factor_metric(factors, prefix)
-        return float(g(x)), laplace_beltrami(fld, g, (prefix, x), scheme).value
+        laps = laplace_beltrami(factor_metric(factors, prefix), gs, (prefix, x), scheme)
+        return [(float(g(x)), lap.value) for g, lap in zip(gs, laps)]
 
     z, theta = sample_orbit(cfg.model_1)
-    zf = factor(cfg.model_1.k_factors, "z", Z, z) if cfg.k else (1.0, 0.0)
-    return factor((Factor("sphere", cfg.n - 1, 1.0),), "theta", Y, theta) + zf
+    zf = factor(cfg.model_1.k_factors, "z", Zs, z) if cfg.k else [(1.0, 0.0)] * len(Zs)
+    yf = factor((Factor("sphere", cfg.n - 1, 1.0),), "theta", Ys, theta)
+    out = [y + k for y, k in zip(yf, zf)]
+    return out if isinstance(Y, list) else out[0]
 
 
 def neck_coefficients(cfg: GluingConfig, t):
@@ -210,12 +215,12 @@ def conjugation_residual(cfg: GluingConfig, t_samples=None,
          else np.linspace(-(T - 0.6), T - 0.6, 9))
     pexp = (cfg.n + 2.0) / (cfg.n - 2.0)
     tj = Jet.variable(t)
-    u = cfg.u(tj)
-    neck = neck_coefficients(cfg, t)
+    u, q = cfg.warp_jets(t)
+    neck = (*laplacian_coefficients(cfg, u, q), q.v)
     xabs = cfg.eps * np.exp(np.abs(t))
+    a_s, Ys, Zs = (list(x) for x in zip(*PROBES.values()))
     results = []
-    for name, (a, Y, Z) in PROBES.items():
-        factors = factor_laplacians(cfg, Y, Z, scheme)
+    for name, a, factors in zip(PROBES, a_s, factor_laplacians(cfg, Ys, Zs, scheme)):
         v = Jet.lift(a(tj))
         uv = u * v
         lhs, _ = separable_terms(cfg, v, factors, neck)
@@ -278,12 +283,14 @@ def barrier_region(cfg: GluingConfig, delta: float) -> float:
     return C
 
 
+def _barrier_weight(delta: float, t):
+    """(cosh t)^delta (delta <= 0) or cosh(delta t); t may be a jet."""
+    return np.cosh(t) ** delta if delta <= 0 else np.cosh(delta * t)
+
+
 def barrier_profile(cfg: GluingConfig, delta: float, t):
     """phi_delta = u^{-1} (cosh t)^delta (delta <= 0) or u^{-1} cosh(delta t); t may be a jet."""
-    u = cfg.u(t)
-    if delta <= 0:
-        return np.cosh(t) ** delta / u
-    return np.cosh(delta * t) / u
+    return _barrier_weight(delta, t) / cfg.u(t)
 
 
 @dataclass
@@ -312,8 +319,9 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
     ta = cfg.t_max - cfg.alpha
     nt = max(5, int(round(2 * ta * POINTS_PER_UNIT)) + 1)
     t = np.linspace(-ta, ta, nt)
-    phi = barrier_profile(cfg, delta, Jet.variable(t))
-    A, b = laplacian_coefficients(cfg, *cfg.warp_jets(t))
+    u, q = cfg.warp_jets(t)
+    phi = _barrier_weight(delta, Jet.variable(t)) / u
+    A, b = laplacian_coefficients(cfg, u, q)
     terms = (A * phi.dd, A * b * phi.d, C * A * phi.v)  # A = u^{-4/(n-2)}
     margins = -sum(terms)
     err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)

@@ -15,6 +15,7 @@ an empirical contraction, and divergence is a reportable outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,8 +197,11 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
             f"ball min(1/2, r_eps) = {min(0.5, r_eps):.3e}")
     residual = float(np.max(np.abs(op.apply(v) - F_eps(v, s_dev, consts, S))))
     mirror = float(np.max(np.abs(v - v[::-1])))
-    contraction = float(np.median([diffs[i + 1] / diffs[i]
-                                   for i in range(len(diffs) - 1)])) if len(diffs) > 1 else 0.0
+    # np.median of the ratios, without the numpy.ma import it makes on first use
+    r = sorted(diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1))
+    h = len(r) // 2
+    contraction = (0.0 if not r else math.nan if any(map(math.isnan, r))
+                   else r[h] if len(r) % 2 else (r[h - 1] + r[h]) / 2)
     return FixedPointReport(
         sup_history=sup_history, increments=diffs,
         v=RadialProfile(grid, v), residual=residual, r_eps=r_eps,

@@ -294,12 +294,13 @@ def test_spectrum_detects_failed_hypothesis(cfg_file, tmp_path):
     assert "eig_floor" in failed
 
 
-def test_import_leaves_scipy_linalg_and_interpolate_unloaded(tmp_path):
+def test_import_leaves_scipy_linalg_interpolate_and_numpy_ma_unloaded(tmp_path):
     # scipy.interpolate takes about 0.3 s to import and scipy.linalg, whose
     # array-API set-up reaches numpy.f2py and scipy._lib, about 0.4 s; the
     # package needs neither: it loads scipy's LAPACK extension by its file
     # (cscglue.lapack), so neither the import nor a sweep, solve or spectrum
     # run may load them.  The extension itself is scipy.linalg._flapack.
+    # numpy.ma (about 17 ms) is what np.median and np.unique import on first use.
     src = str(Path(cscglue.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -308,7 +309,7 @@ def test_import_leaves_scipy_linalg_and_interpolate_unloaded(tmp_path):
             "sweep": ["sweep", *small, "--out", str(tmp_path / "sweep")],
             "solve": ["solve", *small[:2], "--out", str(tmp_path / "solve")],
             "spectrum": ["spectrum", *small, "--out", str(tmp_path / "spectrum")]}
-    unloaded = ("scipy.interpolate", "scipy.linalg", "scipy._lib", "numpy.f2py")
+    unloaded = ("scipy.interpolate", "scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.ma")
     for name, args in runs.items():
         code = ("import contextlib, io, sys\nfrom cscglue import cli\n"
                 + (f"with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cscglue import geometry
+from cscglue import curvature, geometry
 from cscglue.curvature import (
     DerivativeScheme,
     christoffel,
@@ -195,6 +195,9 @@ def test_nonpositive_conformal_factor(fermi_a):
     pt = fermi_a.point("cap-1", [0.3, 0.9, 1.3, 1.1, 0.6])
     with pytest.raises(NonpositiveConformalFactor):
         conformal_scalar(fermi_a, lambda x: x[..., 2] - 1.3, pt)
+    # a NaN on the stencil is not a positive value
+    with pytest.raises(NonpositiveConformalFactor):
+        conformal_scalar(fermi_a, lambda x: np.where(x[..., 2] > 1.3, np.nan, 1.0), pt)
 
 
 def test_ill_conditioned_metric_raises():
@@ -280,3 +283,86 @@ def test_stencil_out_of_chart(fermi_a):
     pt = fermi_a.point("cap-1", [0.3, 0.9, 1.3, 0.0015, 0.6])
     with pytest.raises(StencilOutOfChart):
         scalar_curvature(fermi_a, pt)
+
+
+def _reference_jet(fn, pts, scheme):
+    """The engine's jet one Richardson level at a time: one callback call per
+    level on the stencil [center, (+e_a, -e_a), (++, +-, -+, --) per pair
+    a < b], central differences at that level's h, then the Neville tableau
+    over the list of levels."""
+    m, b = pts.shape[-1], pts.ndim - 1
+    offs = [np.zeros(m)]
+    for a in range(m):
+        e = np.zeros(m)
+        e[a] = 1.0
+        offs += [e, -e]
+    pairs = [(a, c) for a in range(m) for c in range(a + 1, m)]
+    for a, c in pairs:
+        for sa, sc in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            e = np.zeros(m)
+            e[a], e[c] = sa, sc
+            offs.append(e)
+    offs = np.asarray(offs)
+    d1s, d2s, vmin, vmax = [], [], np.inf, 0.0
+    for lev in range(scheme.levels):
+        h = scheme.base_step / 2.0**lev
+        vals = np.asarray(fn(pts[..., None, :] + offs * h), dtype=float)
+        vmin, vmax = min(vmin, float(np.min(vals))), max(vmax, float(np.max(np.abs(vals))))
+        r = vals.ndim - b - 1
+        batch, item = tuple(range(b)), tuple(range(b + 1, b + 1 + r))
+        v = vals.transpose(batch + item + (b,))  # stencil axis last
+        v0 = v[..., 0] if lev == 0 else v0
+        vp, vm = v[..., 1:1 + 2 * m:2], v[..., 2:2 + 2 * m:2]
+        d1 = (vp - vm) / (2.0 * h)
+        d2 = np.zeros(v.shape[:-1] + (m, m))
+        d2[..., np.arange(m), np.arange(m)] = (vp - 2.0 * v[..., :1] + vm) / h**2
+        for i, (a, c) in enumerate(pairs):
+            k = 1 + 2 * m + 4 * i
+            d2[..., a, c] = d2[..., c, a] = (v[..., k] - v[..., k + 1] - v[..., k + 2]
+                                             + v[..., k + 3]) / (4.0 * h * h)
+        d1s.append(np.moveaxis(d1, -1, b))
+        d2s.append(np.moveaxis(d2, (-2, -1), (b, b + 1)))
+
+    def neville(seq):
+        row = [seq[0]]
+        for lev in range(1, len(seq)):
+            new = [seq[lev]]
+            for j in range(1, lev + 1):
+                new.append((4.0**j * new[j - 1] - row[j - 1]) / (4.0**j - 1.0))
+            row = new
+        return row[-1], row[-2]
+
+    h_min = scheme.base_step / 2.0 ** (scheme.levels - 1)
+    return v0, neville(d1s), neville(d2s), vmin, 8.0 * curvature._EPS * (1.0 + vmax) / h_min**2
+
+
+@pytest.mark.parametrize("levels", [2, 4])
+@pytest.mark.parametrize("case", ["fermi-5d-batch", "factor-2d-point", "scalar-batch"])
+def test_jet_is_the_level_by_level_jet_bit_for_bit(fermi_a, model_b, case, levels):
+    # every level in one callback call, the differences of all levels in one
+    # pass and the tableau along the level axis: the same floating-point
+    # operations on the same operands as level by level
+    scheme = DerivativeScheme(2e-3, levels)
+    rng = np.random.default_rng(7)
+    batch = np.column_stack([rng.uniform(0.1, 1.0, (6, 2)), rng.uniform(0.5, 1.5, 6),
+                             rng.uniform(0.5, 2.5, (6, 2))])
+    fn, pts = {
+        "fermi-5d-batch": (fermi_a.component_fn, batch),
+        "factor-2d-point": (geometry.factor_metric(model_b.k_factors, "z").component_fn,
+                            np.array([[1.1, 0.4]])),
+        "scalar-batch": (lambda x: np.exp(0.3 * np.sin(x[..., 2])) * np.cos(x[..., 3]),
+                         batch),
+    }[case]
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return fn(x)
+
+    got = curvature._jet(counted, pts, scheme)
+    assert len(calls) == 1
+    want = _reference_jet(fn, pts, scheme)
+    assert np.array_equal(got[0], want[0])
+    for g, w in zip(got[1] + got[2], want[1] + want[2]):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    assert got[3] == want[3] and got[4] == want[4]

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from cscglue import geometry, gluing, linear_solver, neck_analysis as na
+from cscglue import curvature, geometry, gluing, linear_solver, neck_analysis as na
 from cscglue.curvature import DerivativeScheme, laplace_beltrami, scalar_curvature
 from cscglue.errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved
 
@@ -124,6 +125,73 @@ def test_neck_coefficients_evaluate_the_profile_once(monkeypatch, name):
     assert len(calls) == 1
     for got, want in ((A, A0), (b, b0), (q, q0)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+def test_conjugation_takes_one_metric_jet_per_factor(monkeypatch, name):
+    # the probes share each factor's metric jet: S^{n-1} and K, two in all
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=0.02)
+    calls = []
+    metric_jet = curvature._metric_jet
+
+    def counted(field, chart_id, pts, scheme):
+        calls.append(chart_id)
+        return metric_jet(field, chart_id, pts, scheme)
+
+    monkeypatch.setattr(curvature, "_metric_jet", counted)
+    na.conjugation_residual(cfg)
+    assert sorted(calls) == ["theta", "z"]
+
+
+@pytest.mark.parametrize("estimate", ["conjugation", "barrier"])
+def test_neck_estimates_evaluate_the_profile_once(monkeypatch, model_a, estimate):
+    # u comes from the one warp_jets evaluation that also gives (A, b)
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.02)
+    calls = []
+    u = gluing.GluingConfig.u
+
+    def counted(self, t):
+        calls.append(self)
+        return u(self, t)
+
+    monkeypatch.setattr(gluing.GluingConfig, "u", counted)
+    if estimate == "conjugation":
+        na.conjugation_residual(cfg)
+    else:
+        na.barrier_margin(cfg, delta=0.3)
+    assert len(calls) == 1
+
+
+def _digest(arrays):
+    return hashlib.sha256(b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)).hexdigest()
+
+
+# Bits of the level-by-level engine with one metric jet per probe and the
+# profile evaluated twice per estimate, at delta = 0.3: max ratio, per-probe
+# max ratios (const, wavy), digest of the per-probe ratio arrays, min margin
+# and digest of the margins.  They hold for numpy's float64 exp, sin and cos
+# on x86-64; another libm may move the last bits.
+PINNED = {
+    ("torus2_x_sphere3", 0.02): (
+        "0x1.72916b02e0f5fp-5", ("0x1.edff5cc372597p-7", "0x1.72916b02e0f5fp-5"),
+        "6f04cd839adf53b0", "0x1.ba92e26b30247p+4", "1024f338cc613f23"),
+    ("sphere2_x_sphere3", 0.005): (
+        "0x1.22cb0afceedeap-3", ("0x1.f759859436781p-9", "0x1.22cb0afceedeap-3"),
+        "371b4c97b82ed2d7", "0x1.bd170695f552dp+6", "b2704cd4ecef56c5"),
+}
+
+
+@pytest.mark.parametrize("name, eps", sorted(PINNED))
+def test_neck_estimates_keep_their_bits(name, eps):
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    rep = na.conjugation_residual(cfg)
+    bar = na.barrier_margin(cfg, delta=0.3)
+    got = (rep.max_ratio.hex(), tuple(p[1].hex() for p in rep.per_probe),
+           _digest(p[2] for p in rep.per_probe)[:16], bar.min_margin.hex(),
+           _digest([bar.margins])[:16])
+    assert got == PINNED[name, eps]
 
 
 def test_conjugation_never_builds_the_glued_field(monkeypatch, model_a):
