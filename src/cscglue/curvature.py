@@ -10,7 +10,8 @@ path differentiates the glued profiles exactly with ``gluing.Jet``; this
 engine uses finite differences so that it stays independent of the jet
 path it cross-checks.  Its one production use is the conjugation
 probes' factor Laplacians (``neck_analysis.factor_laplacians``), which
-share each factor's metric jet between the probes.
+share each factor's metric jet between the probes and are computed once
+per (model, scheme) in each process.
 
 All entry points take a point as a ``(chart_id, coords)`` pair on the
 field's one chart, with coords of shape ``(m,)`` for a single point or

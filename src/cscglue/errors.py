@@ -45,6 +45,10 @@ class NearSingularOperator(GlueError, ArithmeticError):
     """Discrete linearized operator has a near-zero eigenvalue."""
 
 
+class OutOfFloatRange(GlueError, ArithmeticError):
+    """A quantity at this eps overflows or is undefined in double precision."""
+
+
 class NoConvergence(GlueError, ArithmeticError):
     """An iterative routine exhausted its iteration budget."""
 

@@ -19,6 +19,15 @@ Cutoffs use the standard exp(-1/s) mollifier, so the glued components
 match the summand metrics to all orders at the seams; the concrete
 choices are recorded in the docstrings because downstream fitted
 constants depend on them.
+
+The profiles apply one plateau rule to all three cutoffs, chi, eta(t)
+and eta(-t): where every argument of a cutoff lies on a plateau of
+``mollifier_step`` (all <= 0 or all >= 1), the step is neither
+evaluated nor multiplied, and the term it zeroes is not computed.  So u
+is u^{(1)} + u^{(2)} with a side dropped or left unmultiplied as its eta
+allows, and q is one side's term alone where chi is 1 or 0.  The step
+is exactly 0 or 1 there, with derivative parts +-0, so every value is
+bitwise the unfolded product's; NaN or empty input takes the full path.
 """
 
 from __future__ import annotations
@@ -171,12 +180,39 @@ def mollifier_step(s):
     return e1 / (e1 + _E(1.0 - s))
 
 
-def _chi_raw(t):
-    return mollifier_step((1.0 - t) / 2.0)
+def _plateau(s):
+    """mollifier_step(s) where every argument lies on one plateau, else None.
+
+    That is 1.0 when all s >= 1 and 0.0 when all s <= 0; NaN or empty
+    input lies on neither.  s may be a jet: there mollifier_step's
+    derivative parts are +-0, so the plain 1.0 or 0.0 gives the same bits.
+    """
+    x = np.asarray(s.v if isinstance(s, Jet) else s)
+    if x.size:
+        if np.all(x >= 1.0):
+            return 1.0
+        if np.all(x <= 0.0):
+            return 0.0
+    return None
 
 
-def _eta_raw(t, eps: float):
-    return mollifier_step(-math.log(eps) - t)
+def _cut(s, term):
+    """mollifier_step(s) * term(), or None where the step is 0 (term() unevaluated).
+
+    On the plateau of 1 this is term() itself.
+    """
+    b = _plateau(s)
+    if b is None:
+        return mollifier_step(s) * term()
+    return term() if b else None
+
+
+def _chi_arg(t):
+    return (1.0 - t) / 2.0
+
+
+def _eta_arg(t, eps: float):
+    return -math.log(eps) - t
 
 
 def _check_neck(t, eps):
@@ -190,12 +226,12 @@ def _check_neck(t, eps):
 
 def chi(t, eps: float):
     """Angular-profile blending cutoff: 1 on (log eps, -1], 0 on [1, -log eps)."""
-    return _chi_raw(_check_neck(t, eps))
+    return mollifier_step(_chi_arg(_check_neck(t, eps)))
 
 
 def eta(t, eps: float):
     """Profile cutoff: 1 on (log eps, -log eps - 1], -> 0 at t -> -log eps."""
-    return _eta_raw(_check_neck(t, eps), eps)
+    return mollifier_step(_eta_arg(_check_neck(t, eps), eps))
 
 
 def _u_profile(t, eps: float, n: int, side: int):
@@ -205,8 +241,10 @@ def _u_profile(t, eps: float, n: int, side: int):
 
 
 def _u_eps_raw(t, eps: float, n: int):
-    return (_eta_raw(t, eps) * _u_profile(t, eps, n, 1)
-            + _eta_raw(-t, eps) * _u_profile(t, eps, n, 2))
+    u1 = _cut(_eta_arg(t, eps), lambda: _u_profile(t, eps, n, 1))
+    u2 = _cut(_eta_arg(-t, eps), lambda: _u_profile(t, eps, n, 2))
+    # eta(t) and eta(-t) never both vanish on one input: that needs t >= T and t <= -T
+    return u2 if u1 is None else u1 if u2 is None else u1 + u2
 
 
 def u_eps(t, eps: float, n: int):
@@ -288,10 +326,18 @@ class GluingConfig:
         as well.  Every stage reads the metric through this method.
         """
         f = self.model_1.normal_factor
-        r1, r2 = self.eps * np.exp(-t), self.eps * np.exp(t)
-        c = _chi_raw(t)
-        q = (c * (normal_radius(f, r1) / r1) ** 2
-             + (1.0 - c) * (normal_radius(f, r2) / r2) ** 2)
+
+        def q_N(x):  # (f(r) / r)^2 at r = eps e^x
+            r = self.eps * np.exp(x)
+            return (normal_radius(f, r) / r) ** 2
+
+        s = _chi_arg(t)
+        c = _plateau(s)
+        if c is None:
+            c = mollifier_step(s)
+            q = c * q_N(-t) + (1.0 - c) * q_N(t)
+        else:  # chi is 1 or 0 on all of t: one side's q alone
+            q = q_N(-t) if c else q_N(t)
         return self.u(t), q
 
     def warp_jets(self, t):

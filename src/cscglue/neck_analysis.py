@@ -15,11 +15,13 @@ Remainder orders are established by log-log slope fits with attached
 error bars rather than symbolically.  All three are 1-D in t on the
 neck's exact profile jets.  The conjugation probes are separable
 products a(t) Y(theta) Z(z), so the finite-difference engine only
-differentiates Y on S^{n-1} and Z on K, at one point each.
+differentiates Y on S^{n-1} and Z on K, at one point each and once per
+model and scheme.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +29,8 @@ import numpy as np
 
 # scalar_curvature is not called here, but bench/spans.py wraps it by name
 from .curvature import DerivativeScheme, laplace_beltrami, scalar_curvature  # noqa: F401
-from .errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved
-from .geometry import Factor, factor_metric, sample_orbit
+from .errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved, OutOfFloatRange
+from .geometry import Factor, ModelGeometry, factor_metric, sample_orbit
 # glued_metric is not called here, but bench/spans.py wraps it by name
 from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
 from .linear_solver import (
@@ -142,27 +144,43 @@ PROBES = {
 
 def factor_laplacians(cfg: GluingConfig, Y, Z,
                       scheme: DerivativeScheme | None = None):
-    """(Y, Delta_theta Y, Z, Delta_K Z) of a probe's factors.
+    """(Y, Delta_theta Y, Z, Delta_K Z) of a probe's factors, as floats.
 
     Taken at the neck line's sample (theta, z) by the finite-difference
     engine, on each factor's own metric at ``scheme``'s steps; with no K
-    factor Z is 1.  ``Y`` and ``Z`` may also be equal-length lists, one
-    entry per probe: the result is then a list of tuples, and each
-    factor's metric jet serves every probe.
+    factor Z is 1.  They depend on cfg's model alone, not on eps.  ``Y``
+    and ``Z`` may also be equal-length lists, one entry per probe: the
+    result is then a list of tuples, and each factor's metric jet serves
+    every probe.  Computed afresh on every call; conjugation_residual
+    reads the PROBES' values from a per-(model, scheme) cache instead.
     """
-    scheme = scheme or DerivativeScheme()
-    Ys, Zs = (Y, Z) if isinstance(Y, list) else ([Y], [Z])
+    many = isinstance(Y, list)
+    out = _factor_laplacians(cfg.model_1, Y if many else [Y], Z if many else [Z],
+                             scheme or DerivativeScheme())
+    return out if many else out[0]
 
+
+def _factor_laplacians(model: ModelGeometry, Ys: list, Zs: list, scheme: DerivativeScheme):
     def factor(factors, prefix, gs, x):
         x = np.asarray(x, float)
         laps = laplace_beltrami(factor_metric(factors, prefix), gs, (prefix, x), scheme)
         return [(float(g(x)), lap.value) for g, lap in zip(gs, laps)]
 
-    z, theta = sample_orbit(cfg.model_1)
-    zf = factor(cfg.model_1.k_factors, "z", Zs, z) if cfg.k else [(1.0, 0.0)] * len(Zs)
-    yf = factor((Factor("sphere", cfg.n - 1, 1.0),), "theta", Ys, theta)
-    out = [y + k for y, k in zip(yf, zf)]
-    return out if isinstance(Y, list) else out[0]
+    z, theta = sample_orbit(model)
+    zf = factor(model.k_factors, "z", Zs, z) if model.k else [(1.0, 0.0)] * len(Zs)
+    yf = factor((Factor("sphere", model.n - 1, 1.0),), "theta", Ys, theta)
+    return [y + k for y, k in zip(yf, zf)]
+
+
+@functools.lru_cache(maxsize=32)
+def _probe_laplacians(model: ModelGeometry, scheme: DerivativeScheme) -> tuple:
+    """factor_laplacians of every PROBES entry on ``model``, one tuple of floats each.
+
+    They do not depend on eps, so each (model, scheme) pays its two
+    metric jets once per process.
+    """
+    _, Ys, Zs = (list(x) for x in zip(*PROBES.values()))
+    return tuple(_factor_laplacians(model, Ys, Zs, scheme))
 
 
 def neck_coefficients(cfg: GluingConfig, t):
@@ -179,7 +197,8 @@ def separable_terms(cfg: GluingConfig, f: Jet, factors, neck):
     """(Delta_g w, L_neck w) of w = f(t) Y(theta) Z(z) at the t of ``neck``.
 
     ``f`` is the jet of the t factor there, ``factors`` is
-    factor_laplacians(cfg, Y, Z) and ``neck`` is neck_coefficients(cfg, t):
+    factor_laplacians(cfg, Y, Z) and ``neck`` is (A, b, q) at t, the
+    laplacian_coefficients of cfg's profile jets and the value of q:
     Delta_g w = Delta_K w + A (w'' + b w') + (A / q) Delta_theta w and
     L_neck w = w'' - nu^2 w + Delta_theta w + U Delta_K w.
     """
@@ -209,6 +228,9 @@ def conjugation_residual(cfg: GluingConfig, t_samples=None,
     the warped product's remainder
     U^{-1} [((n-1)/2)(q'/q) v_t - (u''/u - nu^2) v + (1/q - 1) Delta_theta v]
     up to rounding; ``scheme`` sets the steps of the factor Laplacians.
+    Those do not depend on eps: they come from a per-(model, scheme)
+    cache, so only the first call on a model at a scheme takes the two
+    metric jets of the finite-difference engine.
     """
     T = cfg.t_max
     t = (np.asarray(t_samples, float) if t_samples is not None
@@ -218,9 +240,9 @@ def conjugation_residual(cfg: GluingConfig, t_samples=None,
     u, q = cfg.warp_jets(t)
     neck = (*laplacian_coefficients(cfg, u, q), q.v)
     xabs = cfg.eps * np.exp(np.abs(t))
-    a_s, Ys, Zs = (list(x) for x in zip(*PROBES.values()))
     results = []
-    for name, a, factors in zip(PROBES, a_s, factor_laplacians(cfg, Ys, Zs, scheme)):
+    for (name, (a, _, _)), factors in zip(
+            PROBES.items(), _probe_laplacians(cfg.model_1, scheme or DerivativeScheme())):
         v = Jet.lift(a(tj))
         uv = u * v
         lhs, _ = separable_terms(cfg, v, factors, neck)
@@ -312,21 +334,28 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
     this (eps, alpha, delta).  phi_delta depends on t alone and the neck
     is a warped product, so Delta phi = A (phi'' + b phi') with (A, b)
     from laplacian_coefficients and phi's exact jets; ``fd_err`` is the
-    rounding bound of the margins.  The preconditions are barrier_region's.
+    rounding bound of the margins.  The preconditions are barrier_region's;
+    where a margin or its error bar leaves double precision (below eps of
+    about 1e-125 at n = 3) OutOfFloatRange is raised.
     """
     delta = cfg.delta if delta is None else delta
     C = barrier_region(cfg, delta)
     ta = cfg.t_max - cfg.alpha
     nt = max(5, int(round(2 * ta * POINTS_PER_UNIT)) + 1)
     t = np.linspace(-ta, ta, nt)
-    u, q = cfg.warp_jets(t)
-    phi = _barrier_weight(delta, Jet.variable(t)) / u
-    A, b = laplacian_coefficients(cfg, u, q)
-    terms = (A * phi.dd, A * b * phi.d, C * A * phi.v)  # A = u^{-4/(n-2)}
-    margins = -sum(terms)
-    err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)
-    if not np.all(np.isfinite(margins)):
-        raise ArithmeticError("barrier margins must be finite on the region")
+    try:
+        # every overflow or 0/0 raises here, so the margins and their error
+        # bars come out finite or not at all
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            u, q = cfg.warp_jets(t)
+            phi = _barrier_weight(delta, Jet.variable(t)) / u
+            A, b = laplacian_coefficients(cfg, u, q)
+            terms = (A * phi.dd, A * b * phi.d, C * A * phi.v)  # A = u^{-4/(n-2)}
+            margins = -sum(terms)
+            err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)
+    except FloatingPointError as exc:
+        raise OutOfFloatRange(
+            f"barrier margins leave double precision at eps = {cfg.eps}: {exc}") from exc
     return BarrierReport(delta, cfg.eps, cfg.alpha, C, t, margins,
                          float(np.min(margins)), err)
 

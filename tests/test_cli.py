@@ -150,6 +150,14 @@ def test_barrier_region_rule_is_the_analysis_rule(eps, alpha, code, tmp_path, ca
     assert out.exists() == (code == 0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_barrier_out_of_double_range_exits_2(tmp_path, capsys):
+    # the config is admissible; the margins at 1e-200 are not representable
+    out = tmp_path / "barrier"
+    assert cli.main(["barrier", "--set", "gluing.epsilon=1e-200", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("precondition error: OutOfFloatRange: ")
+
+
 def test_barrier_runs_with_its_own_defaults(tmp_path):
     out = tmp_path / "barrier"
     assert cli.main(["barrier", "--out", str(out)]) == 0

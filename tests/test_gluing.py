@@ -313,3 +313,81 @@ def test_glued_warp_jet_values_equal_array_values(cfg05):
     t = np.linspace(-cfg05.t_max - 1.0, cfg05.t_max + 1.0, 41)
     (u, q), (uj, qj) = cfg05.warp(t), cfg05.warp(gluing.Jet.variable(t))
     assert np.array_equal(uj.v, u) and np.array_equal(qj.v, q)
+
+
+def _unfolded(cfg, t):
+    """(u, q, eta(t), eta(-t), chi) of cfg at t with every cutoff evaluated and
+    multiplied out: the gluing's definitions, without plateau folding."""
+    eps, nu, f = cfg.eps, cfg.nu, cfg.model_1.normal_factor
+    T = -math.log(eps)
+    eta1, eta2 = gluing.mollifier_step(T - t), gluing.mollifier_step(T + t)
+    c = gluing.mollifier_step((1.0 - t) / 2.0)
+    u = eta1 * (eps ** nu * np.exp(-nu * t)) + eta2 * (eps ** nu * np.exp(nu * t))
+
+    def q_N(r):
+        return (geometry.normal_radius(f, r) / r) ** 2
+
+    return u, c * q_N(eps * np.exp(-t)) + (1.0 - c) * q_N(eps * np.exp(t)), eta1, eta2, c
+
+
+def _bits(x):
+    """Shape and bytes of every part of an array or a jet."""
+    parts = (x.v, x.d, x.dd) if isinstance(x, gluing.Jet) else (x,)
+    return [(np.shape(p), np.asarray(p, float).tobytes()) for p in parts]
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3", "sphere2_x_ball3"])
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.16])  # at 0.16 the eta and chi bands collide
+def test_cutoff_plateau_folding_keeps_every_bit(name, eps):
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    T = cfg.t_max
+    neck = {  # windows inside (-T, T), where chi, eta and u_eps are defined
+        "eta-plateaus": np.linspace(-(T - 1.0), T - 1.0, 33),
+        "bands": np.linspace(-(T - 0.3), T - 0.3, 41),
+        **{f"t={x:.6g}": np.array([x]) for x in (1.0, -1.0, T - 1.0, 1.0 - T)},
+        # one point just inside each band edge, where the step is not yet 0 or 1
+        **{f"t={x:.6g}": np.array([x]) for x in (0.9, -0.9, T - 0.9, T - 0.05)},
+    }
+    beyond = {
+        "caps": np.linspace(T, T + 0.5, 9),
+        "other-cap": -np.linspace(T, T + 0.5, 9),
+        "half-grid": np.linspace(0.0, T + 0.5, 40),
+        **{f"t={x:.6g}": np.array([x]) for x in (T, -T)},
+        "empty": np.array([]),
+    }
+    for where, t in {**neck, **beyond}.items():
+        u, q, *_ = _unfolded(cfg, t)
+        uj, qj = map(gluing.Jet.lift, _unfolded(cfg, gluing.Jet.variable(t))[:2])
+        got = (*cfg.warp(t), cfg.u(t), *cfg.warp_jets(t), cfg.u(gluing.Jet.variable(t)))
+        for g, w in zip(got, (u, q, u, uj, qj, uj)):
+            assert _bits(g) == _bits(w), where
+    for where, t in neck.items():
+        u, _, eta1, eta2, c = _unfolded(cfg, t)
+        got = (gluing.chi(t, eps), gluing.eta(t, eps), gluing.eta(-t, eps),
+               gluing.u_eps(t, eps, cfg.n))
+        for g, w in zip(got, (c, eta1, eta2, u)):
+            assert _bits(g) == _bits(w), where
+    # NaN lies on no plateau, so it takes the unfolded path (B(NaN) is 0/0)
+    t = np.array([0.0, math.nan, T + 0.2])
+    with np.errstate(invalid="ignore"):
+        u, q, *_ = _unfolded(cfg, t)
+        for g, w in zip(cfg.warp(t), (u, q)):
+            assert np.array_equal(g, w, equal_nan=True)
+            assert np.isnan(g[1])
+
+
+def test_cutoffs_on_their_plateaus_are_not_evaluated(monkeypatch, cfg05):
+    calls = []
+    step = gluing.mollifier_step
+    monkeypatch.setattr(gluing, "mollifier_step", lambda s: calls.append(s) or step(s))
+    T = cfg05.t_max
+    cfg05.warp_jets(np.linspace(-(T - 1.0), -1.0, 9))  # chi = eta(t) = eta(-t) = 1
+    assert calls == []
+    cfg05.warp(np.linspace(1.0, T + 0.5, 9))  # chi = 0 and eta(-t) = 1; eta(t) moves
+    assert len(calls) == 1
+    calls.clear()
+    for t in (np.array([0.0, math.nan]), np.array([])):
+        with np.errstate(invalid="ignore"):
+            cfg05.warp(t)
+    assert len(calls) == 6

@@ -6,7 +6,7 @@ import pytest
 
 from cscglue import curvature, geometry, gluing, linear_solver, neck_analysis as na
 from cscglue.curvature import DerivativeScheme, laplace_beltrami, scalar_curvature
-from cscglue.errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved
+from cscglue.errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved, OutOfFloatRange
 
 
 def test_deviation_profile_structure(cfg05):
@@ -129,7 +129,9 @@ def test_neck_coefficients_evaluate_the_profile_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
 def test_conjugation_takes_one_metric_jet_per_factor(monkeypatch, name):
-    # the probes share each factor's metric jet: S^{n-1} and K, two in all
+    # the probes share each factor's metric jet: S^{n-1} and K, two in all,
+    # taken once per (model, scheme) in a process whatever eps is
+    na._probe_laplacians.cache_clear()
     model = geometry.make_model(name)
     cfg = gluing.GluingConfig(model, model, eps=0.02)
     calls = []
@@ -142,6 +144,18 @@ def test_conjugation_takes_one_metric_jet_per_factor(monkeypatch, name):
     monkeypatch.setattr(curvature, "_metric_jet", counted)
     na.conjugation_residual(cfg)
     assert sorted(calls) == ["theta", "z"]
+    calls.clear()
+    na.conjugation_residual(gluing.GluingConfig(model, model, eps=0.08))
+    assert calls == []
+    scheme = DerivativeScheme(2e-3, 3)
+    na.conjugation_residual(cfg, scheme=scheme)
+    assert sorted(calls) == ["theta", "z"]
+    # the cached tuples are the uncached factor_laplacians, bit for bit
+    _, Ys, Zs = (list(x) for x in zip(*na.PROBES.values()))
+    for s in (DerivativeScheme(), scheme):
+        cached = na._probe_laplacians(model, s)
+        fresh = na.factor_laplacians(cfg, Ys, Zs, s)
+        assert [[x.hex() for x in p] for p in cached] == [[x.hex() for x in p] for p in fresh]
 
 
 @pytest.mark.parametrize("estimate", ["conjugation", "barrier"])
@@ -269,6 +283,17 @@ def test_barrier_preconditions(model_a):
     cfg = gluing.GluingConfig(model_a, model_a, eps=0.02, alpha=2.0)
     with pytest.raises(EpsilonTooLarge):
         na.barrier_margin(cfg, delta=0.3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [1e-200, 1e-130])
+def test_barrier_margins_out_of_double_range_raise_typed(model_a, eps):
+    # eps e^{-t} underflows to 0 on the region at 1e-200 (q is 0/0 there),
+    # and A phi overflows at 1e-130: the typed error comes before any warning
+    cfg = gluing.GluingConfig(model_a, model_a, eps=eps)
+    with pytest.raises(OutOfFloatRange, match=f"eps = {eps}"):
+        na.barrier_margin(cfg, delta=0.3)
+    assert issubclass(OutOfFloatRange, ArithmeticError)
 
 
 def test_local_estimate_harmonic_and_barrier_probes(model_a):
