@@ -25,8 +25,7 @@ print(f"  sup|v|                  = {rep.v.sup():.5f}")
 print(f"  fixed-point residual    = {rep.residual:.2e}")
 print(f"  mirror defect           = {rep.mirror_defect:.2e}")
 print(f"  contraction factor      = {rep.contraction:.3f}")
-print(f"  fitted constants: C' = {rep.C_prime:.3f}, C'' = {rep.C_second:.0f}, "
-      f"C''' = {rep.C_third:.3f}")
+print(f"  fitted constants: C' = {rep.C_prime:.3f}, C''' = {rep.C_third:.3f}")
 print(f"  ball radius r_eps       = {rep.r_eps:.4f} "
       f"(iterates stay inside min(1/2, r_eps))")
 

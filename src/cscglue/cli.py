@@ -401,8 +401,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> tuple[Checks, dict]:
     floor = max(10.0 * chk.fd_err, chk.pre_dev / 50.0)
     checks.add("constancy", chk.post_dev / floor, "constancy")
     return checks, {
-        "C_prime": rep.C_prime, "C_second": rep.C_second,
-        "C_third": rep.C_third, "r_eps": rep.r_eps,
+        "C_prime": rep.C_prime, "C_third": rep.C_third, "r_eps": rep.r_eps,
         "contraction": rep.contraction,
         "min_abs_eig": rep.linear.min_abs_eig,
         "post_dev": chk.post_dev, "fd_floor": chk.fd_err,

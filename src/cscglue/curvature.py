@@ -9,9 +9,8 @@ extrapolation diagonals give every value its error bar.  The production
 path differentiates the glued profiles exactly with ``gluing.Jet``; this
 engine uses finite differences so that it stays independent of the jet
 path it cross-checks.  Its one production use is the conjugation
-probes' factor Laplacians (``neck_analysis.factor_laplacians``), which
-share each factor's metric jet between the probes and are computed once
-per (model, scheme) in each process.
+probes' factor Laplacians (``neck_analysis.factor_laplacians``), one
+call per probe and factor, once per (model, scheme) in a process.
 
 All entry points take a point as a ``(chart_id, coords)`` pair on the
 field's one chart, with coords of shape ``(m,)`` for a single point or
@@ -226,25 +225,19 @@ def scalar_curvature(field: MetricField, point,
                        noise, squeeze)
 
 
-def laplace_beltrami(field: MetricField, u: Callable | list, point,
-                     scheme: DerivativeScheme | None = None) -> ValueWithError | list:
+def laplace_beltrami(field: MetricField, u: Callable, point,
+                     scheme: DerivativeScheme | None = None) -> ValueWithError:
     """Laplace-Beltrami of a scalar callback at a point.
 
     Delta u = g^{ab} (d_a d_b u - Gamma^c_{ab} d_c u); the callback must
-    accept coordinate arrays of shape (..., m).  ``u`` may also be a list
-    of callbacks: they share one metric jet, and the result is a list with
-    one ValueWithError each.
+    accept coordinate arrays of shape (..., m).
     """
     scheme = scheme or DerivativeScheme()
     chart_id, pts, squeeze = _as_batch(point)
     ginv, (dg, dgp), _, noise_g = _metric_jet(field, chart_id, pts, scheme)
-
-    def one(fn):
-        _, (du, dup), (d2u, d2up), _, noise_u = _jet(fn, pts, scheme)
-        return _with_error(_laplacian(ginv, dg, du, d2u), _laplacian(ginv, dgp, dup, d2up),
-                           noise_g, squeeze, floor=noise_u * float(np.max(np.abs(ginv))))
-
-    return [one(fn) for fn in u] if isinstance(u, list) else one(u)
+    _, (du, dup), (d2u, d2up), _, noise_u = _jet(u, pts, scheme)
+    return _with_error(_laplacian(ginv, dg, du, d2u), _laplacian(ginv, dgp, dup, d2up),
+                       noise_g, squeeze, floor=noise_u * float(np.max(np.abs(ginv))))
 
 
 def conformal_scalar(field: MetricField, u: Callable, point,

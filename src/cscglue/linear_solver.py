@@ -30,7 +30,7 @@ import numpy as np
 # scalar_curvature and glued_metric are not called here, but
 # bench/spans.py wraps them by name
 from .curvature import scalar_curvature  # noqa: F401
-from .errors import NearSingularOperator, NoConvergence
+from .errors import NearSingularOperator, NoConvergence, OutOfFloatRange
 from .geometry import ModelGeometry, normal_radius
 from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
 from .lapack import dgttrf, dgttrs, eigenvalues_between
@@ -334,9 +334,16 @@ def _eigenvalues_within(op: DiscreteOperator, r: float) -> np.ndarray:
     holds, so an empty window costs two of them.  The tolerance is an
     absolute 1e-12: LAPACK's default, eps_mach ||T||, grows with the
     1/U-sized diagonal of the neck (about 8e11 at eps 1e-4) and would
-    cost up to 2e-5 there.
+    cost up to 2e-5 there.  Non-finite entries of T raise OutOfFloatRange
+    and a failed bisection NoConvergence (at n = 3, from eps near 1e-110 and 1e-80).
     """
-    return eigenvalues_between(op.diag, op.symmetric_off, -r, r, 1e-12)
+    d, e = op.diag, op.symmetric_off
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise OutOfFloatRange(f"the symmetrized operator (size {d.size}) leaves double precision")
+    try:
+        return eigenvalues_between(d, e, -r, r, 1e-12)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"{exc}; max|diag| = {np.max(np.abs(d)):.3e}") from exc
 
 
 def smallest_eigenvalue(op: DiscreteOperator) -> float:

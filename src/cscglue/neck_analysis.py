@@ -21,6 +21,7 @@ model and scheme.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -46,6 +47,16 @@ from .linear_solver import (
 
 RESOLVED_FACTOR = 10.0  # a deviation counts as resolved above 10x its error bar
 POINTS_PER_UNIT = 16    # t samples per unit on the deviation and barrier windows
+
+
+@contextlib.contextmanager
+def _in_double_range(what: str, eps: float):
+    """Raise OutOfFloatRange, naming ``what`` and eps, for any overflow or 0/0 inside."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise OutOfFloatRange(f"{what} leave double precision at eps = {eps}: {exc}") from exc
 
 
 def loglog_slope(x, y) -> float:
@@ -142,62 +153,31 @@ PROBES = {
 }
 
 
-def factor_laplacians(cfg: GluingConfig, Y, Z,
-                      scheme: DerivativeScheme | None = None):
-    """(Y, Delta_theta Y, Z, Delta_K Z) of a probe's factors, as floats.
+@functools.lru_cache(maxsize=32)
+def factor_laplacians(model: ModelGeometry, scheme: DerivativeScheme) -> tuple:
+    """(Y, Delta_theta Y, Z, Delta_K Z) of each PROBES entry, one tuple of floats each.
 
-    Taken at the neck line's sample (theta, z) by the finite-difference
-    engine, on each factor's own metric at ``scheme``'s steps; with no K
-    factor Z is 1.  They depend on cfg's model alone, not on eps.  ``Y``
-    and ``Z`` may also be equal-length lists, one entry per probe: the
-    result is then a list of tuples, and each factor's metric jet serves
-    every probe.  Computed afresh on every call; conjugation_residual
-    reads the PROBES' values from a per-(model, scheme) cache instead.
+    One laplace_beltrami call per probe and factor, at the neck line's
+    sample (theta, z) on the factor's own metric; with no K factor Z is 1.
+    They do not depend on eps, so each (model, scheme) is computed once.
     """
-    many = isinstance(Y, list)
-    out = _factor_laplacians(cfg.model_1, Y if many else [Y], Z if many else [Z],
-                             scheme or DerivativeScheme())
-    return out if many else out[0]
-
-
-def _factor_laplacians(model: ModelGeometry, Ys: list, Zs: list, scheme: DerivativeScheme):
-    def factor(factors, prefix, gs, x):
+    def factor(factors, prefix, g, x):
         x = np.asarray(x, float)
-        laps = laplace_beltrami(factor_metric(factors, prefix), gs, (prefix, x), scheme)
-        return [(float(g(x)), lap.value) for g, lap in zip(gs, laps)]
+        lap = laplace_beltrami(factor_metric(factors, prefix), g, (prefix, x), scheme)
+        return float(g(x)), lap.value
 
     z, theta = sample_orbit(model)
-    zf = factor(model.k_factors, "z", Zs, z) if model.k else [(1.0, 0.0)] * len(Zs)
-    yf = factor((Factor("sphere", model.n - 1, 1.0),), "theta", Ys, theta)
-    return [y + k for y, k in zip(yf, zf)]
-
-
-@functools.lru_cache(maxsize=32)
-def _probe_laplacians(model: ModelGeometry, scheme: DerivativeScheme) -> tuple:
-    """factor_laplacians of every PROBES entry on ``model``, one tuple of floats each.
-
-    They do not depend on eps, so each (model, scheme) pays its two
-    metric jets once per process.
-    """
-    _, Ys, Zs = (list(x) for x in zip(*PROBES.values()))
-    return tuple(_factor_laplacians(model, Ys, Zs, scheme))
-
-
-def neck_coefficients(cfg: GluingConfig, t):
-    """(A, b, q) of the neck g_K + U [dt^2 + q g_{S^{n-1}}] of cfg at t.
-
-    Delta f = A (f'' + b f') for f = f(t), with A = 1/U
-    (laplacian_coefficients); q is the value of the same profile jets.
-    """
-    u, q = cfg.warp_jets(t)
-    return (*laplacian_coefficients(cfg, u, q), q.v)
+    sphere = (Factor("sphere", model.n - 1, 1.0),)
+    return tuple(factor(sphere, "theta", Y, theta)
+                 + (factor(model.k_factors, "z", Z, z) if model.k else (1.0, 0.0))
+                 for _, Y, Z in PROBES.values())
 
 
 def separable_terms(cfg: GluingConfig, f: Jet, factors, neck):
     """(Delta_g w, L_neck w) of w = f(t) Y(theta) Z(z) at the t of ``neck``.
 
-    ``f`` is the jet of the t factor there, ``factors`` is
-    factor_laplacians(cfg, Y, Z) and ``neck`` is (A, b, q) at t, the
+    ``f`` is the jet of the t factor there, ``factors`` is a probe's
+    entry of factor_laplacians and ``neck`` is (A, b, q) at t, the
     laplacian_coefficients of cfg's profile jets and the value of q:
     Delta_g w = Delta_K w + A (w'' + b w') + (A / q) Delta_theta w and
     L_neck w = w'' - nu^2 w + Delta_theta w + U Delta_K w.
@@ -227,33 +207,33 @@ def conjugation_residual(cfg: GluingConfig, t_samples=None,
     separable_terms on the same factor Laplacians, so the difference is
     the warped product's remainder
     U^{-1} [((n-1)/2)(q'/q) v_t - (u''/u - nu^2) v + (1/q - 1) Delta_theta v]
-    up to rounding; ``scheme`` sets the steps of the factor Laplacians.
-    Those do not depend on eps: they come from a per-(model, scheme)
-    cache, so only the first call on a model at a scheme takes the two
-    metric jets of the finite-difference engine.
+    up to rounding; ``scheme`` sets the steps of the (cached)
+    factor_laplacians.  Where a ratio leaves double precision (below eps
+    of about 1e-125 at n = 3) OutOfFloatRange is raised.
     """
     T = cfg.t_max
     t = (np.asarray(t_samples, float) if t_samples is not None
          else np.linspace(-(T - 0.6), T - 0.6, 9))
     pexp = (cfg.n + 2.0) / (cfg.n - 2.0)
-    tj = Jet.variable(t)
-    u, q = cfg.warp_jets(t)
-    neck = (*laplacian_coefficients(cfg, u, q), q.v)
-    xabs = cfg.eps * np.exp(np.abs(t))
+    laps = factor_laplacians(cfg.model_1, scheme or DerivativeScheme())
     results = []
-    for (name, (a, _, _)), factors in zip(
-            PROBES.items(), _probe_laplacians(cfg.model_1, scheme or DerivativeScheme())):
-        v = Jet.lift(a(tj))
-        uv = u * v
-        lhs, _ = separable_terms(cfg, v, factors, neck)
-        _, ell = separable_terms(cfg, uv, factors, neck)
-        w0 = uv.v * factors[0] * factors[2]
-        rhs = u.v ** (-pexp) * ell
-        # scale: largest second-order datum entering the identity
-        scale = u.v ** (-pexp) * np.maximum.reduce([
-            np.abs(ell), np.abs(w0), np.full_like(w0, 1e-12)])
-        ratio = np.abs(lhs - rhs) / (xabs * np.maximum(scale, np.abs(lhs)))
-        results.append((name, float(np.max(ratio)), ratio))
+    with _in_double_range("conjugation ratios", cfg.eps):
+        tj = Jet.variable(t)
+        u, q = cfg.warp_jets(t)
+        neck = (*laplacian_coefficients(cfg, u, q), q.v)
+        xabs = cfg.eps * np.exp(np.abs(t))
+        for (name, (a, _, _)), factors in zip(PROBES.items(), laps):
+            v = Jet.lift(a(tj))
+            uv = u * v
+            lhs, _ = separable_terms(cfg, v, factors, neck)
+            _, ell = separable_terms(cfg, uv, factors, neck)
+            w0 = uv.v * factors[0] * factors[2]
+            rhs = u.v ** (-pexp) * ell
+            # scale: largest second-order datum entering the identity
+            scale = u.v ** (-pexp) * np.maximum.reduce([
+                np.abs(ell), np.abs(w0), np.full_like(w0, 1e-12)])
+            ratio = np.abs(lhs - rhs) / (xabs * np.maximum(scale, np.abs(lhs)))
+            results.append((name, float(np.max(ratio)), ratio))
     return ConjugationReport(max(r[1] for r in results), results, t)
 
 
@@ -343,19 +323,13 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
     ta = cfg.t_max - cfg.alpha
     nt = max(5, int(round(2 * ta * POINTS_PER_UNIT)) + 1)
     t = np.linspace(-ta, ta, nt)
-    try:
-        # every overflow or 0/0 raises here, so the margins and their error
-        # bars come out finite or not at all
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            u, q = cfg.warp_jets(t)
-            phi = _barrier_weight(delta, Jet.variable(t)) / u
-            A, b = laplacian_coefficients(cfg, u, q)
-            terms = (A * phi.dd, A * b * phi.d, C * A * phi.v)  # A = u^{-4/(n-2)}
-            margins = -sum(terms)
-            err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)
-    except FloatingPointError as exc:
-        raise OutOfFloatRange(
-            f"barrier margins leave double precision at eps = {cfg.eps}: {exc}") from exc
+    with _in_double_range("barrier margins", cfg.eps):
+        u, q = cfg.warp_jets(t)
+        phi = _barrier_weight(delta, Jet.variable(t)) / u
+        A, b = laplacian_coefficients(cfg, u, q)
+        terms = (A * phi.dd, A * b * phi.d, C * A * phi.v)  # A = u^{-4/(n-2)}
+        margins = -sum(terms)
+        err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)
     return BarrierReport(delta, cfg.eps, cfg.alpha, C, t, margins,
                          float(np.min(margins)), err)
 

@@ -107,7 +107,6 @@ class FixedPointReport:
     residual: float
     r_eps: float
     C_prime: float
-    C_second: float
     C_third: float
     converged: bool
     mirror_defect: float
@@ -137,17 +136,16 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
 
     with r_run the largest observed iterate norm: the source inequality
     it instantiates is quantified over a ball, so the quadratic slack
-    term carries the ball radius.  The constituent constants C' (the
-    weighted source bound over eps^{n-2} + eps^{n/2-delta}) and C'' (= 1;
-    the exponent juggling is sharp for these weights) are recorded
-    separately.  Iterates must stay inside min(1/2, r_eps); leaving the
-    ball raises IterationDiverged, a reportable outcome rather than
-    undefined behavior.  ``grid`` and ``profile`` let a caller that
-    already built them reuse its grid and its glued_curvature_profile
-    pair (values, error bar); only the values of the pair are read.
-    Each solve passes ``solve``'s invertibility gate, which checks the
-    operator once; the smallest eigenvalue is not computed here but when
-    the report's ``linear`` is read.
+    term carries the ball radius.  C', the weighted source bound over
+    eps^{n-2} + eps^{n/2-delta}, is recorded too (C'' = 1: the exponent
+    juggling is sharp for these weights).  Iterates must stay inside
+    min(1/2, r_eps); leaving the ball raises IterationDiverged, a
+    reportable outcome rather than undefined behavior.  ``grid`` and
+    ``profile`` let a caller that already built them reuse its grid and
+    its glued_curvature_profile pair (values, error bar); only the values
+    of the pair are read.  Each solve passes ``solve``'s invertibility
+    gate, which checks the operator once; the smallest eigenvalue is not
+    computed here but when the report's ``linear`` is read.
     """
     n, m, delta = cfg.n, cfg.m, cfg.delta
     nu = cfg.nu
@@ -167,7 +165,6 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     f0 = F_eps(np.zeros(grid.size), s_dev, consts, S)
     src_scale = eps ** (n - 2.0) + eps ** (n / 2.0 - delta)
     C_prime = float(np.max(w_hi * np.abs(f0))) / src_scale
-    C_second = 1.0
 
     v = np.zeros(grid.size)
     sup_history = []
@@ -205,7 +202,7 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     return FixedPointReport(
         sup_history=sup_history, increments=diffs,
         v=RadialProfile(grid, v), residual=residual, r_eps=r_eps,
-        C_prime=C_prime, C_second=C_second, C_third=C_third,
+        C_prime=C_prime, C_third=C_third,
         converged=converged, mirror_defect=mirror,
         contraction=contraction,
         pre_dev=float(np.max(np.abs(s_dev))), operator=op,

@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cscglue
@@ -156,6 +157,28 @@ def test_barrier_out_of_double_range_exits_2(tmp_path, capsys):
     out = tmp_path / "barrier"
     assert cli.main(["barrier", "--set", "gluing.epsilon=1e-200", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("precondition error: OutOfFloatRange: ")
+
+
+@pytest.mark.parametrize("eps, error", [("1e-80", "NoConvergence"),
+                                        ("1e-120", "OutOfFloatRange")])
+def test_gate_out_of_double_range_is_a_precondition_error(eps, error, tmp_path, capsys):
+    # solve stops with the typed error; sweep records the row and exits 1
+    res = ["--set", "grid.resolution=16"]
+    with np.errstate(all="ignore"):  # the assembly at 1e-120 overflows
+        code = cli.main(["solve", "--set", f"gluing.epsilon={eps}", *res,
+                         "--out", str(tmp_path / "solve")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"precondition error: {error}: ")
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "--set", f"gluing.epsilon=0.05,{eps}", *res,
+                         "--out", str(out)])
+    assert code == 1
+    header, ok, failed = (r.split(",") for r in (out / "sweep.csv").read_text().splitlines())
+    assert float(dict(zip(header, ok))["iters"]) > 0
+    row = dict(zip(header, failed))
+    assert float(row["eps"]) == float(eps) and row["iters"] == "0" and row["sup_v"] == "nan"
+    checks = json.loads((out / "run.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["rows_converged"]
 
 
 def test_barrier_runs_with_its_own_defaults(tmp_path):

@@ -15,7 +15,7 @@ PACKAGE = Path(cscglue.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 # Imported only so that bench/spans.py can wrap them by name; ROADMAP open
-# item 7 gives the benchmark its own spans and removes these imports, and
+# item 10 gives the benchmark its own spans and removes these imports, and
 # this list shrinks with them.
 BENCH_ONLY = {
     "linear_solver": {"scalar_curvature", "glued_metric"},

@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from cscglue import curvature, geometry, gluing, lapack, linear_solver as ls, yamabe
-from cscglue.errors import NearSingularOperator, NoConvergence
+from cscglue.errors import NearSingularOperator, NoConvergence, OutOfFloatRange
 
 
 def _full_spectrum(op):
@@ -291,6 +291,20 @@ def test_solve_rejects_non_finite_source(stack05):
                                    sub=np.r_[0.0, op.sub[1:]])
     with pytest.raises(np.linalg.LinAlgError):
         ls.solve(singular, np.ones(op.size))
+
+
+@pytest.mark.parametrize("eps, error", [(1e-80, NoConvergence), (1e-120, OutOfFloatRange)])
+def test_gate_out_of_double_range_raises_typed(model_a, eps, error):
+    # at 1e-80 max|diag| is about 3e161 and bisection does not converge; at
+    # 1e-120 the assembly overflows (its warnings are silenced here, the gate
+    # must report it).  Both were numpy errors that aborted a sweep.
+    cfg = gluing.GluingConfig(model_a, model_a, eps=eps)
+    with np.errstate(all="ignore"):
+        with pytest.raises(error):
+            yamabe.picard_solve(cfg, resolution=16)
+        (row,) = yamabe.convergence_sweep(lambda e: cfg, [eps], resolution=16).rows
+    assert row.error.startswith(f"{error.__name__}: ")
+    assert row.iters == 0 and math.isnan(row.sup_v)
 
 
 def _solve_banded_tridiagonal(op, f):

@@ -81,6 +81,17 @@ def test_conjugation_exact_for_flat_normal(model_flat):
         assert na.conjugation_residual(exact).max_ratio <= 1e-10
 
 
+def _probe_factors(model, probe):
+    """factor_laplacians' entry for PROBES[probe] at the default scheme."""
+    return na.factor_laplacians(model, DerivativeScheme())[list(na.PROBES).index(probe)]
+
+
+def _neck(cfg, t):
+    """(A, b, q) of cfg's neck at t, as separable_terms takes them."""
+    u, q = cfg.warp_jets(t)
+    return (*linear_solver.laplacian_coefficients(cfg, u, q), q.v)
+
+
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
 @pytest.mark.parametrize("eps", [0.02, 0.08])
 @pytest.mark.parametrize("probe", ["const", "wavy"])
@@ -93,8 +104,7 @@ def test_separable_laplacian_matches_5d_engine(name, eps, probe):
     t = na.conjugation_residual(cfg).t
     a, Y, Z = na.PROBES[probe]
     lap, _ = na.separable_terms(cfg, gluing.Jet.lift(a(gluing.Jet.variable(t))),
-                                na.factor_laplacians(cfg, Y, Z),
-                                na.neck_coefficients(cfg, t))
+                                _probe_factors(model, probe), _neck(cfg, t))
     pts = np.zeros((t.size, model.m))
     pts[:, :k], pts[:, k + 1:] = geometry.sample_orbit(model)
     pts[:, k] = t
@@ -104,34 +114,11 @@ def test_separable_laplacian_matches_5d_engine(name, eps, probe):
     assert np.all(np.abs(lap - ref) <= err)
 
 
-@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
-def test_neck_coefficients_evaluate_the_profile_once(monkeypatch, name):
-    # q comes from the same profile jets as (A, b); jet values are bitwise
-    # the array evaluation, so (A, b, q) are those of two separate calls
-    model = geometry.make_model(name)
-    cfg = gluing.GluingConfig(model, model, eps=0.02)
-    t = na.conjugation_residual(cfg).t
-    A0, b0 = linear_solver.laplacian_coefficients(cfg, *cfg.warp_jets(t))
-    q0 = cfg.warp(t)[1]
-    calls = []
-    warp = gluing.GluingConfig.warp
-
-    def counted(self, t):
-        calls.append(self)
-        return warp(self, t)
-
-    monkeypatch.setattr(gluing.GluingConfig, "warp", counted)
-    A, b, q = na.neck_coefficients(cfg, t)
-    assert len(calls) == 1
-    for got, want in ((A, A0), (b, b0), (q, q0)):
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3", "sphere5"])
 def test_conjugation_takes_one_metric_jet_per_factor(monkeypatch, name):
-    # the probes share each factor's metric jet: S^{n-1} and K, two in all,
-    # taken once per (model, scheme) in a process whatever eps is
-    na._probe_laplacians.cache_clear()
+    # a (model, scheme)'s first call takes one metric jet per probe on
+    # S^{n-1} and on K (if any); later calls, at any eps, read the cache
+    na.factor_laplacians.cache_clear()
     model = geometry.make_model(name)
     cfg = gluing.GluingConfig(model, model, eps=0.02)
     calls = []
@@ -142,20 +129,30 @@ def test_conjugation_takes_one_metric_jet_per_factor(monkeypatch, name):
         return metric_jet(field, chart_id, pts, scheme)
 
     monkeypatch.setattr(curvature, "_metric_jet", counted)
+    first = ["theta", "theta", "z", "z"] if model.k else ["theta", "theta"]
     na.conjugation_residual(cfg)
-    assert sorted(calls) == ["theta", "z"]
+    assert sorted(calls) == first
     calls.clear()
     na.conjugation_residual(gluing.GluingConfig(model, model, eps=0.08))
     assert calls == []
     scheme = DerivativeScheme(2e-3, 3)
     na.conjugation_residual(cfg, scheme=scheme)
-    assert sorted(calls) == ["theta", "z"]
-    # the cached tuples are the uncached factor_laplacians, bit for bit
-    _, Ys, Zs = (list(x) for x in zip(*na.PROBES.values()))
+    assert sorted(calls) == first
+    # the cached tuples are those of direct engine calls, bit for bit
+    z, theta = (np.asarray(x, float) for x in geometry.sample_orbit(model))
+    sphere = geometry.factor_metric((geometry.Factor("sphere", model.n - 1, 1.0),), "theta")
     for s in (DerivativeScheme(), scheme):
-        cached = na._probe_laplacians(model, s)
-        fresh = na.factor_laplacians(cfg, Ys, Zs, s)
-        assert [[x.hex() for x in p] for p in cached] == [[x.hex() for x in p] for p in fresh]
+        want = []
+        for _, Y, Z in na.PROBES.values():
+            entry = (float(Y(theta)), laplace_beltrami(sphere, Y, ("theta", theta), s).value)
+            if model.k:
+                k_metric = geometry.factor_metric(model.k_factors, "z")
+                entry += (float(Z(z)), laplace_beltrami(k_metric, Z, ("z", z), s).value)
+            else:
+                entry += (1.0, 0.0)
+            want.append(entry)
+        got = na.factor_laplacians(model, s)
+        assert [[x.hex() for x in p] for p in got] == [[x.hex() for x in p] for p in want]
 
 
 @pytest.mark.parametrize("estimate", ["conjugation", "barrier"])
@@ -221,11 +218,10 @@ def test_conjugation_never_builds_the_glued_field(monkeypatch, model_a):
 def test_ell_leading_annihilates_critical_exponential(cfg05):
     # the leading neck operator d_t^2 - nu^2 + ... kills e^{nu t} Y Z
     # for the constant probe
-    _, Y, Z = na.PROBES["const"]
     t = np.array([-1.2, 0.0, 0.8])
     f = gluing.Jet.lift(np.exp(cfg05.nu * gluing.Jet.variable(t)))
-    _, vals = na.separable_terms(cfg05, f, na.factor_laplacians(cfg05, Y, Z),
-                                 na.neck_coefficients(cfg05, t))
+    _, vals = na.separable_terms(cfg05, f, _probe_factors(cfg05.model_1, "const"),
+                                 _neck(cfg05, t))
     assert np.max(np.abs(vals)) <= 1e-6
 
 
@@ -294,6 +290,16 @@ def test_barrier_margins_out_of_double_range_raise_typed(model_a, eps):
     with pytest.raises(OutOfFloatRange, match=f"eps = {eps}"):
         na.barrier_margin(cfg, delta=0.3)
     assert issubclass(OutOfFloatRange, ArithmeticError)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [1e-200, 1e-130])
+def test_conjugation_out_of_double_range_raises_typed(model_a, eps):
+    # u^{-(n+2)/(n-2)} overflows at 1e-130 and q is 0/0 at 1e-200: the
+    # ratios were NaN after RuntimeWarnings, now the typed error comes first
+    cfg = gluing.GluingConfig(model_a, model_a, eps=eps)
+    with pytest.raises(OutOfFloatRange, match=f"eps = {eps}"):
+        na.conjugation_residual(cfg)
 
 
 def test_local_estimate_harmonic_and_barrier_probes(model_a):
