@@ -6,11 +6,12 @@ jets, Richardson-extrapolated over at least two halved steps; one jet
 routine serves the metric components and scalar callbacks alike, calls
 the callback once on the stencils of all levels, and the last two
 extrapolation diagonals give every value its error bar.  The production
-path differentiates the glued profiles exactly with ``gluing.Jet``; this
-engine uses finite differences so that it stays independent of the jet
-path it cross-checks.  Its one production use is the conjugation
-probes' factor Laplacians (``neck_analysis.factor_laplacians``), one
-call per probe and factor, once per (model, scheme) in a process.
+path differentiates the glued profiles exactly, in closed form
+(``GluingConfig.warp_jets``); this engine uses finite differences so
+that it stays independent of the path it cross-checks.  Its one
+production use is the conjugation probes' factor Laplacians
+(``neck_analysis.factor_laplacians``), one call per probe and factor,
+once per (model, scheme) in a process.
 
 All entry points take a point as a ``(chart_id, coords)`` pair on the
 field's one chart, with coords of shape ``(m,)`` for a single point or

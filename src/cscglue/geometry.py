@@ -306,11 +306,22 @@ def sphere_polar_diag(theta: np.ndarray, radius: float = 1.0) -> np.ndarray:
 
 
 def normal_radius(factor: Factor, r):
-    """f(r) with normal block dr^2 + f(r)^2 g_{S^{n-1}}; takes arrays or jets."""
+    """f(r) with normal block dr^2 + f(r)^2 g_{S^{n-1}}, on arrays."""
     if factor.kind == "sphere":
         return factor.size * np.sin(r / factor.size)
     if factor.kind == "ball":
         return r
+    raise ValueError(f"unsupported normal factor kind {factor.kind!r}")
+
+
+def normal_radius_jet(factor: Factor, r):
+    """(f(r), f'(r), f''(r)) of ``normal_radius``, f bit for bit its value."""
+    if factor.kind == "sphere":  # f = R sin(r/R)
+        a = r / factor.size
+        sin_a = np.sin(a)
+        return factor.size * sin_a, np.cos(a), -sin_a / factor.size
+    if factor.kind == "ball":
+        return r, 1.0, 0.0
     raise ValueError(f"unsupported normal factor kind {factor.kind!r}")
 
 

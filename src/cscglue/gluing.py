@@ -8,11 +8,17 @@ scaled by the conformal factor u_eps(t)^{4/(n-2)} built from the two
 profiles eps^{(n-2)/2} e^{-+(n-2)t/2}.
 
 The glued metric is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}], read
-through the profile method t -> (u, q), ``GluingConfig.warp``: a
-config fixes its metric, and every stage reads the metric from the
-config.  Beyond the seams |t| = -log eps the profiles saturate to the
-summand metrics written in t, so one chart in (z, t, theta) covers the
-neck and both caps.  ``SyntheticExactConfig`` is the exact-solution
+through the profile method t -> (u, q), ``GluingConfig.warp``, or its
+exact second-order jets, ``GluingConfig.warp_jets``: a config fixes its
+metric, and every stage reads the metric from the config.  The jets are
+closed-form array arithmetic: the mollifier step, the exponential
+profiles eps^nu e^{-+nu t} and the normal profile q_N each have explicit
+first and second derivatives, combined by the product rule.  ``Jet``
+carries the result, and differentiates the other 1-D functions the
+stages build on it (the barrier weight, the conjugation probes, the
+post-solve spline) by Taylor-mode arithmetic.  Beyond the seams
+|t| = -log eps the profiles saturate to the summand metrics written in
+t, so one chart in (z, t, theta) covers the neck and both caps.  ``SyntheticExactConfig`` is the exact-solution
 fixture: the same interface with a metric of constant scalar curvature.
 
 Cutoffs use the standard exp(-1/s) mollifier, so the glued components
@@ -20,14 +26,15 @@ match the summand metrics to all orders at the seams; the concrete
 choices are recorded in the docstrings because downstream fitted
 constants depend on them.
 
-The profiles apply one plateau rule to all three cutoffs, chi, eta(t)
-and eta(-t): where every argument of a cutoff lies on a plateau of
+The profiles and their jets apply one plateau rule to all three
+cutoffs, chi, eta(t) and eta(-t), decided once per call from t's
+extremes: where every argument of a cutoff lies on a plateau of
 ``mollifier_step`` (all <= 0 or all >= 1), the step is neither
 evaluated nor multiplied, and the term it zeroes is not computed.  So u
 is u^{(1)} + u^{(2)} with a side dropped or left unmultiplied as its eta
 allows, and q is one side's term alone where chi is 1 or 0.  The step
-is exactly 0 or 1 there, with derivative parts +-0, so every value is
-bitwise the unfolded product's; NaN or empty input takes the full path.
+is exactly 0 or 1 there, with derivatives +-0, so every part is bitwise
+the unfolded product's; NaN or empty input takes the full path.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .geometry import (
     MetricField,
     ModelGeometry,
     normal_radius,
+    normal_radius_jet,
     polar_chart,
     product_components,
 )
@@ -157,54 +165,53 @@ _E_FLOOR = 1.0 / 700.0
 
 
 def _E(s):
-    """E(s) = exp(-1/s) for s > 0 and 0 for s <= 0, on arrays or jets."""
-    x = s.v if isinstance(s, Jet) else s
-    pos = x > _E_FLOOR
-    r = 1.0 / np.where(pos, x, 1.0)
-    e = np.where(pos, np.exp(-r), 0.0)
-    if not isinstance(s, Jet):
-        return e
-    # E' = E / s^2, E'' = E (1/s^4 - 2/s^3)
-    return s.chain(e, e * r**2, e * r**3 * (r - 2.0))
+    """(E(s), 1/s): E(s) = exp(-1/s) for s > 0 and 0 for s <= 0; 1/s is 1 where E is 0."""
+    pos = s > _E_FLOOR
+    r = 1.0 / np.where(pos, s, 1.0)
+    return np.where(pos, np.exp(-r), 0.0), r
 
 
 def mollifier_step(s):
     """Smooth step B(s) = E(s)/(E(s)+E(1-s)), E(s)=exp(-1/s) for s>0 else 0.
 
     Identically 0 for s <= 0 and 1 for s >= 1; monotone and C^inf, with
-    all derivatives vanishing at both plateau edges.  s may be a jet.
+    all derivatives vanishing at both plateau edges.  s is an array.
     """
-    if not isinstance(s, Jet):
-        s = np.asarray(s, dtype=float)
-    e1 = _E(s)
-    return e1 / (e1 + _E(1.0 - s))
+    s = np.asarray(s, dtype=float)
+    e1 = _E(s)[0]
+    return e1 / (e1 + _E(1.0 - s)[0])
 
 
-def _plateau(s):
-    """mollifier_step(s) where every argument lies on one plateau, else None.
+def _step_jet(s):
+    """(B, B', B'') of ``mollifier_step`` at the array s, derivatives in s.
 
-    That is 1.0 when all s >= 1 and 0.0 when all s <= 0; NaN or empty
-    input lies on neither.  s may be a jet: there mollifier_step's
-    derivative parts are +-0, so the plain 1.0 or 0.0 gives the same bits.
+    With E1 = E(s), E2 = E(1 - s), D = E1 + E2, r1 = 1/s, r2 = 1/(1 - s)
+    and E' = E r^2, E'' = E r^3 (r - 2), the quotient rule reduces to
+    B' = P phi' and B'' = P ((1 - 2B) phi'^2 + phi''), where P = B (1 - B)
+    = E1 E2 / D^2, phi' = r1^2 + r2^2 and phi'' = 2 (r2^3 - r1^3).  On
+    either plateau P is 0, and so are both derivatives.
     """
-    x = np.asarray(s.v if isinstance(s, Jet) else s)
-    if x.size:
-        if np.all(x >= 1.0):
-            return 1.0
-        if np.all(x <= 0.0):
-            return 0.0
+    e1, r1 = _E(s)
+    e2, r2 = _E(1.0 - s)
+    d = e1 + e2
+    b = e1 / d
+    p = b * (e2 / d)
+    r1sq, r2sq = r1 * r1, r2 * r2
+    phi1 = r1sq + r2sq
+    return b, p * phi1, p * ((e2 - e1) / d * (phi1 * phi1) + 2.0 * (r2sq * r2 - r1sq * r1))
+
+
+def _plateau(lo, hi):
+    """mollifier_step's value where every argument, lo <= s <= hi, lies on one plateau.
+
+    That is 1.0 when lo >= 1 and 0.0 when hi <= 0, else None; a NaN
+    bound lies on neither.
+    """
+    if lo >= 1.0:
+        return 1.0
+    if hi <= 0.0:
+        return 0.0
     return None
-
-
-def _cut(s, term):
-    """mollifier_step(s) * term(), or None where the step is 0 (term() unevaluated).
-
-    On the plateau of 1 this is term() itself.
-    """
-    b = _plateau(s)
-    if b is None:
-        return mollifier_step(s) * term()
-    return term() if b else None
 
 
 def _chi_arg(t):
@@ -213,6 +220,20 @@ def _chi_arg(t):
 
 def _eta_arg(t, eps: float):
     return -math.log(eps) - t
+
+
+def _plateaus(t, eps: float):
+    """The plateau values of (chi, eta(t), eta(-t)) on all of t: 1.0, 0.0 or None.
+
+    t's min and max are read once: each cutoff argument is monotone in t,
+    rounding included, so its extremes are the arguments at t's extremes.
+    Empty t, or t holding NaN, lies on no plateau.
+    """
+    t = np.asarray(t)
+    lo, hi = (float(t.min()), float(t.max())) if t.size else (math.nan, math.nan)
+    return (_plateau(_chi_arg(hi), _chi_arg(lo)),
+            _plateau(_eta_arg(hi, eps), _eta_arg(lo, eps)),
+            _plateau(_eta_arg(-lo, eps), _eta_arg(-hi, eps)))
 
 
 def _check_neck(t, eps):
@@ -240,16 +261,74 @@ def _u_profile(t, eps: float, n: int, side: int):
     return eps ** ((n - 2) / 2.0) * np.exp(sgn * (n - 2) / 2.0 * t)
 
 
-def _u_eps_raw(t, eps: float, n: int):
-    u1 = _cut(_eta_arg(t, eps), lambda: _u_profile(t, eps, n, 1))
-    u2 = _cut(_eta_arg(-t, eps), lambda: _u_profile(t, eps, n, 2))
+def _u_eps_raw(t, eps: float, n: int, etas):
+    """eta(t) u^{(1)} + eta(-t) u^{(2)}, ``etas`` the plateau values of the two etas."""
+    u = None
+    for side, e in zip((1, 2), etas):
+        if e == 0.0:  # u^{(side)} is not computed
+            continue
+        term = _u_profile(t, eps, n, side)
+        if e is None:
+            term = mollifier_step(_eta_arg(t if side == 1 else -t, eps)) * term
+        u = term if u is None else u + term
     # eta(t) and eta(-t) never both vanish on one input: that needs t >= T and t <= -T
-    return u2 if u1 is None else u1 if u2 is None else u1 + u2
+    return u
+
+
+def _u_jet(t, eps: float, n: int, etas):
+    """(u, u', u'') of ``_u_eps_raw`` in closed form, on its plateau rule.
+
+    u^{(side)} = eps^nu e^{ct}, c = -+nu, has derivatives c u^{(side)} and
+    c^2 u^{(side)}; eta(-+t) = B(-log eps -+ t) has eta' = -+B' and eta'' = B''.
+    """
+    parts = []
+    for side, e in zip((1, 2), etas):
+        if e == 0.0:
+            continue
+        sgn = -1.0 if side == 1 else 1.0
+        c = sgn * (n - 2) / 2.0
+        v = _u_profile(t, eps, n, side)
+        if e is None:  # (eta v)' = v g, (eta v)'' = v (eta'' + c (eta' + g)), g = eta' + c eta
+            b, b1, b2 = _step_jet(_eta_arg(t if side == 1 else -t, eps))
+            e1 = sgn * b1
+            g = e1 + c * b
+            parts.append((b * v, v * g, v * (b2 + c * (e1 + g))))
+        else:
+            parts.append((v, c * v, c * c * v))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(x + y for x, y in zip(*parts))
 
 
 def u_eps(t, eps: float, n: int):
     """Normal conformal factor eta(t) u^{(1)} + eta(-t) u^{(2)}; positive."""
-    return _u_eps_raw(_check_neck(t, eps), eps, n)
+    t = _check_neck(t, eps)
+    return _u_eps_raw(t, eps, n, _plateaus(t, eps)[1:])
+
+
+def _q_N(factor, eps: float, x):
+    """(f(r) / r)^2 at r = eps e^x."""
+    r = eps * np.exp(x)
+    return (normal_radius(factor, r) / r) ** 2
+
+
+def _q_N_jet(factor, eps: float, t, side: int):
+    """(q, q', q'') in t of q = _q_N at x = -t (side 1) or x = t (side 2).
+
+    q = rho^2 with rho = f(r)/r and r = eps e^x, so rho_x = f'(r) - rho
+    and rho_xx = f''(r) r - rho_x; rho_t = -+rho_x is written without a
+    negation, so a zero derivative stays +0 on both sides.
+    """
+    r = eps * np.exp(-t if side == 1 else t)
+    f, f1, f2 = normal_radius_jet(factor, r)
+    rho = f / r
+    if side == 1:
+        rho_t = rho - f1
+        rho_tt = f2 * r + rho_t
+    else:
+        rho_t = f1 - rho
+        rho_tt = f2 * r - rho_t
+    return rho ** 2, 2.0 * rho * rho_t, 2.0 * (rho_t * rho_t + rho * rho_tt)
 
 
 @dataclass(frozen=True)
@@ -309,43 +388,51 @@ class GluingConfig:
         return -math.log(self.eps)
 
     def u(self, t):
-        """The normal conformal factor of this config's metric, u_eps; t may be a jet.
+        """The normal conformal factor of this config's metric, u_eps, on arrays.
 
         The u of ``warp``, for stages that need u alone: q costs as much again.
         """
-        return _u_eps_raw(t, self.eps, self.n)
+        return _u_eps_raw(t, self.eps, self.n, _plateaus(t, self.eps)[1:])
 
     def warp(self, t):
-        """The neck profiles (u, q) of this config's metric at t.
+        """The neck profiles (u, q) of this config's metric at the array t.
 
         Every admissible gluing is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}]
         with u = ``self.u`` and q = chi q_N(eps e^{-t}) + (1 - chi) q_N(eps e^{t}),
         q_N(r) = (f(r) / r)^2 for the normal block dr^2 + f(r)^2 g_{S^{n-1}}
-        of the summand model.  t may be an array or a jet; beyond the neck
-        the profiles saturate to the summand metrics, so they cover the caps
-        as well.  Every stage reads the metric through this method.
+        of the summand model.  Beyond the neck the profiles saturate to the
+        summand metrics, so they cover the caps as well.  Every stage reads
+        the metric through this method or ``warp_jets``.
         """
-        f = self.model_1.normal_factor
-
-        def q_N(x):  # (f(r) / r)^2 at r = eps e^x
-            r = self.eps * np.exp(x)
-            return (normal_radius(f, r) / r) ** 2
-
-        s = _chi_arg(t)
-        c = _plateau(s)
+        f, eps = self.model_1.normal_factor, self.eps
+        c, *etas = _plateaus(t, eps)
         if c is None:
-            c = mollifier_step(s)
-            q = c * q_N(-t) + (1.0 - c) * q_N(t)
+            c = mollifier_step(_chi_arg(t))
+            q = c * _q_N(f, eps, -t) + (1.0 - c) * _q_N(f, eps, t)
         else:  # chi is 1 or 0 on all of t: one side's q alone
-            q = q_N(-t) if c else q_N(t)
-        return self.u(t), q
+            q = _q_N(f, eps, -t) if c else _q_N(f, eps, t)
+        return _u_eps_raw(t, eps, self.n, etas), q
 
     def warp_jets(self, t):
-        """Exact second-order jets (u, q) of ``warp`` at t; q may be the constant 1.
+        """Exact second-order jets (u, q) of ``warp`` at t, in closed form.
 
-        One evaluation serves every coefficient a stage needs at the same t.
+        The values are ``warp(t)`` bit for bit; the derivatives combine
+        those of the mollifier step, the exponential profiles and q_N by
+        the product rule, on the plateau rule of ``warp``.  One evaluation
+        serves every coefficient a stage needs at the same t.
         """
-        return tuple(map(Jet.lift, self.warp(Jet.variable(t))))
+        t = np.asarray(t, dtype=float)
+        f, eps = self.model_1.normal_factor, self.eps
+        c, *etas = _plateaus(t, eps)
+        if c is None:  # chi' = -B'/2 and chi'' = B''/4 at s = (1 - t)/2
+            b, b1, b2 = _step_jet(_chi_arg(t))
+            (qa, qa1, qa2), (qb, qb1, qb2) = _q_N_jet(f, eps, t, 1), _q_N_jet(f, eps, t, 2)
+            one_c, dq = 1.0 - b, qa - qb
+            q = (b * qa + one_c * qb, b * qa1 + one_c * qb1 - 0.5 * b1 * dq,
+                 b * qa2 + one_c * qb2 + b1 * (qb1 - qa1) + 0.25 * b2 * dq)
+        else:
+            q = _q_N_jet(f, eps, t, 1 if c else 2)
+        return Jet(*_u_jet(t, eps, self.n, etas)), Jet(*q)
 
 
 class SyntheticExactConfig(GluingConfig):
@@ -365,10 +452,14 @@ class SyntheticExactConfig(GluingConfig):
             raise ValueError("synthetic exact metric needs flat (ball) normal factors")
 
     def u(self, t):
-        return _u_profile(t, self.eps, self.n, 1) + _u_profile(t, self.eps, self.n, 2)
+        return _u_eps_raw(t, self.eps, self.n, (1.0, 1.0))
 
     def warp(self, t):
         return self.u(t), 1.0
+
+    def warp_jets(self, t):
+        u = _u_jet(np.asarray(t, dtype=float), self.eps, self.n, (1.0, 1.0))
+        return Jet(*u), Jet(1.0)
 
 
 def _warped_components(cfg: GluingConfig, c: np.ndarray):

@@ -5,7 +5,8 @@ U = u^{4/(n-2)}, along one global cylindrical coordinate s (the caps
 continue r = eps e^{-+s} beyond the seams), so L = Delta + S/(m-1) on
 functions of s is 1-D.  Grid weights, neck scalar curvature and the 1-D
 Laplacian come in closed form from the config's profile callback
-s -> (u, q) and its exact jets (``GluingConfig.warp``, ``gluing.Jet``);
+s -> (u, q) and its exact closed-form jets (``GluingConfig.warp``,
+``GluingConfig.warp_jets``);
 no metric components are sampled.  The orbit volume is taken as
 W = U^{n/2} q^{(n-1)/2}: the constant volume factor of g_K and
 g_{S^{n-1}} scales W and the fluxes alike and cancels from L.
@@ -150,7 +151,12 @@ def build_grid(cfg: GluingConfig, resolution: int = 64) -> RadialGrid:
     # second order everywhere
     s_half = _segment(0.0, T + math.log(cfg.model_1.r_max), resolution)
     s = np.concatenate([-s_half[:0:-1], s_half])
-    return _radial_grid(cfg.n, cfg.warp, s, np.abs(s) >= T)
+    grid = _radial_grid(cfg.n, cfg.warp, s, np.abs(s) >= T)
+    # assemble_L divides by V; W is about 2^{2n/(n-2)} eps^n mid-neck, so
+    # V underflows to 0 from eps of about 1e-110 at n = 3
+    if not (np.all(grid.V > 0.0) and np.isfinite(grid.V).all()):
+        raise OutOfFloatRange(f"grid volumes leave double precision at eps = {cfg.eps}")
+    return grid
 
 
 def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
@@ -335,7 +341,8 @@ def _eigenvalues_within(op: DiscreteOperator, r: float) -> np.ndarray:
     absolute 1e-12: LAPACK's default, eps_mach ||T||, grows with the
     1/U-sized diagonal of the neck (about 8e11 at eps 1e-4) and would
     cost up to 2e-5 there.  Non-finite entries of T raise OutOfFloatRange
-    and a failed bisection NoConvergence (at n = 3, from eps near 1e-110 and 1e-80).
+    and a failed bisection NoConvergence (at n = 3 the latter from eps near
+    1e-80; build_grid already rejects the grids of eps below about 1e-110).
     """
     d, e = op.diag, op.symmetric_off
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
@@ -387,7 +394,7 @@ def neck_scalar_curvature(cfg: GluingConfig, u: Jet, q: Jet):
         S_N = u^{-(n+2)/(n-2)} (S_h u - 4(n-1)/(n-2) Delta_h u),
         S_h = -2(n-1) w''/w + (n-1)(n-2) (1 - w'^2)/w^2,
         Delta_h u = u'' + (n-1) (w'/w) u',
-    on exact jets of (u, q) from ``cfg.warp``.
+    on exact jets of (u, q) from ``cfg.warp_jets``.
     The error bar is a rounding bound, ROUNDING_ULPS eps_mach times |S|
     plus the sizes of the terms, whose 1/U-sized parts cancel to O(1).
     """

@@ -100,7 +100,8 @@ def deviation_profile(cfg: GluingConfig) -> DeviationProfile:
     t = 0 with POINTS_PER_UNIT samples per unit and ends at the window
     edges; the probe value is the deviation at the edge t = log(eps) + 1.
     Fit data keeps only points whose deviation exceeds ten times its
-    error bar.
+    error bar.  Where the curvature leaves double precision (below eps of
+    about 1e-125 at n = 3) OutOfFloatRange is raised.
     """
     T = cfg.t_max
     if T <= 1.0:
@@ -108,17 +109,18 @@ def deviation_profile(cfg: GluingConfig) -> DeviationProfile:
     nt = max(5, int(round((T - 1) * POINTS_PER_UNIT)) + 1)
     t_half = np.linspace(-(T - 1.0), 0.0, nt)
     t = np.concatenate([t_half, -t_half[-2::-1]])
-    # the probe rides along as entry 0
-    S, err = neck_scalar_curvature(
-        cfg, *cfg.warp_jets(np.concatenate([[-(T - 1.0)], t])))
-    dev = np.abs(S - cfg.S)
-    sup_dev, fd_err = dev[1:], err[1:]
-    resolved = sup_dev > RESOLVED_FACTOR * fd_err
-    if not np.any(resolved):
-        raise NotResolved("error bars exceed the deviation")
     n = cfg.n
-    bound_shape = np.cosh(t) ** (1 - n) / cfg.eps
-    weighted = cfg.eps * np.cosh(t) ** (n - 1) * sup_dev
+    with _in_double_range("deviations", cfg.eps):
+        # the probe rides along as entry 0
+        S, err = neck_scalar_curvature(
+            cfg, *cfg.warp_jets(np.concatenate([[-(T - 1.0)], t])))
+        dev = np.abs(S - cfg.S)
+        sup_dev, fd_err = dev[1:], err[1:]
+        resolved = sup_dev > RESOLVED_FACTOR * fd_err
+        if not np.any(resolved):
+            raise NotResolved("error bars exceed the deviation")
+        bound_shape = np.cosh(t) ** (1 - n) / cfg.eps
+        weighted = cfg.eps * np.cosh(t) ** (n - 1) * sup_dev
     return DeviationProfile(
         cfg.eps, t, sup_dev, fd_err, bound_shape,
         float(np.max(weighted[resolved])), float(dev[0]), resolved)
@@ -291,7 +293,7 @@ def _barrier_weight(delta: float, t):
 
 
 def barrier_profile(cfg: GluingConfig, delta: float, t):
-    """phi_delta = u^{-1} (cosh t)^delta (delta <= 0) or u^{-1} cosh(delta t); t may be a jet."""
+    """phi_delta = u^{-1} (cosh t)^delta (delta <= 0) or u^{-1} cosh(delta t), on arrays."""
     return _barrier_weight(delta, t) / cfg.u(t)
 
 
@@ -358,40 +360,43 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
     the whole grid and left/right the Dirichlet values at the window
     edges.  By default the three standard cases run: the discrete
     harmonic extension of boundary data 1, the barrier profile itself,
-    and a smooth interior source with zero boundary data.
+    and a smooth interior source with zero boundary data.  Where the
+    grid or a ratio leaves double precision (below eps of about 1e-110 at
+    n = 3) OutOfFloatRange is raised.
     """
     n, delta = cfg.n, cfg.delta
     T = cfg.t_max
     ta = T - cfg.alpha
     if ta <= 0:
         raise EpsilonTooLarge("window T^eps_alpha is empty")
-    grid = build_grid(cfg, resolution)
-    profile, _ = glued_curvature_profile(cfg, grid)
-    op = assemble_L(grid, profile, cfg.m)
-    s = grid.s
-    inside = np.where(np.abs(s) <= ta + 1e-12)[0]
-    i0, i1 = int(inside[0]), int(inside[-1])
-    if i1 - i0 < 8:
-        raise EpsilonTooLarge("window T^eps_alpha has too few grid nodes")
-    psi = psi_of_t(s[i0:i1 + 1], cfg)
-    lo = (n - 2) / 2.0 - delta
-    hi = (n + 2) / 2.0 - delta
+    with _in_double_range("local estimate ratios", cfg.eps):
+        grid = build_grid(cfg, resolution)
+        profile, _ = glued_curvature_profile(cfg, grid)
+        op = assemble_L(grid, profile, cfg.m)
+        s = grid.s
+        inside = np.where(np.abs(s) <= ta + 1e-12)[0]
+        i0, i1 = int(inside[0]), int(inside[-1])
+        if i1 - i0 < 8:
+            raise EpsilonTooLarge("window T^eps_alpha has too few grid nodes")
+        psi = psi_of_t(s[i0:i1 + 1], cfg)
+        lo = (n - 2) / 2.0 - delta
+        hi = (n + 2) / 2.0 - delta
 
-    win = slice(i0, i1 + 1)
-    if probes is None:
-        phi = barrier_profile(cfg, delta, s)
-        fr = np.zeros(grid.size)
-        xi = (s[win] - s[i0]) / (s[i1] - s[i0])
-        fr[win] = np.sin(math.pi * xi) * (1.0 + 0.4 * np.cos(3 * math.pi * xi))
-        probes = [("harmonic-extension", np.zeros(grid.size), 1.0, 1.0),
-                  ("barrier-profile", op.apply(phi), phi[i0], phi[i1]),
-                  ("interior-source", fr, 0.0, 0.0)]
+        win = slice(i0, i1 + 1)
+        if probes is None:
+            phi = barrier_profile(cfg, delta, s)
+            fr = np.zeros(grid.size)
+            xi = (s[win] - s[i0]) / (s[i1] - s[i0])
+            fr[win] = np.sin(math.pi * xi) * (1.0 + 0.4 * np.cos(3 * math.pi * xi))
+            probes = [("harmonic-extension", np.zeros(grid.size), 1.0, 1.0),
+                      ("barrier-profile", op.apply(phi), phi[i0], phi[i1]),
+                      ("interior-source", fr, 0.0, 0.0)]
 
-    out = []
-    for name, f, left, right in probes:
-        v = solve_dirichlet(op, f, i0, i1, left, right)
-        num = weighted_sup(v, psi, lo)
-        den = weighted_sup(np.asarray(f)[win], psi, hi)
-        den_b = max(psi[0]**lo * abs(v[0]), psi[-1]**lo * abs(v[-1]))
-        out.append((name, num / (den + den_b)))
+        out = []
+        for name, f, left, right in probes:
+            v = solve_dirichlet(op, f, i0, i1, left, right)
+            num = weighted_sup(v, psi, lo)
+            den = weighted_sup(np.asarray(f)[win], psi, hi)
+            den_b = max(psi[0]**lo * abs(v[0]), psi[-1]**lo * abs(v[-1]))
+            out.append((name, num / (den + den_b)))
     return LocalEstimateReport(max(r[1] for r in out), out)

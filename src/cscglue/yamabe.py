@@ -286,10 +286,16 @@ class InterpolatingSpline:
         # entry (i, j) = B[a, i] with j = ell_i - k + a goes to ab[2 kl + i - j, j],
         # gbsv's band storage: its first kl rows are room for the LU fill-in
         kl = k - 1
-        j = ell - k + np.arange(k + 1)[:, None]
-        band = np.abs(i - j) <= kl
         ab = np.zeros((3 * kl + 1, n), order="F")
-        ab[(2 * kl + i - j)[band], j[band]] = B[band]
+        # on the rows i = k - half .. n - 1 - half, ell_i = i + half, so each
+        # a is one strided slice: band row 2 kl + k - half - a, columns from a
+        for a in range(k + 1):
+            ab[2 * kl + k - half - a, a:a + n - k] = B[a, k - half:n - half]
+        # the rows where ell is clipped, by the general scatter
+        edge = np.r_[:k - half, n - half:n]
+        j = ell[edge] - k + np.arange(k + 1)[:, None]
+        band = np.abs(edge - j) <= kl
+        ab[(2 * kl + edge - j)[band], j[band]] = B[:, edge][band]
         _, _, self.coef, info = dgbsv(kl, kl, ab, np.asarray_chkfinite(v, dtype=float),
                                       overwrite_ab=True)
         if info > 0:

@@ -5,7 +5,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import cscglue
@@ -164,14 +163,13 @@ def test_barrier_out_of_double_range_exits_2(tmp_path, capsys):
 def test_gate_out_of_double_range_is_a_precondition_error(eps, error, tmp_path, capsys):
     # solve stops with the typed error; sweep records the row and exits 1
     res = ["--set", "grid.resolution=16"]
-    with np.errstate(all="ignore"):  # the assembly at 1e-120 overflows
-        code = cli.main(["solve", "--set", f"gluing.epsilon={eps}", *res,
-                         "--out", str(tmp_path / "solve")])
-        assert code == 2
-        assert capsys.readouterr().err.startswith(f"precondition error: {error}: ")
-        out = tmp_path / "sweep"
-        code = cli.main(["sweep", "--set", f"gluing.epsilon=0.05,{eps}", *res,
-                         "--out", str(out)])
+    code = cli.main(["solve", "--set", f"gluing.epsilon={eps}", *res,
+                     "--out", str(tmp_path / "solve")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"precondition error: {error}: ")
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--set", f"gluing.epsilon=0.05,{eps}", *res,
+                     "--out", str(out)])
     assert code == 1
     header, ok, failed = (r.split(",") for r in (out / "sweep.csv").read_text().splitlines())
     assert float(dict(zip(header, ok))["iters"]) > 0
@@ -179,6 +177,20 @@ def test_gate_out_of_double_range_is_a_precondition_error(eps, error, tmp_path, 
     assert float(row["eps"]) == float(eps) and row["iters"] == "0" and row["sup_v"] == "nan"
     checks = json.loads((out / "run.json").read_text())["checks"]
     assert [c["name"] for c in checks if not c["passed"]] == ["rows_converged"]
+
+
+def test_solve_with_underflowed_grid_volumes_exits_2_without_warnings(tmp_path):
+    # at 1e-120 the grid volumes underflow to 0; build_grid rejects the grid
+    # before the assembly divides by them, so numpy prints nothing
+    src = str(Path(cscglue.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "cscglue.cli", "solve", "--set",
+                          "gluing.epsilon=1e-120", "--out", str(tmp_path / "solve")],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("precondition error: OutOfFloatRange: ")
+    assert "RuntimeWarning" not in out.stderr
 
 
 def test_barrier_runs_with_its_own_defaults(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from cscglue import geometry, gluing
 from cscglue.errors import DeltaOutOfRange, OutOfNeck
+from cscglue.linear_solver import ROUNDING_ULPS
 
 
 def test_config_validation(model_a, model_b):
@@ -103,7 +104,7 @@ def test_u_eps_values(cfg05):
     h = np.exp(t)
     assert np.max(np.abs(gluing.u_eps(t, eps, n) - u1 * (1 + h))) <= 1e-14
     # chart edge: u -> 1 at t = log(eps), i.e. r_1 = 1
-    assert gluing._u_eps_raw(math.log(eps), eps, n) == pytest.approx(1.0, abs=1e-14)
+    assert cfg05.u(math.log(eps)) == pytest.approx(1.0, abs=1e-14)
     # conformal-polar identity u1 = |x|^{(n-2)/2}
     r1 = eps * np.exp(-t)
     assert np.max(np.abs(u1 - r1 ** ((n - 2) / 2.0))) <= 1e-14
@@ -293,41 +294,127 @@ def test_jet_constant_operands_match_the_product_rule(op, rng):
 
 
 def test_mollifier_jet_matches_mpmath():
-    # B(s) = E(s) / (E(s) + E(1 - s)) with its first two derivatives, on
-    # both plateaus, near their edges and inside the transition band
+    # B(s) = E(s) / (E(s) + E(1 - s)) with its first two closed-form
+    # derivatives, on both plateaus, near their edges and inside the band
     def B(s):
         E = lambda x: mp.exp(-1 / x) if x > 0 else mp.mpf(0)
         return E(s) / (E(s) + E(1 - s))
 
     s = np.array([-0.2, 0.0, 1e-3, 0.05, 0.3, 0.5, 0.8, 0.97, 1.0, 1.3])
-    jet = gluing.mollifier_step(gluing.Jet.variable(s))
-    # a jet carries the array evaluation itself as its value
-    assert np.array_equal(jet.v, gluing.mollifier_step(s))
+    jet = gluing._step_jet(s)
+    # the value is the array evaluation itself
+    assert np.array_equal(jet[0], gluing.mollifier_step(s))
     with mp.workdps(30):
-        for j, got in enumerate((jet.v, jet.d, jet.dd)):
+        for j, got in enumerate(jet):
             ref = np.array([float(mp.diff(B, mp.mpf(x), j)) for x in s])
             assert np.allclose(got, ref, rtol=1e-10, atol=1e-12), j
 
 
-def test_glued_warp_jet_values_equal_array_values(cfg05):
-    t = np.linspace(-cfg05.t_max - 1.0, cfg05.t_max + 1.0, 41)
-    (u, q), (uj, qj) = cfg05.warp(t), cfg05.warp(gluing.Jet.variable(t))
-    assert np.array_equal(uj.v, u) and np.array_equal(qj.v, q)
+def _configs():
+    """One config per profile kind: a sphere normal factor with and without
+    K curvature, a ball normal factor, and the synthetic fixture."""
+    models = [geometry.make_model(name)
+              for name in ("torus2_x_sphere3", "sphere2_x_sphere3", "sphere2_x_ball3")]
+    ball = models[-1]
+    return ([gluing.GluingConfig(m, m, eps=0.05) for m in models]
+            + [gluing.SyntheticExactConfig(ball, ball, eps=0.05)])
+
+
+def test_glued_warp_jet_values_equal_array_values():
+    for cfg in _configs():
+        T = cfg.t_max
+        for t in (np.linspace(-T - 1.0, T + 1.0, 41), np.linspace(-(T - 0.6), T - 0.6, 9),
+                  np.linspace(0.0, T + 0.5, 40), np.array([0.3]), np.array([])):
+            for jet, value in zip(cfg.warp_jets(t), cfg.warp(t)):
+                assert (np.broadcast_to(jet.v, np.shape(value)).tobytes()
+                        == np.asarray(value, float).tobytes())
+
+
+def test_warp_jets_build_only_the_jets_they_return(monkeypatch):
+    made = []
+    init = gluing.Jet.__init__
+
+    def counting(self, *parts):
+        made.append(self)
+        init(self, *parts)
+
+    monkeypatch.setattr(gluing.Jet, "__init__", counting)
+    for cfg in _configs():
+        T = cfg.t_max
+        for t in (np.linspace(-(T - 0.6), T - 0.6, 9), np.linspace(0.0, T + 0.5, 40)):
+            made.clear()
+            u, q = cfg.warp_jets(t)
+            assert len(made) == 2 and made[0] is u and made[1] is q
+
+
+def _profiles_mp(cfg, t, order):
+    """Derivatives of order ``order`` of (u, q) at the float t, by 40-digit
+    mpmath differentiation of the gluing's definitions; T and eps are the
+    program's doubles."""
+    f = cfg.model_1.normal_factor
+    eps, nu, T = mp.mpf(cfg.eps), mp.mpf(cfg.n - 2) / 2, mp.mpf(cfg.t_max)
+    E = lambda s: mp.exp(-1 / s) if s > 0 else mp.mpf(0)
+    B = lambda s: E(s) / (E(s) + E(1 - s))
+
+    def q_N(x):
+        r = eps * mp.exp(x)
+        return ((f.size * mp.sin(r / f.size) if f.kind == "sphere" else r) / r) ** 2
+
+    def u(x):
+        return eps**nu * (B(T - x) * mp.exp(-nu * x) + B(T + x) * mp.exp(nu * x))
+
+    def q(x):
+        c = B((1 - x) / 2)
+        return c * q_N(-x) + (1 - c) * q_N(x)
+
+    x = mp.mpf(float(t))
+    return float(mp.diff(u, x, order)), float(mp.diff(q, x, order))
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3", "sphere2_x_ball3"])
+@pytest.mark.parametrize("eps", [0.16, 0.02, 2e-3, 1e-4])
+def test_warp_jets_match_mpmath(name, eps):
+    # the closed-form derivatives against a 40-digit oracle on the caps, in
+    # chi's band and in both eta bands, within ROUNDING_ULPS of each part's
+    # scale: |u| for u' and u'', max(1, |q|) for q' and q''
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    T = cfg.t_max
+    pole = T + math.log(model.r_max - geometry.AXIS_MARGIN)
+    t = np.array(sorted({sgn * x for sgn in (-1.0, 1.0) for x in (
+        0.0, 0.4, 0.95, 1.5, T - 0.7, T - 0.3, T - 0.02, T + 0.2, pole - 0.01)}))
+    u, q = cfg.warp_jets(t)
+    bar = ROUNDING_ULPS * np.finfo(float).eps
+    with mp.workdps(40):
+        for j, parts in ((1, (u.d, q.d)), (2, (u.dd, q.dd))):
+            ref = np.array([_profiles_mp(cfg, x, j) for x in t]).T
+            for got, want, scale in zip(parts, ref,
+                                        (np.abs(u.v), np.maximum(1.0, np.abs(q.v)))):
+                assert np.all(np.abs(got - want) <= bar * scale), j
 
 
 def _unfolded(cfg, t):
-    """(u, q, eta(t), eta(-t), chi) of cfg at t with every cutoff evaluated and
-    multiplied out: the gluing's definitions, without plateau folding."""
-    eps, nu, f = cfg.eps, cfg.nu, cfg.model_1.normal_factor
+    """Parts of the (u, q) jets of cfg at t with every cutoff's closed-form
+    jet evaluated and multiplied out, warp_jets without plateau folding, and
+    the values of eta(t), eta(-t) and chi."""
+    eps, n, f = cfg.eps, cfg.n, cfg.model_1.normal_factor
     T = -math.log(eps)
-    eta1, eta2 = gluing.mollifier_step(T - t), gluing.mollifier_step(T + t)
-    c = gluing.mollifier_step((1.0 - t) / 2.0)
-    u = eta1 * (eps ** nu * np.exp(-nu * t)) + eta2 * (eps ** nu * np.exp(nu * t))
-
-    def q_N(r):
-        return (geometry.normal_radius(f, r) / r) ** 2
-
-    return u, c * q_N(eps * np.exp(-t)) + (1.0 - c) * q_N(eps * np.exp(t)), eta1, eta2, c
+    sides, steps = [], []
+    for sgn, s in ((-1.0, T - t), (1.0, T - (-t))):
+        c = sgn * (n - 2) / 2.0
+        v = eps ** ((n - 2) / 2.0) * np.exp(c * t)
+        b, b1, b2 = gluing._step_jet(s)
+        e1 = sgn * b1
+        g = e1 + c * b
+        sides.append((b * v, v * g, v * (b2 + c * (e1 + g))))
+        steps.append(b)
+    u = tuple(x + y for x, y in zip(*sides))
+    b, b1, b2 = gluing._step_jet((1.0 - t) / 2.0)
+    (qa, qa1, qa2), (qb, qb1, qb2) = (gluing._q_N_jet(f, eps, t, side) for side in (1, 2))
+    one_c, dq = 1.0 - b, qa - qb
+    q = (b * qa + one_c * qb, b * qa1 + one_c * qb1 - 0.5 * b1 * dq,
+         b * qa2 + one_c * qb2 + b1 * (qb1 - qa1) + 0.25 * b2 * dq)
+    return u, q, (*steps, b)
 
 
 def _bits(x):
@@ -357,37 +444,45 @@ def test_cutoff_plateau_folding_keeps_every_bit(name, eps):
         "empty": np.array([]),
     }
     for where, t in {**neck, **beyond}.items():
-        u, q, *_ = _unfolded(cfg, t)
-        uj, qj = map(gluing.Jet.lift, _unfolded(cfg, gluing.Jet.variable(t))[:2])
-        got = (*cfg.warp(t), cfg.u(t), *cfg.warp_jets(t), cfg.u(gluing.Jet.variable(t)))
-        for g, w in zip(got, (u, q, u, uj, qj, uj)):
+        u, q, _ = _unfolded(cfg, t)
+        got = (*cfg.warp(t), cfg.u(t), *cfg.warp_jets(t))
+        for g, w in zip(got, (u[0], q[0], u[0], gluing.Jet(*u), gluing.Jet(*q))):
             assert _bits(g) == _bits(w), where
     for where, t in neck.items():
-        u, _, eta1, eta2, c = _unfolded(cfg, t)
+        u, _, (eta1, eta2, c) = _unfolded(cfg, t)
         got = (gluing.chi(t, eps), gluing.eta(t, eps), gluing.eta(-t, eps),
                gluing.u_eps(t, eps, cfg.n))
-        for g, w in zip(got, (c, eta1, eta2, u)):
+        for g, w in zip(got, (c, eta1, eta2, u[0])):
             assert _bits(g) == _bits(w), where
     # NaN lies on no plateau, so it takes the unfolded path (B(NaN) is 0/0)
     t = np.array([0.0, math.nan, T + 0.2])
     with np.errstate(invalid="ignore"):
-        u, q, *_ = _unfolded(cfg, t)
-        for g, w in zip(cfg.warp(t), (u, q)):
-            assert np.array_equal(g, w, equal_nan=True)
-            assert np.isnan(g[1])
+        u, q, _ = _unfolded(cfg, t)
+        got = (*cfg.warp(t), *cfg.warp_jets(t))
+        for g, w in zip(got, (u[0], q[0], gluing.Jet(*u), gluing.Jet(*q))):
+            assert _bits(g) == _bits(w)
+    assert np.isnan(got[1][1]) and np.isnan(got[3].v[1])
 
 
 def test_cutoffs_on_their_plateaus_are_not_evaluated(monkeypatch, cfg05):
-    calls = []
-    step = gluing.mollifier_step
-    monkeypatch.setattr(gluing, "mollifier_step", lambda s: calls.append(s) or step(s))
+    calls, plateau_tests = [], []
+    for name in ("mollifier_step", "_step_jet"):
+        real = getattr(gluing, name)
+        monkeypatch.setattr(gluing, name, lambda s, real=real: calls.append(s) or real(s))
+    plateaus = gluing._plateaus
+    monkeypatch.setattr(gluing, "_plateaus",
+                        lambda t, eps: plateau_tests.append(t) or plateaus(t, eps))
     T = cfg05.t_max
-    cfg05.warp_jets(np.linspace(-(T - 1.0), -1.0, 9))  # chi = eta(t) = eta(-t) = 1
-    assert calls == []
-    cfg05.warp(np.linspace(1.0, T + 0.5, 9))  # chi = 0 and eta(-t) = 1; eta(t) moves
-    assert len(calls) == 1
-    calls.clear()
-    for t in (np.array([0.0, math.nan]), np.array([])):
-        with np.errstate(invalid="ignore"):
-            cfg05.warp(t)
-    assert len(calls) == 6
+    for profile in (cfg05.warp, cfg05.warp_jets):
+        calls.clear()
+        profile(np.linspace(-(T - 1.0), -1.0, 9))  # chi = eta(t) = eta(-t) = 1
+        assert calls == []
+        profile(np.linspace(1.0, T + 0.5, 9))  # chi = 0 and eta(-t) = 1; eta(t) moves
+        assert len(calls) == 1
+        calls.clear()
+        for t in (np.array([0.0, math.nan]), np.array([])):
+            with np.errstate(invalid="ignore"):
+                profile(t)
+        assert len(calls) == 6
+    # one plateau test per call: t's extremes serve all three cutoffs
+    assert len(plateau_tests) == 8

@@ -160,36 +160,36 @@ def test_neck_estimates_evaluate_the_profile_once(monkeypatch, model_a, estimate
     # u comes from the one warp_jets evaluation that also gives (A, b)
     cfg = gluing.GluingConfig(model_a, model_a, eps=0.02)
     calls = []
-    u = gluing.GluingConfig.u
+    for name in ("u", "warp", "warp_jets"):
+        real = getattr(gluing.GluingConfig, name)
 
-    def counted(self, t):
-        calls.append(self)
-        return u(self, t)
+        def counted(self, t, real=real, name=name):
+            calls.append(name)
+            return real(self, t)
 
-    monkeypatch.setattr(gluing.GluingConfig, "u", counted)
+        monkeypatch.setattr(gluing.GluingConfig, name, counted)
     if estimate == "conjugation":
         na.conjugation_residual(cfg)
     else:
         na.barrier_margin(cfg, delta=0.3)
-    assert len(calls) == 1
+    assert calls == ["warp_jets"]
 
 
 def _digest(arrays):
     return hashlib.sha256(b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)).hexdigest()
 
 
-# Bits of the level-by-level engine with one metric jet per probe and the
-# profile evaluated twice per estimate, at delta = 0.3: max ratio, per-probe
-# max ratios (const, wavy), digest of the per-probe ratio arrays, min margin
-# and digest of the margins.  They hold for numpy's float64 exp, sin and cos
-# on x86-64; another libm may move the last bits.
+# Bits of the estimates on the closed-form profile jets, at delta = 0.3:
+# max ratio, per-probe max ratios (const, wavy), digest of the per-probe
+# ratio arrays, min margin and digest of the margins.  They hold for numpy's
+# float64 exp, sin and cos on x86-64; another libm may move the last bits.
 PINNED = {
     ("torus2_x_sphere3", 0.02): (
-        "0x1.72916b02e0f5fp-5", ("0x1.edff5cc372597p-7", "0x1.72916b02e0f5fp-5"),
-        "6f04cd839adf53b0", "0x1.ba92e26b30247p+4", "1024f338cc613f23"),
+        "0x1.72916b02e0f47p-5", ("0x1.edff5cc372609p-7", "0x1.72916b02e0f47p-5"),
+        "6a32b86c134cfae3", "0x1.ba92e26b30245p+4", "01a918c11f898bcc"),
     ("sphere2_x_sphere3", 0.005): (
-        "0x1.22cb0afceedeap-3", ("0x1.f759859436781p-9", "0x1.22cb0afceedeap-3"),
-        "371b4c97b82ed2d7", "0x1.bd170695f552dp+6", "b2704cd4ecef56c5"),
+        "0x1.22cb0afceede8p-3", ("0x1.f759859436781p-9", "0x1.22cb0afceede8p-3"),
+        "a4648eec61caf24f", "0x1.bd170695f552dp+6", "6c7a8edd086eed02"),
 }
 
 
@@ -300,6 +300,27 @@ def test_conjugation_out_of_double_range_raises_typed(model_a, eps):
     cfg = gluing.GluingConfig(model_a, model_a, eps=eps)
     with pytest.raises(OutOfFloatRange, match=f"eps = {eps}"):
         na.conjugation_residual(cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps, error", [(1e-20, NotResolved), (1e-120, NotResolved),
+                                        (1e-130, OutOfFloatRange), (1e-200, OutOfFloatRange)])
+def test_deviation_profile_out_of_double_range_raises_typed(model_a, eps, error):
+    # down to 1e-120 the deviation is honestly below its error bar; at 1e-130
+    # S overflows and at 1e-200 q is 0/0, which used to read as NotResolved
+    cfg = gluing.GluingConfig(model_a, model_a, eps=eps)
+    with pytest.raises(error, match=f"eps = {eps}" if error is OutOfFloatRange else None):
+        na.deviation_profile(cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [1e-110, 1e-120, 1e-130, 1e-200])
+def test_local_estimate_out_of_double_range_raises_typed(model_a, eps):
+    # the grid volumes underflow from 1e-110 and q is 0/0 at 1e-200; the
+    # estimate used to end in numpy's "array must not contain infs or NaNs"
+    cfg = gluing.GluingConfig(model_a, model_a, eps=eps, alpha=1.2)
+    with pytest.raises(OutOfFloatRange, match=f"eps = {eps}"):
+        na.local_estimate_ratio(cfg)
 
 
 def test_local_estimate_harmonic_and_barrier_probes(model_a):

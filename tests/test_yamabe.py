@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cscglue import (curvature, geometry, gluing, linear_solver, neck_analysis,
+from cscglue import (curvature, geometry, gluing, lapack, linear_solver, neck_analysis,
                      yamabe)
 from cscglue.errors import ConfigError, DeltaOutOfRange, IterateOutOfBall
 
@@ -300,12 +300,43 @@ def test_spline_reproduces_quintics_on_a_nonuniform_grid(rng):
 def test_verify_evaluates_the_profile_once(monkeypatch, cfg05, report05):
     # neck curvature and Laplacian coefficients share one set of profile jets
     calls = []
-    warp = gluing.GluingConfig.warp
+    for name in ("u", "warp", "warp_jets"):
+        real = getattr(gluing.GluingConfig, name)
 
-    def counted(self, t):
-        calls.append(self)
-        return warp(self, t)
+        def counted(self, t, real=real, name=name):
+            calls.append(name)
+            return real(self, t)
 
-    monkeypatch.setattr(gluing.GluingConfig, "warp", counted)
+        monkeypatch.setattr(gluing.GluingConfig, name, counted)
     yamabe.verify_constant_curvature(report05, cfg05)
-    assert len(calls) == 1
+    assert calls == ["warp_jets"]
+
+
+def _coef_by_masked_scatter(s, v):
+    """Spline coefficients with every collocation row packed by one masked scatter."""
+    k, n = yamabe.SPLINE_DEGREE, s.size
+    half = (k + 1) // 2
+    knots = np.concatenate([np.full(k + 1, s[0]), s[half:-half], np.full(k + 1, s[-1])])
+    i = np.arange(n)
+    ell = np.clip(i + half, k, n - 1)
+    t = yamabe._knots_near(knots, ell)
+    B = np.ones((1, n))
+    for _ in range(k):
+        B = yamabe._raise_degree(B, t, s)
+    kl = k - 1
+    j = ell - k + np.arange(k + 1)[:, None]
+    band = np.abs(i - j) <= kl
+    ab = np.zeros((3 * kl + 1, n), order="F")
+    ab[(2 * kl + i - j)[band], j[band]] = B[band]
+    return lapack.dgbsv(kl, kl, ab, v, overwrite_ab=True)[2]
+
+
+def test_spline_band_packing_keeps_every_bit(rng):
+    meshes = [np.cumsum(rng.uniform(0.2, 1.8, 40)), np.linspace(0.0, 1.0, 6)]
+    for eps in (0.02, 2e-3):
+        model = geometry.make_model("torus2_x_sphere3")
+        meshes.append(linear_solver.build_grid(gluing.GluingConfig(model, model, eps=eps), 256).s)
+    for s in meshes:
+        v = np.cos(s) + 1e-3 * rng.standard_normal(s.size)
+        got = yamabe.InterpolatingSpline(s, v).coef
+        assert got.tobytes() == _coef_by_masked_scatter(s, v).tobytes(), s.size
