@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one double-range guard."""
+
+import contextlib
+
+import numpy as np
 
 
 class GlueError(Exception):
@@ -67,3 +71,13 @@ class IterationDiverged(GlueError, ArithmeticError):
 
 class ConfigError(GlueError, ValueError):
     """Invalid run configuration."""
+
+
+@contextlib.contextmanager
+def in_double_range(what: str, eps: float):
+    """Raise OutOfFloatRange, naming ``what`` and eps, for any overflow or 0/0 inside."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise OutOfFloatRange(f"{what} leave double precision at eps = {eps}: {exc}") from exc

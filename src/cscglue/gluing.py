@@ -14,9 +14,9 @@ metric, and every stage reads the metric from the config.  The jets are
 closed-form array arithmetic: the mollifier step, the exponential
 profiles eps^nu e^{-+nu t} and the normal profile q_N each have explicit
 first and second derivatives, combined by the product rule.  ``Jet``
-carries the result, and differentiates the other 1-D functions the
-stages build on it (the barrier weight, the conjugation probes, the
-post-solve spline) by Taylor-mode arithmetic.  Beyond the seams
+carries the result, as it carries the closed-form jets of the other 1-D
+functions the stages build on it (the barrier weight, the conjugation
+probes, the post-solve spline).  Beyond the seams
 |t| = -log eps the profiles saturate to the summand metrics written in
 t, so one chart in (z, t, theta) covers the neck and both caps.  ``SyntheticExactConfig`` is the exact-solution
 fixture: the same interface with a metric of constant scalar curvature.
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,102 +63,18 @@ __all__ = [
 ]
 
 
-class Jet:
-    """Second-order Taylor jet (f, f', f'') of a function of one variable.
+class Jet(NamedTuple):
+    """Second-order jet (f, f', f'') of a function of one variable at its samples.
 
-    Arithmetic with jets or constants and numpy's exp, log, sin, cos, cosh
-    and sqrt propagate it by the chain rule (Taylor-mode differentiation), so
-    a profile written once for arrays returns its first two derivatives
-    when handed ``Jet.variable(t)``, and values bitwise equal to the
-    array evaluation.  A constant operand (a number or an array, on either
-    side) acts on the three parts directly, without the product rule's
-    zero terms, so a derivative part is a scalar where the derivative is
-    constant, as in ``Jet.variable``.  Every operation returns a new jet;
-    none changes a jet in place.
+    A plain value with no arithmetic: each stage forms the derivatives it
+    needs from the parts in closed form.  A part is a scalar where it is
+    constant in t.
     """
 
-    def __init__(self, v, d=0.0, dd=0.0):
-        self.v, self.d, self.dd = v, d, dd
+    v: np.ndarray | float
+    d: np.ndarray | float
+    dd: np.ndarray | float
 
-    @classmethod
-    def variable(cls, t):
-        return cls(np.asarray(t, dtype=float), 1.0, 0.0)
-
-    @staticmethod
-    def lift(x):
-        """x itself if a jet, else the jet of the constant x."""
-        return x if isinstance(x, Jet) else Jet(x)
-
-    def chain(self, f0, f1, f2):
-        """f(self) from the values f, f', f'' of f at self.v."""
-        return Jet(f0, f1 * self.d, f2 * self.d**2 + f1 * self.dd)
-
-    def __add__(self, o):
-        if not isinstance(o, Jet):
-            return Jet(self.v + o, self.d, self.dd)
-        return Jet(self.v + o.v, self.d + o.d, self.dd + o.dd)
-
-    def __mul__(self, o):
-        if not isinstance(o, Jet):
-            return Jet(self.v * o, self.d * o, self.dd * o)
-        return Jet(self.v * o.v, self.d * o.v + self.v * o.d,
-                   self.dd * o.v + 2.0 * self.d * o.d + self.v * o.dd)
-
-    def __pow__(self, p: float):
-        x = self.v
-        return self.chain(x**p, p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0))
-
-    def __neg__(self):
-        return Jet(-self.v, -self.d, -self.dd)
-
-    def __sub__(self, o):
-        if not isinstance(o, Jet):
-            return Jet(self.v - o, self.d, self.dd)
-        return Jet(self.v - o.v, self.d - o.d, self.dd - o.dd)
-
-    def __rsub__(self, o):
-        return Jet(o - self.v, -self.d, -self.dd)
-
-    def __truediv__(self, o):
-        if not isinstance(o, Jet):
-            return Jet(self.v / o, self.d / o, self.dd / o)
-        v = self.v / o.v
-        d = (self.d - v * o.d) / o.v
-        return Jet(v, d, (self.dd - 2.0 * d * o.d - v * o.dd) / o.v)
-
-    def __rtruediv__(self, o):
-        v = o / self.v
-        d = -v * self.d / self.v
-        return Jet(v, d, -(2.0 * d * self.d + v * self.dd) / self.v)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        # numpy scalars and arrays hand their arithmetic with a jet here too;
-        # one on the left takes the jet's reflected method
-        if method != "__call__" or kwargs:
-            return NotImplemented
-        if ufunc in _JET_BINARY:
-            a, b = inputs
-            forward, reflected = _JET_BINARY[ufunc]
-            return forward(a, b) if isinstance(a, Jet) else reflected(b, a)
-        if ufunc in _JET_UNARY:
-            return self.chain(*_JET_UNARY[ufunc](self.v))
-        return NotImplemented
-
-
-_JET_BINARY = {np.add: (Jet.__add__, Jet.__radd__),
-               np.subtract: (Jet.__sub__, Jet.__rsub__),
-               np.multiply: (Jet.__mul__, Jet.__rmul__),
-               np.true_divide: (Jet.__truediv__, Jet.__rtruediv__)}
-_JET_UNARY = {  # f, f', f'' at x
-    np.exp: lambda x: (np.exp(x),) * 3,
-    np.log: lambda x: (np.log(x), x**-1.0, -x**-2.0),
-    np.sin: lambda x: (np.sin(x), np.cos(x), -np.sin(x)),
-    np.cos: lambda x: (np.cos(x), -np.sin(x), -np.cos(x)),
-    np.cosh: lambda x: (np.cosh(x), np.sinh(x), np.cosh(x)),
-    np.sqrt: lambda x: (np.sqrt(x), 0.5 * x**-0.5, -0.25 * x**-1.5),
-}
 
 # exp(-1/s) < 1e-304 below this s: E is taken as 0 there, which keeps the
 # 1/s^4 of its second derivative finite
@@ -459,7 +376,7 @@ class SyntheticExactConfig(GluingConfig):
 
     def warp_jets(self, t):
         u = _u_jet(np.asarray(t, dtype=float), self.eps, self.n, (1.0, 1.0))
-        return Jet(*u), Jet(1.0)
+        return Jet(*u), Jet(1.0, 0.0, 0.0)
 
 
 def _warped_components(cfg: GluingConfig, c: np.ndarray):

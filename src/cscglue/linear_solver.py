@@ -31,7 +31,7 @@ import numpy as np
 # scalar_curvature and glued_metric are not called here, but
 # bench/spans.py wraps them by name
 from .curvature import scalar_curvature  # noqa: F401
-from .errors import NearSingularOperator, NoConvergence, OutOfFloatRange
+from .errors import NearSingularOperator, NoConvergence, OutOfFloatRange, in_double_range
 from .geometry import ModelGeometry, normal_radius
 from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
 from .lapack import dgttrf, dgttrs, eigenvalues_between
@@ -151,9 +151,11 @@ def build_grid(cfg: GluingConfig, resolution: int = 64) -> RadialGrid:
     # second order everywhere
     s_half = _segment(0.0, T + math.log(cfg.model_1.r_max), resolution)
     s = np.concatenate([-s_half[:0:-1], s_half])
-    grid = _radial_grid(cfg.n, cfg.warp, s, np.abs(s) >= T)
+    # from eps of about 1e-160, 1/U overflows and, as eps e^{-+s} underflows, q is 0/0
+    with in_double_range("grid volumes", cfg.eps):
+        grid = _radial_grid(cfg.n, cfg.warp, s, np.abs(s) >= T)
     # assemble_L divides by V; W is about 2^{2n/(n-2)} eps^n mid-neck, so
-    # V underflows to 0 from eps of about 1e-110 at n = 3
+    # V underflows to 0, silently, from eps of about 1e-110 at n = 3
     if not (np.all(grid.V > 0.0) and np.isfinite(grid.V).all()):
         raise OutOfFloatRange(f"grid volumes leave double precision at eps = {cfg.eps}")
     return grid
@@ -394,16 +396,18 @@ def neck_scalar_curvature(cfg: GluingConfig, u: Jet, q: Jet):
         S_N = u^{-(n+2)/(n-2)} (S_h u - 4(n-1)/(n-2) Delta_h u),
         S_h = -2(n-1) w''/w + (n-1)(n-2) (1 - w'^2)/w^2,
         Delta_h u = u'' + (n-1) (w'/w) u',
-    on exact jets of (u, q) from ``cfg.warp_jets``.
+    read from q directly: w'/w = q'/(2q), w''/w = q''/(2q) - (q'/(2q))^2
+    and 1/w^2 = 1/q.
     The error bar is a rounding bound, ROUNDING_ULPS eps_mach times |S|
     plus the sizes of the terms, whose 1/U-sized parts cancel to O(1).
     """
     n = cfg.n
-    w = np.sqrt(q)
+    w1 = q.d / (2.0 * q.v)  # w'/w
+    w1sq = w1 * w1
     S_K = sum(f.scalar_curvature() for f in cfg.model_1.k_factors)
-    S_h = (-2 * (n - 1) * w.dd / w.v, (n - 1) * (n - 2) / w.v**2,
-           -(n - 1) * (n - 2) * (w.d / w.v) ** 2)
-    lap = (u.dd, (n - 1) * w.d / w.v * u.d)
+    S_h = (-2 * (n - 1) * (q.dd / (2.0 * q.v) - w1sq), (n - 1) * (n - 2) / q.v,
+           -(n - 1) * (n - 2) * w1sq)
+    lap = (u.dd, (n - 1) * w1 * u.d)
     kappa = 4.0 * (n - 1) / (n - 2)
     scale = u.v ** (-(n + 2.0) / (n - 2))
     S = S_K + scale * (sum(S_h) * u.v - kappa * sum(lap))

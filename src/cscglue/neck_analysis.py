@@ -21,7 +21,6 @@ model and scheme.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ import numpy as np
 
 # scalar_curvature is not called here, but bench/spans.py wraps it by name
 from .curvature import DerivativeScheme, laplace_beltrami, scalar_curvature  # noqa: F401
-from .errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved, OutOfFloatRange
+from .errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved, in_double_range
 from .geometry import Factor, ModelGeometry, factor_metric, sample_orbit
 # glued_metric is not called here, but bench/spans.py wraps it by name
 from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
@@ -47,16 +46,6 @@ from .linear_solver import (
 
 RESOLVED_FACTOR = 10.0  # a deviation counts as resolved above 10x its error bar
 POINTS_PER_UNIT = 16    # t samples per unit on the deviation and barrier windows
-
-
-@contextlib.contextmanager
-def _in_double_range(what: str, eps: float):
-    """Raise OutOfFloatRange, naming ``what`` and eps, for any overflow or 0/0 inside."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise OutOfFloatRange(f"{what} leave double precision at eps = {eps}: {exc}") from exc
 
 
 def loglog_slope(x, y) -> float:
@@ -110,7 +99,7 @@ def deviation_profile(cfg: GluingConfig) -> DeviationProfile:
     t_half = np.linspace(-(T - 1.0), 0.0, nt)
     t = np.concatenate([t_half, -t_half[-2::-1]])
     n = cfg.n
-    with _in_double_range("deviations", cfg.eps):
+    with in_double_range("deviations", cfg.eps):
         # the probe rides along as entry 0
         S, err = neck_scalar_curvature(
             cfg, *cfg.warp_jets(np.concatenate([[-(T - 1.0)], t])))
@@ -143,13 +132,13 @@ def deviation_fit(make_cfg, eps_list) -> DeviationFit:
 # ---------------------------------------------------------------------------
 
 
-# Separable probes v = a(t) Y(theta) Z(z): ``a`` maps a jet of t to a jet or
-# a constant, Y and Z take points of S^{n-1} and of K (coordinates on the
-# last axis)
+# Separable probes v = a(t) Y(theta) Z(z): ``a`` maps the array t to the
+# Jet (a, a', a'') in closed form, Y and Z take points of S^{n-1} and of K
+# (coordinates on the last axis)
 PROBES = {
-    "const": (lambda t: 1.0, lambda th: np.ones(th.shape[:-1]),
+    "const": (lambda t: Jet(1.0, 0.0, 0.0), lambda th: np.ones(th.shape[:-1]),
               lambda z: np.ones(z.shape[:-1])),
-    "wavy": (lambda t: 1.0 + 0.3 * np.cos(t),
+    "wavy": (lambda t: Jet(1.0 + 0.3 * np.cos(t), -0.3 * np.sin(t), -0.3 * np.cos(t)),
              lambda th: 1.0 + 0.2 * np.cos(th[..., 0]),
              lambda z: 1.0 + 0.1 * np.sin(z[..., 0])),
 }
@@ -219,14 +208,14 @@ def conjugation_residual(cfg: GluingConfig, t_samples=None,
     pexp = (cfg.n + 2.0) / (cfg.n - 2.0)
     laps = factor_laplacians(cfg.model_1, scheme or DerivativeScheme())
     results = []
-    with _in_double_range("conjugation ratios", cfg.eps):
-        tj = Jet.variable(t)
+    with in_double_range("conjugation ratios", cfg.eps):
         u, q = cfg.warp_jets(t)
         neck = (*laplacian_coefficients(cfg, u, q), q.v)
         xabs = cfg.eps * np.exp(np.abs(t))
         for (name, (a, _, _)), factors in zip(PROBES.items(), laps):
-            v = Jet.lift(a(tj))
-            uv = u * v
+            v = a(t)
+            uv = Jet(u.v * v.v, u.d * v.v + u.v * v.d,
+                     u.dd * v.v + 2.0 * u.d * v.d + u.v * v.dd)
             lhs, _ = separable_terms(cfg, v, factors, neck)
             _, ell = separable_terms(cfg, uv, factors, neck)
             w0 = uv.v * factors[0] * factors[2]
@@ -288,13 +277,17 @@ def barrier_region(cfg: GluingConfig, delta: float) -> float:
 
 
 def _barrier_weight(delta: float, t):
-    """(cosh t)^delta (delta <= 0) or cosh(delta t); t may be a jet."""
-    return np.cosh(t) ** delta if delta <= 0 else np.cosh(delta * t)
+    """(w, w', w'') of w = (cosh t)^delta (delta <= 0) or cosh(delta t) at the array t."""
+    if delta > 0:
+        c = np.cosh(delta * t)
+        return c, np.sinh(delta * t) * delta, c * delta**2
+    w, th = np.cosh(t) ** delta, np.tanh(t)
+    return w, delta * w * th, delta * w * ((delta - 1.0) * th * th + 1.0)
 
 
 def barrier_profile(cfg: GluingConfig, delta: float, t):
     """phi_delta = u^{-1} (cosh t)^delta (delta <= 0) or u^{-1} cosh(delta t), on arrays."""
-    return _barrier_weight(delta, t) / cfg.u(t)
+    return _barrier_weight(delta, t)[0] / cfg.u(t)
 
 
 @dataclass
@@ -325,11 +318,14 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
     ta = cfg.t_max - cfg.alpha
     nt = max(5, int(round(2 * ta * POINTS_PER_UNIT)) + 1)
     t = np.linspace(-ta, ta, nt)
-    with _in_double_range("barrier margins", cfg.eps):
+    with in_double_range("barrier margins", cfg.eps):
         u, q = cfg.warp_jets(t)
-        phi = _barrier_weight(delta, Jet.variable(t)) / u
+        w, w1, w2 = _barrier_weight(delta, t)
+        phi = w / u.v  # and its derivatives by the quotient rule
+        phi1 = (w1 - phi * u.d) / u.v
+        phi2 = (w2 - 2.0 * phi1 * u.d - phi * u.dd) / u.v
         A, b = laplacian_coefficients(cfg, u, q)
-        terms = (A * phi.dd, A * b * phi.d, C * A * phi.v)  # A = u^{-4/(n-2)}
+        terms = (A * phi2, A * b * phi1, C * A * phi)  # A = u^{-4/(n-2)}
         margins = -sum(terms)
         err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)
     return BarrierReport(delta, cfg.eps, cfg.alpha, C, t, margins,
@@ -369,7 +365,7 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
     ta = T - cfg.alpha
     if ta <= 0:
         raise EpsilonTooLarge("window T^eps_alpha is empty")
-    with _in_double_range("local estimate ratios", cfg.eps):
+    with in_double_range("local estimate ratios", cfg.eps):
         grid = build_grid(cfg, resolution)
         profile, _ = glued_curvature_profile(cfg, grid)
         op = assemble_L(grid, profile, cfg.m)

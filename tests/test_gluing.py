@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import operator
 
 import mpmath as mp
 import numpy as np
@@ -241,58 +240,6 @@ def test_point_gluing_degenerate_case():
     assert abs(lam) < 1e-3  # below the uniform-invertibility floor
 
 
-def _jet_probe(x, lib, two):
-    """One expression through every jet rule: +, -, *, /, pow, exp, log, sin, cos, cosh, sqrt."""
-    return (lib.log(lib.sqrt(x) * lib.exp(two * x)) / (1 + lib.sin(x)) ** 2
-            - lib.cosh(x) / x + (3 - x) * x ** 1.5 + two / x + lib.cos(two * x))
-
-
-def test_jet_derivatives_match_mpmath():
-    # numpy scalars on the left exercise the jet's __array_ufunc__ path
-    t = np.linspace(0.3, 1.7, 7)
-    jet = _jet_probe(gluing.Jet.variable(t), np, np.float64(2.0))
-    with mp.workdps(30):
-        for i, ti in enumerate(t):
-            ref = [float(mp.diff(lambda x: _jet_probe(x, mp, 2), mp.mpf(ti), j))
-                   for j in range(3)]
-            assert [jet.v[i], jet.d[i], jet.dd[i]] == pytest.approx(ref, rel=1e-12)
-
-
-def _lifted(op, a, b):
-    """(v, d, dd) of a op b by the jet rules, a constant lifted to the jet (c, 0, 0)."""
-    a, b = (x if isinstance(x, gluing.Jet) else gluing.Jet(x) for x in (a, b))
-    if op == "-":  # a + (b * -1.0), the negation by the product rule
-        op, b = "+", gluing.Jet(*_lifted("*", b, gluing.Jet(-1.0)))
-    if op == "+":
-        return a.v + b.v, a.d + b.d, a.dd + b.dd
-    if op == "*":
-        return (a.v * b.v, a.d * b.v + a.v * b.d,
-                a.dd * b.v + 2.0 * a.d * b.d + a.v * b.dd)
-    v = a.v / b.v
-    d = (a.d - v * b.d) / b.v
-    return v, d, (a.dd - 2.0 * d * b.d - v * b.dd) / b.v
-
-
-@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
-def test_jet_constant_operands_match_the_product_rule(op, rng):
-    # a constant acts on the three parts directly; that must give the bits
-    # the product rule gives with the constant lifted, in either order and
-    # whether the constant is a float, a numpy scalar or an array (the last
-    # two reach the jet through __array_ufunc__ when on the left)
-    x = gluing.Jet(*rng.uniform(0.5, 2.0, (3, 5)))
-    fn = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": operator.truediv}[op]
-    for c in (1.7, np.float64(-0.3), rng.uniform(-2.0, -0.5, 5)):
-        for a, b in ((x, c), (c, x)):
-            got = fn(a, b)
-            assert isinstance(got, gluing.Jet)
-            for part, ref in zip((got.v, got.d, got.dd), _lifted(op, a, b)):
-                assert np.broadcast_to(part, (5,)).tobytes() == ref.tobytes()
-    neg = -x
-    assert all(np.array_equal(p, -q) for p, q in zip((neg.v, neg.d, neg.dd),
-                                                      (x.v, x.d, x.dd)))
-
-
 def test_mollifier_jet_matches_mpmath():
     # B(s) = E(s) / (E(s) + E(1 - s)) with its first two closed-form
     # derivatives, on both plateaus, near their edges and inside the band
@@ -332,13 +279,13 @@ def test_glued_warp_jet_values_equal_array_values():
 
 def test_warp_jets_build_only_the_jets_they_return(monkeypatch):
     made = []
-    init = gluing.Jet.__init__
+    jet = gluing.Jet
 
-    def counting(self, *parts):
-        made.append(self)
-        init(self, *parts)
+    def counting(*parts):
+        made.append(jet(*parts))
+        return made[-1]
 
-    monkeypatch.setattr(gluing.Jet, "__init__", counting)
+    monkeypatch.setattr(gluing, "Jet", counting)
     for cfg in _configs():
         T = cfg.t_max
         for t in (np.linspace(-(T - 0.6), T - 0.6, 9), np.linspace(0.0, T + 0.5, 40)):

@@ -1,12 +1,14 @@
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from cscglue import curvature, geometry, gluing, linear_solver, neck_analysis as na
 from cscglue.curvature import DerivativeScheme, laplace_beltrami, scalar_curvature
 from cscglue.errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved, OutOfFloatRange
+from cscglue.linear_solver import ROUNDING_ULPS
 
 
 def test_deviation_profile_structure(cfg05):
@@ -103,14 +105,13 @@ def test_separable_laplacian_matches_5d_engine(name, eps, probe):
     k = model.k
     t = na.conjugation_residual(cfg).t
     a, Y, Z = na.PROBES[probe]
-    lap, _ = na.separable_terms(cfg, gluing.Jet.lift(a(gluing.Jet.variable(t))),
-                                _probe_factors(model, probe), _neck(cfg, t))
+    lap, _ = na.separable_terms(cfg, a(t), _probe_factors(model, probe), _neck(cfg, t))
     pts = np.zeros((t.size, model.m))
     pts[:, :k], pts[:, k + 1:] = geometry.sample_orbit(model)
     pts[:, k] = t
     ref, err = laplace_beltrami(
         gluing.glued_metric(cfg),
-        lambda c: a(c[..., k]) * Y(c[..., k + 1:]) * Z(c[..., :k]), ("neck", pts))
+        lambda c: a(c[..., k]).v * Y(c[..., k + 1:]) * Z(c[..., :k]), ("neck", pts))
     assert np.all(np.abs(lap - ref) <= err)
 
 
@@ -219,10 +220,34 @@ def test_ell_leading_annihilates_critical_exponential(cfg05):
     # the leading neck operator d_t^2 - nu^2 + ... kills e^{nu t} Y Z
     # for the constant probe
     t = np.array([-1.2, 0.0, 0.8])
-    f = gluing.Jet.lift(np.exp(cfg05.nu * gluing.Jet.variable(t)))
+    e = np.exp(cfg05.nu * t)
+    f = gluing.Jet(e, cfg05.nu * e, cfg05.nu**2 * e)
     _, vals = na.separable_terms(cfg05, f, _probe_factors(cfg05.model_1, "const"),
                                  _neck(cfg05, t))
     assert np.max(np.abs(vals)) <= 1e-6
+
+
+def _weight_mp(delta):
+    d = mp.mpf(delta)
+    return lambda x: mp.cosh(x) ** d if delta <= 0 else mp.cosh(d * x)
+
+
+@pytest.mark.parametrize("jet, ref", [
+    *[(lambda t, d=d: na._barrier_weight(d, t), _weight_mp(d)) for d in (-0.3, 0.0, 0.3)],
+    (na.PROBES["wavy"][0], lambda x: 1 + mp.mpf(0.3) * mp.cos(x)),
+], ids=["weight-0.3", "weight0", "weight+0.3", "wavy-probe"])
+def test_closed_form_jets_match_mpmath(jet, ref):
+    # the barrier weight on both branches and at their delta = 0 edge, and
+    # the wavy probe's t factor, against 40-digit differentiation, within
+    # ROUNDING_ULPS of each part's scale, the value's size
+    t = np.array([-6.0, -2.5, -0.7, 0.0, 0.4, 1.3, 3.0, 6.0])
+    parts = jet(t)
+    scale = np.abs(parts[0])
+    bar = ROUNDING_ULPS * np.finfo(float).eps
+    with mp.workdps(40):
+        for j, got in enumerate(parts):
+            want = np.array([float(mp.diff(ref, mp.mpf(x), j)) for x in t])
+            assert np.all(np.abs(got - want) <= bar * scale), j
 
 
 def test_barrier_constant_values():
