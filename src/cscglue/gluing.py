@@ -75,6 +75,13 @@ class Jet(NamedTuple):
     d: np.ndarray | float
     dd: np.ndarray | float
 
+    def _no_arithmetic(self, other):
+        raise TypeError("a Jet has no arithmetic: combine its parts v, d, dd")
+
+    # a tuple would concatenate or repeat, and a ufunc would act part-wise
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_arithmetic
+    __array_ufunc__ = None
+
 
 # exp(-1/s) < 1e-304 below this s: E is taken as 0 there, which keeps the
 # 1/s^4 of its second derivative finite

@@ -1,42 +1,164 @@
-"""The LAPACK routines the package calls, reached without importing scipy.linalg.
+"""The LAPACK routines the package calls, from the library numpy.linalg links.
 
-scipy's f2py LAPACK extension ``scipy/linalg/_flapack`` is loaded by its
-file path, so scipy's package ``__init__`` and its array-API set-up never
-run; the extension needs only numpy.  ``dgttrf``, ``dgttrs`` and ``dgbsv``
-are the extension's own routines.  ``solve_tridiagonal`` (one ``dgtsv``)
-and ``eigenvalues_between`` (one ``dstebz``) keep the input checks of the
-scipy.linalg wrappers they stand for, ``solve_banded((1, 1), ...)`` and
-``eigh_tridiagonal(select="v", lapack_driver="stebz")``, and give their bits.
+The OpenBLAS that numpy's ``numpy.linalg._umath_linalg`` links exports
+LAPACK; ctypes opens it by that extension's file, whose dlsym scope holds
+the libraries it links, so a process holds one BLAS/LAPACK.  A routine r
+is looked up under each of SPELLINGS, and one ``ilaver`` call confirms
+the integer width.  ``dgttrf``, ``dgttrs`` and ``dgbsv`` return the tuples
+of scipy.linalg.lapack's wrappers, pivots counted from 1 as LAPACK counts
+them.  ``solve_tridiagonal`` (``dgtsv``) and ``eigenvalues_between``
+(``dstebz``) keep the input checks of ``scipy.linalg.solve_banded((1, 1),
+...)`` and ``eigh_tridiagonal(select="v", lapack_driver="stebz")`` and
+give their bits.  ctypes checks nothing, so each wrapper checks the dtype,
+length and memory order of every array before LAPACK sees its address.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-from pathlib import Path
+import ctypes
 
 import numpy as np
 
+# (prefix, suffix, integer type) of LAPACK routine r's symbol: numpy's own
+# ILP64 OpenBLAS spells it scipy_<r>_64_, other ILP64 builds <r>_64_, LP64 <r>_
+SPELLINGS = (("scipy_", "_64_", ctypes.c_int64), ("", "_64_", ctypes.c_int64),
+             ("", "_", ctypes.c_int32))
 
-def _load_flapack():
-    """scipy.linalg._flapack, loaded from its file; find_spec runs no scipy code."""
-    scipy = importlib.util.find_spec("scipy")
-    dirs = [Path(p) / "linalg" for p in (scipy.submodule_search_locations if scipy else [])]
-    for path in (d / f"_flapack{suffix}" for d in dirs
-                 for suffix in importlib.machinery.EXTENSION_SUFFIXES):
-        if path.is_file():
-            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    where = ", ".join(map(str, dirs)) or "any directory: scipy is not installed"
-    raise ImportError(f"no LAPACK extension _flapack in {where}; cscglue needs scipy>=1.10")
+# each routine's arguments, all by reference: i an integer, d a double, a an
+# array, c a character, which also takes a hidden length after the others
+_SIGNATURES = {
+    "ilaver": "aaa",                  # MAJOR MINOR PATCH, as arrays to check their width
+    "dgttrf": "iaaaaai",              # N DL D DU DU2 IPIV INFO
+    "dgttrs": "ciiaaaaaaii",          # TRANS N NRHS DL D DU DU2 IPIV B LDB INFO
+    "dgtsv": "iiaaaaii",              # N NRHS DL D DU B LDB INFO
+    "dgbsv": "iiiiaiaaii",            # N KL KU NRHS AB LDAB IPIV B LDB INFO
+    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO
+    "dstebz": "cciddiidaaiiaaaaai",
+}
 
 
-_flapack = _load_flapack()
-dgttrf = _flapack.dgttrf
-dgttrs = _flapack.dgttrs
-dgbsv = _flapack.dgbsv
+def _width_confirmed(ilaver, dtype) -> bool:
+    """Whether ``ilaver`` writes integers of exactly ``dtype``'s width.
+
+    Each of (major, minor, patch) goes to the start of an 8-byte slot of
+    ones: a narrower write leaves a 64-bit slot negative, a wider one
+    clears the ones after a 32-bit slot.
+    """
+    slots = np.full((3, 8 // dtype.itemsize), -1, dtype=dtype)
+    ilaver(*(slots.ctypes.data + 8 * i for i in range(3)))
+    version = slots[:, 0]
+    return bool(version[0] >= 3 and (version >= 0).all() and (slots[:, 1:] == -1).all())
+
+
+def load(path: str):
+    """The LAPACK routines of the library at ``path`` and its ctypes integer type.
+
+    Raises ImportError naming ``path`` and the spellings tried when no
+    spelling gives every routine with an integer width ``ilaver`` confirms.
+    """
+    lib = ctypes.CDLL(path)
+    for prefix, suffix, c_int in SPELLINGS:
+        try:
+            routines = {r: getattr(lib, f"{prefix}{r}{suffix}") for r in _SIGNATURES}
+        except AttributeError:
+            continue
+        types = {"i": ctypes.POINTER(c_int), "d": ctypes.POINTER(ctypes.c_double),
+                 "a": ctypes.c_void_p, "c": ctypes.c_char_p}
+        for r, fn in routines.items():
+            sig = _SIGNATURES[r]
+            fn.argtypes = [types[t] for t in sig] + [ctypes.c_size_t] * sig.count("c")
+            fn.restype = None
+        if _width_confirmed(routines.pop("ilaver"), np.dtype(c_int)):
+            return routines, c_int
+    tried = ", ".join(f"{prefix}<r>{suffix} ({c_int.__name__})"
+                      for prefix, suffix, c_int in SPELLINGS)
+    raise ImportError(f"no LAPACK routines {', '.join(_SIGNATURES)} in {path} "
+                      f"or the libraries it links; spellings tried: {tried}")
+
+
+_lapack, _c_int = load(np.linalg._umath_linalg.__file__)
+_INT, _F8 = np.dtype(_c_int), np.dtype(np.float64)
+
+
+def _checked(name: str, a, dtype, shape: tuple) -> np.ndarray:
+    """``a``, once it is a Fortran-contiguous ``dtype`` ndarray of ``shape``, else ValueError.
+
+    A vector is contiguous in either order.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
+            and a.flags.f_contiguous):
+        raise ValueError(f"{name} must be a Fortran-contiguous {np.dtype(dtype)} array "
+                         f"of shape {shape}")
+    return a
+
+
+_NO_BYTES = ctypes.c_char * 0
+
+
+def _address(a: np.ndarray) -> int:
+    """Where the data of the Fortran-contiguous ``a`` starts.
+
+    A writeable array is read through the buffer protocol (its transpose
+    is C-contiguous), a third of the cost of numpy's ``a.ctypes``.
+    """
+    return ctypes.addressof(_NO_BYTES.from_buffer(a.T)) if a.flags.writeable else a.ctypes.data
+
+
+def _bands(dl, d, du) -> tuple:
+    """The order n of the tridiagonal (dl, d, du) and the three, once they fit it."""
+    n = getattr(d, "size", -1)
+    m = max(n - 1, 0)
+    return n, _checked("dl", dl, _F8, (m,)), _checked("d", d, _F8, (n,)), \
+        _checked("du", du, _F8, (m,))
+
+
+def dgttrf(dl, d, du) -> tuple:
+    """LU factors (dl, d, du, du2, ipiv, info) of the tridiagonal (dl, d, du), by ``dgttrf``.
+
+    Gaussian elimination with partial pivoting on copies of the three
+    float64 vectors; info > 0 reports an exactly zero pivot.
+    """
+    n, *bands = _bands(dl, d, du)
+    factors = (*(a.copy() for a in bands), np.empty(max(n - 2, 0)), np.empty(n, dtype=_INT))
+    info = _c_int(0)
+    _lapack["dgttrf"](_c_int(n), *map(_address, factors), info)
+    return (*factors, info.value)
+
+
+def dgttrs(dl, d, du, du2, ipiv, b) -> tuple:
+    """(x, info): the solution of A x = b from ``dgttrf``'s factors of A, by ``dgttrs``.
+
+    b is a float64 vector, copied.
+    """
+    n, *bands = _bands(dl, d, du)
+    factors = (*bands, _checked("du2", du2, _F8, (max(n - 2, 0),)),
+               _checked("ipiv", ipiv, _INT, (n,)))
+    x = _checked("b", b, _F8, (n,)).copy()
+    n, info = _c_int(n), _c_int(0)
+    _lapack["dgttrs"](b"N", n, _c_int(1), *map(_address, (*factors, x)),
+                      n, info, 1)
+    return x, info.value
+
+
+def dgbsv(kl: int, ku: int, ab, b) -> tuple:
+    """(ab, ipiv, x, info): the banded solve of A x = b, by ``dgbsv``.
+
+    ``ab`` holds A in LAPACK's band storage: a writeable Fortran-ordered
+    float64 array of 2 kl + ku + 1 rows whose first kl are room for the
+    fill-in; it is factored in place and returned.  b is a float64
+    vector, copied.  info > 0 reports an exactly zero pivot.
+    """
+    if kl < 0 or ku < 0:
+        raise ValueError(f"band widths kl={kl}, ku={ku} must be >= 0")
+    n = getattr(b, "size", -1)
+    x = _checked("b", b, _F8, (n,)).copy()
+    if not _checked("ab", ab, _F8, (2 * kl + ku + 1, n)).flags.writeable:
+        raise ValueError("ab must be writeable: dgbsv factors it in place")
+    ipiv = np.empty(n, dtype=_INT)
+    n, info = _c_int(n), _c_int(0)
+    _lapack["dgbsv"](n, _c_int(kl), _c_int(ku), _c_int(1), _address(ab),
+                     _c_int(2 * kl + ku + 1), _address(ipiv), _address(x), n, info)
+    return ab, ipiv, x, info.value
 
 
 def _check_info(info: int, routine: str, failure: str) -> None:
@@ -54,17 +176,15 @@ def solve_tridiagonal(dl, d, du, b) -> np.ndarray:
     division, as there.  Raises ValueError for a non-finite entry or
     mismatched lengths, and LinAlgError for an exactly zero pivot.
     """
-    dl, d, du, b = (np.asarray_chkfinite(a, dtype=float) for a in (dl, d, du, b))
+    # contiguous copies, which dgtsv overwrites
+    dl, d, du, b = (np.array(np.asarray_chkfinite(a, dtype=float)) for a in (dl, d, du, b))
     if not dl.size + 1 == d.size == du.size + 1 == b.size:
         raise ValueError(f"diagonals of lengths {dl.size}, {d.size}, {du.size} "
                          f"do not fit a right-hand side of length {b.size}")
-    if d.size == 1:  # dgtsv's wrapper rejects empty off-diagonals
-        if d[0] == 0.0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return b / d[0]
-    *_, x, info = _flapack.dgtsv(dl, d, du, b)
-    _check_info(info, "dgtsv", "singular matrix")
-    return x
+    n, info = _c_int(d.size), _c_int(0)
+    _lapack["dgtsv"](n, _c_int(1), *map(_address, (dl, d, du, b)), n, info)
+    _check_info(info.value, "dgtsv", "singular matrix")
+    return b
 
 
 def eigenvalues_between(d, e, lo: float, hi: float, tol: float) -> np.ndarray:
@@ -77,9 +197,18 @@ def eigenvalues_between(d, e, lo: float, hi: float, tol: float) -> np.ndarray:
     longer than e and for an empty (lo, hi]; LinAlgError if bisection
     does not converge.
     """
-    d, e = (np.asarray_chkfinite(a, dtype=float) for a in (d, e))
+    d, e = (np.ascontiguousarray(np.asarray_chkfinite(a, dtype=float)) for a in (d, e))
     if d.size != e.size + 1:
         raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
-    m, w, _, _, info = _flapack.dstebz(d, e, 1, lo, hi, 1, 1, tol, "E")
-    _check_info(info, "dstebz", f"dstebz did not converge (LAPACK info={info})")
-    return w[:m]
+    if not lo < hi:
+        raise ValueError(f"empty window ({lo}, {hi}]")
+    n = d.size
+    # W IBLOCK ISPLIT WORK IWORK
+    out = (np.empty(n), np.empty(n, dtype=_INT), np.empty(n, dtype=_INT),
+           np.empty(4 * n), np.empty(3 * n, dtype=_INT))
+    one, m, info = _c_int(1), _c_int(0), _c_int(0)
+    _lapack["dstebz"](b"V", b"E", _c_int(n), ctypes.c_double(lo), ctypes.c_double(hi),
+                      one, one, ctypes.c_double(tol), _address(d), _address(e), m,
+                      _c_int(0), *map(_address, out), info, 1, 1)
+    _check_info(info.value, "dstebz", f"dstebz did not converge (LAPACK info={info.value})")
+    return out[0][:m.value]

@@ -233,12 +233,13 @@ class DiscreteOperator:
 
     @cached_property
     def lu_factors(self) -> tuple:
-        """LAPACK's LU factors (dl, d, du, du2, ipiv) of L, from one ``dgttrf``.
+        """LAPACK's LU factors (dl, d, du, du2, ipiv) of L, from one ``lapack.dgttrf``.
 
-        Gaussian elimination with partial pivoting, the factorization a
-        ``dgtsv`` (``lapack.solve_tridiagonal``) makes on every call;
-        ``solve`` reuses it.  Raises ValueError for a non-finite entry and
-        LinAlgError for an exactly zero pivot, as ``solve_tridiagonal`` does.
+        Gaussian elimination with partial pivoting in numpy's own LAPACK,
+        the factorization a ``dgtsv`` (``lapack.solve_tridiagonal``) makes
+        on every call; ``solve`` reuses it.  Raises ValueError for a
+        non-finite entry and LinAlgError for an exactly zero pivot, as
+        ``solve_tridiagonal`` does.
         """
         arrays = (self.sub, self.diag, self.sup)
         *factors, info = dgttrf(*map(np.asarray_chkfinite, arrays))
@@ -315,10 +316,10 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
                     left: float, right: float) -> np.ndarray:
     """Solve L v = f on nodes i0..i1 with Dirichlet values at i0 and i1.
 
-    One LAPACK ``dgtsv`` (``solve_banded``, from ``lapack.solve_tridiagonal``)
-    on the inner nodes: a window is solved once, so unlike ``solve`` it
-    keeps no factorization.  A one-node window is one division.  Returns
-    the full window vector including the boundary nodes; raises
+    One LAPACK ``dgtsv`` (``solve_banded``, from ``lapack.solve_tridiagonal``,
+    which solves a copy) on the inner nodes: a window is solved once, so
+    unlike ``solve`` it keeps no factorization.  A one-node window is one
+    division.  Returns the full window vector including the boundary nodes; raises
     LinAlgError for an exactly zero pivot and NoConvergence as ``solve`` does.
     """
     if i1 - i0 < 2:

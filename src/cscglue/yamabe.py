@@ -24,7 +24,7 @@ import numpy as np
 # but bench/spans.py wraps them by name
 from .curvature import conformal_scalar, scalar_curvature  # noqa: F401
 from .errors import (ConfigError, DeltaOutOfRange, GlueError, IterateOutOfBall,
-                     IterationDiverged)
+                     IterationDiverged, NoConvergence)
 from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
 from .lapack import dgbsv
 from .neck_analysis import loglog_slope
@@ -268,8 +268,8 @@ class InterpolatingSpline:
     zeros, so one LAPACK banded LU solve (``lapack.dgbsv``) in the band (4, 4)
     gives the coefficients, those of
     scipy.interpolate.make_interp_spline(s, v, k=5).  The band is packed
-    straight into gbsv's Fortran-ordered layout, which gbsv factors in
-    place, so nothing is copied on the way.
+    straight into gbsv's Fortran-ordered layout, which ``lapack.dgbsv``
+    checks and factors in place, so nothing is copied on the way.
     """
 
     def __init__(self, s, v):
@@ -296,8 +296,7 @@ class InterpolatingSpline:
         j = ell[edge] - k + np.arange(k + 1)[:, None]
         band = np.abs(edge - j) <= kl
         ab[(2 * kl + edge - j)[band], j[band]] = B[:, edge][band]
-        _, _, self.coef, info = dgbsv(kl, kl, ab, np.asarray_chkfinite(v, dtype=float),
-                                      overwrite_ab=True)
+        _, _, self.coef, info = dgbsv(kl, kl, ab, np.asarray_chkfinite(v, dtype=float))
         if info > 0:
             raise np.linalg.LinAlgError(f"collocation matrix is singular (gbsv info {info})")
 
@@ -324,9 +323,9 @@ def verify_constant_curvature(report: FixedPointReport,
 
     The conformal factor w = 1 + v is the not-a-knot quintic spline
     through the solved v (InterpolatingSpline: knots s[0] and s[-1] six
-    times around s[3:-3], B-spline coefficients from one LAPACK banded
-    solve, ``lapack.dgbsv``, in the collocation matrix's true (4, 4) band), a
-    function of s alone, on the metric of
+    times around s[3:-3], B-spline coefficients from one banded solve in
+    numpy's LAPACK, ``lapack.dgbsv``, in the collocation matrix's true
+    (4, 4) band), a function of s alone, on the metric of
     cfg, the one the solve corrected:
     g = g_K + U [ds^2 + q g_{S^{n-1}}] (``cfg.warp``).  The
     conformal law in dimension m reads S~ = w^{-(m+2)/(m-2)} (S_g w - 4(m-1)/(m-2) Delta w)
@@ -396,7 +395,8 @@ def convergence_sweep(make_cfg, eps_list, delta: float | None = None,
     post_dev.  ``make_cfg`` maps eps to a GluingConfig; every config must
     carry the same delta, which ``delta`` (by default the configs' own)
     repeats.  Requires max(0, (n-4)/2) < delta < (n-2)/2.  A run that fails with a
-    GlueError is recorded in its row and the sweep continues.
+    GlueError is recorded in its row and the sweep continues; so is a solve
+    that stops at ``max_iter`` unconverged, as NoConvergence.
     """
     eps_sorted = sorted(eps_list, reverse=True)
     cfgs = [make_cfg(eps) for eps in eps_sorted]
@@ -416,6 +416,10 @@ def convergence_sweep(make_cfg, eps_list, delta: float | None = None,
         try:
             rep = picard_solve(cfg, resolution=resolution, tol=tol,
                                max_iter=max_iter)
+            if not rep.converged:
+                raise NoConvergence(
+                    f"Picard stopped after {rep.iterations} iterations with its last "
+                    f"increment {rep.increments[-1]:.3e} above tol {tol:g}")
             post_dev = verify_constant_curvature(rep, cfg).post_dev
         except GlueError as exc:  # recorded per row, sweep continues
             rows.append(SweepRow(eps, delta, *([float("nan")] * 3),

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -340,27 +341,87 @@ def test_spectrum_detects_failed_hypothesis(cfg_file, tmp_path):
     assert "eig_floor" in failed
 
 
-def test_import_leaves_scipy_linalg_interpolate_and_numpy_ma_unloaded(tmp_path):
-    # scipy.interpolate takes about 0.3 s to import and scipy.linalg, whose
-    # array-API set-up reaches numpy.f2py and scipy._lib, about 0.4 s; the
-    # package needs neither: it loads scipy's LAPACK extension by its file
-    # (cscglue.lapack), so neither the import nor a sweep, solve or spectrum
-    # run may load them.  The extension itself is scipy.linalg._flapack.
-    # numpy.ma (about 17 ms) is what np.median and np.unique import on first use.
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's cscglue."""
     src = str(Path(cscglue.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    small = ["--set", "grid.resolution=16", "--set", "gluing.epsilon=0.05,0.04"]
-    runs = {"import": None,
-            "sweep": ["sweep", *small, "--out", str(tmp_path / "sweep")],
-            "solve": ["solve", *small[:2], "--out", str(tmp_path / "solve")],
-            "spectrum": ["spectrum", *small, "--out", str(tmp_path / "spectrum")]}
+    return env
+
+
+SMALL = ["--set", "grid.resolution=16", "--set", "gluing.epsilon=0.05,0.04"]
+
+
+def _cli_runs(tmp_path) -> dict:
+    return {"sweep": ["sweep", *SMALL, "--out", str(tmp_path / "sweep")],
+            "solve": ["solve", *SMALL[:2], "--out", str(tmp_path / "solve")],
+            "spectrum": ["spectrum", *SMALL, "--out", str(tmp_path / "spectrum")]}
+
+
+def _run_quietly(args) -> str:
+    """Source that runs cli.main(args) in a child with its stdout swallowed."""
+    return ("with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({args!r}) in (0, 1)\n")
+
+
+def test_import_leaves_scipy_linalg_interpolate_and_numpy_ma_unloaded(tmp_path):
+    # scipy.interpolate takes about 0.3 s to import and scipy.linalg, whose
+    # array-API set-up reaches numpy.f2py and scipy._lib, about 0.4 s; the
+    # package needs neither: it calls the LAPACK of the OpenBLAS numpy links
+    # (cscglue.lapack), so neither the import nor a sweep, solve or spectrum
+    # run may load them.
+    # numpy.ma (about 17 ms) is what np.median and np.unique import on first use.
+    runs = {"import": None, **_cli_runs(tmp_path)}
     unloaded = ("scipy.interpolate", "scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.ma")
     for name, args in runs.items():
         code = ("import contextlib, io, sys\nfrom cscglue import cli\n"
-                + (f"with contextlib.redirect_stdout(io.StringIO()):\n"
-                   f"    assert cli.main({args!r}) in (0, 1)\n" if args else "")
+                + (_run_quietly(args) if args else "")
                 + f"print([m for m in {unloaded!r} if m in sys.modules])")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
+        out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]", name
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_cli_runs_map_one_openblas_and_no_file_of_scipy(tmp_path):
+    # one BLAS/LAPACK per process: the runs call the OpenBLAS numpy links and
+    # map nothing from scipy's package.  numpy's library is itself named
+    # libscipy_openblas64_, so scipy's files are told by their directories.
+    scipy = Path(importlib.util.find_spec("scipy").origin).resolve().parent
+    scipy_dirs = (scipy, scipy.parent / "scipy.libs")
+    code = ("import contextlib, io, json\nfrom cscglue import cli\n"
+            + "".join(map(_run_quietly, _cli_runs(tmp_path).values()))
+            + "with open('/proc/self/maps') as maps:\n"
+            "    print(json.dumps(sorted({ln.split(maxsplit=5)[-1].strip() for ln in maps})))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True, check=True)
+    mapped = [Path(p) for p in json.loads(out.stdout) if p.startswith("/")]
+    assert len([p for p in mapped if "openblas" in p.name]) == 1, mapped
+    assert [p for p in mapped if any(d in p.parents for d in scipy_dirs)] == []
+
+
+def test_sweep_runs_with_scipy_refused(tmp_path):
+    # scipy is a test-only dependency: with every scipy import refused, a
+    # sweep runs to its documented exit code and writes its artifacts
+    code = ("import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(f'{name} is refused')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "from cscglue import cli\n"
+            f"sys.exit(cli.main(['sweep', '--set', 'grid.resolution=16', '--out', "
+            f"{str(tmp_path)!r}]))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True)
+    assert run.returncode in (0, 1) and run.stderr == "", run.stderr
+    assert (tmp_path / "run.json").is_file()
+
+
+def test_sweep_with_an_unconverged_solve_fails_rows_converged(tmp_path):
+    # three Picard steps leave the eps 0.05 solve short of tol: the row is
+    # an error row, so rows_converged fails and the sweep exits 1
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--set", "yamabe.max_iter=3", "--out", str(out)]) == 1
+    checks = json.loads((out / "run.json").read_text())["checks"]
+    assert {r["name"]: r["passed"] for r in checks}["rows_converged"] is False

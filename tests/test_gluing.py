@@ -294,6 +294,19 @@ def test_warp_jets_build_only_the_jets_they_return(monkeypatch):
             assert len(made) == 2 and made[0] is u and made[1] is q
 
 
+def test_jet_refuses_arithmetic():
+    # a Jet is a tuple: unrefused, a ufunc would act part by part (sqrt of
+    # each part is not the jet of the root), + would concatenate and * repeat
+    jet = gluing.Jet(np.array([4.0, 9.0]), np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+    for call in (lambda: np.sqrt(jet), lambda: np.add(jet, 1.0), lambda: jet + jet,
+                 lambda: jet + 1.0, lambda: (1.0,) + jet, lambda: jet * 2, lambda: 2 * jet,
+                 lambda: jet * jet, lambda: np.ones(2) * jet, lambda: jet * np.ones(2)):
+        with pytest.raises(TypeError):
+            call()
+    v, d, dd = jet  # a plain value still: unpacked, compared, replaced
+    assert jet == gluing.Jet(v, d, dd) and jet._replace(dd=0.0).dd == 0.0
+
+
 def _profiles_mp(cfg, t, order):
     """Derivatives of order ``order`` of (u, q) at the float t, by 40-digit
     mpmath differentiation of the gluing's definitions; T and eps are the

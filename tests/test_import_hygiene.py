@@ -1,7 +1,6 @@
 """Every name a cscglue module imports is used in that module and public,
-no cscglue module imports scipy (cscglue.lapack loads scipy's LAPACK
-extension by its file), and the package's settable values stay within a
-recorded bound."""
+no cscglue module imports scipy (cscglue.lapack calls the LAPACK numpy
+links), and the package's settable values stay within a recorded bound."""
 
 import ast
 from pathlib import Path
@@ -77,7 +76,7 @@ def test_module_imports_only_scipy_linalg(path):
     # no scipy import at all, scipy.linalg included: every CLI run pays it,
     # scipy.interpolate alone costs about 0.3 s and scipy.linalg about 0.4 s,
     # and a bare `import scipy` would reach every subpackage lazily.
-    # cscglue.lapack loads scipy's LAPACK extension by its file instead.
+    # cscglue.lapack calls the LAPACK of numpy's own OpenBLAS instead.
     assert _scipy_imports(ast.parse(path.read_text())) == set()
 
 

@@ -1,6 +1,6 @@
+import _ctypes
+import ctypes
 import dataclasses
-import importlib.machinery
-import importlib.util
 import math
 import re
 
@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import lapack as scipy_lapack
 
 from cscglue import curvature, geometry, gluing, lapack, linear_solver as ls, yamabe
 from cscglue.errors import NearSingularOperator, NoConvergence, OutOfFloatRange
@@ -371,13 +372,80 @@ def test_lapack_wrappers_check_their_input(stack05):
         lapack.solve_tridiagonal(np.r_[0.0, op.sub[1:]], np.r_[0.0, d[1:]], op.sup, f)
 
 
-def test_lapack_names_the_directory_it_searched(monkeypatch, tmp_path):
-    # no fallback to `import scipy.linalg`: a missing extension is an ImportError
-    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    scipy.submodule_search_locations = [str(tmp_path)]
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
-        lapack._load_flapack()
+def test_lapack_loader_names_the_file_and_every_spelling():
+    # one route, no fallback: a library without the routines is an
+    # ImportError naming the file and each symbol spelling tried
+    path = _ctypes.__file__
+    with pytest.raises(ImportError, match=re.escape(path)) as err:
+        lapack.load(path)
+    for prefix, suffix, _ in lapack.SPELLINGS:
+        assert f"{prefix}<r>{suffix}" in str(err.value)
+
+
+def test_ilaver_tells_the_integer_widths_apart():
+    # a routine called with the wrong integer width reads and writes the
+    # wrong bytes; the one ilaver call that confirms the width passes for
+    # the library's own type only
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix, suffix, c_int in lapack.SPELLINGS:
+        ilaver = getattr(lib, f"{prefix}ilaver{suffix}", None)
+        if ilaver is not None:
+            break
+    ilaver.argtypes, ilaver.restype = [ctypes.c_void_p] * 3, None
+    other = ctypes.c_int32 if c_int is ctypes.c_int64 else ctypes.c_int64
+    assert lapack._width_confirmed(ilaver, np.dtype(c_int))
+    assert not lapack._width_confirmed(ilaver, np.dtype(other))
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+@pytest.mark.parametrize("eps, resolution", [(0.16, 16), (0.02, 64), (2e-3, 256), (1e-4, 512)])
+def test_lapack_factors_give_the_bits_of_scipy_linalg_lapack(name, eps, resolution):
+    # scipy.linalg.lapack is the oracle only: dgttrf's factors and pivots
+    # and dgttrs's solution, bit for bit, on the glued operators
+    op = _glued_operator(name, eps, resolution)
+    ours = lapack.dgttrf(op.sub, op.diag, op.sup)
+    theirs = scipy_lapack.dgttrf(op.sub, op.diag, op.sup)
+    assert [a.tobytes() for a in ours[:4]] == [a.tobytes() for a in theirs[:4]]
+    assert np.array_equal(ours[4], theirs[4]) and ours[5] == theirs[5] == 0
+    f = op.apply(np.cos(np.linspace(0.0, 3.0, op.size)))
+    x, info = lapack.dgttrs(*ours[:5], f)
+    y, scipy_info = scipy_lapack.dgttrs(*theirs[:5], f)
+    assert x.tobytes() == y.tobytes() and info == scipy_info == 0
+    for a in ours[:5]:  # read-only factors take the other address path
+        a.flags.writeable = False
+    assert lapack.dgttrs(*ours[:5], f)[0].tobytes() == y.tobytes()
+
+
+def test_lapack_refuses_wrong_arrays_before_any_call(stack05, monkeypatch):
+    # ctypes checks nothing LAPACK reads or writes: a wrong length, dtype
+    # or memory order must be a ValueError before any routine is called
+    called = []
+    monkeypatch.setattr(lapack, "_lapack", {r: lambda *a, r=r: called.append(r)
+                                            for r in ("dgttrf", "dgttrs", "dgbsv")})
+    _, _, op = stack05
+    dl, d, du, n = op.sub, op.diag, op.sup, op.size
+    du2, ipiv = np.zeros(n - 2), np.zeros(n, dtype=lapack._INT)
+    other_int = np.int32 if lapack._INT == np.int64 else np.int64
+    ab, b = np.zeros((13, n), order="F"), np.ones(n)
+    readonly = ab.copy(order="F")
+    readonly.flags.writeable = False
+    for call in (lambda: lapack.dgttrf(dl[1:], d, du),
+                 lambda: lapack.dgttrf(dl, d.astype(np.float32), du),
+                 lambda: lapack.dgttrf(dl, d, np.r_[du, du][::2]),
+                 lambda: lapack.dgttrf(list(dl), d, du),
+                 lambda: lapack.dgttrs(dl, d, du, du2[1:], ipiv, b),
+                 lambda: lapack.dgttrs(dl, d, du, du2, ipiv.astype(other_int), b),
+                 lambda: lapack.dgttrs(dl, d, du, du2, ipiv, b[1:]),
+                 lambda: lapack.dgttrs(dl, d, du, du2, ipiv, np.r_[b, b][::2]),
+                 lambda: lapack.dgbsv(4, 4, np.ascontiguousarray(ab), b),
+                 lambda: lapack.dgbsv(4, 4, ab[1:], b),
+                 lambda: lapack.dgbsv(4, 4, ab, b[1:]),
+                 lambda: lapack.dgbsv(4, 4, ab.astype(np.float32, order="F"), b),
+                 lambda: lapack.dgbsv(4, 4, readonly, b),
+                 lambda: lapack.dgbsv(-1, 4, ab[4:], b)):
+        with pytest.raises(ValueError):
+            call()
+    assert called == []
 
 
 def test_one_node_dirichlet_window(stack05):

@@ -328,7 +328,7 @@ def _coef_by_masked_scatter(s, v):
     band = np.abs(i - j) <= kl
     ab = np.zeros((3 * kl + 1, n), order="F")
     ab[(2 * kl + i - j)[band], j[band]] = B[band]
-    return lapack.dgbsv(kl, kl, ab, v, overwrite_ab=True)[2]
+    return lapack.dgbsv(kl, kl, ab, v)[2]
 
 
 def test_spline_band_packing_keeps_every_bit(rng):
@@ -340,3 +340,40 @@ def test_spline_band_packing_keeps_every_bit(rng):
         v = np.cos(s) + 1e-3 * rng.standard_normal(s.size)
         got = yamabe.InterpolatingSpline(s, v).coef
         assert got.tobytes() == _coef_by_masked_scatter(s, v).tobytes(), s.size
+
+
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
+@pytest.mark.parametrize("eps, resolution", [(0.16, 16), (0.02, 64), (2e-3, 256), (1e-4, 512)])
+def test_spline_solve_gives_the_bits_of_scipy_dgbsv(name, eps, resolution, monkeypatch):
+    # scipy.linalg.lapack is the oracle only: the spline's band factored in
+    # place, its pivots and its coefficients, bit for bit; scipy's wrapper
+    # counts the pivots from 0, LAPACK from 1
+    from scipy.linalg import lapack as scipy_lapack
+    calls = []
+
+    def recording(kl, ku, ab, b):
+        calls.append((kl, ku, ab.copy(order="F"), b.copy()))
+        calls.append(lapack.dgbsv(kl, ku, ab, b))
+        return calls[-1]
+    monkeypatch.setattr(yamabe, "dgbsv", recording)
+    model = geometry.make_model(name)
+    s = linear_solver.build_grid(gluing.GluingConfig(model, model, eps=eps), resolution).s
+    yamabe.InterpolatingSpline(s, np.cos(s))
+    (kl, ku, ab, b), ours = calls
+    theirs = scipy_lapack.dgbsv(kl, ku, ab, b)
+    assert ours[0].tobytes() == theirs[0].tobytes() and ours[2].tobytes() == theirs[2].tobytes()
+    assert np.array_equal(ours[1] - 1, theirs[1]) and ours[3] == theirs[3] == 0
+
+
+def test_sweep_records_an_unconverged_solve_as_an_error_row(model_a):
+    # picard_solve reports a solve that stops at max_iter as unconverged;
+    # the sweep must not record it as a converged row
+    cfgs = {e: gluing.GluingConfig(model_a, model_a, eps=e) for e in (0.05, 0.02)}
+    assert not yamabe.picard_solve(cfgs[0.05], max_iter=3).converged
+    table = yamabe.convergence_sweep(cfgs.__getitem__, list(cfgs), max_iter=3)
+    for row in table.rows:
+        assert row.error.startswith("NoConvergence: Picard stopped after 3 iterations "
+                                    "with its last increment ")
+        assert row.iters == 0 and math.isnan(row.sup_v)
+    assert math.isnan(table.slope)
+    assert not any(r.error for r in yamabe.convergence_sweep(cfgs.__getitem__, list(cfgs)).rows)
