@@ -416,6 +416,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> tuple[Checks, dict]:
         resolution=int(cfg["grid.resolution"]),
         tol=float(cfg["solver.tol"]), max_iter=int(cfg["yamabe.max_iter"]))
     _write_sweep_table(table.rows, out)
+    for r in table.rows:
+        if r.error:  # the table holds NaN there; the reason goes to stderr
+            print(f"row eps={r.eps:g}: {r.error}", file=sys.stderr)
     ok_rows = [r for r in table.rows if not r.error]
     checks.add("rows_converged", 1.0 if len(ok_rows) == len(table.rows) else 0.0,
                "rows_converged")

@@ -18,6 +18,11 @@ field's one chart, with coords of shape ``(m,)`` for a single point or
 ``(N, m)`` for a batch, and are pure.  Every stencil must lie in the
 chart's box (``MetricField.check``), else StencilOutOfChart.  Conformal
 rescalings u^{4/(d-2)} g are taken in the field's own dimension d.
+
+Every metric jet is gated on its condition number, IllConditionedMetric
+above COND_LIMIT.  The gate is the 1-norm condition number
+||g||_1 ||g^-1||_1 from the inverse metric the formulas use, so no SVD
+runs; for symmetric g of dimension m it lies between cond_2 and m cond_2.
 """
 
 from __future__ import annotations
@@ -133,15 +138,26 @@ def _jet(fn, pts, scheme):
 
 def _metric_jet(field, chart_id, pts, scheme):
     """(ginv, (dg, dg_prev), (d2g, d2g_prev), noise): ``_jet`` of the metric
-    components, dg[..., e, i, j] = d_e g_ij, with the inverse metric."""
+    components, dg[..., e, i, j] = d_e g_ij, with the inverse metric.
+
+    The gate is the 1-norm condition number ||g||_1 ||g^-1||_1, read off
+    the one inverse the engine uses.  For symmetric g of dimension m,
+    cond_2 <= cond_1 <= m cond_2, so COND_LIMIT bounds the 2-norm
+    condition number to within a factor m.  A singular or non-finite g
+    raises IllConditionedMetric too.
+    """
     field.check(chart_id, pts, 2 * scheme.base_step)
     g, d1, d2, _, noise = _jet(field.component_fn, pts, scheme)
-    cond = np.linalg.cond(g)
-    if np.any(cond > COND_LIMIT):
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedMetric(f"metric is singular or not finite: {exc}") from None
+    cond = np.max(np.linalg.norm(g, 1, axis=(-2, -1))
+                  * np.linalg.norm(ginv, 1, axis=(-2, -1)))
+    if not cond <= COND_LIMIT:  # NaN fails the comparison too
         raise IllConditionedMetric(
-            f"metric condition number {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}"
-        )
-    return np.linalg.inv(g), d1, d2, noise
+            f"metric condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    return ginv, d1, d2, noise
 
 
 def _bracket(dg):

@@ -49,11 +49,20 @@ POINTS_PER_UNIT = 16    # t samples per unit on the deviation and barrier window
 
 
 def loglog_slope(x, y) -> float:
-    """Least-squares slope of log y against log x; NaN below two points."""
+    """Least-squares slope of log y against log x, in closed form from
+    centred sums: sum (lx - mean lx)(ly - mean ly) / sum (lx - mean lx)^2.
+
+    NaN below two points and for x with no spread.
+    """
     if len(x) < 2:
         return float("nan")
     lx, ly = np.log(np.asarray(x, float)), np.log(np.asarray(y, float))
-    return float(np.polyfit(lx, ly, 1)[0])
+    if lx.shape != ly.shape:
+        raise ValueError(f"x and y differ in shape: {lx.shape} and {ly.shape}")
+    if lx.min() == lx.max():
+        return float("nan")
+    dx = lx - lx.mean()
+    return float((dx * (ly - ly.mean())).sum() / (dx * dx).sum())
 
 
 @dataclass

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cscglue
@@ -425,3 +426,46 @@ def test_sweep_with_an_unconverged_solve_fails_rows_converged(tmp_path):
     assert cli.main(["sweep", "--set", "yamabe.max_iter=3", "--out", str(out)]) == 1
     checks = json.loads((out / "run.json").read_text())["checks"]
     assert {r["name"]: r["passed"] for r in checks}["rows_converged"] is False
+
+
+def test_sweep_prints_each_failed_rows_reason_on_stderr(tmp_path, capsys):
+    # the table holds NaN for a failed row; its reason goes to stderr, one
+    # line per row
+    assert cli.main(["sweep", "--set", "yamabe.max_iter=3",
+                     "--out", str(tmp_path / "sweep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("row eps=0.05: NoConvergence: Picard stopped after 3 iterations")
+    assert err.count("\n") == 1, err
+
+
+# numpy's routines that run an SVD: lstsq behind np.polyfit, and cond
+SVD_ROUTINES = frozenset({"svd", "svdvals", "lstsq", "cond", "pinv", "matrix_rank"})
+
+
+def test_no_production_path_runs_an_svd(tmp_path):
+    # slopes and the engine's metric gate are closed forms: no subcommand
+    # and no conjugation probe calls an SVD, whose first call in a process
+    # maps LAPACK code that nothing else uses
+    linalg = str(Path(np.linalg.__file__).parent)
+    called = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in SVD_ROUTINES
+                and os.path.dirname(code.co_filename) == linalg):
+            called.add(code.co_name)
+
+    runs = [["validate-tensors"], ["neck-estimate", *SMALL], ["barrier"],
+            ["spectrum", *SMALL], ["solve", *SMALL[:2]], ["sweep", *SMALL]]
+    M = geometry.make_model("torus2_x_sphere3")
+    cfg = gluing.GluingConfig(M, M, eps=0.05)
+    neck_analysis.factor_laplacians.cache_clear()
+    sys.setprofile(profile)
+    try:
+        for args in runs:
+            assert cli.main([*args, "--out", str(tmp_path / args[0])]) in (0, 1), args
+        neck_analysis.factor_laplacians.cache_clear()
+        neck_analysis.conjugation_residual(cfg)
+    finally:
+        sys.setprofile(None)
+    assert called == set()

@@ -214,6 +214,25 @@ def test_ill_conditioned_metric_raises():
         scalar_curvature(field, ("flat", np.array([0.0, 0.0])))
 
 
+@pytest.mark.parametrize("g11", [np.nan, 0.0], ids=["nan", "zero"])
+def test_non_finite_or_singular_metric_raises(g11):
+    # a NaN component or an exactly singular g is refused with the typed
+    # error, not numpy's LinAlgError, on a single point and in a batch
+    chart = geometry.Chart("flat", ("x1", "x2"), (-1, -1), (1, 1))
+
+    def comps(x):
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0
+        out[..., 1, 1] = np.where(x[..., 0] > 0.25, g11, 1.0)
+        return out
+
+    field = geometry.MetricField(chart, comps)
+    for coords in ([0.5, 0.0], [[0.0, 0.0], [0.5, 0.0]]):
+        with pytest.raises(IllConditionedMetric):
+            scalar_curvature(field, ("flat", np.array(coords)))
+    assert scalar_curvature(field, ("flat", np.array([0.0, 0.0]))).value == 0.0
+
+
 def _round_sphere2():
     """The unit 2-sphere in polar angles, from a callback of coordinates only."""
     chart = geometry.Chart("s2", ("theta", "phi"), (1e-3, -math.inf),

@@ -11,6 +11,30 @@ from cscglue.errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved, OutOfF
 from cscglue.linear_solver import ROUNDING_ULPS
 
 
+def test_loglog_slope_matches_polyfit(rng):
+    # the closed-form slope is the least-squares one np.polyfit finds
+    for _ in range(200):
+        k = int(rng.integers(2, 11))
+        lx = rng.uniform(-6.0, 0.0, k)
+        s = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
+        ly = rng.normal() + s * lx + 0.1 * rng.normal(size=k)
+        x, y = np.exp(lx), np.exp(ly)
+        oracle = np.polyfit(np.log(x), np.log(y), 1)[0]
+        assert na.loglog_slope(x, y) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert na.loglog_slope([0.02, 0.04, 0.08], [1.0, 4.0, 16.0]) == pytest.approx(2.0)
+    with pytest.raises(ValueError, match="differ in shape"):  # polyfit refuses them too
+        na.loglog_slope([0.02, 0.04], [1.0])
+
+
+@pytest.mark.parametrize("x, y", [([], []), ([0.05], [0.3]),
+                                  ([0.1, 0.1], [0.2, 0.3]), ([0.1] * 3, [1.0, 2.0, 3.0])],
+                         ids=["none", "one", "two-equal-x", "three-equal-x"])
+def test_loglog_slope_is_nan_without_two_distinct_x(x, y):
+    # fewer than two points, or x with no spread, fit no line: NaN, and no
+    # RuntimeWarning (which this suite turns into an error)
+    assert math.isnan(na.loglog_slope(x, y))
+
+
 def test_deviation_profile_structure(cfg05):
     prof = na.deviation_profile(cfg05)
     T = cfg05.t_max
