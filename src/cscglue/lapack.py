@@ -4,13 +4,15 @@ The OpenBLAS that numpy's ``numpy.linalg._umath_linalg`` links exports
 LAPACK; ctypes opens it by that extension's file, whose dlsym scope holds
 the libraries it links, so a process holds one BLAS/LAPACK.  A routine r
 is looked up under each of SPELLINGS, and one ``ilaver`` call confirms
-the integer width.  ``dgttrf``, ``dgttrs`` and ``dgbsv`` return the tuples
-of scipy.linalg.lapack's wrappers, pivots counted from 1 as LAPACK counts
-them.  ``solve_tridiagonal`` (``dgtsv``) and ``eigenvalues_between``
+the integer width.  Every wrapper returns its answer alone and raises on
+LAPACK's status: ValueError for an illegal argument, LinAlgError for an
+exactly zero pivot.  ``TridiagonalLU`` keeps ``dgttrf``'s factors to
+itself.  ``solve_tridiagonal`` (``dgtsv``) and ``eigenvalues_between``
 (``dstebz``) keep the input checks of ``scipy.linalg.solve_banded((1, 1),
 ...)`` and ``eigh_tridiagonal(select="v", lapack_driver="stebz")`` and
-give their bits.  ctypes checks nothing, so each wrapper checks the dtype,
-length and memory order of every array before LAPACK sees its address.
+give their bits.  ctypes checks nothing, so each wrapper checks, or makes
+in a copy, the dtype, length and memory order of every array before
+LAPACK sees its address.
 """
 
 from __future__ import annotations
@@ -104,49 +106,53 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(_NO_BYTES.from_buffer(a.T)) if a.flags.writeable else a.ctypes.data
 
 
-def _bands(dl, d, du) -> tuple:
-    """The order n of the tridiagonal (dl, d, du) and the three, once they fit it."""
-    n = getattr(d, "size", -1)
-    m = max(n - 1, 0)
-    return n, _checked("dl", dl, _F8, (m,)), _checked("d", d, _F8, (n,)), \
-        _checked("du", du, _F8, (m,))
+def _check_info(info: int, routine: str, failure: str) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError(failure)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
-def dgttrf(dl, d, du) -> tuple:
-    """LU factors (dl, d, du, du2, ipiv, info) of the tridiagonal (dl, d, du), by ``dgttrf``.
+class TridiagonalLU:
+    """The LU factors of the tridiagonal (dl, d, du), by one ``dgttrf``, for ``solve``.
 
-    Gaussian elimination with partial pivoting on copies of the three
-    float64 vectors; info > 0 reports an exactly zero pivot.
+    Gaussian elimination with partial pivoting on copies of the sub-, main
+    and super-diagonal, as one ``dgtsv`` makes it.  The factors are private
+    and each solve reads their addresses afresh, so a copy of the instance
+    solves with its own.  Raises ValueError for a non-finite entry or for dl
+    and du not one shorter than d, and LinAlgError for an exactly zero pivot.
     """
-    n, *bands = _bands(dl, d, du)
-    factors = (*(a.copy() for a in bands), np.empty(max(n - 2, 0)), np.empty(n, dtype=_INT))
-    info = _c_int(0)
-    _lapack["dgttrf"](_c_int(n), *map(_address, factors), info)
-    return (*factors, info.value)
+
+    def __init__(self, dl, d, du):
+        dl, d, du = (np.array(np.asarray_chkfinite(a, dtype=float)) for a in (dl, d, du))
+        if not (d.ndim == 1 and dl.shape == du.shape == (d.size - 1,)):
+            raise ValueError(f"diagonals of shapes {dl.shape}, {d.shape}, {du.shape} do not fit")
+        n = d.size
+        self._factors = (dl, d, du, np.empty(max(n - 2, 0)), np.empty(n, dtype=_INT))
+        info = _c_int(0)
+        _lapack["dgttrf"](_c_int(n), *map(_address, self._factors), info)
+        _check_info(info.value, "dgttrf", "singular matrix")
+
+    def solve(self, b) -> np.ndarray:
+        """x with A x = b, by one ``dgttrs``; ValueError for a non-finite b or a wrong shape."""
+        x = np.array(np.asarray_chkfinite(b, dtype=float))
+        if x.shape != self._factors[1].shape:
+            raise ValueError(f"right-hand side of shape {x.shape} does not fit "
+                             f"a diagonal of shape {self._factors[1].shape}")
+        n, info = _c_int(x.size), _c_int(0)
+        _lapack["dgttrs"](b"N", n, _c_int(1), *map(_address, (*self._factors, x)),
+                          n, info, 1)
+        _check_info(info.value, "dgttrs", "singular matrix")
+        return x
 
 
-def dgttrs(dl, d, du, du2, ipiv, b) -> tuple:
-    """(x, info): the solution of A x = b from ``dgttrf``'s factors of A, by ``dgttrs``.
-
-    b is a float64 vector, copied.
-    """
-    n, *bands = _bands(dl, d, du)
-    factors = (*bands, _checked("du2", du2, _F8, (max(n - 2, 0),)),
-               _checked("ipiv", ipiv, _INT, (n,)))
-    x = _checked("b", b, _F8, (n,)).copy()
-    n, info = _c_int(n), _c_int(0)
-    _lapack["dgttrs"](b"N", n, _c_int(1), *map(_address, (*factors, x)),
-                      n, info, 1)
-    return x, info.value
-
-
-def dgbsv(kl: int, ku: int, ab, b) -> tuple:
-    """(ab, ipiv, x, info): the banded solve of A x = b, by ``dgbsv``.
+def dgbsv(kl: int, ku: int, ab, b) -> np.ndarray:
+    """x with A x = b, the banded solve by ``dgbsv``.
 
     ``ab`` holds A in LAPACK's band storage: a writeable Fortran-ordered
     float64 array of 2 kl + ku + 1 rows whose first kl are room for the
-    fill-in; it is factored in place and returned.  b is a float64
-    vector, copied.  info > 0 reports an exactly zero pivot.
+    fill-in; it is factored in place.  b is a float64 vector, copied.
+    LinAlgError for an exactly zero pivot.
     """
     if kl < 0 or ku < 0:
         raise ValueError(f"band widths kl={kl}, ku={ku} must be >= 0")
@@ -158,14 +164,8 @@ def dgbsv(kl: int, ku: int, ab, b) -> tuple:
     n, info = _c_int(n), _c_int(0)
     _lapack["dgbsv"](n, _c_int(kl), _c_int(ku), _c_int(1), _address(ab),
                      _c_int(2 * kl + ku + 1), _address(ipiv), _address(x), n, info)
-    return ab, ipiv, x, info.value
-
-
-def _check_info(info: int, routine: str, failure: str) -> None:
-    if info > 0:
-        raise np.linalg.LinAlgError(failure)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    _check_info(info.value, "dgbsv", "singular matrix")
+    return x
 
 
 def solve_tridiagonal(dl, d, du, b) -> np.ndarray:

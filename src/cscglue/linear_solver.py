@@ -34,7 +34,7 @@ from .curvature import scalar_curvature  # noqa: F401
 from .errors import NearSingularOperator, NoConvergence, OutOfFloatRange, in_double_range
 from .geometry import ModelGeometry, normal_radius
 from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
-from .lapack import dgttrf, dgttrs, eigenvalues_between
+from .lapack import TridiagonalLU, eigenvalues_between
 # bench/spans.py counts the calls of solve_dirichlet's solver by this name
 from .lapack import solve_tridiagonal as solve_banded
 
@@ -55,8 +55,7 @@ class RadialGrid:
 
     ``h`` is the one mesh width, kept per cell as np.diff(s).  ``W`` are
     per-node orbit volume weights U^{n/2} q^{(n-1)/2} (sqrt(det g) up to
-    one global constant), ``A`` the radial inverse-metric
-    coefficient g^{ss}, ``K_half`` the flux coefficients W*A at
+    one global constant), ``K_half`` the flux coefficients W g^{ss} at
     midpoints, ``V`` dual-cell volumes.  ``cap`` marks the nodes on
     either summand's cap, where the metric is exactly the summand's.
     """
@@ -64,7 +63,6 @@ class RadialGrid:
     s: np.ndarray
     h: np.ndarray
     W: np.ndarray
-    A: np.ndarray
     K_half: np.ndarray
     V: np.ndarray
     cap: np.ndarray
@@ -122,7 +120,7 @@ def _radial_grid(n: int, warp, s, cap) -> RadialGrid:
         return U ** (n / 2.0) * q ** ((n - 1) / 2.0), 1.0 / U
 
     h = np.diff(s)
-    W, A = _on_mirror_pairs(weights, s)
+    W = _on_mirror_pairs(weights, s)[0]
     Wm, Am = _on_mirror_pairs(weights, 0.5 * (s[:-1] + s[1:]))
     V = np.empty_like(W)
     V[1:-1] = W[1:-1] * 0.5 * (h[:-1] + h[1:])
@@ -133,14 +131,14 @@ def _radial_grid(n: int, warp, s, cap) -> RadialGrid:
     W_ends = _on_mirror_pairs(weights, np.concatenate(nodes))[0]
     for i, (s0, s1), Wq in zip((0, -1), ends, np.split(W_ends, 2)):
         V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ Wq)
-    return RadialGrid(s, h, W, A, Wm * Am, V, cap)
+    return RadialGrid(s, h, W, Wm * Am, V, cap)
 
 
 def build_grid(cfg: GluingConfig, resolution: int = 64) -> RadialGrid:
     """The metric of cfg along the global cylindrical coordinate as a RadialGrid.
 
     ``resolution`` counts nodes per unit of the cylindrical coordinate.
-    W and A come from ``cfg.warp``, which covers the caps too, taken at
+    W and K_half come from ``cfg.warp``, which covers the caps too, taken at
     |s|, so the grid is mirror symmetric by construction.  ``cap`` is
     |s| >= t_max, the one seam rule of the grid and its curvature profile.
     """
@@ -174,7 +172,7 @@ def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
 
 
 def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
-    """Toy grid with W = A = 1: the flat 1-D Laplacian with Neumann ends.
+    """Toy grid with W = g^{ss} = 1: the flat 1-D Laplacian with Neumann ends.
 
     It is the radial grid of the constant profile u = q = 1, for any n.
     """
@@ -188,9 +186,10 @@ class DiscreteOperator:
     """Tridiagonal form of (1/W) D(W A D .) + c, self-adjoint under V.
 
     The four arrays are the whole operator.  Its spectral facts and its
-    LU factors are computed from them on first read and kept on the
-    instance, so a copy with other arrays (``dataclasses.replace``)
-    starts with none; the arrays are never changed in place.
+    LU factorization (``lu``) are computed from them on first read and
+    kept on the instance, so a copy with other arrays
+    (``dataclasses.replace``) starts with none; the arrays are never
+    changed in place.
     """
 
     sub: np.ndarray
@@ -232,20 +231,13 @@ class DiscreteOperator:
         return float(min(map(abs, near), default=math.inf))
 
     @cached_property
-    def lu_factors(self) -> tuple:
-        """LAPACK's LU factors (dl, d, du, du2, ipiv) of L, from one ``lapack.dgttrf``.
+    def lu(self) -> TridiagonalLU:
+        """The LU factorization of L, ``lapack.TridiagonalLU``; ``solve`` reuses it.
 
-        Gaussian elimination with partial pivoting in numpy's own LAPACK,
-        the factorization a ``dgtsv`` (``lapack.solve_tridiagonal``) makes
-        on every call; ``solve`` reuses it.  Raises ValueError for a
-        non-finite entry and LinAlgError for an exactly zero pivot, as
-        ``solve_tridiagonal`` does.
+        Raises ValueError for a non-finite entry and LinAlgError for an
+        exactly zero pivot, as ``solve_tridiagonal`` does.
         """
-        arrays = (self.sub, self.diag, self.sup)
-        *factors, info = dgttrf(*map(np.asarray_chkfinite, arrays))
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return tuple(factors)
+        return TridiagonalLU(self.sub, self.diag, self.sup)
 
 
 def assemble_L(grid: RadialGrid, scalar_profile, m: int) -> DiscreteOperator:
@@ -299,17 +291,15 @@ def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     below MIN_ABS_EIG (the numerical symptom of a failed injectivity
     hypothesis), read from ``op.gate_abs_eig``: one Sturm window per
     operator, settled by two Sturm counts when it is empty.  The solve
-    is one LAPACK ``dgttrs`` on ``op.lu_factors``, factored once per
-    operator, and gives the bits one ``dgtsv`` gives (``solve_banded``).
-    Raises ValueError for a non-finite f, and NoConvergence if the
-    relative residual exceeds RESIDUAL_TOL.
+    is ``op.lu.solve(f)``, one LAPACK ``dgttrs`` on the factorization
+    made once per operator, and gives the bits one ``dgtsv`` gives
+    (``solve_banded``).  Raises ValueError for a non-finite f, and
+    NoConvergence if the relative residual exceeds RESIDUAL_TOL.
     """
     if op.gate_abs_eig < MIN_ABS_EIG:
         raise NearSingularOperator(
             f"smallest |eigenvalue| = {op.gate_abs_eig:.3e} < {MIN_ABS_EIG:g}")
-    f = np.asarray_chkfinite(f, dtype=float)
-    x, _ = dgttrs(*op.lu_factors, f)
-    return _residual_checked(op.sub, op.diag, op.sup, f, x)
+    return _residual_checked(op.sub, op.diag, op.sup, f, op.lu.solve(f))
 
 
 def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
@@ -318,8 +308,9 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
 
     One LAPACK ``dgtsv`` (``solve_banded``, from ``lapack.solve_tridiagonal``,
     which solves a copy) on the inner nodes: a window is solved once, so
-    unlike ``solve`` it keeps no factorization.  A one-node window is one
-    division.  Returns the full window vector including the boundary nodes; raises
+    unlike ``solve`` it makes no ``TridiagonalLU``, whose factor and solve
+    would be two LAPACK calls.  A one-node window is one division.  Returns
+    the full window vector including the boundary nodes; raises
     LinAlgError for an exactly zero pivot and NoConvergence as ``solve`` does.
     """
     if i1 - i0 < 2:

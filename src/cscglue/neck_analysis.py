@@ -52,13 +52,18 @@ def loglog_slope(x, y) -> float:
     """Least-squares slope of log y against log x, in closed form from
     centred sums: sum (lx - mean lx)(ly - mean ly) / sum (lx - mean lx)^2.
 
-    NaN below two points and for x with no spread.
+    NaN, without a warning, below two points, for an x or y that is not
+    positive and finite (an exact solution's sup|v| = 0 has no rate) and
+    for x with no spread.
     """
     if len(x) < 2:
         return float("nan")
-    lx, ly = np.log(np.asarray(x, float)), np.log(np.asarray(y, float))
-    if lx.shape != ly.shape:
-        raise ValueError(f"x and y differ in shape: {lx.shape} and {ly.shape}")
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    if x.shape != y.shape:
+        raise ValueError(f"x and y differ in shape: {x.shape} and {y.shape}")
+    if not all(np.all((0.0 < a) & (a < np.inf)) for a in (x, y)):
+        return float("nan")
+    lx, ly = np.log(x), np.log(y)
     if lx.min() == lx.max():
         return float("nan")
     dx = lx - lx.mean()

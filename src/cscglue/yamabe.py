@@ -145,8 +145,11 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     its glued_curvature_profile pair (values, error bar); only the values
     of the pair are read.  Each solve passes ``solve``'s invertibility
     gate, which checks the operator once; the smallest eigenvalue is not
-    computed here but when the report's ``linear`` is read.
+    computed here but when the report's ``linear`` is read.  Raises
+    ValueError for max_iter < 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n, m, delta = cfg.n, cfg.m, cfg.delta
     nu = cfg.nu
     eps = cfg.eps
@@ -269,7 +272,8 @@ class InterpolatingSpline:
     gives the coefficients, those of
     scipy.interpolate.make_interp_spline(s, v, k=5).  The band is packed
     straight into gbsv's Fortran-ordered layout, which ``lapack.dgbsv``
-    checks and factors in place, so nothing is copied on the way.
+    checks and factors in place, so nothing is copied on the way.  A
+    singular collocation matrix raises LinAlgError there.
     """
 
     def __init__(self, s, v):
@@ -296,9 +300,7 @@ class InterpolatingSpline:
         j = ell[edge] - k + np.arange(k + 1)[:, None]
         band = np.abs(edge - j) <= kl
         ab[(2 * kl + edge - j)[band], j[band]] = B[:, edge][band]
-        _, _, self.coef, info = dgbsv(kl, kl, ab, np.asarray_chkfinite(v, dtype=float))
-        if info > 0:
-            raise np.linalg.LinAlgError(f"collocation matrix is singular (gbsv info {info})")
+        self.coef = dgbsv(kl, kl, ab, np.asarray_chkfinite(v, dtype=float))
 
     def jet(self, x) -> Jet:
         """(w, w', w'') of the spline at x in [s[0], s[-1]], as a Jet."""

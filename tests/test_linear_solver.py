@@ -1,4 +1,5 @@
 import _ctypes
+import copy
 import ctypes
 import dataclasses
 import math
@@ -60,10 +61,13 @@ def test_self_adjointness(stack05):
 
 
 def test_neck_radial_coefficient(cfg05, stack05):
+    # the flux coefficient is W g^{ss} = W u^{-4/(n-2)} at the cell midpoints,
+    # with the orbit volume W = u^{2n/(n-2)} q^{(n-1)/2}
     grid, _, _ = stack05
-    inner = np.abs(grid.s) < cfg05.t_max - 1e-9
-    expected = cfg05.u(grid.s[inner]) ** (-4.0 / (cfg05.n - 2))
-    assert np.max(np.abs(grid.A[inner] - expected) / expected) <= 1e-12
+    n = cfg05.n
+    u, q = cfg05.warp(np.abs(0.5 * (grid.s[:-1] + grid.s[1:])))
+    expected = u ** (2.0 * n / (n - 2)) * q ** ((n - 1) / 2.0) * u ** (-4.0 / (n - 2))
+    assert np.max(np.abs(grid.K_half - expected) / expected) <= 1e-12
 
 
 def test_grid_mirror_and_interfaces():
@@ -263,14 +267,14 @@ def test_discrete_maximum_principle(rng):
 
 def test_wrong_banded_answer_is_no_convergence(stack05, monkeypatch):
     # both solves check the residual of the answer LAPACK gives back: solve
-    # gets it from dgttrs, solve_dirichlet from solve_banded; a NaN answer
-    # has a NaN residual, which must fail the check too
+    # gets it from TridiagonalLU.solve, solve_dirichlet from solve_banded; a
+    # NaN answer has a NaN residual, which must fail the check too
     _, _, op = stack05
     f = np.ones(op.size)
-    exact_lu, exact_banded = ls.dgttrs, ls.solve_banded
+    exact_lu, exact_banded = lapack.TridiagonalLU.solve, ls.solve_banded
     for wrong in (lambda x: x * (1.0 + 1e-6), lambda x: np.full_like(x, np.nan)):
-        monkeypatch.setattr(ls, "dgttrs", lambda *a: (lambda x, info: (wrong(x), info))(
-            *exact_lu(*a)))
+        monkeypatch.setattr(lapack.TridiagonalLU, "solve",
+                            lambda self, b: wrong(exact_lu(self, b)))
         monkeypatch.setattr(ls, "solve_banded", lambda *a: wrong(exact_banded(*a)))
         with pytest.raises(NoConvergence):
             ls.solve(op, f)
@@ -321,8 +325,8 @@ def deep_op():
 
 @pytest.mark.parametrize("case", ["stack05", "eps2e-3_res256"])
 def test_factored_solve_equals_solve_banded(case, stack05, deep_op, rng):
-    # one dgttrf per operator and one dgttrs per source give the bits of a
-    # fresh solve_banded((1, 1), ...) per source
+    # one TridiagonalLU per operator and one solve per source give the bits
+    # of a fresh solve_banded((1, 1), ...) per source
     op = stack05[2] if case == "stack05" else deep_op
     for f in (np.ones(op.size), rng.standard_normal(op.size),
               op.apply(np.cos(np.linspace(0.0, 3.0, op.size)))):
@@ -400,43 +404,48 @@ def test_ilaver_tells_the_integer_widths_apart():
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
 @pytest.mark.parametrize("eps, resolution", [(0.16, 16), (0.02, 64), (2e-3, 256), (1e-4, 512)])
 def test_lapack_factors_give_the_bits_of_scipy_linalg_lapack(name, eps, resolution):
-    # scipy.linalg.lapack is the oracle only: dgttrf's factors and pivots
-    # and dgttrs's solution, bit for bit, on the glued operators
+    # scipy.linalg.lapack is the oracle only: TridiagonalLU's factors and
+    # pivots are dgttrf's and its solve is dgttrs's, bit for bit, on the
+    # glued operators
     op = _glued_operator(name, eps, resolution)
-    ours = lapack.dgttrf(op.sub, op.diag, op.sup)
+    lu = lapack.TridiagonalLU(op.sub, op.diag, op.sup)
     theirs = scipy_lapack.dgttrf(op.sub, op.diag, op.sup)
+    ours = lu._factors
     assert [a.tobytes() for a in ours[:4]] == [a.tobytes() for a in theirs[:4]]
-    assert np.array_equal(ours[4], theirs[4]) and ours[5] == theirs[5] == 0
+    assert np.array_equal(ours[4], theirs[4]) and theirs[5] == 0
     f = op.apply(np.cos(np.linspace(0.0, 3.0, op.size)))
-    x, info = lapack.dgttrs(*ours[:5], f)
     y, scipy_info = scipy_lapack.dgttrs(*theirs[:5], f)
-    assert x.tobytes() == y.tobytes() and info == scipy_info == 0
-    for a in ours[:5]:  # read-only factors take the other address path
+    assert lu.solve(f).tobytes() == y.tobytes() and scipy_info == 0
+    for a in ours:  # read-only factors take the other address path
         a.flags.writeable = False
-    assert lapack.dgttrs(*ours[:5], f)[0].tobytes() == y.tobytes()
+    assert lu.solve(f).tobytes() == y.tobytes()
 
 
 def test_lapack_refuses_wrong_arrays_before_any_call(stack05, monkeypatch):
-    # ctypes checks nothing LAPACK reads or writes: a wrong length, dtype
-    # or memory order must be a ValueError before any routine is called
+    # ctypes checks nothing LAPACK reads or writes: a wrong length, a
+    # non-finite entry, or a band of the wrong dtype or memory order must be
+    # a ValueError before any routine is called; TridiagonalLU copies its
+    # vectors, so their dtype and order are its own
+    _, _, op = stack05
+    dl, d, du, n = op.sub, op.diag, op.sup, op.size
+    lu = lapack.TridiagonalLU(dl, d, du)
     called = []
     monkeypatch.setattr(lapack, "_lapack", {r: lambda *a, r=r: called.append(r)
                                             for r in ("dgttrf", "dgttrs", "dgbsv")})
-    _, _, op = stack05
-    dl, d, du, n = op.sub, op.diag, op.sup, op.size
-    du2, ipiv = np.zeros(n - 2), np.zeros(n, dtype=lapack._INT)
-    other_int = np.int32 if lapack._INT == np.int64 else np.int64
     ab, b = np.zeros((13, n), order="F"), np.ones(n)
     readonly = ab.copy(order="F")
     readonly.flags.writeable = False
-    for call in (lambda: lapack.dgttrf(dl[1:], d, du),
-                 lambda: lapack.dgttrf(dl, d.astype(np.float32), du),
-                 lambda: lapack.dgttrf(dl, d, np.r_[du, du][::2]),
-                 lambda: lapack.dgttrf(list(dl), d, du),
-                 lambda: lapack.dgttrs(dl, d, du, du2[1:], ipiv, b),
-                 lambda: lapack.dgttrs(dl, d, du, du2, ipiv.astype(other_int), b),
-                 lambda: lapack.dgttrs(dl, d, du, du2, ipiv, b[1:]),
-                 lambda: lapack.dgttrs(dl, d, du, du2, ipiv, np.r_[b, b][::2]),
+    for call in (lambda: lapack.TridiagonalLU(dl[1:], d, du),
+                 lambda: lapack.TridiagonalLU(dl, d, du[1:]),
+                 lambda: lapack.TridiagonalLU(dl, d[1:], du),
+                 lambda: lapack.TridiagonalLU(dl, d[None, :], du),
+                 lambda: lapack.TridiagonalLU(dl, np.r_[np.nan, d[1:]], du),
+                 lambda: lapack.TridiagonalLU(dl, d, np.r_[du[:-1], np.inf]),
+                 lambda: lu.solve(b[1:]),
+                 lambda: lu.solve(np.r_[b, b]),
+                 lambda: lu.solve(b[:, None]),
+                 lambda: lu.solve(np.r_[b[:-1], np.nan]),
+                 lambda: lu.solve(np.r_[-np.inf, b[1:]]),
                  lambda: lapack.dgbsv(4, 4, np.ascontiguousarray(ab), b),
                  lambda: lapack.dgbsv(4, 4, ab[1:], b),
                  lambda: lapack.dgbsv(4, 4, ab, b[1:]),
@@ -446,6 +455,32 @@ def test_lapack_refuses_wrong_arrays_before_any_call(stack05, monkeypatch):
         with pytest.raises(ValueError):
             call()
     assert called == []
+
+
+def test_zero_pivot_is_a_linalg_error(stack05):
+    # LAPACK's info > 0, an exactly zero pivot, raised where it is read
+    _, _, op = stack05
+    with pytest.raises(np.linalg.LinAlgError):  # a first column of zeros
+        lapack.TridiagonalLU(np.r_[0.0, op.sub[1:]], np.r_[0.0, op.diag[1:]], op.sup)
+    kl = ku = 1
+    ab = np.zeros((2 * kl + ku + 1, 5), order="F")
+    ab[kl + ku] = [1.0, 2.0, 0.0, 3.0, 4.0]  # diagonal with a zero, nothing off it
+    with pytest.raises(np.linalg.LinAlgError):
+        lapack.dgbsv(kl, ku, ab, np.ones(5))
+
+
+def test_a_copied_operator_solves_with_its_own_factors(rng):
+    # the factors' addresses are read from the instance's own arrays on each
+    # solve: a deep copy made after the first solve must not reach the
+    # original's, here spoiled and then freed
+    op = _glued_operator("torus2_x_sphere3", 0.02, 64)
+    f = rng.standard_normal(op.size)
+    x = ls.solve(op, f)
+    twin = copy.deepcopy(op)
+    for a in op.lu._factors:
+        a.fill(np.nan if a.dtype.kind == "f" else 0)
+    del op
+    assert ls.solve(twin, f).tobytes() == x.tobytes()
 
 
 def test_one_node_dirichlet_window(stack05):
@@ -467,19 +502,20 @@ def test_one_node_dirichlet_window(stack05):
 
 
 def test_one_factorization_per_operator_in_convergence_sweep(model_a, monkeypatch):
-    calls = {"dgttrf": 0, "dgttrs": 0}
+    # one TridiagonalLU per row and one of its solves per Picard iteration
+    calls = {"__init__": 0, "solve": 0}
     for name in calls:
-        real = getattr(ls, name)
+        real = getattr(lapack.TridiagonalLU, name)
 
-        def counting(*a, real=real, name=name):
+        def counting(self, *a, real=real, name=name):
             calls[name] += 1
-            return real(*a)
-        monkeypatch.setattr(ls, name, counting)
+            return real(self, *a)
+        monkeypatch.setattr(lapack.TridiagonalLU, name, counting)
     cfgs = {e: gluing.GluingConfig(model_a, model_a, eps=e) for e in (0.04, 0.02, 0.01)}
     table = yamabe.convergence_sweep(cfgs.__getitem__, list(cfgs))
     assert not any(r.error for r in table.rows)
-    assert calls == {"dgttrf": len(table.rows),
-                     "dgttrs": sum(r.iters for r in table.rows)}
+    assert calls == {"__init__": len(table.rows),
+                     "solve": sum(r.iters for r in table.rows)}
 
 
 def test_grid_and_profile_evaluate_each_mirror_pair_once(monkeypatch):

@@ -35,6 +35,15 @@ def test_loglog_slope_is_nan_without_two_distinct_x(x, y):
     assert math.isnan(na.loglog_slope(x, y))
 
 
+@pytest.mark.parametrize("x, y", [([0.1, 0.2], [1.0, -1.0]), ([0.1, 0.2], [0.0, 0.0]),
+                                  ([0.0, 0.2], [1.0, 2.0]), ([0.1, 0.2], [1.0, np.inf]),
+                                  ([np.nan, 0.2], [1.0, 2.0])],
+                         ids=["negative-y", "zero-y", "zero-x", "inf-y", "nan-x"])
+def test_loglog_slope_is_nan_on_data_that_is_not_positive(x, y):
+    # no log, no line: NaN without a RuntimeWarning from np.log
+    assert math.isnan(na.loglog_slope(x, y))
+
+
 def test_deviation_profile_structure(cfg05):
     prof = na.deviation_profile(cfg05)
     T = cfg05.t_max

@@ -328,7 +328,7 @@ def _coef_by_masked_scatter(s, v):
     band = np.abs(i - j) <= kl
     ab = np.zeros((3 * kl + 1, n), order="F")
     ab[(2 * kl + i - j)[band], j[band]] = B[band]
-    return lapack.dgbsv(kl, kl, ab, v)[2]
+    return lapack.dgbsv(kl, kl, ab, v)
 
 
 def test_spline_band_packing_keeps_every_bit(rng):
@@ -346,23 +346,22 @@ def test_spline_band_packing_keeps_every_bit(rng):
 @pytest.mark.parametrize("eps, resolution", [(0.16, 16), (0.02, 64), (2e-3, 256), (1e-4, 512)])
 def test_spline_solve_gives_the_bits_of_scipy_dgbsv(name, eps, resolution, monkeypatch):
     # scipy.linalg.lapack is the oracle only: the spline's band factored in
-    # place, its pivots and its coefficients, bit for bit; scipy's wrapper
-    # counts the pivots from 0, LAPACK from 1
+    # place and its coefficients, bit for bit
     from scipy.linalg import lapack as scipy_lapack
     calls = []
 
     def recording(kl, ku, ab, b):
         calls.append((kl, ku, ab.copy(order="F"), b.copy()))
-        calls.append(lapack.dgbsv(kl, ku, ab, b))
-        return calls[-1]
+        calls.append((ab, lapack.dgbsv(kl, ku, ab, b)))
+        return calls[-1][1]
     monkeypatch.setattr(yamabe, "dgbsv", recording)
     model = geometry.make_model(name)
     s = linear_solver.build_grid(gluing.GluingConfig(model, model, eps=eps), resolution).s
-    yamabe.InterpolatingSpline(s, np.cos(s))
-    (kl, ku, ab, b), ours = calls
+    spline = yamabe.InterpolatingSpline(s, np.cos(s))
+    (kl, ku, ab, b), (factored, x) = calls
     theirs = scipy_lapack.dgbsv(kl, ku, ab, b)
-    assert ours[0].tobytes() == theirs[0].tobytes() and ours[2].tobytes() == theirs[2].tobytes()
-    assert np.array_equal(ours[1] - 1, theirs[1]) and ours[3] == theirs[3] == 0
+    assert factored.tobytes() == theirs[0].tobytes() and x.tobytes() == theirs[2].tobytes()
+    assert spline.coef is x and theirs[3] == 0
 
 
 def test_sweep_records_an_unconverged_solve_as_an_error_row(model_a):
@@ -377,3 +376,23 @@ def test_sweep_records_an_unconverged_solve_as_an_error_row(model_a):
         assert row.iters == 0 and math.isnan(row.sup_v)
     assert math.isnan(table.slope)
     assert not any(r.error for r in yamabe.convergence_sweep(cfgs.__getitem__, list(cfgs)).rows)
+
+
+def test_max_iter_below_one_is_refused_by_name(model_a):
+    # a ValueError naming the parameter, from the solve and from the sweep,
+    # in place of max() on an empty history
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.05)
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        yamabe.picard_solve(cfg, max_iter=0)
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got -1"):
+        yamabe.convergence_sweep(lambda e: cfg, [0.05], max_iter=-1)
+
+
+def test_sweep_of_an_exact_solution_has_a_nan_rate(model_flat):
+    # v = 0 at every eps: sup_v is 0, which has no log, so the slope is NaN
+    # with no RuntimeWarning (an error under the suite's filterwarnings)
+    table = yamabe.convergence_sweep(
+        lambda e: gluing.SyntheticExactConfig(model_flat, model_flat, eps=e), [0.05, 0.02])
+    assert [r.sup_v for r in table.rows] == [0.0, 0.0]
+    assert not any(r.error for r in table.rows)
+    assert math.isnan(table.slope) and all(math.isnan(r.slope_so_far) for r in table.rows)
