@@ -13,6 +13,7 @@ from cscglue import (
     SyntheticExactConfig,
     make_model,
     picard_solve,
+    smallness_ball,
     verify_constant_curvature,
 )
 
@@ -25,9 +26,8 @@ print(f"  sup|v|                  = {rep.v.sup():.5f}")
 print(f"  fixed-point residual    = {rep.residual:.2e}")
 print(f"  mirror defect           = {rep.mirror_defect:.2e}")
 print(f"  contraction factor      = {rep.contraction:.3f}")
-print(f"  fitted constants: C' = {rep.C_prime:.3f}, C''' = {rep.C_third:.3f}")
-print(f"  ball radius r_eps       = {rep.r_eps:.4f} "
-      f"(iterates stay inside min(1/2, r_eps))")
+print(f"  smallness ball radius   = {smallness_ball(cfg):.4f} "
+      f"(every iterate stays inside it)")
 
 chk = verify_constant_curvature(rep, cfg)
 print(f"\nscalar curvature after the conformal correction:")

@@ -6,7 +6,7 @@ and its restriction to the caps decreases, i.e. the corrected metrics
 approach the summands away from the gluing locus.
 
 The sweep is also honest about the other end: at eps = 0.08 and 0.16
-the nonlinear solution leaves the smallness regime sup|v| <= 1/2 (the
+a Picard iterate leaves the smallness ball of ``smallness_ball`` (the
 cutoff transition bands inject order-one curvature errors near the
 seams, and at eps = 0.16 they collide with the blending band), so those
 rows record a divergence instead of numbers.  See the README for how

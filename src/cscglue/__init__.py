@@ -75,6 +75,7 @@ from .yamabe import (
     YamabeConstants,
     convergence_sweep,
     picard_solve,
+    smallness_ball,
     verify_constant_curvature,
 )
 

@@ -60,7 +60,7 @@ CHECK_BOUNDS = {
     "summand_gap_match": ("<=", 1e-2, "analytic-spectrum"),
     "solve_iterations": ("<=", 30, "fixed-threshold"),
     "solve_residual": ("<=", 1e-10, "fixed-threshold"),
-    "ball_containment": ("<=", 1.0, "fitted-radius"),
+    "ball_containment": ("<=", 1.0, "smallness-ball"),
     "mirror_defect": ("<=", 1e-10, "fixed-threshold"),
     "constancy": ("<=", 1.0, "relative-improvement"),
     "sweep_slope": (">=", 0.2, "rate-exponent"),
@@ -133,6 +133,9 @@ class RunConfig:
             raise ConfigError(f"{key}: bad value {raw!r}") from exc
         if not out:
             raise ConfigError(f"{key}: empty list")
+        repeated = [x for i, x in enumerate(out) if x in out[:i]]
+        if repeated:
+            raise ConfigError(f"{key}: {repeated[0]!r} is listed more than once")
         return out
 
     def eps_list(self) -> list:
@@ -388,21 +391,20 @@ def cmd_solve(cfg: RunConfig, out: Path) -> tuple[Checks, dict]:
         gcfg, resolution=int(cfg["grid.resolution"]),
         tol=float(cfg["solver.tol"]), max_iter=int(cfg["yamabe.max_iter"]))
     chk = yamabe.verify_constant_curvature(rep, gcfg)
-    row = yamabe.SweepRow(eps, gcfg.delta, rep.v.sup(), rep.r_eps,
-                          rep.v.cap_sup(), rep.iterations, rep.residual,
-                          rep.pre_dev, chk.post_dev, float("nan"))
+    row = yamabe.SweepRow(eps, gcfg.delta, rep.v.sup(), rep.v.cap_sup(),
+                          rep.iterations, rep.residual, rep.pre_dev,
+                          chk.post_dev, float("nan"))
     _write_sweep_table([row], out)
     checks.add("rows_converged", 1.0 if rep.converged else 0.0, "rows_converged")
     checks.add("solve_iterations", rep.iterations, "solve_iterations")
     checks.add("solve_residual", rep.residual, "solve_residual")
-    checks.add("ball_containment", rep.v.sup() / min(0.5, rep.r_eps),
-               "ball_containment")
+    ball = yamabe.smallness_ball(gcfg)
+    checks.add("ball_containment", rep.v.sup() / ball, "ball_containment")
     checks.add("mirror_defect", rep.mirror_defect, "mirror_defect")
     floor = max(10.0 * chk.fd_err, chk.pre_dev / 50.0)
     checks.add("constancy", chk.post_dev / floor, "constancy")
     return checks, {
-        "C_prime": rep.C_prime, "C_third": rep.C_third, "r_eps": rep.r_eps,
-        "contraction": rep.contraction,
+        "ball": ball, "contraction": rep.contraction,
         "min_abs_eig": rep.linear.min_abs_eig,
         "post_dev": chk.post_dev, "fd_floor": chk.fd_err,
     }

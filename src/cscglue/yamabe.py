@@ -25,7 +25,7 @@ import numpy as np
 from .curvature import conformal_scalar, scalar_curvature  # noqa: F401
 from .errors import (ConfigError, DeltaOutOfRange, GlueError, IterateOutOfBall,
                      IterationDiverged, NoConvergence)
-from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
+from .gluing import GluingConfig, Jet, glued_metric  # noqa: F401
 from .lapack import dgbsv
 from .neck_analysis import loglog_slope
 from .linear_solver import (
@@ -92,10 +92,24 @@ class RadialProfile:
         return float(np.max(np.abs(self.values)))
 
 
+def smallness_ball(cfg: GluingConfig) -> float:
+    """Radius of the ball around v = 0 that every Picard iterate must stay in.
+
+    min(1/2, b) with b^2 = eps^{n-2} + eps^{1+nu-delta} and nu = (n-2)/2:
+    r <= b is the fixed-point bound 2 r^2 <= eps^{nu-delta} (eps^{nu+delta}
+    + eps) + r^2, whose source terms eps^{nu+delta} + eps and quadratic
+    remainder r^2 are the paper's.  1/2 is the smallness regime of F_eps.
+    """
+    b2 = cfg.eps ** (cfg.n - 2.0) + cfg.eps ** (1.0 + cfg.nu - cfg.delta)
+    return min(0.5, math.sqrt(b2))
+
+
 @dataclass
 class FixedPointReport:
     """History and certificates of one Picard solve.
 
+    ``sup_history`` holds sup|v| of each iterate, all inside
+    smallness_ball(cfg), and ``increments`` sup|v_{j+1} - v_j|.
     ``operator`` is the L the iterates were solved with.  ``linear``, its
     smallest eigenvalue, is computed when first read and cached on the
     operator: the solve needs only invertibility, which its gate checked.
@@ -105,9 +119,6 @@ class FixedPointReport:
     increments: list
     v: RadialProfile
     residual: float
-    r_eps: float
-    C_prime: float
-    C_third: float
     converged: bool
     mirror_defect: float
     contraction: float
@@ -128,47 +139,28 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
                  profile=None) -> FixedPointReport:
     """Iterate v <- L^{-1} F(v) from v = 0 until sup|v_{j+1} - v_j| <= tol.
 
-    The fixed-point radius r_eps = eps^{(n-2)/2 - delta} / (2 C''') uses
-    the empirically fitted ball constant
-
-        C''' = max_j sup|v_{j+1}| / (eps^{(n-2)/2+delta} + eps
-                                     + eps^{delta-(n-2)/2} r_run^2),
-
-    with r_run the largest observed iterate norm: the source inequality
-    it instantiates is quantified over a ball, so the quadratic slack
-    term carries the ball radius.  C', the weighted source bound over
-    eps^{n-2} + eps^{n/2-delta}, is recorded too (C'' = 1: the exponent
-    juggling is sharp for these weights).  Iterates must stay inside
-    min(1/2, r_eps); leaving the ball raises IterationDiverged, a
-    reportable outcome rather than undefined behavior.  ``grid`` and
-    ``profile`` let a caller that already built them reuse its grid and
-    its glued_curvature_profile pair (values, error bar); only the values
-    of the pair are read.  Each solve passes ``solve``'s invertibility
-    gate, which checks the operator once; the smallest eigenvalue is not
-    computed here but when the report's ``linear`` is read.  Raises
-    ValueError for max_iter < 1.
+    Every iterate must stay inside the ball of radius smallness_ball(cfg):
+    the first one outside raises IterationDiverged, naming its sup|v| and
+    the radius, a reportable outcome rather than undefined behavior.
+    ``grid`` and ``profile`` let a caller that already built them reuse
+    its grid and its glued_curvature_profile pair (values, error bar);
+    only the values of the pair are read.  Each solve passes ``solve``'s
+    invertibility gate, which checks the operator once; the smallest
+    eigenvalue is not computed here but when the report's ``linear`` is
+    read.  Raises ValueError for max_iter < 1.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    n, m, delta = cfg.n, cfg.m, cfg.delta
-    nu = cfg.nu
-    eps = cfg.eps
-    consts = YamabeConstants(m)
+    consts = YamabeConstants(cfg.m)
     if grid is None:
         grid = build_grid(cfg, resolution)
+    ball = smallness_ball(cfg)
     profile, _ = (glued_curvature_profile(cfg, grid) if profile is None
                   else profile)
-    op = assemble_L(grid, profile, m)
+    op = assemble_L(grid, profile, cfg.m)
 
     S = cfg.S
     s_dev = S - profile
-    psi = psi_of_t(grid.s, cfg)
-    w_hi = psi ** ((n + 2) / 2.0 - delta)
-
-    f0 = F_eps(np.zeros(grid.size), s_dev, consts, S)
-    src_scale = eps ** (n - 2.0) + eps ** (n / 2.0 - delta)
-    C_prime = float(np.max(w_hi * np.abs(f0))) / src_scale
-
     v = np.zeros(grid.size)
     sup_history = []
     diffs = []
@@ -177,24 +169,16 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
         v_new = solve(op, F_eps(v, s_dev, consts, S))
         d = float(np.max(np.abs(v_new - v)))
         sup = float(np.max(np.abs(v_new)))
-        if sup > 0.5:
+        if sup > ball:
             raise IterationDiverged(
-                f"iterate sup|v| = {sup:.3e} exceeds the smallness bound 1/2")
+                f"iterate sup|v| = {sup:.3e} leaves the smallness ball of "
+                f"radius {ball:.3e}")
         sup_history.append(sup)
         diffs.append(d)
         v = v_new
         if d <= tol:
             converged = True
             break
-    r_run = max(sup_history)
-    slack = eps ** (nu + delta) + eps + eps ** (delta - nu) * r_run**2
-    C_third = r_run / slack
-    # a vanishing source (an exact solution) leaves the ball unbounded
-    r_eps = eps ** (nu - delta) / (2.0 * C_third) if C_third > 0 else float("inf")
-    if r_run > min(0.5, r_eps):
-        raise IterationDiverged(
-            f"iterates reached sup|v| = {r_run:.3e}, outside the fixed-point "
-            f"ball min(1/2, r_eps) = {min(0.5, r_eps):.3e}")
     residual = float(np.max(np.abs(op.apply(v) - F_eps(v, s_dev, consts, S))))
     mirror = float(np.max(np.abs(v - v[::-1])))
     # np.median of the ratios, without the numpy.ma import it makes on first use
@@ -204,10 +188,8 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
                    else r[h] if len(r) % 2 else (r[h - 1] + r[h]) / 2)
     return FixedPointReport(
         sup_history=sup_history, increments=diffs,
-        v=RadialProfile(grid, v), residual=residual, r_eps=r_eps,
-        C_prime=C_prime, C_third=C_third,
-        converged=converged, mirror_defect=mirror,
-        contraction=contraction,
+        v=RadialProfile(grid, v), residual=residual, converged=converged,
+        mirror_defect=mirror, contraction=contraction,
         pre_dev=float(np.max(np.abs(s_dev))), operator=op,
     )
 
@@ -371,7 +353,6 @@ class SweepRow:
     eps: float
     delta: float
     sup_v: float
-    r_eps: float
     cap_sup_v: float
     iters: int
     residual: float
@@ -398,9 +379,12 @@ def convergence_sweep(make_cfg, eps_list, delta: float | None = None,
     carry the same delta, which ``delta`` (by default the configs' own)
     repeats.  Requires max(0, (n-4)/2) < delta < (n-2)/2.  A run that fails with a
     GlueError is recorded in its row and the sweep continues; so is a solve
-    that stops at ``max_iter`` unconverged, as NoConvergence.
+    that stops at ``max_iter`` unconverged, as NoConvergence.  Raises
+    ValueError for an empty eps_list.
     """
     eps_sorted = sorted(eps_list, reverse=True)
+    if not eps_sorted:
+        raise ValueError("eps_list must hold at least one eps")
     cfgs = [make_cfg(eps) for eps in eps_sorted]
     delta = cfgs[0].delta if delta is None else delta
     n = cfgs[0].n
@@ -424,14 +408,14 @@ def convergence_sweep(make_cfg, eps_list, delta: float | None = None,
                     f"increment {rep.increments[-1]:.3e} above tol {tol:g}")
             post_dev = verify_constant_curvature(rep, cfg).post_dev
         except GlueError as exc:  # recorded per row, sweep continues
-            rows.append(SweepRow(eps, delta, *([float("nan")] * 3),
+            rows.append(SweepRow(eps, delta, *([float("nan")] * 2),
                                  0, *([float("nan")] * 4),
                                  error=f"{type(exc).__name__}: {exc}"))
             continue
         eps_done.append(eps)
         sup_done.append(rep.v.sup())
         rows.append(SweepRow(
-            eps, delta, rep.v.sup(), rep.r_eps, rep.v.cap_sup(),
+            eps, delta, rep.v.sup(), rep.v.cap_sup(),
             rep.iterations, rep.residual, rep.pre_dev, post_dev,
             loglog_slope(eps_done, sup_done)))
     return SweepTable(rows, delta, loglog_slope(eps_done, sup_done))

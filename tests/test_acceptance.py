@@ -191,14 +191,14 @@ def test_criterion_07_global_estimate_uniform(spectrum_sweep):
     assert spread <= 10.0
 
 
-def test_criterion_08_fixed_point(solve05):
+def test_criterion_08_fixed_point(solve05, model):
     rep, _ = solve05
-    ball = min(0.5, rep.r_eps)
+    ball = yamabe.smallness_ball(_cfg(model, 0.05))
     ok = (rep.converged and rep.iterations <= 30 and rep.residual <= 1e-10
           and max(rep.sup_history) <= ball and rep.mirror_defect <= 1e-10)
     _line(8, ok, f"iters = {rep.iterations} <= 30, residual = "
                  f"{rep.residual:.2e} <= 1e-10, sup|v| = {rep.v.sup():.4f} <= "
-                 f"min(1/2, r_eps = {rep.r_eps:.4f}), mirror = "
+                 f"smallness ball {ball:.4f}, mirror = "
                  f"{rep.mirror_defect:.2e}")
     assert rep.converged
     assert rep.iterations <= 30

@@ -419,6 +419,20 @@ def test_sweep_runs_with_scipy_refused(tmp_path):
     assert (tmp_path / "run.json").is_file()
 
 
+@pytest.mark.parametrize("subcommand, item, message", [
+    ("sweep", "gluing.epsilon=0.02,0.04,2e-2", "gluing.epsilon: 0.02 is listed more than once"),
+    ("barrier", "gluing.delta=0.3,0,0.3", "gluing.delta: 0.3 is listed more than once"),
+], ids=["epsilon", "delta"])
+def test_a_repeated_list_value_is_a_configuration_error(tmp_path, capsys, subcommand,
+                                                        item, message):
+    # solving one eps twice would report a NaN sweep_slope and a failed
+    # cap_monotone as if they were properties of the construction
+    out = tmp_path / "o"
+    assert cli.main([subcommand, "--set", item, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_with_an_unconverged_solve_fails_rows_converged(tmp_path):
     # three Picard steps leave the eps 0.05 solve short of tol: the row is
     # an error row, so rows_converged fails and the sweep exits 1

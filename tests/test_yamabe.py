@@ -1,11 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
 from cscglue import (curvature, geometry, gluing, lapack, linear_solver, neck_analysis,
                      yamabe)
-from cscglue.errors import ConfigError, DeltaOutOfRange, IterateOutOfBall
+from cscglue.errors import ConfigError, DeltaOutOfRange, IterateOutOfBall, IterationDiverged
 
 
 def test_constants_dimension_five():
@@ -43,14 +44,14 @@ def test_F_eps_smallness_regime():
         yamabe.F_eps(np.array([0.6]), np.zeros(1), consts, 6.0)
 
 
-def test_picard_convergence_certificates(report05):
+def test_picard_convergence_certificates(cfg05, report05):
     rep = report05
     assert rep.converged
     assert rep.iterations <= 30
     assert rep.residual <= 1e-10
     assert rep.residual <= 10 * 1e-11  # residual identity at default tol
     assert rep.mirror_defect <= 1e-10
-    assert rep.v.sup() <= min(0.5, rep.r_eps)
+    assert rep.v.sup() <= yamabe.smallness_ball(cfg05)
     # increments eventually decrease monotonically
     inc = rep.increments
     assert all(a > b for a, b in zip(inc[1:-1], inc[2:]))
@@ -193,7 +194,7 @@ def test_picard_second_model(model_b):
     cfg = gluing.GluingConfig(model_b, model_b, eps=0.02)
     rep = yamabe.picard_solve(cfg)
     assert rep.converged
-    assert rep.v.sup() <= min(0.5, rep.r_eps)
+    assert rep.v.sup() <= yamabe.smallness_ball(cfg)
     assert rep.mirror_defect <= 1e-10
     chk = yamabe.verify_constant_curvature(rep, cfg)
     assert chk.post_dev <= chk.pre_dev / 50.0
@@ -386,6 +387,58 @@ def test_max_iter_below_one_is_refused_by_name(model_a):
         yamabe.picard_solve(cfg, max_iter=0)
     with pytest.raises(ValueError, match="max_iter must be >= 1, got -1"):
         yamabe.convergence_sweep(lambda e: cfg, [0.05], max_iter=-1)
+
+
+def test_sweep_of_no_eps_is_refused_by_name(model_a):
+    # a ValueError naming the parameter, in place of an IndexError on cfgs[0]
+    with pytest.raises(ValueError, match="eps_list"):
+        yamabe.convergence_sweep(lambda e: gluing.GluingConfig(model_a, model_a, eps=e), [])
+
+
+def _fitted_ball_verdict(eps, n, delta, r_run):
+    """The fitted test the ball replaced: r_run <= min(1/2, r_eps), with
+
+    r_eps = eps^{nu-delta} / (2 C) and the constant C = r_run / (eps^{nu+delta}
+    + eps + eps^{delta-nu} r_run^2) fitted from the largest iterate r_run.
+    """
+    nu = (n - 2) / 2
+    C = r_run / (eps ** (nu + delta) + eps + eps ** (delta - nu) * r_run**2)
+    return r_run <= min(0.5, eps ** (nu - delta) / (2.0 * C))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_smallness_ball_gives_the_fitted_verdict(n):
+    # the fitted constant cancels: r_run <= r_eps exactly when r_run^2 <=
+    # eps^{n-2} + eps^{1+nu-delta}, so the two tests agree off the boundary
+    lo, hi = max(0.0, (n - 4) / 2), (n - 2) / 2
+    verdicts = set()
+    for eps in np.geomspace(1e-4, 0.16, 25):
+        for delta in np.linspace(lo, hi, 7)[1:-1]:
+            cfg = types.SimpleNamespace(eps=eps, n=n, nu=(n - 2) / 2, delta=delta)
+            ball = yamabe.smallness_ball(cfg)
+            for r_run in np.linspace(0.5, 0.0, 64, endpoint=False):
+                if abs(r_run - ball) <= 1e-12 * ball:
+                    continue
+                verdict = bool(r_run <= ball)
+                assert verdict == _fitted_ball_verdict(eps, n, delta, r_run), (eps, delta, r_run)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name, eps, sup, ball", [
+    ("sphere2_x_sphere3", 0.045, "2.915e-01", "2.631e-01"),
+    ("torus2_x_sphere3", 0.08, "3.847e-01", "3.582e-01"),
+])
+def test_picard_stops_at_the_first_iterate_outside_the_ball(name, eps, sup, ball):
+    # a diverging solve stops at its first iterate outside the ball and
+    # names that iterate's sup|v| with the radius
+    model = geometry.make_model(name)
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    assert f"{yamabe.smallness_ball(cfg):.3e}" == ball
+    with pytest.raises(IterationDiverged) as exc:
+        yamabe.picard_solve(cfg)
+    assert str(exc.value) == (f"iterate sup|v| = {sup} leaves the smallness ball "
+                              f"of radius {ball}")
 
 
 def test_sweep_of_an_exact_solution_has_a_nan_rate(model_flat):
