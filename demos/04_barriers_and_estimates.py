@@ -44,6 +44,6 @@ for eps in (0.02, 0.05, 0.16):
 print("\nglobal estimate constant with the conformal source:")
 for eps in (0.02, 0.04, 0.08, 0.16):
     cfg = GluingConfig(A, A, eps=eps)
-    rep = global_estimate_ratio(cfg)
+    rep = global_estimate_ratio(cfg, resolution=64)
     print(f"  eps = {eps:5.2f}: ratio = {rep.ratio:.4f}  "
           f"(smallest |eigenvalue| {abs(rep.min_abs_eig):.4f})")

@@ -39,5 +39,5 @@ print(f"  its rounding error bar                = {chk.fd_err:.1e}")
 # identically and the solve returns zero
 F = make_model("sphere2_x_ball3")
 cfgF = SyntheticExactConfig(F, F, eps=0.05)
-repF = picard_solve(cfgF)
+repF = picard_solve(cfgF, resolution=64)
 print(f"\nflat-normal fixture: sup|v| = {repF.v.sup():.2e} (exact solution is 0)")

@@ -42,7 +42,6 @@ from .gluing import (
 from .linear_solver import (
     DiscreteOperator,
     RadialGrid,
-    SolveReport,
     assemble_L,
     build_flat_grid,
     build_grid,
@@ -72,7 +71,6 @@ from .yamabe import (
     RadialProfile,
     SweepRow,
     SweepTable,
-    YamabeConstants,
     convergence_sweep,
     picard_solve,
     smallness_ball,

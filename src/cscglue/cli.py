@@ -109,7 +109,7 @@ class RunConfig:
     values: dict = field(default_factory=dict)
 
     @classmethod
-    def load(cls, path: str | None, overrides=()) -> "RunConfig":
+    def load(cls, path: str | None, overrides) -> "RunConfig":
         values = dict(DEFAULTS)
         if path is not None:
             text = Path(path).read_text(encoding="utf-8")
@@ -405,7 +405,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> tuple[Checks, dict]:
     checks.add("constancy", chk.post_dev / floor, "constancy")
     return checks, {
         "ball": ball, "contraction": rep.contraction,
-        "min_abs_eig": rep.linear.min_abs_eig,
+        "min_abs_eig": rep.operator.min_abs_eig,
         "post_dev": chk.post_dev, "fd_floor": chk.fd_err,
     }
 

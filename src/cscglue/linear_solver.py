@@ -134,7 +134,7 @@ def _radial_grid(n: int, warp, s, cap) -> RadialGrid:
     return RadialGrid(s, h, W, Wm * Am, V, cap)
 
 
-def build_grid(cfg: GluingConfig, resolution: int = 64) -> RadialGrid:
+def build_grid(cfg: GluingConfig, resolution: int) -> RadialGrid:
     """The metric of cfg along the global cylindrical coordinate as a RadialGrid.
 
     ``resolution`` counts nodes per unit of the cylindrical coordinate.
@@ -159,7 +159,7 @@ def build_grid(cfg: GluingConfig, resolution: int = 64) -> RadialGrid:
     return grid
 
 
-def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
+def build_grid_single(model: ModelGeometry, resolution: int) -> RadialGrid:
     """Sanity-mode grid on one summand alone: radial coordinate r on (0, r_max).
 
     Used for discrete-versus-analytic spectrum checks; the summand is
@@ -171,7 +171,7 @@ def build_grid_single(model: ModelGeometry, resolution: int = 64) -> RadialGrid:
     return _radial_grid(model.n, warp, r, np.zeros(r.size, dtype=bool))
 
 
-def build_flat_grid(length: float, resolution: int = 64) -> RadialGrid:
+def build_flat_grid(length: float, resolution: int) -> RadialGrid:
     """Toy grid with W = g^{ss} = 1: the flat 1-D Laplacian with Neumann ends.
 
     It is the radial grid of the constant profile u = q = 1, for any n.
@@ -310,9 +310,13 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
     which solves a copy) on the inner nodes: a window is solved once, so
     unlike ``solve`` it makes no ``TridiagonalLU``, whose factor and solve
     would be two LAPACK calls.  A one-node window is one division.  Returns
-    the full window vector including the boundary nodes; raises
-    LinAlgError for an exactly zero pivot and NoConvergence as ``solve`` does.
+    the full window vector including the boundary nodes.  Raises
+    ValueError unless 0 <= i0, i1 <= N - 1 and i1 - i0 >= 2, LinAlgError
+    for an exactly zero pivot and NoConvergence as ``solve`` does.
     """
+    if not (0 <= i0 and i1 <= op.size - 1):
+        raise ValueError(f"window i0 = {i0}, i1 = {i1} leaves the grid of "
+                         f"{op.size} nodes (0 <= i0 and i1 <= {op.size - 1})")
     if i1 - i0 < 2:
         raise ValueError("window too small")
     sub = op.sub[i0:i1]
@@ -364,18 +368,6 @@ def smallest_eigenvalue(op: DiscreteOperator) -> float:
         if vals.size or r > bound:
             return float(vals[np.argmin(np.abs(vals))])
         r *= 2.0
-
-
-@dataclass
-class SolveReport:
-    """Diagnostics of the linear operator inside the nonlinear pipeline.
-
-    ``min_abs_eig`` is the operator's smallest-magnitude eigenvalue
-    (signed), from ``smallest_eigenvalue``.  The solves themselves never
-    compute it; a report builds it when it is read.
-    """
-
-    min_abs_eig: float
 
 
 def neck_scalar_curvature(cfg: GluingConfig, u: Jet, q: Jet):
@@ -437,8 +429,8 @@ class EstimateReport:
     min_abs_eig: float
 
 
-def global_estimate_ratio(cfg: GluingConfig, probes=None,
-                          resolution: int = 64) -> EstimateReport:
+def global_estimate_ratio(cfg: GluingConfig, resolution: int,
+                          probes=None) -> EstimateReport:
     """Empirical constant in sup|psi^{(n-2)/2-d} v| <= C sup|psi^{(n+2)/2-d} f|.
 
     Builds the glued metric's grid at ``resolution``, its curvature

@@ -70,6 +70,17 @@ def loglog_slope(x, y) -> float:
     return float((dx * (ly - ly.mean())).sum() / (dx * dx).sum())
 
 
+def refuse_repeated_eps(eps_list) -> None:
+    """Raise ValueError naming the first eps that eps_list holds twice.
+
+    A rate fit through two coincident points is no fit.
+    """
+    eps_list = list(eps_list)
+    repeated = [e for i, e in enumerate(eps_list) if e in eps_list[:i]]
+    if repeated:
+        raise ValueError(f"eps {float(repeated[0])!r} is listed more than once")
+
+
 @dataclass
 class DeviationProfile:
     """Deviation measurements for one eps."""
@@ -133,8 +144,10 @@ def deviation_fit(make_cfg, eps_list) -> DeviationFit:
     """Deviation profiles over an eps sweep plus the probe-rate fit.
 
     ``make_cfg`` maps eps to a GluingConfig (typically a partial of
-    GluingConfig with both models fixed).
+    GluingConfig with both models fixed).  Raises ValueError for an eps
+    listed twice.
     """
+    refuse_repeated_eps(eps_list)
     profiles = [deviation_profile(make_cfg(e)) for e in eps_list]
     slope = loglog_slope(eps_list, [p.probe_dev for p in profiles])
     Ws = [p.weighted_sup for p in profiles]

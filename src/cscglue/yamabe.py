@@ -27,12 +27,11 @@ from .errors import (ConfigError, DeltaOutOfRange, GlueError, IterateOutOfBall,
                      IterationDiverged, NoConvergence)
 from .gluing import GluingConfig, Jet, glued_metric  # noqa: F401
 from .lapack import dgbsv
-from .neck_analysis import loglog_slope
+from .neck_analysis import loglog_slope, refuse_repeated_eps
 from .linear_solver import (
     ROUNDING_ULPS,
     DiscreteOperator,
     RadialGrid,
-    SolveReport,
     assemble_L,
     build_grid,
     glued_curvature_profile,
@@ -42,38 +41,25 @@ from .linear_solver import (
 )
 
 
-@dataclass(frozen=True)
-class YamabeConstants:
-    """Conformal constants in dimension d: c_d = -(d-2)/(4(d-1)), p = (d+2)/(d-2)."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 3:
-            raise ValueError("conformal dimension must be >= 3")
-
-    @property
-    def c(self) -> float:
-        return -(self.d - 2.0) / (4.0 * (self.d - 1.0))
-
-    @property
-    def p(self) -> float:
-        return (self.d + 2.0) / (self.d - 2.0)
-
-
-def F_eps(v: np.ndarray, s_dev: np.ndarray, consts: YamabeConstants,
-          S: float) -> np.ndarray:
+def F_eps(v: np.ndarray, s_dev: np.ndarray, m: int, S: float) -> np.ndarray:
     """Nonlinear source F(v); exact affine part at v = 0 is c (S - S_glued).
 
-    The conformal law for (1 + v)^{4/(m-2)} g_glued with scalar curvature
-    S gives kappa L v = (S_glued - S)(1 + p v) - S ((1+v)^p - 1 - p v)
-    with kappa = -1/c, so the factor p on the (S - S_glued) v term is
-    exact.
+    c = -(m-2)/(4(m-1)) and p = (m+2)/(m-2) are the conformal constants
+    of the total dimension m >= 3.  The conformal law for
+    (1 + v)^{4/(m-2)} g_glued with scalar curvature S gives
+    kappa L v = (S_glued - S)(1 + p v) - S ((1+v)^p - 1 - p v) with
+    kappa = -1/c, so the factor p on the (S - S_glued) v term is exact.
+    Raises ValueError for m < 3 and IterateOutOfBall unless sup|v| <= 1/2,
+    so a NaN in v raises too.
     """
+    if m < 3:
+        raise ValueError(f"conformal dimension m must be >= 3, got {m}")
     v = np.asarray(v, dtype=float)
-    if np.max(np.abs(v)) > 0.5:
-        raise IterateOutOfBall("sup|v| > 1/2 leaves the smallness regime")
-    c, p = consts.c, consts.p
+    sup = np.max(np.abs(v))
+    if not sup <= 0.5:
+        raise IterateOutOfBall(f"sup|v| = {sup:.3e} is not <= 1/2, the smallness regime")
+    c = -(m - 2.0) / (4.0 * (m - 1.0))
+    p = (m + 2.0) / (m - 2.0)
     return (c * s_dev + c * p * s_dev * v
             + c * S * ((1.0 + v) ** p - 1.0 - p * v))
 
@@ -110,9 +96,10 @@ class FixedPointReport:
 
     ``sup_history`` holds sup|v| of each iterate, all inside
     smallness_ball(cfg), and ``increments`` sup|v_{j+1} - v_j|.
-    ``operator`` is the L the iterates were solved with.  ``linear``, its
-    smallest eigenvalue, is computed when first read and cached on the
-    operator: the solve needs only invertibility, which its gate checked.
+    ``operator`` is the L the iterates were solved with.  Its smallest
+    eigenvalue ``min_abs_eig`` is computed when first read and cached: the
+    solve needs only invertibility, which its gate checked.  ``linear`` is
+    the same operator under the name bench/checks.py reads.
     """
 
     sup_history: list
@@ -130,11 +117,11 @@ class FixedPointReport:
         return len(self.sup_history)
 
     @property
-    def linear(self) -> SolveReport:
-        return SolveReport(self.operator.min_abs_eig)
+    def linear(self) -> DiscreteOperator:
+        return self.operator
 
 
-def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
+def picard_solve(cfg: GluingConfig, resolution: int, tol: float = 1e-11,
                  max_iter: int = 40, grid: RadialGrid | None = None,
                  profile=None) -> FixedPointReport:
     """Iterate v <- L^{-1} F(v) from v = 0 until sup|v_{j+1} - v_j| <= tol.
@@ -144,14 +131,18 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     the radius, a reportable outcome rather than undefined behavior.
     ``grid`` and ``profile`` let a caller that already built them reuse
     its grid and its glued_curvature_profile pair (values, error bar);
-    only the values of the pair are read.  Each solve passes ``solve``'s
-    invertibility gate, which checks the operator once; the smallest
-    eigenvalue is not computed here but when the report's ``linear`` is
-    read.  Raises ValueError for max_iter < 1.
+    only the values of the pair are read, and ``resolution`` only when
+    ``grid`` is None.  Each solve passes ``solve``'s invertibility gate,
+    which checks the operator once; the smallest eigenvalue is not
+    computed here but when the report's ``operator.min_abs_eig`` is
+    read.  Raises ValueError for max_iter < 1 and for a tol that is not
+    positive and finite.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    consts = YamabeConstants(cfg.m)
+    # a chained comparison with NaN is False, so NaN is refused too
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if grid is None:
         grid = build_grid(cfg, resolution)
     ball = smallness_ball(cfg)
@@ -166,7 +157,7 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
     diffs = []
     converged = False
     for _ in range(max_iter):
-        v_new = solve(op, F_eps(v, s_dev, consts, S))
+        v_new = solve(op, F_eps(v, s_dev, cfg.m, S))
         d = float(np.max(np.abs(v_new - v)))
         sup = float(np.max(np.abs(v_new)))
         if sup > ball:
@@ -179,7 +170,7 @@ def picard_solve(cfg: GluingConfig, resolution: int = 64, tol: float = 1e-11,
         if d <= tol:
             converged = True
             break
-    residual = float(np.max(np.abs(op.apply(v) - F_eps(v, s_dev, consts, S))))
+    residual = float(np.max(np.abs(op.apply(v) - F_eps(v, s_dev, cfg.m, S))))
     mirror = float(np.max(np.abs(v - v[::-1])))
     # np.median of the ratios, without the numpy.ma import it makes on first use
     r = sorted(diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1))
@@ -255,11 +246,19 @@ class InterpolatingSpline:
     scipy.interpolate.make_interp_spline(s, v, k=5).  The band is packed
     straight into gbsv's Fortran-ordered layout, which ``lapack.dgbsv``
     checks and factors in place, so nothing is copied on the way.  A
-    singular collocation matrix raises LinAlgError there.
+    singular collocation matrix raises LinAlgError there.  Raises
+    ValueError unless s is strictly increasing with at least
+    SPLINE_DEGREE + 1 nodes and v has one value per node.
     """
 
     def __init__(self, s, v):
         k, n = SPLINE_DEGREE, s.size
+        # a comparison with NaN is False, so a NaN node is refused too
+        if not (s.ndim == 1 and n > k and np.all(s[1:] > s[:-1])):
+            raise ValueError(f"s must be strictly increasing with at least {k + 1} "
+                             f"nodes, got shape {s.shape}")
+        if np.shape(v) != s.shape:
+            raise ValueError(f"v has shape {np.shape(v)}, s has shape {s.shape}")
         half = (k + 1) // 2  # s[:3] and s[-3:] are not knots
         self.knots = np.concatenate([np.full(k + 1, s[0]), s[half:-half],
                                      np.full(k + 1, s[-1])])
@@ -369,8 +368,8 @@ class SweepTable:
     slope: float
 
 
-def convergence_sweep(make_cfg, eps_list, delta: float | None = None,
-                      resolution: int = 64, tol: float = 1e-11,
+def convergence_sweep(make_cfg, eps_list, resolution: int,
+                      delta: float | None = None, tol: float = 1e-11,
                       max_iter: int = 40) -> SweepTable:
     """Solve and verify per eps (descending) and fit the smallness rate.
 
@@ -380,11 +379,12 @@ def convergence_sweep(make_cfg, eps_list, delta: float | None = None,
     repeats.  Requires max(0, (n-4)/2) < delta < (n-2)/2.  A run that fails with a
     GlueError is recorded in its row and the sweep continues; so is a solve
     that stops at ``max_iter`` unconverged, as NoConvergence.  Raises
-    ValueError for an empty eps_list.
+    ValueError for an empty eps_list and for an eps listed twice.
     """
     eps_sorted = sorted(eps_list, reverse=True)
     if not eps_sorted:
         raise ValueError("eps_list must hold at least one eps")
+    refuse_repeated_eps(eps_sorted)
     cfgs = [make_cfg(eps) for eps in eps_sorted]
     delta = cfgs[0].delta if delta is None else delta
     n = cfgs[0].n

@@ -51,7 +51,7 @@ def stack05(cfg05):
 @pytest.fixture(scope="session")
 def report05(cfg05, stack05):
     grid, prof_pair, _ = stack05
-    return yamabe.picard_solve(cfg05, grid=grid, profile=prof_pair)
+    return yamabe.picard_solve(cfg05, resolution=64, grid=grid, profile=prof_pair)
 
 
 @pytest.fixture()

@@ -41,7 +41,7 @@ def test_parse_rejects_unknown_key(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("model.nonsense = 3\n")
     with pytest.raises(ConfigError):
-        cli.RunConfig.load(str(p))
+        cli.RunConfig.load(str(p), [])
 
 
 def test_config_validation_exit_codes(cfg_file, tmp_path):

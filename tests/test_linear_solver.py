@@ -130,7 +130,7 @@ def test_forced_kernel_near_singular(model_a, cfg05):
     with pytest.raises(NearSingularOperator):
         ls.solve(op, np.ones(grid.size))
     with pytest.raises(NearSingularOperator):
-        yamabe.picard_solve(cfg05, grid=grid, profile=(shifted(5e-9), None))
+        yamabe.picard_solve(cfg05, resolution=64, grid=grid, profile=(shifted(5e-9), None))
     assert abs(ls.smallest_eigenvalue(op) - 5e-9) <= 1e-11
     op = ls.assemble_L(grid, shifted(2e-8), model_a.m)
     assert np.all(np.isfinite(ls.solve(op, np.ones(grid.size))))
@@ -501,6 +501,17 @@ def test_one_node_dirichlet_window(stack05):
         ls.solve_dirichlet(singular, f, i0, i0 + 2, left, right)
 
 
+@pytest.mark.parametrize("i0, i1", [(-5, 20), (20, None)])
+def test_dirichlet_window_outside_the_grid_is_refused_by_name(stack05, i0, i1):
+    # i0 = -5 gave a bare IndexError, i1 = N a LAPACK complaint about the
+    # diagonal lengths; both are a ValueError naming the window and the grid
+    _, _, op = stack05
+    N = op.size
+    i1 = N if i1 is None else i1
+    with pytest.raises(ValueError, match=rf"i0 = {i0}, i1 = {i1} .* grid of {N} nodes"):
+        ls.solve_dirichlet(op, np.zeros(N), i0, i1, 0.0, 0.0)
+
+
 def test_one_factorization_per_operator_in_convergence_sweep(model_a, monkeypatch):
     # one TridiagonalLU per row and one of its solves per Picard iteration
     calls = {"__init__": 0, "solve": 0}
@@ -512,7 +523,7 @@ def test_one_factorization_per_operator_in_convergence_sweep(model_a, monkeypatc
             return real(self, *a)
         monkeypatch.setattr(lapack.TridiagonalLU, name, counting)
     cfgs = {e: gluing.GluingConfig(model_a, model_a, eps=e) for e in (0.04, 0.02, 0.01)}
-    table = yamabe.convergence_sweep(cfgs.__getitem__, list(cfgs))
+    table = yamabe.convergence_sweep(cfgs.__getitem__, list(cfgs), resolution=64)
     assert not any(r.error for r in table.rows)
     assert calls == {"__init__": len(table.rows),
                      "solve": sum(r.iters for r in table.rows)}
@@ -548,13 +559,13 @@ def test_global_estimate_homogeneity_and_cap_source(cfg05, stack05):
     c_m = -(cfg05.m - 2) / (4.0 * (cfg05.m - 1))
     f = c_m * (cfg05.S - prof)
     # the estimate rebuilds the stack05 operator at its default resolution
-    rep1 = ls.global_estimate_ratio(cfg05, probes=[f])
-    rep2 = ls.global_estimate_ratio(cfg05, probes=[2.0 * f])
+    rep1 = ls.global_estimate_ratio(cfg05, resolution=64, probes=[f])
+    rep2 = ls.global_estimate_ratio(cfg05, resolution=64, probes=[2.0 * f])
     assert rep2.ratio == pytest.approx(rep1.ratio, rel=1e-12)
 
     # source supported on the caps: the weights there are exactly one
     f_cap = np.where(grid.cap, 1.0, 0.0)
-    rep = ls.global_estimate_ratio(cfg05, probes=[f_cap])
+    rep = ls.global_estimate_ratio(cfg05, resolution=64, probes=[f_cap])
     psi = gluing.psi_of_t(grid.s, cfg05)
     v = ls.solve(op, f_cap)
     lo = (cfg05.n - 2) / 2.0 - cfg05.delta

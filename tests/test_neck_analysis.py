@@ -77,6 +77,13 @@ def test_probe_rate_asymptotic(model_a):
     assert fit.probe_slope >= 0.7
 
 
+def test_deviation_fit_refuses_a_repeated_eps(model_a):
+    # two coincident points have no slope; NaN came back silently
+    make = lambda e: gluing.GluingConfig(model_a, model_a, eps=e)
+    with pytest.raises(ValueError, match=r"eps 0\.02 is listed more than once"):
+        na.deviation_fit(make, [0.02, 0.02])
+
+
 def test_deviation_synthetic_unresolved(model_flat):
     cfg = gluing.SyntheticExactConfig(model_flat, model_flat, eps=0.05)
     field = gluing.glued_metric(cfg)

@@ -10,38 +10,47 @@ from cscglue.errors import ConfigError, DeltaOutOfRange, IterateOutOfBall, Itera
 
 
 def test_constants_dimension_five():
-    consts = yamabe.YamabeConstants(5)
-    assert consts.c == pytest.approx(-3.0 / 16.0)
-    assert consts.p == pytest.approx(7.0 / 3.0)
-    with pytest.raises(ValueError):
-        yamabe.YamabeConstants(2)
+    # c = -3/16 and p = 7/3 in dimension m = 5: F(0) = c s_dev and, with
+    # s_dev = 0, F''(0) = c S p (p - 1)
+    s_dev = np.array([1.0])
+    assert yamabe.F_eps(np.zeros(1), s_dev, 5, 6.0)[0] == -3.0 / 16.0
+    h = 1e-4
+    f = [yamabe.F_eps(np.array([x]), np.zeros(1), 5, 1.0)[0] for x in (-h, 0.0, h)]
+    assert (f[2] - 2 * f[1] + f[0]) / h**2 == pytest.approx(-3 / 16 * 7 / 3 * 4 / 3, rel=1e-6)
+    with pytest.raises(ValueError, match="m must be >= 3, got 2"):
+        yamabe.F_eps(np.zeros(1), s_dev, 2, 6.0)
 
 
 def test_F_eps_affine_part():
-    consts = yamabe.YamabeConstants(5)
+    c = -3.0 / 16.0
     s_dev = np.array([0.5, -1.0, 2.0])
-    out = yamabe.F_eps(np.zeros(3), s_dev, consts, 6.0)
-    assert np.allclose(out, consts.c * s_dev, rtol=0, atol=1e-15)
-    out = yamabe.F_eps(np.zeros(3), np.zeros(3), consts, 6.0)
+    out = yamabe.F_eps(np.zeros(3), s_dev, 5, 6.0)
+    assert np.allclose(out, c * s_dev, rtol=0, atol=1e-15)
+    out = yamabe.F_eps(np.zeros(3), np.zeros(3), 5, 6.0)
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_F_eps_quadratic_coefficient():
     # with S_glued = S the leading term is c S p(p-1)/2 v^2 = c S (14/9) v^2
-    consts = yamabe.YamabeConstants(5)
+    c = -3.0 / 16.0
     S = 6.0
     v = np.array([1e-3])
-    out = yamabe.F_eps(v, np.zeros(1), consts, S)
-    lead = consts.c * S * (14.0 / 9.0) * v**2
-    cubic = consts.c * S * (7 / 3) * (4 / 3) * (1 / 3) / 6 * v**3
+    out = yamabe.F_eps(v, np.zeros(1), 5, S)
+    lead = c * S * (14.0 / 9.0) * v**2
+    cubic = c * S * (7 / 3) * (4 / 3) * (1 / 3) / 6 * v**3
     assert abs(out[0] - lead[0]) <= 1e-7
     assert out[0] - lead[0] == pytest.approx(cubic[0], rel=1e-2)
 
 
 def test_F_eps_smallness_regime():
-    consts = yamabe.YamabeConstants(5)
     with pytest.raises(IterateOutOfBall):
-        yamabe.F_eps(np.array([0.6]), np.zeros(1), consts, 6.0)
+        yamabe.F_eps(np.array([0.6]), np.zeros(1), 5, 6.0)
+
+
+def test_F_eps_refuses_a_nan_iterate():
+    # max|v| > 1/2 is False for NaN; the check is written so NaN fails it
+    with pytest.raises(IterateOutOfBall, match="nan"):
+        yamabe.F_eps(np.array([0.1, math.nan]), np.zeros(2), 5, 6.0)
 
 
 def test_picard_convergence_certificates(cfg05, report05):
@@ -67,13 +76,13 @@ def test_picard_monotone_shrinkage(model_a):
     sups = []
     for eps in (0.02, 0.04, 0.05):
         cfg = gluing.GluingConfig(model_a, model_a, eps=eps)
-        sups.append(yamabe.picard_solve(cfg).v.sup())
+        sups.append(yamabe.picard_solve(cfg, resolution=64).v.sup())
     assert sups[0] <= sups[1] <= sups[2]
 
 
 def test_picard_synthetic_exact_returns_zero(model_flat):
     cfg = gluing.SyntheticExactConfig(model_flat, model_flat, eps=0.05)
-    rep = yamabe.picard_solve(cfg)
+    rep = yamabe.picard_solve(cfg, resolution=64)
     assert rep.v.sup() <= 1e-8
     # the check reads the metric the solve corrected
     chk = yamabe.verify_constant_curvature(rep, cfg)
@@ -122,11 +131,11 @@ def test_sweep_delta_precondition(model_a):
     with pytest.raises(DeltaOutOfRange):
         yamabe.convergence_sweep(
             lambda e: gluing.GluingConfig(model_a, model_a, eps=e, delta=0.3),
-            [0.02], delta=-0.1)
+            [0.02], resolution=64, delta=-0.1)
     with pytest.raises(DeltaOutOfRange):
         yamabe.convergence_sweep(
             lambda e: gluing.GluingConfig(model_a, model_a, eps=e, delta=0.3),
-            [0.02], delta=0.55)
+            [0.02], resolution=64, delta=0.55)
 
 
 def test_sweep_delta_comes_from_the_configs(model_a):
@@ -147,7 +156,7 @@ def test_sweep_propagates_programming_errors(model_a, monkeypatch):
     monkeypatch.setattr(yamabe, "picard_solve", broken)
     with pytest.raises(TypeError, match="bug"):
         yamabe.convergence_sweep(
-            lambda e: gluing.GluingConfig(model_a, model_a, eps=e), [0.02])
+            lambda e: gluing.GluingConfig(model_a, model_a, eps=e), [0.02], resolution=64)
 
 
 def test_sweep_records_divergence_and_continues(model_a):
@@ -192,7 +201,7 @@ def test_sweep_holds_down_to_eps_1e4(name):
 def test_picard_second_model(model_b):
     # curved K block through the whole pipeline
     cfg = gluing.GluingConfig(model_b, model_b, eps=0.02)
-    rep = yamabe.picard_solve(cfg)
+    rep = yamabe.picard_solve(cfg, resolution=64)
     assert rep.converged
     assert rep.v.sup() <= yamabe.smallness_ball(cfg)
     assert rep.mirror_defect <= 1e-10
@@ -223,7 +232,7 @@ def test_one_d_path_never_touches_the_5d_engine(monkeypatch, model_a):
     cfg = gluing.GluingConfig(model_a, model_a, eps=0.05, alpha=2.7)
     grid = linear_solver.build_grid(cfg, 64)
     prof = linear_solver.glued_curvature_profile(cfg, grid)
-    rep = yamabe.picard_solve(cfg, grid=grid, profile=prof)
+    rep = yamabe.picard_solve(cfg, resolution=64, grid=grid, profile=prof)
     assert yamabe.verify_constant_curvature(rep, cfg).post_dev < rep.pre_dev
     neck_analysis.deviation_profile(cfg)
     assert neck_analysis.barrier_margin(cfg, delta=0.3).min_margin >= 0.0
@@ -248,7 +257,7 @@ def test_solve_path_never_samples_metric_components(monkeypatch, name):
     linear_solver.build_flat_grid(math.pi, 64)
     grid = linear_solver.build_grid(cfg, 64)
     prof = linear_solver.glued_curvature_profile(cfg, grid)
-    rep = yamabe.picard_solve(cfg, grid=grid, profile=prof)
+    rep = yamabe.picard_solve(cfg, resolution=64, grid=grid, profile=prof)
     assert yamabe.verify_constant_curvature(rep, cfg).post_dev < rep.pre_dev
 
 
@@ -286,6 +295,19 @@ def test_spline_matches_scipy_interpolate(name, resolution):
         for j, (got, bar) in enumerate(zip((jet.v, jet.d, jet.dd),
                                            _rounding_bars(v, np.min(np.diff(s))))):
             assert np.max(np.abs(got - oracle(x, j))) <= bar, (eps, j)
+
+
+@pytest.mark.parametrize("s, v, match", [
+    (np.linspace(0.0, 1.0, 5), np.ones(5), "at least 6 nodes"),
+    (np.linspace(1.0, 0.0, 12), np.sin(3 * np.linspace(1.0, 0.0, 12)), "strictly increasing"),
+    (np.r_[0.0, 0.1, 0.1, 0.3, 0.4, 0.5, 0.6], np.ones(7), "strictly increasing"),
+    (np.linspace(0.0, 1.0, 12), np.ones(11), r"v has shape \(11,\)"),
+])
+def test_spline_refuses_nodes_it_cannot_interpolate(s, v, match):
+    # 5 nodes gave all-NaN coefficients with RuntimeWarnings, a decreasing s
+    # a spline that missed its own nodes by 0.215
+    with pytest.raises(ValueError, match=match):
+        yamabe.InterpolatingSpline(s, v)
 
 
 def test_spline_reproduces_quintics_on_a_nonuniform_grid(rng):
@@ -369,14 +391,14 @@ def test_sweep_records_an_unconverged_solve_as_an_error_row(model_a):
     # picard_solve reports a solve that stops at max_iter as unconverged;
     # the sweep must not record it as a converged row
     cfgs = {e: gluing.GluingConfig(model_a, model_a, eps=e) for e in (0.05, 0.02)}
-    assert not yamabe.picard_solve(cfgs[0.05], max_iter=3).converged
-    table = yamabe.convergence_sweep(cfgs.__getitem__, list(cfgs), max_iter=3)
+    assert not yamabe.picard_solve(cfgs[0.05], resolution=64, max_iter=3).converged
+    table = yamabe.convergence_sweep(cfgs.__getitem__, list(cfgs), resolution=64, max_iter=3)
     for row in table.rows:
         assert row.error.startswith("NoConvergence: Picard stopped after 3 iterations "
                                     "with its last increment ")
         assert row.iters == 0 and math.isnan(row.sup_v)
     assert math.isnan(table.slope)
-    assert not any(r.error for r in yamabe.convergence_sweep(cfgs.__getitem__, list(cfgs)).rows)
+    assert not any(r.error for r in yamabe.convergence_sweep(cfgs.__getitem__, list(cfgs), resolution=64).rows)
 
 
 def test_max_iter_below_one_is_refused_by_name(model_a):
@@ -384,15 +406,31 @@ def test_max_iter_below_one_is_refused_by_name(model_a):
     # in place of max() on an empty history
     cfg = gluing.GluingConfig(model_a, model_a, eps=0.05)
     with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
-        yamabe.picard_solve(cfg, max_iter=0)
+        yamabe.picard_solve(cfg, resolution=64, max_iter=0)
     with pytest.raises(ValueError, match="max_iter must be >= 1, got -1"):
-        yamabe.convergence_sweep(lambda e: cfg, [0.05], max_iter=-1)
+        yamabe.convergence_sweep(lambda e: cfg, [0.05], resolution=64, max_iter=-1)
+
+
+def test_sweep_refuses_a_repeated_eps(model_a, monkeypatch):
+    # eps 0.02 was solved twice and its slope fit through coincident points
+    monkeypatch.setattr(yamabe, "picard_solve", None)  # refused before any solve
+    with pytest.raises(ValueError, match=r"eps 0\.02 is listed more than once"):
+        yamabe.convergence_sweep(lambda e: gluing.GluingConfig(model_a, model_a, eps=e),
+                                 [0.02, 0.04, 0.02], resolution=64)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_tol_that_is_not_positive_and_finite_is_refused_by_name(model_a, tol):
+    # tol = -1 or NaN ran all max_iter iterations into an unconverged report
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.05)
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
+        yamabe.picard_solve(cfg, resolution=64, tol=tol)
 
 
 def test_sweep_of_no_eps_is_refused_by_name(model_a):
     # a ValueError naming the parameter, in place of an IndexError on cfgs[0]
     with pytest.raises(ValueError, match="eps_list"):
-        yamabe.convergence_sweep(lambda e: gluing.GluingConfig(model_a, model_a, eps=e), [])
+        yamabe.convergence_sweep(lambda e: gluing.GluingConfig(model_a, model_a, eps=e), [], resolution=64)
 
 
 def _fitted_ball_verdict(eps, n, delta, r_run):
@@ -436,7 +474,7 @@ def test_picard_stops_at_the_first_iterate_outside_the_ball(name, eps, sup, ball
     cfg = gluing.GluingConfig(model, model, eps=eps)
     assert f"{yamabe.smallness_ball(cfg):.3e}" == ball
     with pytest.raises(IterationDiverged) as exc:
-        yamabe.picard_solve(cfg)
+        yamabe.picard_solve(cfg, resolution=64)
     assert str(exc.value) == (f"iterate sup|v| = {sup} leaves the smallness ball "
                               f"of radius {ball}")
 
@@ -445,7 +483,7 @@ def test_sweep_of_an_exact_solution_has_a_nan_rate(model_flat):
     # v = 0 at every eps: sup_v is 0, which has no log, so the slope is NaN
     # with no RuntimeWarning (an error under the suite's filterwarnings)
     table = yamabe.convergence_sweep(
-        lambda e: gluing.SyntheticExactConfig(model_flat, model_flat, eps=e), [0.05, 0.02])
+        lambda e: gluing.SyntheticExactConfig(model_flat, model_flat, eps=e), [0.05, 0.02], resolution=64)
     assert [r.sup_v for r in table.rows] == [0.0, 0.0]
     assert not any(r.error for r in table.rows)
     assert math.isnan(table.slope) and all(math.isnan(r.slope_so_far) for r in table.rows)
