@@ -235,6 +235,7 @@ class Checks:
 
 def write_summary(out: Path, subcommand: str, cfg: RunConfig, checks: Checks,
                   fitted: dict) -> None:
+    """run.json, strict JSON: a NaN or infinite value is written as null."""
     doc = {
         "subcommand": subcommand,
         "parameters": {k: cfg.values[k] for k in sorted(cfg.values)},
@@ -242,7 +243,10 @@ def write_summary(out: Path, subcommand: str, cfg: RunConfig, checks: Checks,
         "fitted": fitted,
         "passed": checks.all_passed,
     }
-    (out / "run.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    # json writes a NaN or infinity as NaN, Infinity or -Infinity; read back, each is None
+    doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
+    (out / "run.json").write_text(
+        json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

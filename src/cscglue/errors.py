@@ -61,10 +61,6 @@ class NotResolved(GlueError, ArithmeticError):
     """Finite-difference error bars swamp the quantity being measured."""
 
 
-class IterateOutOfBall(GlueError, ValueError):
-    """Nonlinear iterate left the smallness regime sup|v| <= 1/2."""
-
-
 class IterationDiverged(GlueError, ArithmeticError):
     """Fixed-point iteration left its invariant ball."""
 

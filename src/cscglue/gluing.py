@@ -59,7 +59,7 @@ from .geometry import (
 
 __all__ = [
     "GluingConfig", "SyntheticExactConfig", "Jet", "chi", "eta", "u_eps",
-    "glued_metric", "psi_of_t", "mollifier_step",
+    "glued_metric", "psi_of_t", "mollifier_step", "check_neck",
 ]
 
 
@@ -160,7 +160,11 @@ def _plateaus(t, eps: float):
             _plateau(_eta_arg(-lo, eps), _eta_arg(-hi, eps)))
 
 
-def _check_neck(t, eps):
+def check_neck(t, eps):
+    """t as a float array, once every entry lies in the neck (log eps, -log eps).
+
+    Raises OutOfNeck otherwise, for a NaN entry too.
+    """
     t = np.asarray(t, dtype=float)
     tmax = -math.log(eps)
     # written so that NaN, for which every comparison is false, fails it
@@ -171,12 +175,12 @@ def _check_neck(t, eps):
 
 def chi(t, eps: float):
     """Angular-profile blending cutoff: 1 on (log eps, -1], 0 on [1, -log eps)."""
-    return mollifier_step(_chi_arg(_check_neck(t, eps)))
+    return mollifier_step(_chi_arg(check_neck(t, eps)))
 
 
 def eta(t, eps: float):
     """Profile cutoff: 1 on (log eps, -log eps - 1], -> 0 at t -> -log eps."""
-    return mollifier_step(_eta_arg(_check_neck(t, eps), eps))
+    return mollifier_step(_eta_arg(check_neck(t, eps), eps))
 
 
 def _u_profile(t, eps: float, n: int, side: int):
@@ -226,7 +230,7 @@ def _u_jet(t, eps: float, n: int, etas):
 
 def u_eps(t, eps: float, n: int):
     """Normal conformal factor eta(t) u^{(1)} + eta(-t) u^{(2)}; positive."""
-    t = _check_neck(t, eps)
+    t = check_neck(t, eps)
     return _u_eps_raw(t, eps, n, _plateaus(t, eps)[1:])
 
 

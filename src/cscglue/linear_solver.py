@@ -53,16 +53,15 @@ ROUNDING_ULPS = 64  # rounding bars: this many eps_mach of the summed term sizes
 class RadialGrid:
     """Uniform 1-D mesh along the global cylindrical coordinate.
 
-    ``h`` is the one mesh width, kept per cell as np.diff(s).  ``W`` are
-    per-node orbit volume weights U^{n/2} q^{(n-1)/2} (sqrt(det g) up to
-    one global constant), ``K_half`` the flux coefficients W g^{ss} at
-    midpoints, ``V`` dual-cell volumes.  ``cap`` marks the nodes on
+    ``h`` is the one mesh width, kept per cell as np.diff(s).  ``K_half``
+    are the flux coefficients W g^{ss} at midpoints and ``V`` the dual-cell
+    volumes, W = U^{n/2} q^{(n-1)/2} being the orbit volume weight
+    (sqrt(det g) up to one global constant).  ``cap`` marks the nodes on
     either summand's cap, where the metric is exactly the summand's.
     """
 
     s: np.ndarray
     h: np.ndarray
-    W: np.ndarray
     K_half: np.ndarray
     V: np.ndarray
     cap: np.ndarray
@@ -131,14 +130,14 @@ def _radial_grid(n: int, warp, s, cap) -> RadialGrid:
     W_ends = _on_mirror_pairs(weights, np.concatenate(nodes))[0]
     for i, (s0, s1), Wq in zip((0, -1), ends, np.split(W_ends, 2)):
         V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ Wq)
-    return RadialGrid(s, h, W, Wm * Am, V, cap)
+    return RadialGrid(s, h, Wm * Am, V, cap)
 
 
 def build_grid(cfg: GluingConfig, resolution: int) -> RadialGrid:
     """The metric of cfg along the global cylindrical coordinate as a RadialGrid.
 
     ``resolution`` counts nodes per unit of the cylindrical coordinate.
-    W and K_half come from ``cfg.warp``, which covers the caps too, taken at
+    K_half and V come from ``cfg.warp``, which covers the caps too, taken at
     |s|, so the grid is mirror symmetric by construction.  ``cap`` is
     |s| >= t_max, the one seam rule of the grid and its curvature profile.
     """
@@ -439,8 +438,11 @@ def global_estimate_ratio(cfg: GluingConfig, resolution: int,
     one conformal source c_m (S - S_glued).  Boundedness of the ratio
     uniformly in eps is the content of the global weighted a priori
     estimate.  The report's ``min_abs_eig`` is the operator's smallest
-    eigenvalue, computed after the solves have passed their gate.
+    eigenvalue, computed after the solves have passed their gate.  An
+    empty ``probes`` raises ValueError.
     """
+    if probes is not None and len(probes) == 0:
+        raise ValueError("probes must hold at least one source")
     grid = build_grid(cfg, resolution)
     profile, _ = glued_curvature_profile(cfg, grid)
     op = assemble_L(grid, profile, cfg.m)

@@ -32,7 +32,7 @@ from .curvature import DerivativeScheme, laplace_beltrami, scalar_curvature  # n
 from .errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved, in_double_range
 from .geometry import Factor, ModelGeometry, factor_metric, sample_orbit
 # glued_metric is not called here, but bench/spans.py wraps it by name
-from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
+from .gluing import GluingConfig, Jet, check_neck, glued_metric, psi_of_t  # noqa: F401
 from .linear_solver import (
     ROUNDING_ULPS,
     assemble_L,
@@ -89,7 +89,6 @@ class DeviationProfile:
     t: np.ndarray
     sup_dev: np.ndarray
     fd_err: np.ndarray
-    bound_shape: np.ndarray       # eps^-1 (cosh t)^{1-n}
     # W(eps) = sup eps (cosh t)^{n-1} |dev| over the resolved points: the
     # smallest c for which the bound c eps^-1 (cosh t)^{1-n} holds there
     weighted_sup: float
@@ -123,7 +122,6 @@ def deviation_profile(cfg: GluingConfig) -> DeviationProfile:
     nt = max(5, int(round((T - 1) * POINTS_PER_UNIT)) + 1)
     t_half = np.linspace(-(T - 1.0), 0.0, nt)
     t = np.concatenate([t_half, -t_half[-2::-1]])
-    n = cfg.n
     with in_double_range("deviations", cfg.eps):
         # the probe rides along as entry 0
         S, err = neck_scalar_curvature(
@@ -133,10 +131,9 @@ def deviation_profile(cfg: GluingConfig) -> DeviationProfile:
         resolved = sup_dev > RESOLVED_FACTOR * fd_err
         if not np.any(resolved):
             raise NotResolved("error bars exceed the deviation")
-        bound_shape = np.cosh(t) ** (1 - n) / cfg.eps
-        weighted = cfg.eps * np.cosh(t) ** (n - 1) * sup_dev
+        weighted = cfg.eps * np.cosh(t) ** (cfg.n - 1) * sup_dev
     return DeviationProfile(
-        cfg.eps, t, sup_dev, fd_err, bound_shape,
+        cfg.eps, t, sup_dev, fd_err,
         float(np.max(weighted[resolved])), float(dev[0]), resolved)
 
 
@@ -144,9 +141,11 @@ def deviation_fit(make_cfg, eps_list) -> DeviationFit:
     """Deviation profiles over an eps sweep plus the probe-rate fit.
 
     ``make_cfg`` maps eps to a GluingConfig (typically a partial of
-    GluingConfig with both models fixed).  Raises ValueError for an eps
-    listed twice.
+    GluingConfig with both models fixed).  Raises ValueError for an empty
+    eps_list and for an eps listed twice.
     """
+    if len(eps_list) == 0:
+        raise ValueError("eps_list must hold at least one eps")
     refuse_repeated_eps(eps_list)
     profiles = [deviation_profile(make_cfg(e)) for e in eps_list]
     slope = loglog_slope(eps_list, [p.probe_dev for p in profiles])
@@ -226,12 +225,18 @@ def conjugation_residual(cfg: GluingConfig, t_samples=None,
     the warped product's remainder
     U^{-1} [((n-1)/2)(q'/q) v_t - (u''/u - nu^2) v + (1/q - 1) Delta_theta v]
     up to rounding; ``scheme`` sets the steps of the (cached)
-    factor_laplacians.  Where a ratio leaves double precision (below eps
-    of about 1e-125 at n = 3) OutOfFloatRange is raised.
+    factor_laplacians.  Raises ValueError for an empty ``t_samples`` and
+    OutOfNeck unless every sample lies in the neck (log eps, -log eps),
+    so a NaN sample raises too.  Where a ratio leaves double precision
+    (below eps of about 1e-125 at n = 3) OutOfFloatRange is raised.
     """
     T = cfg.t_max
-    t = (np.asarray(t_samples, float) if t_samples is not None
-         else np.linspace(-(T - 0.6), T - 0.6, 9))
+    if t_samples is None:
+        t = np.linspace(-(T - 0.6), T - 0.6, 9)
+    elif np.size(t_samples) == 0:
+        raise ValueError("t_samples must hold at least one t")
+    else:
+        t = check_neck(t_samples, cfg.eps)
     pexp = (cfg.n + 2.0) / (cfg.n - 2.0)
     laps = factor_laplacians(cfg.model_1, scheme or DerivativeScheme())
     results = []
@@ -383,10 +388,12 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
     the whole grid and left/right the Dirichlet values at the window
     edges.  By default the three standard cases run: the discrete
     harmonic extension of boundary data 1, the barrier profile itself,
-    and a smooth interior source with zero boundary data.  Where the
-    grid or a ratio leaves double precision (below eps of about 1e-110 at
-    n = 3) OutOfFloatRange is raised.
+    and a smooth interior source with zero boundary data; an empty list
+    raises ValueError.  Where the grid or a ratio leaves double precision
+    (below eps of about 1e-110 at n = 3) OutOfFloatRange is raised.
     """
+    if probes is not None and len(probes) == 0:
+        raise ValueError("probes must hold at least one case")
     n, delta = cfg.n, cfg.delta
     T = cfg.t_max
     ta = T - cfg.alpha

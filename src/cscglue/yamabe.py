@@ -23,8 +23,8 @@ import numpy as np
 # conformal_scalar, scalar_curvature and glued_metric are not called here,
 # but bench/spans.py wraps them by name
 from .curvature import conformal_scalar, scalar_curvature  # noqa: F401
-from .errors import (ConfigError, DeltaOutOfRange, GlueError, IterateOutOfBall,
-                     IterationDiverged, NoConvergence)
+from .errors import (ConfigError, DeltaOutOfRange, GlueError, IterationDiverged,
+                     NoConvergence, NonpositiveConformalFactor)
 from .gluing import GluingConfig, Jet, glued_metric  # noqa: F401
 from .lapack import dgbsv
 from .neck_analysis import loglog_slope, refuse_repeated_eps
@@ -49,19 +49,20 @@ def F_eps(v: np.ndarray, s_dev: np.ndarray, m: int, S: float) -> np.ndarray:
     (1 + v)^{4/(m-2)} g_glued with scalar curvature S gives
     kappa L v = (S_glued - S)(1 + p v) - S ((1+v)^p - 1 - p v) with
     kappa = -1/c, so the factor p on the (S - S_glued) v term is exact.
-    Raises ValueError for m < 3 and IterateOutOfBall unless sup|v| <= 1/2,
-    so a NaN in v raises too.
+    Raises ValueError for m < 3 and NonpositiveConformalFactor unless
+    min(1 + v) > 0, so a NaN in v raises too.  How far v may stray from
+    0 is picard_solve's smallness ball, not a condition of F.
     """
     if m < 3:
         raise ValueError(f"conformal dimension m must be >= 3, got {m}")
     v = np.asarray(v, dtype=float)
-    sup = np.max(np.abs(v))
-    if not sup <= 0.5:
-        raise IterateOutOfBall(f"sup|v| = {sup:.3e} is not <= 1/2, the smallness regime")
+    w = 1.0 + v
+    if not np.min(w) > 0.0:
+        raise NonpositiveConformalFactor(f"min(1 + v) = {np.min(w):.3e} is not > 0")
     c = -(m - 2.0) / (4.0 * (m - 1.0))
     p = (m + 2.0) / (m - 2.0)
     return (c * s_dev + c * p * s_dev * v
-            + c * S * ((1.0 + v) ** p - 1.0 - p * v))
+            + c * S * (w ** p - 1.0 - p * v))
 
 
 @dataclass
@@ -84,7 +85,7 @@ def smallness_ball(cfg: GluingConfig) -> float:
     min(1/2, b) with b^2 = eps^{n-2} + eps^{1+nu-delta} and nu = (n-2)/2:
     r <= b is the fixed-point bound 2 r^2 <= eps^{nu-delta} (eps^{nu+delta}
     + eps) + r^2, whose source terms eps^{nu+delta} + eps and quadratic
-    remainder r^2 are the paper's.  1/2 is the smallness regime of F_eps.
+    remainder r^2 are the paper's.  The cap 1/2 keeps 1 + v >= 1/2 on the ball.
     """
     b2 = cfg.eps ** (cfg.n - 2.0) + cfg.eps ** (1.0 + cfg.nu - cfg.delta)
     return min(0.5, math.sqrt(b2))

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -450,6 +451,37 @@ def test_sweep_prints_each_failed_rows_reason_on_stderr(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("row eps=0.05: NoConvergence: Picard stopped after 3 iterations")
     assert err.count("\n") == 1, err
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, as jq and other strict parsers do."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli.COMMANDS))
+def test_run_json_is_strict_json_at_the_default_config(subcommand, tmp_path):
+    # the default sweep has one eps, so its fitted slope is NaN: null in run.json
+    out = tmp_path / subcommand
+    assert cli.main([subcommand, "--out", str(out)]) in (0, 1)
+    summary = _strict_json((out / "run.json").read_text())
+    if subcommand == "sweep":
+        assert summary["fitted"] == {"slope": None}
+
+
+def test_run_json_writes_non_finite_values_as_null(tmp_path):
+    # run.json holds null where the check and the fitted values keep their
+    # floats in memory, which the [PASS]/[FAIL] lines print
+    checks = cli.Checks()
+    checks.add("sweep_slope", float("nan"), "sweep_slope")
+    fitted = {"slope": float("nan"), "c_fit": {"0.05": float("inf")}, "ball": 0.25}
+    cfg = cli.RunConfig.load(None, [])
+    cli.write_summary(tmp_path, "sweep", cfg, checks, fitted)
+    summary = _strict_json((tmp_path / "run.json").read_text())
+    assert summary["checks"][0]["measured"] is None
+    assert summary["fitted"] == {"slope": None, "c_fit": {"0.05": None}, "ball": 0.25}
+    assert math.isnan(checks.rows[0]["measured"]) and math.isnan(fitted["slope"])
 
 
 # numpy's routines that run an SVD: lstsq behind np.polyfit, and cond

@@ -34,9 +34,11 @@ def test_flat_grid_neumann_spectrum():
 
 def test_single_sphere_weights_and_spectrum(model_a):
     grid = ls.build_grid_single(model_a, 64)
-    # orbit weight proportional to sin^2 r
-    w = grid.W / np.max(grid.W)
-    ref = np.sin(grid.s) ** 2
+    # an inner dual cell's volume is the orbit weight, proportional to
+    # sin^2 r, times the cell's length
+    w = grid.V[1:-1] / (0.5 * (grid.h[:-1] + grid.h[1:]))
+    w /= np.max(w)
+    ref = np.sin(grid.s[1:-1]) ** 2
     ref /= np.max(ref)
     assert np.max(np.abs(w - ref)) <= 1e-12
     op = ls.assemble_L(grid, 0.0, model_a.m)
@@ -76,10 +78,18 @@ def test_grid_mirror_and_interfaces():
         cfg = gluing.GluingConfig(model, model, eps=0.05)
         grid = ls.build_grid(cfg, 64)
         assert np.array_equal(grid.s, -grid.s[::-1])
-        assert np.array_equal(grid.W, grid.W[::-1])
+        assert np.array_equal(grid.K_half, grid.K_half[::-1])
+        assert np.array_equal(grid.V, grid.V[::-1])
         T = cfg.t_max
         i1 = int(np.argmin(np.abs(grid.s + T)))  # the node nearest the side-1 seam
         assert abs(grid.s[i1] + T) <= grid.h[0]
+        # the orbit weight W = u^{2n/(n-2)} q^{(n-1)/2} of cfg.warp, times
+        # the dual cell's length, is the node's volume
+        n = cfg.n
+        u, q = cfg.warp(np.abs(grid.s[i1]))
+        W = u ** (2.0 * n / (n - 2)) * q ** ((n - 1) / 2.0)
+        dual = 0.5 * (grid.h[i1 - 1] + grid.h[i1])
+        assert abs(W * dual - grid.V[i1]) <= 1e-14 * grid.V[i1]
         # near the interface the cylindrical weight, times the constant volume
         # factor w0 of g_K + ds^2 + g_{S^{n-1}} that the grid leaves out,
         # equals the summand's cap-chart weight times the jacobian |dr/dt| = r
@@ -90,7 +100,7 @@ def test_grid_mirror_and_interfaces():
         g_cap = geometry.fermi_metric(model).components("cap-1",
                                                         np.array([*z, r, *th]))
         w_cap = r * math.sqrt(abs(np.linalg.det(g_cap)))
-        assert abs(w0 * grid.W[i1] - w_cap) <= 1e-10 * w_cap
+        assert abs(w0 * W - w_cap) <= 1e-10 * w_cap
 
         # one seam rule: the caps are |s| >= t_max, where the profile is the
         # summands' exact S; every other node takes the neck formula
@@ -573,6 +583,11 @@ def test_global_estimate_homogeneity_and_cap_source(cfg05, stack05):
     assert rep.ratio == pytest.approx(direct, rel=1e-14)
 
 
+def test_global_estimate_refuses_empty_probes(cfg05):
+    with pytest.raises(ValueError, match="probes must hold at least one source"):
+        ls.global_estimate_ratio(cfg05, 64, probes=[])
+
+
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
 @pytest.mark.parametrize("eps", [1e-3, 1e-4])
 def test_build_grid_small_eps(name, eps):
@@ -581,7 +596,8 @@ def test_build_grid_small_eps(name, eps):
     model = geometry.make_model(name)
     cfg = gluing.GluingConfig(model, model, eps=eps)
     grid = ls.build_grid(cfg, 256)
-    assert np.array_equal(grid.W, grid.W[::-1])
+    assert np.array_equal(grid.V, grid.V[::-1])
+    assert np.array_equal(grid.K_half, grid.K_half[::-1])
     assert np.all(grid.V > 0.0)
     assert ls.assemble_L(grid, cfg.S, cfg.m).asymmetry() <= 1e-12
 

@@ -7,7 +7,8 @@ import pytest
 
 from cscglue import curvature, geometry, gluing, linear_solver, neck_analysis as na
 from cscglue.curvature import DerivativeScheme, laplace_beltrami, scalar_curvature
-from cscglue.errors import DeltaOutOfRange, EpsilonTooLarge, NotResolved, OutOfFloatRange
+from cscglue.errors import (DeltaOutOfRange, EpsilonTooLarge, NotResolved, OutOfFloatRange,
+                            OutOfNeck)
 from cscglue.linear_solver import ROUNDING_ULPS
 
 
@@ -51,10 +52,12 @@ def test_deviation_profile_structure(cfg05):
     assert prof.t[-1] == pytest.approx(T - 1.0)
     assert np.all(prof.sup_dev >= 0.0)
     assert np.all(np.isfinite(prof.fd_err))
-    # the fitted constant is the weighted sup, so the bound holds on-grid
+    # the fitted constant is the weighted sup, so the bound
+    # c eps^-1 (cosh t)^{1-n} holds on-grid
     resolved = prof.resolved
+    bound_shape = np.cosh(prof.t) ** (1 - cfg05.n) / cfg05.eps
     assert np.all(prof.sup_dev[resolved]
-                  <= prof.weighted_sup * prof.bound_shape[resolved] * (1 + 1e-12))
+                  <= prof.weighted_sup * bound_shape[resolved] * (1 + 1e-12))
     # center value obeys the fitted c * eps^{-1} bound
     mid = np.argmin(np.abs(prof.t))
     assert prof.sup_dev[mid] <= prof.weighted_sup / cfg05.eps
@@ -82,6 +85,12 @@ def test_deviation_fit_refuses_a_repeated_eps(model_a):
     make = lambda e: gluing.GluingConfig(model_a, model_a, eps=e)
     with pytest.raises(ValueError, match=r"eps 0\.02 is listed more than once"):
         na.deviation_fit(make, [0.02, 0.02])
+
+
+def test_deviation_fit_refuses_an_empty_eps_list(model_a):
+    make = lambda e: gluing.GluingConfig(model_a, model_a, eps=e)
+    with pytest.raises(ValueError, match="eps_list must hold at least one eps"):
+        na.deviation_fit(make, [])
 
 
 def test_deviation_synthetic_unresolved(model_flat):
@@ -121,6 +130,25 @@ def test_conjugation_exact_for_flat_normal(model_flat):
         # every default sample, the eta band included
         exact = gluing.SyntheticExactConfig(model_flat, model_flat, eps=eps)
         assert na.conjugation_residual(exact).max_ratio <= 1e-10
+
+
+def test_conjugation_refuses_a_sample_beyond_the_neck(model_a):
+    # t = T + 1 is past the seam, where the neck identity has no meaning
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.02)
+    with pytest.raises(OutOfNeck):
+        na.conjugation_residual(cfg, t_samples=[0.0, cfg.t_max + 1.0])
+
+
+def test_conjugation_refuses_a_nan_sample(model_a):
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.02)
+    with pytest.raises(OutOfNeck):
+        na.conjugation_residual(cfg, t_samples=[math.nan])
+
+
+def test_conjugation_refuses_empty_samples(model_a):
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.02)
+    with pytest.raises(ValueError, match="t_samples must hold at least one t"):
+        na.conjugation_residual(cfg, t_samples=[])
 
 
 def _probe_factors(model, probe):
@@ -413,6 +441,12 @@ def test_local_estimate_ratio_homogeneity(model_a):
     scaled = na.local_estimate_ratio(cfg, 48,
                                      probes=[("f", 7.3 * f, 7.3 * 0.2, 7.3 * 0.1)])
     assert scaled.max_ratio == pytest.approx(base.max_ratio, rel=1e-12)
+
+
+def test_local_estimate_ratio_refuses_empty_probes(model_a):
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.05, alpha=2.7)
+    with pytest.raises(ValueError, match="probes must hold at least one case"):
+        na.local_estimate_ratio(cfg, probes=[])
 
 
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])

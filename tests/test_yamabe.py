@@ -6,7 +6,8 @@ import pytest
 
 from cscglue import (curvature, geometry, gluing, lapack, linear_solver, neck_analysis,
                      yamabe)
-from cscglue.errors import ConfigError, DeltaOutOfRange, IterateOutOfBall, IterationDiverged
+from cscglue.errors import (ConfigError, DeltaOutOfRange, IterationDiverged,
+                            NonpositiveConformalFactor)
 
 
 def test_constants_dimension_five():
@@ -42,14 +43,22 @@ def test_F_eps_quadratic_coefficient():
     assert out[0] - lead[0] == pytest.approx(cubic[0], rel=1e-2)
 
 
-def test_F_eps_smallness_regime():
-    with pytest.raises(IterateOutOfBall):
-        yamabe.F_eps(np.array([0.6]), np.zeros(1), 5, 6.0)
+def test_F_eps_evaluates_beyond_the_smallness_ball():
+    # the ball is picard_solve's; F is defined wherever 1 + v > 0
+    c, p, S = -3.0 / 16.0, 7.0 / 3.0, 6.0
+    v, s_dev = np.array([0.6]), np.array([0.25])
+    want = c * s_dev + c * p * s_dev * v + c * S * (1.6 ** p - 1.0 - p * v)
+    assert yamabe.F_eps(v, s_dev, 5, S) == pytest.approx(want, rel=1e-14)
+
+
+def test_F_eps_refuses_a_nonpositive_conformal_factor():
+    with pytest.raises(NonpositiveConformalFactor, match="-2.000e-01"):
+        yamabe.F_eps(np.array([0.1, -1.2]), np.zeros(2), 5, 6.0)
 
 
 def test_F_eps_refuses_a_nan_iterate():
-    # max|v| > 1/2 is False for NaN; the check is written so NaN fails it
-    with pytest.raises(IterateOutOfBall, match="nan"):
+    # min(1 + v) > 0 is False for NaN; the check is written so NaN fails it
+    with pytest.raises(NonpositiveConformalFactor, match="nan"):
         yamabe.F_eps(np.array([0.1, math.nan]), np.zeros(2), 5, 6.0)
 
 
