@@ -6,13 +6,13 @@ the libraries it links, so a process holds one BLAS/LAPACK.  A routine r
 is looked up under each of SPELLINGS, and one ``ilaver`` call confirms
 the integer width.  Every wrapper returns its answer alone and raises on
 LAPACK's status: ValueError for an illegal argument, LinAlgError for an
-exactly zero pivot.  ``TridiagonalLU`` keeps ``dgttrf``'s factors to
-itself.  ``solve_tridiagonal`` (``dgtsv``) and ``eigenvalues_between``
-(``dstebz``) keep the input checks of ``scipy.linalg.solve_banded((1, 1),
-...)`` and ``eigh_tridiagonal(select="v", lapack_driver="stebz")`` and
-give their bits.  ctypes checks nothing, so each wrapper checks, or makes
-in a copy, the dtype, length and memory order of every array before
-LAPACK sees its address.
+exactly zero pivot.  ``TridiagonalLU`` (``dgttrf`` and ``dgttrs``) keeps
+its factors to itself.  It and ``eigenvalues_between`` (``dstebz``) keep
+the input checks of ``scipy.linalg.solve_banded((1, 1), ...)`` and
+``eigh_tridiagonal(select="v", lapack_driver="stebz")`` and give their
+bits.  ctypes checks nothing, so each wrapper checks, or makes in a copy,
+the dtype, length and memory order of every array before LAPACK sees its
+address.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ _SIGNATURES = {
     "ilaver": "aaa",                  # MAJOR MINOR PATCH, as arrays to check their width
     "dgttrf": "iaaaaai",              # N DL D DU DU2 IPIV INFO
     "dgttrs": "ciiaaaaaaii",          # TRANS N NRHS DL D DU DU2 IPIV B LDB INFO
-    "dgtsv": "iiaaaaii",              # N NRHS DL D DU B LDB INFO
     "dgbsv": "iiiiaiaaii",            # N KL KU NRHS AB LDAB IPIV B LDB INFO
     # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO
     "dstebz": "cciddiidaaiiaaaaai",
@@ -117,10 +116,12 @@ class TridiagonalLU:
     """The LU factors of the tridiagonal (dl, d, du), by one ``dgttrf``, for ``solve``.
 
     Gaussian elimination with partial pivoting on copies of the sub-, main
-    and super-diagonal, as one ``dgtsv`` makes it.  The factors are private
-    and each solve reads their addresses afresh, so a copy of the instance
-    solves with its own.  Raises ValueError for a non-finite entry or for dl
-    and du not one shorter than d, and LinAlgError for an exactly zero pivot.
+    and super-diagonal; each solve gives the bits of
+    ``scipy.linalg.solve_banded((1, 1), ...)``, and a 1x1 system is one
+    division, as there.  The factors are private and each solve reads their
+    addresses afresh, so a copy of the instance solves with its own.  Raises
+    ValueError for a non-finite entry or for dl and du not one shorter than
+    d, and LinAlgError for an exactly zero pivot.
     """
 
     def __init__(self, dl, d, du):
@@ -166,25 +167,6 @@ def dgbsv(kl: int, ku: int, ab, b) -> np.ndarray:
                      _c_int(2 * kl + ku + 1), _address(ipiv), _address(x), n, info)
     _check_info(info.value, "dgbsv", "singular matrix")
     return x
-
-
-def solve_tridiagonal(dl, d, du, b) -> np.ndarray:
-    """x with (dl, d, du) x = b, for sub-, main and super-diagonal, by one ``dgtsv``.
-
-    Gaussian elimination with partial pivoting, the bits of
-    ``scipy.linalg.solve_banded((1, 1), ...)``.  A 1x1 system is one
-    division, as there.  Raises ValueError for a non-finite entry or
-    mismatched lengths, and LinAlgError for an exactly zero pivot.
-    """
-    # contiguous copies, which dgtsv overwrites
-    dl, d, du, b = (np.array(np.asarray_chkfinite(a, dtype=float)) for a in (dl, d, du, b))
-    if not dl.size + 1 == d.size == du.size + 1 == b.size:
-        raise ValueError(f"diagonals of lengths {dl.size}, {d.size}, {du.size} "
-                         f"do not fit a right-hand side of length {b.size}")
-    n, info = _c_int(d.size), _c_int(0)
-    _lapack["dgtsv"](n, _c_int(1), *map(_address, (dl, d, du, b)), n, info)
-    _check_info(info.value, "dgtsv", "singular matrix")
-    return b
 
 
 def eigenvalues_between(d, e, lo: float, hi: float, tol: float) -> np.ndarray:

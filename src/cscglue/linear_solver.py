@@ -35,8 +35,6 @@ from .errors import NearSingularOperator, NoConvergence, OutOfFloatRange, in_dou
 from .geometry import ModelGeometry, normal_radius
 from .gluing import GluingConfig, Jet, glued_metric, psi_of_t  # noqa: F401
 from .lapack import TridiagonalLU, eigenvalues_between
-# bench/spans.py counts the calls of solve_dirichlet's solver by this name
-from .lapack import solve_tridiagonal as solve_banded
 
 _GAUSS4_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
                           0.3399810435848563, 0.8611363115940526])
@@ -234,7 +232,7 @@ class DiscreteOperator:
         """The LU factorization of L, ``lapack.TridiagonalLU``; ``solve`` reuses it.
 
         Raises ValueError for a non-finite entry and LinAlgError for an
-        exactly zero pivot, as ``solve_tridiagonal`` does.
+        exactly zero pivot.
         """
         return TridiagonalLU(self.sub, self.diag, self.sup)
 
@@ -291,9 +289,10 @@ def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     hypothesis), read from ``op.gate_abs_eig``: one Sturm window per
     operator, settled by two Sturm counts when it is empty.  The solve
     is ``op.lu.solve(f)``, one LAPACK ``dgttrs`` on the factorization
-    made once per operator, and gives the bits one ``dgtsv`` gives
-    (``solve_banded``).  Raises ValueError for a non-finite f, and
-    NoConvergence if the relative residual exceeds RESIDUAL_TOL.
+    made once per operator, and gives the bits of
+    ``scipy.linalg.solve_banded((1, 1), ...)``.  Raises ValueError for a
+    non-finite f or one of the wrong shape, and NoConvergence if the
+    relative residual exceeds RESIDUAL_TOL.
     """
     if op.gate_abs_eig < MIN_ABS_EIG:
         raise NearSingularOperator(
@@ -301,18 +300,26 @@ def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     return _residual_checked(op.sub, op.diag, op.sup, f, op.lu.solve(f))
 
 
+def solve_banded(sub, diag, sup, rhs) -> np.ndarray:
+    """x with (sub, diag, sup) x = rhs by one ``TridiagonalLU``; bench/spans.py counts calls."""
+    return TridiagonalLU(sub, diag, sup).solve(rhs)
+
+
 def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
                     left: float, right: float) -> np.ndarray:
     """Solve L v = f on nodes i0..i1 with Dirichlet values at i0 and i1.
 
-    One LAPACK ``dgtsv`` (``solve_banded``, from ``lapack.solve_tridiagonal``,
-    which solves a copy) on the inner nodes: a window is solved once, so
-    unlike ``solve`` it makes no ``TridiagonalLU``, whose factor and solve
-    would be two LAPACK calls.  A one-node window is one division.  Returns
-    the full window vector including the boundary nodes.  Raises
-    ValueError unless 0 <= i0, i1 <= N - 1 and i1 - i0 >= 2, LinAlgError
-    for an exactly zero pivot and NoConvergence as ``solve`` does.
+    The inner nodes are solved by ``solve_banded``, the ``TridiagonalLU``
+    route of ``solve`` on the window's own factors; a one-node window is one
+    division.  Returns the full window vector including the boundary nodes.
+    Raises ValueError for an f of a shape other than (N,) and unless
+    0 <= i0, i1 <= N - 1 and i1 - i0 >= 2, LinAlgError for an exactly zero
+    pivot and NoConvergence as ``solve`` does.
     """
+    f = np.asarray(f, dtype=float)
+    if f.shape != (op.size,):
+        raise ValueError(f"source of shape {f.shape} does not fit "
+                         f"a diagonal of shape {op.diag.shape}")
     if not (0 <= i0 and i1 <= op.size - 1):
         raise ValueError(f"window i0 = {i0}, i1 = {i1} leaves the grid of "
                          f"{op.size} nodes (0 <= i0 and i1 <= {op.size - 1})")
@@ -320,7 +327,7 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
         raise ValueError("window too small")
     sub = op.sub[i0:i1]
     sup = op.sup[i0:i1]
-    rhs = np.asarray(f, dtype=float)[i0 + 1:i1].copy()
+    rhs = f[i0 + 1:i1].copy()
     rhs[0] -= sub[0] * left
     rhs[-1] -= sup[-1] * right
     sub, diag, sup = sub[1:-1], op.diag[i0 + 1:i1], sup[1:-1]
@@ -415,8 +422,22 @@ def glued_curvature_profile(cfg: GluingConfig, grid: RadialGrid):
     return prof, err
 
 
-def weighted_sup(v: np.ndarray, psi: np.ndarray, exponent: float) -> float:
-    return float(np.max(psi**exponent * np.abs(v)))
+def estimate_weights(cfg: GluingConfig, psi):
+    """Both a priori estimates' weights (psi^{(n-2)/2-delta}, psi^{(n+2)/2-delta}) of v and f."""
+    return psi ** ((cfg.n - 2) / 2.0 - cfg.delta), psi ** ((cfg.n + 2) / 2.0 - cfg.delta)
+
+
+def estimate_ratio(probe, v, f, weights, boundary: float) -> float:
+    """sup|w_v v| / (sup|w_f f| + boundary) for ``weights`` (w_v, w_f).
+
+    ``boundary`` is the weighted sup of v on a window's boundary, or 0.
+    ValueError naming ``probe`` for a zero denominator: 0/0 has no ratio.
+    """
+    w_v, w_f = weights
+    den = float(np.max(w_f * np.abs(f)) + boundary)
+    if den == 0.0:
+        raise ValueError(f"probe {probe!r} has a zero source and boundary: its ratio is 0/0")
+    return float(np.max(w_v * np.abs(v))) / den
 
 
 @dataclass
@@ -439,24 +460,17 @@ def global_estimate_ratio(cfg: GluingConfig, resolution: int,
     uniformly in eps is the content of the global weighted a priori
     estimate.  The report's ``min_abs_eig`` is the operator's smallest
     eigenvalue, computed after the solves have passed their gate.  An
-    empty ``probes`` raises ValueError.
+    empty ``probes``, and a zero source, named by its index, raise
+    ValueError.
     """
     if probes is not None and len(probes) == 0:
         raise ValueError("probes must hold at least one source")
     grid = build_grid(cfg, resolution)
     profile, _ = glued_curvature_profile(cfg, grid)
     op = assemble_L(grid, profile, cfg.m)
-    n, delta = cfg.n, cfg.delta
-    psi = psi_of_t(grid.s, cfg)
-    lo = (n - 2) / 2.0 - delta
-    hi = (n + 2) / 2.0 - delta
+    weights = estimate_weights(cfg, psi_of_t(grid.s, cfg))
     if probes is None:
         c_m = -(cfg.m - 2) / (4.0 * (cfg.m - 1))
         probes = [c_m * (cfg.S - profile)]
-    out = []
-    for f in probes:
-        v = solve(op, f)
-        num = weighted_sup(v, psi, lo)
-        den = weighted_sup(f, psi, hi)
-        out.append(num / den)
+    out = [estimate_ratio(i, solve(op, f), f, weights, 0.0) for i, f in enumerate(probes)]
     return EstimateReport(max(out), out, op.min_abs_eig)

@@ -37,11 +37,12 @@ from .linear_solver import (
     ROUNDING_ULPS,
     assemble_L,
     build_grid,
+    estimate_ratio,
+    estimate_weights,
     glued_curvature_profile,
     laplacian_coefficients,
     neck_scalar_curvature,
     solve_dirichlet,
-    weighted_sup,
 )
 
 RESOLVED_FACTOR = 10.0  # a deviation counts as resolved above 10x its error bar
@@ -388,13 +389,13 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
     the whole grid and left/right the Dirichlet values at the window
     edges.  By default the three standard cases run: the discrete
     harmonic extension of boundary data 1, the barrier profile itself,
-    and a smooth interior source with zero boundary data; an empty list
-    raises ValueError.  Where the grid or a ratio leaves double precision
-    (below eps of about 1e-110 at n = 3) OutOfFloatRange is raised.
+    and a smooth interior source with zero boundary data.  An empty list and
+    a case of zero source and boundary values (by name) raise ValueError.
+    Where the grid or a ratio leaves double precision (below eps of about
+    1e-110 at n = 3) OutOfFloatRange is raised.
     """
     if probes is not None and len(probes) == 0:
         raise ValueError("probes must hold at least one case")
-    n, delta = cfg.n, cfg.delta
     T = cfg.t_max
     ta = T - cfg.alpha
     if ta <= 0:
@@ -409,12 +410,13 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
         if i1 - i0 < 8:
             raise EpsilonTooLarge("window T^eps_alpha has too few grid nodes")
         psi = psi_of_t(s[i0:i1 + 1], cfg)
-        lo = (n - 2) / 2.0 - delta
-        hi = (n + 2) / 2.0 - delta
+        weights = estimate_weights(cfg, psi)
+        # scalar powers at the edges: the array power's last bit can differ
+        edges = [estimate_weights(cfg, p)[0] for p in (psi[0], psi[-1])]
 
         win = slice(i0, i1 + 1)
         if probes is None:
-            phi = barrier_profile(cfg, delta, s)
+            phi = barrier_profile(cfg, cfg.delta, s)
             fr = np.zeros(grid.size)
             xi = (s[win] - s[i0]) / (s[i1] - s[i0])
             fr[win] = np.sin(math.pi * xi) * (1.0 + 0.4 * np.cos(3 * math.pi * xi))
@@ -425,8 +427,6 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
         out = []
         for name, f, left, right in probes:
             v = solve_dirichlet(op, f, i0, i1, left, right)
-            num = weighted_sup(v, psi, lo)
-            den = weighted_sup(np.asarray(f)[win], psi, hi)
-            den_b = max(psi[0]**lo * abs(v[0]), psi[-1]**lo * abs(v[-1]))
-            out.append((name, num / (den + den_b)))
+            den_b = max(edges[0] * abs(v[0]), edges[1] * abs(v[-1]))
+            out.append((name, estimate_ratio(name, v, np.asarray(f)[win], weights, den_b)))
     return LocalEstimateReport(max(r[1] for r in out), out)

@@ -119,3 +119,20 @@ def test_every_bound_lapack_routine_is_called():
     called = {node.slice.value for node in ast.walk(tree)
               if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "_lapack"}
     assert called == bound - {"ilaver"}
+
+
+def test_every_public_lapack_wrapper_has_a_caller_in_the_package():
+    # a wrapper whose last production caller goes must go too, not linger
+    # for the tests alone; load is called by lapack itself at import
+    public = {node.name for node in ast.parse((PACKAGE / "lapack.py").read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    referenced = set()  # `from .lapack import name` and `lapack.name`
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "lapack.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "lapack":
+                    referenced |= {a.name for a in node.names}
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "lapack":
+                    referenced.add(node.attr)
+    assert public - referenced == {"load"}

@@ -348,9 +348,19 @@ def _scipy_window(d, e, lo, hi, tol):
                             lapack_driver="stebz", tol=tol)
 
 
+def _scipy_dirichlet(op, f, i0, i1, left, right):
+    """solve_dirichlet's window from solve_banded((1, 1), ...) on the folded inner system."""
+    rhs = f[i0 + 1:i1].copy()
+    rhs[0] -= op.sub[i0] * left
+    rhs[-1] -= op.sup[i1 - 1] * right
+    ab = np.zeros((3, i1 - i0 - 1))
+    ab[0, 1:], ab[1], ab[2, :-1] = op.sup[i0 + 1:i1 - 1], op.diag[i0 + 1:i1], op.sub[i0 + 1:i1 - 1]
+    return np.r_[left, solve_banded((1, 1), ab, rhs), right]
+
+
 def test_lapack_gives_the_bits_of_scipy_linalg(deep_op, monkeypatch):
     # cscglue.lapack reaches the LAPACK that scipy.linalg wraps without
-    # importing scipy.linalg; its two wrappers must give scipy.linalg's bits
+    # importing scipy.linalg; its wrappers must give scipy.linalg's bits
     op = deep_op
     assert op.size == 3769
     d, e = op.diag, op.symmetric_off
@@ -362,9 +372,13 @@ def test_lapack_gives_the_bits_of_scipy_linalg(deep_op, monkeypatch):
     lam = ls.smallest_eigenvalue(op)
     monkeypatch.setattr(ls, "eigenvalues_between", _scipy_window)
     assert np.float64(ls.smallest_eigenvalue(op)).tobytes() == np.float64(lam).tobytes()
+    # solve_dirichlet's one TridiagonalLU per window: the full grid, an
+    # interior window and a one-node window
     f = op.apply(np.cos(np.linspace(0.0, 3.0, op.size)))
-    x = lapack.solve_tridiagonal(op.sub, op.diag, op.sup, f)
-    assert x.tobytes() == _solve_banded_tridiagonal(op, f).tobytes()
+    N = op.size
+    for i0, i1 in ((0, N - 1), (N // 4, 3 * N // 4), (N // 2 - 1, N // 2 + 1)):
+        v = ls.solve_dirichlet(op, f, i0, i1, 0.3, -0.7)
+        assert v.tobytes() == _scipy_dirichlet(op, f, i0, i1, 0.3, -0.7).tobytes()
 
 
 def test_lapack_wrappers_check_their_input(stack05):
@@ -372,18 +386,19 @@ def test_lapack_wrappers_check_their_input(stack05):
     _, _, op = stack05
     d, e, f = op.diag, op.symmetric_off, np.ones(op.size)
     nan = np.r_[np.nan, d[1:]]
+    lu = lapack.TridiagonalLU(op.sub, d, op.sup)
     for call in (lambda: lapack.eigenvalues_between(nan, e, -1.0, 1.0, 1e-12),
                  lambda: lapack.eigenvalues_between(d, e[1:], -1.0, 1.0, 1e-12),
                  lambda: lapack.eigenvalues_between(d, e, 1.0, -1.0, 1e-12),
-                 lambda: lapack.solve_tridiagonal(op.sub, nan, op.sup, f),
-                 lambda: lapack.solve_tridiagonal(op.sub, d, op.sup, np.r_[f, np.inf]),
-                 lambda: lapack.solve_tridiagonal(op.sub[1:], d, op.sup, f),
-                 lambda: lapack.solve_tridiagonal(op.sub, d, op.sup, f[1:])):
+                 lambda: lapack.TridiagonalLU(op.sub, nan, op.sup),
+                 lambda: lu.solve(np.r_[f[1:], np.inf]),
+                 lambda: lapack.TridiagonalLU(op.sub[1:], d, op.sup),
+                 lambda: lu.solve(f[1:])):
         with pytest.raises(ValueError):
             call()
     # a first column of zeros: an exactly zero pivot
     with pytest.raises(np.linalg.LinAlgError):
-        lapack.solve_tridiagonal(np.r_[0.0, op.sub[1:]], np.r_[0.0, d[1:]], op.sup, f)
+        lapack.TridiagonalLU(np.r_[0.0, op.sub[1:]], np.r_[0.0, d[1:]], op.sup)
 
 
 def test_lapack_loader_names_the_file_and_every_spelling():
@@ -494,8 +509,8 @@ def test_a_copied_operator_solves_with_its_own_factors(rng):
 
 
 def test_one_node_dirichlet_window(stack05):
-    # i1 = i0 + 2 leaves one inner node: a 1x1 system, which solve_banded
-    # solves by one division and dgtsv's wrapper would refuse
+    # i1 = i0 + 2 leaves one inner node: a 1x1 system, which scipy's
+    # solve_banded and TridiagonalLU both solve by one division
     _, _, op = stack05
     f = np.cos(np.arange(op.size, dtype=float))
     i0, left, right = 20, 0.3, -0.7
@@ -586,6 +601,13 @@ def test_global_estimate_homogeneity_and_cap_source(cfg05, stack05):
 def test_global_estimate_refuses_empty_probes(cfg05):
     with pytest.raises(ValueError, match="probes must hold at least one source"):
         ls.global_estimate_ratio(cfg05, 64, probes=[])
+
+
+def test_global_estimate_refuses_a_zero_source_by_its_index(cfg05, stack05):
+    # v = 0 for f = 0: the ratio is 0/0, which was a bare ZeroDivisionError
+    f = np.ones(stack05[0].size)
+    with pytest.raises(ValueError, match="probe 1 has a zero source"):
+        ls.global_estimate_ratio(cfg05, 64, probes=[f, 0.0 * f])
 
 
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -447,6 +448,24 @@ def test_local_estimate_ratio_refuses_empty_probes(model_a):
     cfg = gluing.GluingConfig(model_a, model_a, eps=0.05, alpha=2.7)
     with pytest.raises(ValueError, match="probes must hold at least one case"):
         na.local_estimate_ratio(cfg, probes=[])
+
+
+def test_local_estimate_ratio_refuses_a_zero_case_by_name(model_a):
+    # zero source and boundary values give v = 0 and a 0/0 ratio, which
+    # was an OutOfFloatRange blaming double precision
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.01)
+    N = linear_solver.build_grid(cfg, 64).size
+    with pytest.raises(ValueError, match="probe 'x' has a zero source"):
+        na.local_estimate_ratio(cfg, probes=[("x", np.zeros(N), 0.0, 0.0)])
+
+
+def test_local_estimate_ratio_refuses_a_short_source_by_its_shape(model_a):
+    # a source shorter than the grid was a bare IndexError
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.01)
+    N = linear_solver.build_grid(cfg, 64).size
+    with pytest.raises(ValueError, match=re.escape(f"shape (3,) does not fit a diagonal "
+                                                   f"of shape ({N},)")):
+        na.local_estimate_ratio(cfg, probes=[("x", np.ones(3), 0.0, 0.0)])
 
 
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
