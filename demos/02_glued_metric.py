@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from cscglue import (GluingConfig, chi, eta, fermi_metric, glued_metric, make_model,
-                     psi_of_t, u_eps)
+                     psi_of_t)
 from cscglue.curvature import scalar_curvature
 
 A = make_model("torus2_x_sphere3")
@@ -25,7 +25,7 @@ print(f"eps = {cfg.eps}: neck coordinate t ranges over ({math.log(cfg.eps):.3f},
 print("\ncutoff and profile values:")
 print("  chi(-1) =", chi(-1.0, cfg.eps), "  chi(1) =", chi(1.0, cfg.eps))
 print("  eta(0)  =", eta(0.0, cfg.eps))
-print("  u(0)    =", u_eps(0.0, cfg.eps, cfg.n), " (= 2 eps^{(n-2)/2})")
+print("  u(0)    =", cfg.u(0.0), " (= 2 eps^{(n-2)/2})")
 
 # the metric is continuous across the seams: compare the neck formula at
 # t = log(eps) with the summand metric at r = eps e^{-t} = 1, whose dr^2

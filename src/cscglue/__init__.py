@@ -37,7 +37,6 @@ from .gluing import (
     eta,
     glued_metric,
     psi_of_t,
-    u_eps,
 )
 from .linear_solver import (
     DiscreteOperator,

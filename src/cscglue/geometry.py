@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -98,21 +99,16 @@ class Factor:
 class ModelGeometry:
     """A built-in summand: product manifold with gluing locus K x {pole}.
 
-    The base point on the normal factor is the polar origin of its
-    geodesic polar chart; K sits at r = 0.
+    A model stores its name and factors alone; k, n, m and S are read
+    from the factors.  The base point on the normal factor is the polar
+    origin of its geodesic polar chart; K sits at r = 0.
     """
 
     name: str
-    m: int
-    k: int
-    n: int
-    S: float
     k_factors: tuple[Factor, ...]
     normal_factor: Factor
 
     def __post_init__(self):
-        if self.n != self.m - self.k:
-            raise ValueError("inconsistent dimensions: n must equal m - k")
         if self.n < 3:
             raise CodimensionTooSmall(
                 f"codimension m - k = {self.n} < 3 for model {self.name!r}"
@@ -121,6 +117,24 @@ class ModelGeometry:
             raise ZeroScalarCurvature(
                 f"factor sizes give S = 0 for model {self.name!r}"
             )
+
+    @cached_property
+    def k(self) -> int:
+        return sum(f.dim for f in self.k_factors)
+
+    @cached_property
+    def n(self) -> int:
+        return self.normal_factor.dim
+
+    @cached_property
+    def m(self) -> int:
+        return self.k + self.n
+
+    @cached_property
+    def S(self) -> float:
+        """Sum of the factor curvatures, the K factors first."""
+        return (sum(f.scalar_curvature() for f in self.k_factors)
+                + self.normal_factor.scalar_curvature())
 
     @property
     def r_max(self) -> float:
@@ -131,13 +145,6 @@ class ModelGeometry:
     @property
     def factors(self) -> tuple[Factor, ...]:
         return self.k_factors + (self.normal_factor,)
-
-
-def _build_model(name, k_factors, normal_factor):
-    k = sum(f.dim for f in k_factors)
-    n = normal_factor.dim
-    S = sum(f.scalar_curvature() for f in k_factors) + normal_factor.scalar_curvature()
-    return ModelGeometry(name, k + n, k, n, S, tuple(k_factors), normal_factor)
 
 
 def make_model(
@@ -162,22 +169,22 @@ def make_model(
         if not 0 < lo < math.inf:  # NaN fails the comparison too
             raise ValueError(f"factor parameter {f} must be positive and finite")
     if name == "torus2_x_sphere3":
-        return _build_model(name, [Factor("torus", 2, torus_side)],
-                            Factor("sphere", 3, sphere3_radius))
+        return ModelGeometry(name, (Factor("torus", 2, torus_side),),
+                             Factor("sphere", 3, sphere3_radius))
     if name == "sphere2_x_sphere3":
-        return _build_model(name, [Factor("sphere", 2, math.sqrt(sphere2_radius_sq))],
-                            Factor("sphere", 3, sphere3_radius))
+        return ModelGeometry(name, (Factor("sphere", 2, math.sqrt(sphere2_radius_sq)),),
+                             Factor("sphere", 3, sphere3_radius))
     if name == "sphere2_x_ball3":
-        return _build_model(name, [Factor("sphere", 2, math.sqrt(sphere2_radius_sq))],
-                            Factor("ball", 3, math.pi))
+        return ModelGeometry(name, (Factor("sphere", 2, math.sqrt(sphere2_radius_sq)),),
+                             Factor("ball", 3, math.pi))
     if name == "sphere5":
-        return _build_model(name, [], Factor("sphere", 5, 1.0))
+        return ModelGeometry(name, (), Factor("sphere", 5, 1.0))
     if name == "torus2_x_torus3":
-        return _build_model(name, [Factor("torus", 2, torus_side)],
-                            Factor("torus", 3, torus_side))
+        return ModelGeometry(name, (Factor("torus", 2, torus_side),),
+                             Factor("torus", 3, torus_side))
     if name == "torus2_x_sphere2":
-        return _build_model(name, [Factor("torus", 2, torus_side)],
-                            Factor("sphere", 2, math.sqrt(sphere2_radius_sq)))
+        return ModelGeometry(name, (Factor("torus", 2, torus_side),),
+                             Factor("sphere", 2, math.sqrt(sphere2_radius_sq)))
     raise ValueError(f"unknown model name {name!r}")
 
 

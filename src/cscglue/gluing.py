@@ -58,7 +58,7 @@ from .geometry import (
 )
 
 __all__ = [
-    "GluingConfig", "SyntheticExactConfig", "Jet", "chi", "eta", "u_eps",
+    "GluingConfig", "SyntheticExactConfig", "Jet", "chi", "eta",
     "glued_metric", "psi_of_t", "mollifier_step", "check_neck",
 ]
 
@@ -226,12 +226,6 @@ def _u_jet(t, eps: float, n: int, etas):
     if len(parts) == 1:
         return parts[0]
     return tuple(x + y for x, y in zip(*parts))
-
-
-def u_eps(t, eps: float, n: int):
-    """Normal conformal factor eta(t) u^{(1)} + eta(-t) u^{(2)}; positive."""
-    t = check_neck(t, eps)
-    return _u_eps_raw(t, eps, n, _plateaus(t, eps)[1:])
 
 
 def _q_N(factor, eps: float, x):

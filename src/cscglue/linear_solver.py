@@ -51,7 +51,7 @@ ROUNDING_ULPS = 64  # rounding bars: this many eps_mach of the summed term sizes
 class RadialGrid:
     """Uniform 1-D mesh along the global cylindrical coordinate.
 
-    ``h`` is the one mesh width, kept per cell as np.diff(s).  ``K_half``
+    ``h`` is np.diff(s), the one mesh width per cell.  ``K_half``
     are the flux coefficients W g^{ss} at midpoints and ``V`` the dual-cell
     volumes, W = U^{n/2} q^{(n-1)/2} being the orbit volume weight
     (sqrt(det g) up to one global constant).  ``cap`` marks the nodes on
@@ -59,7 +59,6 @@ class RadialGrid:
     """
 
     s: np.ndarray
-    h: np.ndarray
     K_half: np.ndarray
     V: np.ndarray
     cap: np.ndarray
@@ -67,6 +66,10 @@ class RadialGrid:
     @property
     def size(self) -> int:
         return self.s.size
+
+    @property
+    def h(self) -> np.ndarray:
+        return np.diff(self.s)
 
 
 def _segment(a: float, b: float, resolution: int) -> np.ndarray:
@@ -128,7 +131,7 @@ def _radial_grid(n: int, warp, s, cap) -> RadialGrid:
     W_ends = _on_mirror_pairs(weights, np.concatenate(nodes))[0]
     for i, (s0, s1), Wq in zip((0, -1), ends, np.split(W_ends, 2)):
         V[i] = 0.5 * (s1 - s0) * float(_GAUSS4_WEIGHTS @ Wq)
-    return RadialGrid(s, h, Wm * Am, V, cap)
+    return RadialGrid(s, Wm * Am, V, cap)
 
 
 def build_grid(cfg: GluingConfig, resolution: int) -> RadialGrid:
@@ -199,7 +202,11 @@ class DiscreteOperator:
         return self.diag.size
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return _apply(self.sub, self.diag, self.sup, u)
+        """The tridiagonal matrix (sub, diag, sup) times u."""
+        out = self.diag * u
+        out[:-1] += self.sup * u[1:]
+        out[1:] += self.sub * u[:-1]
+        return out
 
     def asymmetry(self) -> float:
         """Max relative defect of V_i L_{i,i+1} = V_{i+1} L_{i+1,i}."""
@@ -228,11 +235,11 @@ class DiscreteOperator:
         return float(min(map(abs, near), default=math.inf))
 
     @cached_property
-    def lu(self) -> TridiagonalLU:
-        """The LU factorization of L, ``lapack.TridiagonalLU``; ``solve`` reuses it.
+    def lu(self):
+        """The LU factorization of L, a ``lapack.TridiagonalLU``, made on first read.
 
-        Raises ValueError for a non-finite entry and LinAlgError for an
-        exactly zero pivot.
+        ``solve_banded`` solves with it.  Raises ValueError for a non-finite
+        entry and LinAlgError for an exactly zero pivot.
         """
         return TridiagonalLU(self.sub, self.diag, self.sup)
 
@@ -259,62 +266,51 @@ def assemble_L(grid: RadialGrid, scalar_profile, m: int) -> DiscreteOperator:
     return DiscreteOperator(sub, diag, sup, grid.V)
 
 
-def _apply(sub, diag, sup, u: np.ndarray) -> np.ndarray:
-    """The tridiagonal matrix (sub, diag, sup) times u."""
-    out = diag * u
-    out[:-1] += sup * u[1:]
-    out[1:] += sub * u[:-1]
-    return out
+def solve_banded(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
+    """x with L x = f by ``op.lu.solve(f)``, checked by its residual.
 
-
-def _residual_checked(sub, diag, sup, f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x, the answer of a solve of (sub, diag, sup) x = f, once its residual passes.
-
-    Raises NoConvergence unless the relative residual is at most
-    RESIDUAL_TOL, so a NaN residual raises too.
+    The one solve of a ``DiscreteOperator``: one LAPACK ``dgttrs`` on the
+    factorization made once per operator, which gives the bits of
+    ``scipy.linalg.solve_banded((1, 1), ...)``; bench/spans.py counts its
+    calls.  Raises ValueError for a non-finite f or one of the wrong
+    shape, and NoConvergence unless the relative residual is at most
+    RESIDUAL_TOL, so a NaN answer raises too.
     """
-    scale = float(np.max(np.abs(f)) + np.max(np.abs(diag)) * np.max(np.abs(x))
+    x = op.lu.solve(f)
+    scale = float(np.max(np.abs(f)) + np.max(np.abs(op.diag)) * np.max(np.abs(x))
                   + np.finfo(float).tiny)
-    res = float(np.max(np.abs(f - _apply(sub, diag, sup, x)))) / scale
+    res = float(np.max(np.abs(f - op.apply(x)))) / scale
     if not res <= RESIDUAL_TOL:
         raise NoConvergence(f"relative residual {res:.3e} above {RESIDUAL_TOL:g}")
     return x
 
 
 def solve(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
-    """One LU solve of L x = f, checked by its residual.
+    """``solve_banded`` of L x = f behind the invertibility gate.
 
     Raises NearSingularOperator when L has an eigenvalue of magnitude
     below MIN_ABS_EIG (the numerical symptom of a failed injectivity
     hypothesis), read from ``op.gate_abs_eig``: one Sturm window per
-    operator, settled by two Sturm counts when it is empty.  The solve
-    is ``op.lu.solve(f)``, one LAPACK ``dgttrs`` on the factorization
-    made once per operator, and gives the bits of
-    ``scipy.linalg.solve_banded((1, 1), ...)``.  Raises ValueError for a
-    non-finite f or one of the wrong shape, and NoConvergence if the
-    relative residual exceeds RESIDUAL_TOL.
+    operator, settled by two Sturm counts when it is empty.  Otherwise
+    raises as ``solve_banded`` does.
     """
     if op.gate_abs_eig < MIN_ABS_EIG:
         raise NearSingularOperator(
             f"smallest |eigenvalue| = {op.gate_abs_eig:.3e} < {MIN_ABS_EIG:g}")
-    return _residual_checked(op.sub, op.diag, op.sup, f, op.lu.solve(f))
-
-
-def solve_banded(sub, diag, sup, rhs) -> np.ndarray:
-    """x with (sub, diag, sup) x = rhs by one ``TridiagonalLU``; bench/spans.py counts calls."""
-    return TridiagonalLU(sub, diag, sup).solve(rhs)
+    return solve_banded(op, f)
 
 
 def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
                     left: float, right: float) -> np.ndarray:
     """Solve L v = f on nodes i0..i1 with Dirichlet values at i0 and i1.
 
-    The inner nodes are solved by ``solve_banded``, the ``TridiagonalLU``
-    route of ``solve`` on the window's own factors; a one-node window is one
+    The boundary values fold into the source of the inner nodes
+    i0+1..i1-1, whose rows form the window's own ``DiscreteOperator``,
+    solved by ``solve_banded`` with no gate; a one-node window is one
     division.  Returns the full window vector including the boundary nodes.
     Raises ValueError for an f of a shape other than (N,) and unless
     0 <= i0, i1 <= N - 1 and i1 - i0 >= 2, LinAlgError for an exactly zero
-    pivot and NoConvergence as ``solve`` does.
+    pivot and NoConvergence as ``solve_banded`` does.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (op.size,):
@@ -330,9 +326,8 @@ def solve_dirichlet(op: DiscreteOperator, f: np.ndarray, i0: int, i1: int,
     rhs = f[i0 + 1:i1].copy()
     rhs[0] -= sub[0] * left
     rhs[-1] -= sup[-1] * right
-    sub, diag, sup = sub[1:-1], op.diag[i0 + 1:i1], sup[1:-1]
-    inner = _residual_checked(sub, diag, sup, rhs, solve_banded(sub, diag, sup, rhs))
-    return np.concatenate([[left], inner, [right]])
+    window = DiscreteOperator(sub[1:-1], op.diag[i0 + 1:i1], sup[1:-1], op.V[i0 + 1:i1])
+    return np.concatenate([[left], solve_banded(window, rhs), [right]])
 
 
 def _eigenvalues_within(op: DiscreteOperator, r: float) -> np.ndarray:

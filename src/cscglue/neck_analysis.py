@@ -384,10 +384,11 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
     profile and the operator L.  For solutions of L v = f on the window
     with boundary data on its edge, returns the max over probe cases of
         sup |psi^{(n-2)/2-d} v| / (sup |psi^{(n+2)/2-d} f|
-                                   + sup_boundary |psi^{(n-2)/2-d} v|).
-    ``probes`` is a list of cases (name, f, left, right), f a source on
-    the whole grid and left/right the Dirichlet values at the window
-    edges.  By default the three standard cases run: the discrete
+                                   + sup_boundary |psi^{(n-2)/2-d} v|),
+    the sup of f taken over the inner nodes, the only ones the window
+    solve reads.  ``probes`` is a list of cases (name, f, left, right), f
+    a source on the whole grid and left/right the Dirichlet values at the
+    window edges.  By default the three standard cases run: the discrete
     harmonic extension of boundary data 1, the barrier profile itself,
     and a smooth interior source with zero boundary data.  An empty list and
     a case of zero source and boundary values (by name) raise ValueError.
@@ -410,7 +411,7 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
         if i1 - i0 < 8:
             raise EpsilonTooLarge("window T^eps_alpha has too few grid nodes")
         psi = psi_of_t(s[i0:i1 + 1], cfg)
-        weights = estimate_weights(cfg, psi)
+        w_v, w_f = estimate_weights(cfg, psi)
         # scalar powers at the edges: the array power's last bit can differ
         edges = [estimate_weights(cfg, p)[0] for p in (psi[0], psi[-1])]
 
@@ -428,5 +429,6 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
         for name, f, left, right in probes:
             v = solve_dirichlet(op, f, i0, i1, left, right)
             den_b = max(edges[0] * abs(v[0]), edges[1] * abs(v[-1]))
-            out.append((name, estimate_ratio(name, v, np.asarray(f)[win], weights, den_b)))
+            out.append((name, estimate_ratio(name, v, np.asarray(f)[i0 + 1:i1],
+                                             (w_v, w_f[1:-1]), den_b)))
     return LocalEstimateReport(max(r[1] for r in out), out)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,29 @@ def test_make_model_examples(model_a, model_b):
     assert (model_b.m, model_b.k, model_b.n) == (5, 2, 3)
     assert model_b.S == pytest.approx(7.0, abs=1e-12)  # 2/r^2 + 6 = 1 + 6
     assert model_a.r_max == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("name, m, k, n, S", [
+    ("torus2_x_sphere3", 5, 2, 3, "6.0"),
+    ("sphere2_x_sphere3", 5, 2, 3, "7.0"),
+    ("sphere5", 5, 0, 5, "20.0"),
+    ("sphere2_x_ball3", 5, 2, 3, "0.9999999999999998"),
+])
+def test_model_reads_its_dimensions_and_curvature_from_its_factors(name, m, k, n, S):
+    # the K factors' curvatures are summed first, then the normal factor's
+    model = geometry.make_model(name)
+    assert (model.m, model.k, model.n, repr(model.S)) == (m, k, n, S)
+
+
+def test_model_stores_its_name_and_factors_alone():
+    # S, m, k and n are facts of the factors; a model that stored them
+    # could carry values its factors contradict, and glue with them
+    model = geometry.make_model("torus2_x_sphere3")
+    assert [f.name for f in dataclasses.fields(model)] == [
+        "name", "k_factors", "normal_factor"]
+    for derived in ("S", "m", "k", "n"):
+        with pytest.raises(TypeError):
+            dataclasses.replace(model, **{derived: 7.0})
 
 
 def test_make_model_rejects_low_codimension():

@@ -58,8 +58,6 @@ def test_neck_domain_enforced():
         gluing.chi(5.0, 0.05)
     with pytest.raises(OutOfNeck):
         gluing.eta(-4.0, 0.05)
-    with pytest.raises(OutOfNeck):
-        gluing.u_eps(3.1, 0.05, 3)
 
 
 def test_neck_domain_rejects_nan():
@@ -67,8 +65,6 @@ def test_neck_domain_rejects_nan():
     # the neck" lets NaN through and the profiles return NaN
     with pytest.raises(OutOfNeck):
         gluing.chi(math.nan, 0.05)
-    with pytest.raises(OutOfNeck):
-        gluing.u_eps(math.nan, 0.05, 3)
     with pytest.raises(OutOfNeck):
         gluing.eta(np.array([0.0, math.nan]), 0.05)
 
@@ -85,7 +81,7 @@ def test_cutoffs_c2_at_plateau_junctions(cfg05):
     cases = [
         (lambda t: gluing.chi(t, eps), -1.0),          # chi plateau edge
         (lambda t: gluing.eta(t, eps), T - 1.0),       # eta plateau edge
-        (lambda t: gluing.u_eps(t, eps, 3), T - 1.0),  # blended profile
+        (cfg05.u, T - 1.0),                            # blended profile
         (lambda t: gluing.psi_of_t(t, cfg05), max(0.0, T - cfg05.alpha)),
     ]
     for f, t0 in cases:
@@ -96,12 +92,12 @@ def test_cutoffs_c2_at_plateau_junctions(cfg05):
 
 def test_u_eps_values(cfg05):
     eps, n = cfg05.eps, cfg05.n
-    assert gluing.u_eps(0.0, eps, n) == pytest.approx(2.0 * eps ** ((n - 2) / 2))
+    assert cfg05.u(0.0) == pytest.approx(2.0 * eps ** ((n - 2) / 2))
     # plateau identity u = u1 (1 + h), h = e^{(n-2)t}
     t = np.linspace(math.log(eps) + 1.0, -1.0, 20)
     u1 = eps ** 0.5 * np.exp(-0.5 * t)
     h = np.exp(t)
-    assert np.max(np.abs(gluing.u_eps(t, eps, n) - u1 * (1 + h))) <= 1e-14
+    assert np.max(np.abs(cfg05.u(t) - u1 * (1 + h))) <= 1e-14
     # chart edge: u -> 1 at t = log(eps), i.e. r_1 = 1
     assert cfg05.u(math.log(eps)) == pytest.approx(1.0, abs=1e-14)
     # conformal-polar identity u1 = |x|^{(n-2)/2}
@@ -389,7 +385,7 @@ def test_cutoff_plateau_folding_keeps_every_bit(name, eps):
     model = geometry.make_model(name)
     cfg = gluing.GluingConfig(model, model, eps=eps)
     T = cfg.t_max
-    neck = {  # windows inside (-T, T), where chi, eta and u_eps are defined
+    neck = {  # windows inside (-T, T), where chi and eta are defined
         "eta-plateaus": np.linspace(-(T - 1.0), T - 1.0, 33),
         "bands": np.linspace(-(T - 0.3), T - 0.3, 41),
         **{f"t={x:.6g}": np.array([x]) for x in (1.0, -1.0, T - 1.0, 1.0 - T)},
@@ -408,11 +404,11 @@ def test_cutoff_plateau_folding_keeps_every_bit(name, eps):
         got = (*cfg.warp(t), cfg.u(t), *cfg.warp_jets(t))
         for g, w in zip(got, (u[0], q[0], u[0], gluing.Jet(*u), gluing.Jet(*q))):
             assert _bits(g) == _bits(w), where
+    # cfg.u is held to the unfolded u above, on the neck and beyond it
     for where, t in neck.items():
-        u, _, (eta1, eta2, c) = _unfolded(cfg, t)
-        got = (gluing.chi(t, eps), gluing.eta(t, eps), gluing.eta(-t, eps),
-               gluing.u_eps(t, eps, cfg.n))
-        for g, w in zip(got, (c, eta1, eta2, u[0])):
+        _, _, (eta1, eta2, c) = _unfolded(cfg, t)
+        got = (gluing.chi(t, eps), gluing.eta(t, eps), gluing.eta(-t, eps))
+        for g, w in zip(got, (c, eta1, eta2)):
             assert _bits(g) == _bits(w), where
     # NaN lies on no plateau, so it takes the unfolded path (B(NaN) is 0/0)
     t = np.array([0.0, math.nan, T + 0.2])

@@ -115,6 +115,14 @@ def test_grid_mirror_and_interfaces():
         assert np.array_equal(err[~cap], err_neck)
 
 
+def test_grid_widths_are_read_from_its_nodes():
+    # the nodes are the mesh: a stored width could disagree with them
+    model = geometry.make_model("torus2_x_sphere3")
+    grid = ls.build_grid(gluing.GluingConfig(model, model, eps=0.05), 64)
+    assert "h" not in [f.name for f in dataclasses.fields(grid)]
+    assert grid.h.tobytes() == np.diff(grid.s).tobytes()
+
+
 def test_solve_inverse_consistency(stack05, rng):
     grid, _, op = stack05
     v_star = np.sin(grid.s) * np.exp(-0.1 * grid.s**2)
@@ -276,16 +284,16 @@ def test_discrete_maximum_principle(rng):
 
 
 def test_wrong_banded_answer_is_no_convergence(stack05, monkeypatch):
-    # both solves check the residual of the answer LAPACK gives back: solve
-    # gets it from TridiagonalLU.solve, solve_dirichlet from solve_banded; a
-    # NaN answer has a NaN residual, which must fail the check too
+    # both solves check the residual of the answer LAPACK gives back: solve,
+    # and solve_dirichlet on its window's operator, get it from
+    # TridiagonalLU.solve through solve_banded; a NaN answer has a NaN
+    # residual, which must fail the check too
     _, _, op = stack05
     f = np.ones(op.size)
-    exact_lu, exact_banded = lapack.TridiagonalLU.solve, ls.solve_banded
+    exact_lu = lapack.TridiagonalLU.solve
     for wrong in (lambda x: x * (1.0 + 1e-6), lambda x: np.full_like(x, np.nan)):
         monkeypatch.setattr(lapack.TridiagonalLU, "solve",
                             lambda self, b: wrong(exact_lu(self, b)))
-        monkeypatch.setattr(ls, "solve_banded", lambda *a: wrong(exact_banded(*a)))
         with pytest.raises(NoConvergence):
             ls.solve(op, f)
         with pytest.raises(NoConvergence):

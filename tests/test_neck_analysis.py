@@ -471,7 +471,8 @@ def test_local_estimate_ratio_refuses_a_short_source_by_its_shape(model_a):
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])
 def test_local_estimate_ratio_is_the_inline_weighted_sup_ratio(monkeypatch, name):
     # each default probe's ratio, restated inline from the solves the
-    # estimate made, is bitwise the one it reports
+    # estimate made, is bitwise the one it reports; the source's sup runs
+    # over the inner nodes i0+1..i1-1, the ones the window solve reads
     solves = []
     real = na.solve_dirichlet
 
@@ -491,6 +492,31 @@ def test_local_estimate_ratio_is_the_inline_weighted_sup_ratio(monkeypatch, name
     for (_, ratio), (f, i0, i1, v) in zip(rep.per_probe, solves):
         psi = gluing.psi_of_t(s[i0:i1 + 1], cfg)
         num = float(np.max(psi**lo * np.abs(v)))
-        den = float(np.max(psi**hi * np.abs(f[i0:i1 + 1])))
+        den = float(np.max(psi[1:-1]**hi * np.abs(f[i0 + 1:i1])))
         den_b = max(psi[0]**lo * abs(v[0]), psi[-1]**lo * abs(v[-1]))
         assert ratio == num / (den + den_b)
+
+
+def _ones_ratio(edge):
+    """The local ratio of an all-ones source, zero boundary data and f[i0] = edge."""
+    model = geometry.make_model("torus2_x_sphere3")
+    cfg = gluing.GluingConfig(model, model, eps=0.01)
+    s = linear_solver.build_grid(cfg, 64).s
+    i0 = int(np.argmax(np.abs(s) <= cfg.t_max - cfg.alpha + 1e-12))
+    f = np.ones(s.size)
+    f[i0] = edge
+    return na.local_estimate_ratio(cfg, probes=[("ones", f, 0.0, 0.0)]).max_ratio
+
+
+def test_nan_source_at_the_window_edge_keeps_the_local_ratio_finite():
+    # the window solve never reads f at its edge nodes, so neither may the
+    # ratio's denominator: a NaN there made the ratio NaN
+    assert _ones_ratio(math.nan) == _ones_ratio(1.0)
+
+
+def test_large_source_at_the_window_edge_keeps_the_local_ratio():
+    # 1e6 at the unread edge node scaled the ratio of an unchanged solution
+    # down a millionfold, to 2.72e-6
+    ones = _ones_ratio(1.0)
+    assert ones == pytest.approx(2.808, abs=1e-3)
+    assert _ones_ratio(1e6) == ones
