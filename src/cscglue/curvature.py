@@ -216,14 +216,14 @@ def _as_batch(point):
     return chart_id, coords, squeeze
 
 
-def christoffel(field: MetricField, point, scheme: DerivativeScheme | None = None):
+def christoffel(field: MetricField, point):
     """Christoffel symbols Gamma^a_{bc}, shape (m, m, m) (batched: (N, m, m, m)).
 
     Central differences of the components with Richardson extrapolation;
     exactly symmetric in the lower index pair by construction.
     """
     chart_id, pts, squeeze = _as_batch(point)
-    ginv, (dg, _), _, _ = _metric_jet(field, chart_id, pts, scheme or DerivativeScheme())
+    ginv, (dg, _), _, _ = _metric_jet(field, chart_id, pts, DerivativeScheme())
     gamma = _christoffel_from(ginv, _bracket(dg))
     return gamma[0] if squeeze else gamma
 
@@ -243,13 +243,12 @@ def scalar_curvature(field: MetricField, point,
 
 
 def laplace_beltrami(field: MetricField, u: Callable, point,
-                     scheme: DerivativeScheme | None = None) -> ValueWithError:
+                     scheme: DerivativeScheme) -> ValueWithError:
     """Laplace-Beltrami of a scalar callback at a point.
 
     Delta u = g^{ab} (d_a d_b u - Gamma^c_{ab} d_c u); the callback must
     accept coordinate arrays of shape (..., m).
     """
-    scheme = scheme or DerivativeScheme()
     chart_id, pts, squeeze = _as_batch(point)
     ginv, (dg, dgp), _, noise_g = _metric_jet(field, chart_id, pts, scheme)
     _, (du, dup), (d2u, d2up), _, noise_u = _jet(u, pts, scheme)
@@ -258,13 +257,12 @@ def laplace_beltrami(field: MetricField, u: Callable, point,
 
 
 def conformal_scalar(field: MetricField, u: Callable, point,
-                     scheme: DerivativeScheme | None = None) -> ValueWithError:
+                     scheme: DerivativeScheme) -> ValueWithError:
     """Scalar curvature of u^{4/(d-2)} g via the transformation law.
 
     S~ = u^{-(d+2)/(d-2)} (S_g u - (4(d-1)/(d-2)) Delta_g u), with d =
     ``field.dim`` >= 3.
     """
-    scheme = scheme or DerivativeScheme()
     d = field.dim
     if d < 3:
         raise ValueError("conformal dimension must be >= 3")

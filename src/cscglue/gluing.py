@@ -278,6 +278,10 @@ class GluingConfig:
             raise ValueError(f"eps must lie in (0, e^-1), got {self.eps}")
         if self.model_2 != self.model_1:
             raise ValueError("the two summands must be the same model")
+        # the neck fills the unit normal tube, so the caps are 1 <= r <= r_max
+        if not self.model_1.r_max > 1.0:
+            raise ValueError(f"the normal factor's r_max = {self.model_1.r_max:g} leaves "
+                             f"no cap: the seam lies at r = 1")
         nu = (self.model_1.n - 2) / 2.0
         if not -nu < self.delta < nu:
             raise DeltaOutOfRange(

@@ -144,9 +144,9 @@ def build_grid(cfg: GluingConfig, resolution: int) -> RadialGrid:
     """
     T = cfg.t_max
 
-    # one uniform spacing across caps and neck: the glued metric is smooth
-    # at the chart seams, and a single mesh width keeps the flux scheme
-    # second order everywhere
+    # one uniform spacing across caps and neck: the glued metric is smooth at
+    # the chart seams, and one mesh width keeps the flux scheme second order
+    # in the interior (v's order at the poles is lower, ROADMAP item 22)
     s_half = _segment(0.0, T + math.log(cfg.model_1.r_max), resolution)
     s = np.concatenate([-s_half[:0:-1], s_half])
     # from eps of about 1e-160, 1/U overflows and, as eps e^{-+s} underflows, q is 0/0

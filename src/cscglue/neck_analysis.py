@@ -93,8 +93,12 @@ class DeviationProfile:
     # W(eps) = sup eps (cosh t)^{n-1} |dev| over the resolved points: the
     # smallest c for which the bound c eps^-1 (cosh t)^{1-n} holds there
     weighted_sup: float
-    probe_dev: float              # deviation at t = log eps + 1
     resolved: np.ndarray = field(repr=False)
+
+    @property
+    def probe_dev(self) -> float:
+        """The deviation at the window edge t = log eps + 1, t[0]."""
+        return float(self.sup_dev[0])
 
 
 @dataclass
@@ -124,18 +128,14 @@ def deviation_profile(cfg: GluingConfig) -> DeviationProfile:
     t_half = np.linspace(-(T - 1.0), 0.0, nt)
     t = np.concatenate([t_half, -t_half[-2::-1]])
     with in_double_range("deviations", cfg.eps):
-        # the probe rides along as entry 0
-        S, err = neck_scalar_curvature(
-            cfg, *cfg.warp_jets(np.concatenate([[-(T - 1.0)], t])))
-        dev = np.abs(S - cfg.S)
-        sup_dev, fd_err = dev[1:], err[1:]
+        S, fd_err = neck_scalar_curvature(cfg, *cfg.warp_jets(t))
+        sup_dev = np.abs(S - cfg.S)
         resolved = sup_dev > RESOLVED_FACTOR * fd_err
         if not np.any(resolved):
             raise NotResolved("error bars exceed the deviation")
         weighted = cfg.eps * np.cosh(t) ** (cfg.n - 1) * sup_dev
-    return DeviationProfile(
-        cfg.eps, t, sup_dev, fd_err,
-        float(np.max(weighted[resolved])), float(dev[0]), resolved)
+    return DeviationProfile(cfg.eps, t, sup_dev, fd_err,
+                            float(np.max(weighted[resolved])), resolved)
 
 
 def deviation_fit(make_cfg, eps_list) -> DeviationFit:

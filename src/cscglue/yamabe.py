@@ -24,7 +24,7 @@ import numpy as np
 # but bench/spans.py wraps them by name
 from .curvature import conformal_scalar, scalar_curvature  # noqa: F401
 from .errors import (ConfigError, DeltaOutOfRange, GlueError, IterationDiverged,
-                     NoConvergence, NonpositiveConformalFactor)
+                     NoConvergence, NonpositiveConformalFactor, OutOfChart)
 from .gluing import GluingConfig, Jet, glued_metric  # noqa: F401
 from .lapack import dgbsv
 from .neck_analysis import loglog_slope, refuse_repeated_eps
@@ -191,7 +191,7 @@ class CurvatureCheck:
     post_dev: float
     fd_err: float
     pre_dev: float
-    samples: list
+    s: np.ndarray  # the sampled coordinates; |s| >= t_max are the cap samples
     post_values: np.ndarray = None
 
 
@@ -285,8 +285,10 @@ class InterpolatingSpline:
         self.coef = dgbsv(kl, kl, ab, np.asarray_chkfinite(v, dtype=float))
 
     def jet(self, x) -> Jet:
-        """(w, w', w'') of the spline at x in [s[0], s[-1]], as a Jet."""
-        k = SPLINE_DEGREE
+        """(w, w', w'') of the spline at x in [s[0], s[-1]], as a Jet; ValueError elsewhere."""
+        k, lo, hi = SPLINE_DEGREE, self.knots[0], self.knots[-1]
+        if not np.all((lo <= x) & (x <= hi)):  # NaN is refused too
+            raise ValueError(f"x must lie in [{lo}, {hi}]: the spline does not extrapolate")
         # the knot interval of x: knots[ell] <= x < knots[ell + 1], the last one closed
         ell = np.clip(np.searchsorted(self.knots, x, side="right") - 1,
                       k, self.coef.size - 1)
@@ -316,8 +318,10 @@ def verify_constant_curvature(report: FixedPointReport,
     with Delta w = A (w'' + b w') from laplacian_coefficients and the
     spline's exact derivatives; S_g is neck_scalar_curvature on the neck
     and S on the caps, both read from one evaluation of the profile jets.
-    ``fd_err`` carries S_g's bar through the law plus the rounding of the
-    spline derivatives, amplified by A.
+    The caps are the grid's, |s| >= t_max, so a cap radius r < 1 is a neck
+    sample.  ``fd_err`` carries S_g's bar through the law plus the rounding
+    of the spline derivatives, amplified by A.  Raises OutOfChart, naming
+    r_max, when a cap sample lies beyond the grid's poles.
     """
     grid = report.v.grid
     v = report.v.values
@@ -326,11 +330,13 @@ def verify_constant_curvature(report: FixedPointReport,
     ts = np.linspace(-(T - 0.4), T - 0.4, VERIFY_NECK_SAMPLES)
     rs = np.linspace(1.05, 0.85 * cfg.model_1.r_max, VERIFY_CAP_SAMPLES)
     s = np.concatenate([ts, -T - np.log(rs), T + np.log(rs)])
-    samples = ([("neck", float(t)) for t in ts]
-               + [(chart, float(r)) for chart in ("cap-1", "cap-2") for r in rs])
+    if np.max(np.abs(s)) > grid.s[-1]:
+        raise OutOfChart(f"cap sample r = {max(rs):g} lies beyond the pole, "
+                         f"r_max = {cfg.model_1.r_max:g}")
     u, q = cfg.warp_jets(s)
     S_g, err_g = neck_scalar_curvature(cfg, u, q)
-    S_g[ts.size:], err_g[ts.size:] = S, 0.0  # caps carry the summand metric exactly
+    cap = np.abs(s) >= T
+    S_g[cap], err_g[cap] = S, 0.0  # caps carry the summand metric exactly
 
     spline = InterpolatingSpline(grid.s, v).jet(s)
     w, w1, w2 = 1.0 + spline.v, spline.d, spline.dd
@@ -345,7 +351,7 @@ def verify_constant_curvature(report: FixedPointReport,
     err = w ** (-4.0 / (m - 2)) * err_g + ROUNDING_ULPS * np.finfo(float).eps * scale * mag
 
     return CurvatureCheck(float(np.max(post)), float(np.max(err)),
-                          float(np.max(np.abs(S_g - S))), samples, post)
+                          float(np.max(np.abs(S_g - S))), s, post)
 
 
 @dataclass
@@ -365,7 +371,6 @@ class SweepRow:
 @dataclass
 class SweepTable:
     rows: list
-    delta: float
     slope: float
 
 
@@ -419,4 +424,4 @@ def convergence_sweep(make_cfg, eps_list, resolution: int,
             eps, delta, rep.v.sup(), rep.v.cap_sup(),
             rep.iterations, rep.residual, rep.pre_dev, post_dev,
             loglog_slope(eps_done, sup_done)))
-    return SweepTable(rows, delta, loglog_slope(eps_done, sup_done))
+    return SweepTable(rows, loglog_slope(eps_done, sup_done))

@@ -121,7 +121,7 @@ def test_criterion_02_harmonicity(rng):
         v = rng.normal(size=3)
         p = rng.uniform(0.3, 0.9) * v / np.linalg.norm(v)
         lap = laplace_beltrami(flat3, lambda x: 1.0 / np.linalg.norm(x, axis=-1),
-                               flat3.point("flat", p))
+                               flat3.point("flat", p), DerivativeScheme())
         worst = max(worst, abs(lap.value))
     _line(2, worst <= 1e-6, f"max |Laplacian of 1/|x|| = {worst:.2e} <= 1e-6")
     assert worst <= 1e-6

@@ -182,6 +182,23 @@ def test_gate_out_of_double_range_is_a_precondition_error(eps, error, tmp_path, 
     assert [c["name"] for c in checks if not c["passed"]] == ["rows_converged"]
 
 
+@pytest.mark.parametrize("subcommand", ["spectrum", "neck-estimate"])
+def test_a_model_with_no_cap_is_a_configuration_error(subcommand, tmp_path, capsys):
+    # at r_max = 0.94 every check passed although the grid's pole lay inside the neck
+    assert cli.main([subcommand, "--set", "model.sphere3_radius=0.3", "--set",
+                     "gluing.epsilon=0.02,0.01", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "r_max = 0.942478" in err
+
+
+def test_solve_with_a_cap_sample_beyond_the_pole_exits_2(tmp_path, capsys):
+    # at r_max = 1.037 the post-solve check extrapolated its spline and failed
+    # constancy, exit 1, as if the solve were wrong
+    assert cli.main(["solve", "--set", "model.sphere3_radius=0.33", "--set",
+                     "gluing.epsilon=1e-3", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("precondition error: OutOfChart: ")
+
+
 def test_solve_with_underflowed_grid_volumes_exits_2_without_warnings(tmp_path):
     # at 1e-120 the grid volumes underflow to 0; build_grid rejects the grid
     # before the assembly divides by them, so numpy prints nothing.  At

@@ -98,7 +98,8 @@ def test_error_estimate_honest_under_refinement(fermi_a, fermi_b, flat3):
 def test_laplace_constant(flat3, fermi_a):
     for field, point in ((flat3, ("flat", np.array([0.1, 0.2, 0.3]))),
                          (fermi_a, ("cap-1", np.array([0.3, 0.9, 1.3, 1.1, 0.6])))):
-        lap = laplace_beltrami(field, lambda x: 1.0 + 0.0 * x[..., 0], point)
+        lap = laplace_beltrami(field, lambda x: 1.0 + 0.0 * x[..., 0], point,
+                               DerivativeScheme())
         assert abs(lap.value) <= 1e-10
 
 
@@ -107,7 +108,7 @@ def test_laplace_harmonic_inverse_radius(flat3, rng):
     for _ in range(10):
         p = rng.uniform(0.3, 0.9) * _unit(rng)
         lap = laplace_beltrami(flat3, lambda x: 1.0 / np.linalg.norm(x, axis=-1),
-                               flat3.point("flat", p))
+                               flat3.point("flat", p), DerivativeScheme())
         assert abs(lap.value) <= 1e-6
 
 
@@ -121,7 +122,7 @@ def test_laplace_sphere_eigenfunction(fermi_a, model_a):
     k = model_a.k
     for r in (1.2, 2.2, 2.6):
         pt = fermi_a.point("cap-1", [0.3, 0.9, r, 1.1, 0.6])
-        lap = laplace_beltrami(fermi_a, lambda x: np.cos(x[..., k]), pt)
+        lap = laplace_beltrami(fermi_a, lambda x: np.cos(x[..., k]), pt, DerivativeScheme())
         assert abs(lap.value + 3.0 * math.cos(r)) / (3.0 * abs(math.cos(r))) <= 1e-5
 
 
@@ -131,7 +132,7 @@ def test_laplace_product_splits(fermi_a, model_a):
     z1, r = 0.7, 1.2
     pt = fermi_a.point("cap-1", [z1, 0.9, r, 1.1, 0.6])
     lap = laplace_beltrami(
-        fermi_a, lambda x: np.sin(x[..., 0]) * np.cos(x[..., k]), pt)
+        fermi_a, lambda x: np.sin(x[..., 0]) * np.cos(x[..., k]), pt, DerivativeScheme())
     # Delta_{T^2} sin z1 = -sin z1; Delta_{S^3} cos r = -3 cos r
     exact = -math.sin(z1) * math.cos(r) - 3.0 * math.sin(z1) * math.cos(r)
     assert abs(lap.value - exact) / abs(exact) <= 1e-6
@@ -140,14 +141,14 @@ def test_laplace_product_splits(fermi_a, model_a):
 def test_conformal_identity_factor(fermi_a):
     pt = fermi_a.point("cap-1", [0.3, 0.9, 1.3, 1.1, 0.6])
     s = scalar_curvature(fermi_a, pt)
-    c = conformal_scalar(fermi_a, lambda x: 1.0 + 0.0 * x[..., 0], pt)
+    c = conformal_scalar(fermi_a, lambda x: 1.0 + 0.0 * x[..., 0], pt, DerivativeScheme())
     assert c.value == pytest.approx(s.value, rel=1e-9)
 
 
 def test_conformal_stereographic_sphere5(flat5):
     u = lambda x: (2.0 / (1.0 + np.sum(x**2, axis=-1))) ** 1.5
     for p in ([0.3, -0.2, 0.1, 0.25, -0.15], [0.0, 0.4, 0.0, -0.3, 0.2]):
-        c = conformal_scalar(flat5, u, flat5.point("flat", p))
+        c = conformal_scalar(flat5, u, flat5.point("flat", p), DerivativeScheme())
         assert abs(c.value - 20.0) / 20.0 <= 1e-5
 
 
@@ -175,7 +176,7 @@ def test_conformal_vs_rescaled_field(flat3, flat5, fermi_a, fermi_b, rng):
     assert len(cases) == 20
     for field, point in cases:
         u = _random_factor(rng, field.dim)
-        a = conformal_scalar(field, u, point)
+        a = conformal_scalar(field, u, point, DerivativeScheme())
         b = scalar_curvature(rescale_field(field, u), point)
         scale = max(abs(a.value), 1.0)
         assert abs(a.value - b.value) / scale <= 1e-5
@@ -185,8 +186,8 @@ def test_conformal_cocycle(fermi_a, rng):
     point = ("cap-1", np.array([0.3, 0.9, 1.5, 1.1, 0.6]))
     u1 = _random_factor(rng, 5)
     u2 = _random_factor(rng, 5)
-    both = conformal_scalar(fermi_a, lambda x: u1(x) * u2(x), point)
-    staged = conformal_scalar(rescale_field(fermi_a, u1), u2, point)
+    both = conformal_scalar(fermi_a, lambda x: u1(x) * u2(x), point, DerivativeScheme())
+    staged = conformal_scalar(rescale_field(fermi_a, u1), u2, point, DerivativeScheme())
     scale = max(abs(both.value), 1.0)
     assert abs(both.value - staged.value) / scale <= 1e-5
 
@@ -194,10 +195,11 @@ def test_conformal_cocycle(fermi_a, rng):
 def test_nonpositive_conformal_factor(fermi_a):
     pt = fermi_a.point("cap-1", [0.3, 0.9, 1.3, 1.1, 0.6])
     with pytest.raises(NonpositiveConformalFactor):
-        conformal_scalar(fermi_a, lambda x: x[..., 2] - 1.3, pt)
+        conformal_scalar(fermi_a, lambda x: x[..., 2] - 1.3, pt, DerivativeScheme())
     # a NaN on the stencil is not a positive value
     with pytest.raises(NonpositiveConformalFactor):
-        conformal_scalar(fermi_a, lambda x: np.where(x[..., 2] > 1.3, np.nan, 1.0), pt)
+        conformal_scalar(fermi_a, lambda x: np.where(x[..., 2] > 1.3, np.nan, 1.0), pt,
+                         DerivativeScheme())
 
 
 def test_ill_conditioned_metric_raises():
@@ -252,7 +254,8 @@ def test_one_argument_callback_field_evaluates():
     pts = np.array([[0.7, 0.1], [1.9, -2.0]])
     s, err = scalar_curvature(field, ("s2", pts))
     assert np.all(np.abs(s - 2.0) <= np.maximum(err, 1e-6))
-    lap = laplace_beltrami(field, lambda x: np.cos(x[..., 0]), field.point("s2", [0.7, 0.1]))
+    lap = laplace_beltrami(field, lambda x: np.cos(x[..., 0]), field.point("s2", [0.7, 0.1]),
+                           DerivativeScheme())
     assert lap.value == pytest.approx(-2.0 * math.cos(0.7), abs=1e-6)
 
 
@@ -261,7 +264,7 @@ def test_wrong_chart_id_is_out_of_chart():
     x = np.array([0.7, 0.1])
     for call in (lambda: field.point("neck", x), lambda: field.components("cap-1", x),
                  lambda: scalar_curvature(field, ("flat", x)),
-                 lambda: laplace_beltrami(field, np.ones_like, ("theta", x))):
+                 lambda: laplace_beltrami(field, np.ones_like, ("theta", x), DerivativeScheme())):
         with pytest.raises(OutOfChart, match="no chart"):
             call()
 

@@ -28,6 +28,15 @@ def test_config_validation(model_a, model_b):
         gluing.SyntheticExactConfig(model_a, model_a, eps=0.05)
 
 
+def test_a_normal_factor_with_no_cap_is_refused():
+    # the neck fills the unit normal tube, so the seam sits at r = 1; at
+    # r_max = 0.94 the grid's pole lay inside the neck (s = 4.546 against
+    # t_max = 4.605 at eps 0.01)
+    model = geometry.make_model("torus2_x_sphere3", sphere3_radius=0.3)
+    with pytest.raises(ValueError, match="r_max = 0.942478"):
+        gluing.GluingConfig(model, model, eps=0.01)
+
+
 def test_chi_plateaus():
     for eps in (0.02, 0.16):
         assert gluing.chi(-1.0, eps) == 1.0

@@ -180,7 +180,8 @@ def test_separable_laplacian_matches_5d_engine(name, eps, probe):
     pts[:, k] = t
     ref, err = laplace_beltrami(
         gluing.glued_metric(cfg),
-        lambda c: a(c[..., k]).v * Y(c[..., k + 1:]) * Z(c[..., :k]), ("neck", pts))
+        lambda c: a(c[..., k]).v * Y(c[..., k + 1:]) * Z(c[..., :k]), ("neck", pts),
+        DerivativeScheme())
     assert np.all(np.abs(lap - ref) <= err)
 
 
@@ -356,7 +357,7 @@ def test_barrier_margins_match_5d_engine(name, eps, delta):
     pts[:, k + 1:] = geometry.THETA_SAMPLE[:n - 1]
     lap, err = laplace_beltrami(
         gluing.glued_metric(cfg), lambda c: na.barrier_profile(cfg, delta, c[..., k]),
-        ("neck", pts))
+        ("neck", pts), DerivativeScheme())
     margins = -(lap + rep.C * cfg.u(rep.t) ** (-4.0 / (n - 2))
                 * na.barrier_profile(cfg, delta, rep.t))
     assert np.all(np.abs(rep.margins - margins) <= err)

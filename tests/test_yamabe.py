@@ -7,7 +7,7 @@ import pytest
 from cscglue import (curvature, geometry, gluing, lapack, linear_solver, neck_analysis,
                      yamabe)
 from cscglue.errors import (ConfigError, DeltaOutOfRange, IterationDiverged,
-                            NonpositiveConformalFactor)
+                            NonpositiveConformalFactor, OutOfChart)
 
 
 def test_constants_dimension_five():
@@ -117,9 +117,8 @@ def test_verify_constant_factor_uses_total_dimension(cfg05, report05):
     c = 0.2
     rep.v.values[:] = c
     chk = yamabe.verify_constant_curvature(rep, cfg05)
-    t = np.array([x for chart, x in chk.samples if chart == "neck"])
-    S_neck, _ = linear_solver.neck_scalar_curvature(cfg05, *cfg05.warp_jets(t))
-    S_g = np.concatenate([S_neck, np.full(len(chk.samples) - t.size, cfg05.S)])
+    S_g, _ = linear_solver.neck_scalar_curvature(cfg05, *cfg05.warp_jets(chk.s))
+    S_g[np.abs(chk.s) >= cfg05.t_max] = cfg05.S
     expected = np.abs((1 + c) ** (-4.0 / (cfg05.m - 2)) * S_g - cfg05.S)
     # to rounding: the spline's derivatives of constant data are ~ 1e-12
     assert np.max(np.abs(chk.post_values - expected)) <= chk.fd_err
@@ -130,10 +129,39 @@ def test_verify_constancy_and_caps(cfg05, report05):
     assert chk.post_dev <= max(10 * chk.fd_err, chk.pre_dev / 50.0)
     # far cap points: conformal to the summands with a slowly varying
     # factor there, so only discretization-level deviation remains
-    cap_devs = [d for (chart, _), d in zip(chk.samples, chk.post_values)
-                if chart != "neck"]
+    cap_devs = chk.post_values[np.abs(chk.s) >= cfg05.t_max]
     assert len(cap_devs) == 12
     assert max(cap_devs) <= 1e-2
+
+
+def test_cap_samples_inside_the_neck_carry_the_neck_curvature():
+    # at r_max = 1.0996 the cap samples r = 0.981, 0.958 and 0.935 lie inside
+    # the neck, where S_glued - S reaches -4.85e-5 against fd_err 2.4e-6: the
+    # seam rule |s| >= t_max, not the sample order, decides which S_g they get
+    model = geometry.make_model("torus2_x_sphere3", sphere3_radius=0.35)
+    cfg = gluing.GluingConfig(model, model, eps=1e-4)
+    rep = yamabe.picard_solve(cfg, 64)
+    chk = yamabe.verify_constant_curvature(rep, cfg)
+    neck = np.abs(chk.s) < cfg.t_max
+    assert np.count_nonzero(neck) == yamabe.VERIFY_NECK_SAMPLES + 6
+    u, q = cfg.warp_jets(chk.s[neck])
+    S_g, _ = linear_solver.neck_scalar_curvature(cfg, u, q)
+    A, b = linear_solver.laplacian_coefficients(cfg, u, q)
+    v = yamabe.InterpolatingSpline(rep.v.grid.s, rep.v.values).jet(chk.s[neck])
+    m, w = cfg.m, 1.0 + v.v
+    law = w ** (-(m + 2.0) / (m - 2)) * (S_g * w - 4.0 * (m - 1) / (m - 2) * A * (v.dd + b * v.d))
+    assert np.max(np.abs(chk.post_values[neck] - np.abs(law - cfg.S))) <= chk.fd_err
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+def test_verify_refuses_a_cap_sample_beyond_the_pole(eps):
+    # at r_max = 1.037 the cap sample r = 1.05 lies 0.013 beyond the pole;
+    # extrapolating the spline there read post_dev 1.294 (eps 1e-3) and 0.127
+    model = geometry.make_model("torus2_x_sphere3", sphere3_radius=0.33)
+    cfg = gluing.GluingConfig(model, model, eps=eps)
+    rep = yamabe.picard_solve(cfg, 64)
+    with pytest.raises(OutOfChart, match=r"r_max = 1\.03673"):
+        yamabe.verify_constant_curvature(rep, cfg)
 
 
 def test_sweep_delta_precondition(model_a):
@@ -151,7 +179,6 @@ def test_sweep_delta_comes_from_the_configs(model_a):
     # rows carry the delta the solves used; a differing one is refused
     make = lambda e: gluing.GluingConfig(model_a, model_a, eps=e, delta=0.2)
     table = yamabe.convergence_sweep(make, [0.04, 0.02], resolution=48)
-    assert table.delta == 0.2
     assert [row.delta for row in table.rows] == [0.2, 0.2]
     with pytest.raises(ConfigError):
         yamabe.convergence_sweep(make, [0.04, 0.02], delta=0.1, resolution=48)
@@ -317,6 +344,15 @@ def test_spline_refuses_nodes_it_cannot_interpolate(s, v, match):
     # a spline that missed its own nodes by 0.215
     with pytest.raises(ValueError, match=match):
         yamabe.InterpolatingSpline(s, v)
+
+
+def test_spline_does_not_extrapolate():
+    s = np.linspace(0.0, 1.0, 12)
+    spline = yamabe.InterpolatingSpline(s, np.sin(3 * s))
+    assert np.allclose(spline.jet(s[[0, -1]]).v, np.sin(3 * s[[0, -1]]), rtol=0, atol=1e-15)
+    for x in (-1e-9, 1.0 + 1e-9, math.nan):
+        with pytest.raises(ValueError, match=r"x must lie in \[0.0, 1.0\]"):
+            spline.jet(np.array([0.5, x]))
 
 
 def test_spline_reproduces_quintics_on_a_nonuniform_grid(rng):
