@@ -439,9 +439,12 @@ def estimate_ratio(probe, v, f, weights, boundary: float) -> float:
 class EstimateReport:
     """Global weighted-estimate diagnostics for a batch of sources."""
 
-    ratio: float
     per_probe: list
     min_abs_eig: float
+
+    @property
+    def ratio(self) -> float:
+        return max(self.per_probe)
 
 
 def global_estimate_ratio(cfg: GluingConfig, resolution: int,
@@ -468,4 +471,4 @@ def global_estimate_ratio(cfg: GluingConfig, resolution: int,
         c_m = -(cfg.m - 2) / (4.0 * (cfg.m - 1))
         probes = [c_m * (cfg.S - profile)]
     out = [estimate_ratio(i, solve(op, f), f, weights, 0.0) for i, f in enumerate(probes)]
-    return EstimateReport(max(out), out, op.min_abs_eig)
+    return EstimateReport(out, op.min_abs_eig)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +93,11 @@ class DeviationProfile:
     # W(eps) = sup eps (cosh t)^{n-1} |dev| over the resolved points: the
     # smallest c for which the bound c eps^-1 (cosh t)^{1-n} holds there
     weighted_sup: float
-    resolved: np.ndarray = field(repr=False)
+
+    @property
+    def resolved(self) -> np.ndarray:
+        """The points whose deviation exceeds RESOLVED_FACTOR times its error bar."""
+        return self.sup_dev > RESOLVED_FACTOR * self.fd_err
 
     @property
     def probe_dev(self) -> float:
@@ -106,8 +110,18 @@ class DeviationFit:
     """Deviation sweep over eps with the edge-rate fit."""
 
     profiles: list
-    probe_slope: float
-    weighted_ratio: float  # max/min of W(eps) over the sweep
+
+    @property
+    def probe_slope(self) -> float:
+        """loglog_slope of probe_dev against eps over the profiles."""
+        return loglog_slope([p.eps for p in self.profiles],
+                            [p.probe_dev for p in self.profiles])
+
+    @property
+    def weighted_ratio(self) -> float:
+        """max/min of W(eps) over the sweep."""
+        Ws = [p.weighted_sup for p in self.profiles]
+        return max(Ws) / min(Ws)
 
 
 def deviation_profile(cfg: GluingConfig) -> DeviationProfile:
@@ -121,9 +135,7 @@ def deviation_profile(cfg: GluingConfig) -> DeviationProfile:
     error bar.  Where the curvature leaves double precision (below eps of
     about 1e-125 at n = 3) OutOfFloatRange is raised.
     """
-    T = cfg.t_max
-    if T <= 1.0:
-        raise EpsilonTooLarge("window |t| <= |log eps| - 1 is empty")
+    T = cfg.t_max  # > 1: GluingConfig admits only eps < e^-1
     nt = max(5, int(round((T - 1) * POINTS_PER_UNIT)) + 1)
     t_half = np.linspace(-(T - 1.0), 0.0, nt)
     t = np.concatenate([t_half, -t_half[-2::-1]])
@@ -134,8 +146,7 @@ def deviation_profile(cfg: GluingConfig) -> DeviationProfile:
         if not np.any(resolved):
             raise NotResolved("error bars exceed the deviation")
         weighted = cfg.eps * np.cosh(t) ** (cfg.n - 1) * sup_dev
-    return DeviationProfile(cfg.eps, t, sup_dev, fd_err,
-                            float(np.max(weighted[resolved])), resolved)
+    return DeviationProfile(cfg.eps, t, sup_dev, fd_err, float(np.max(weighted[resolved])))
 
 
 def deviation_fit(make_cfg, eps_list) -> DeviationFit:
@@ -148,10 +159,7 @@ def deviation_fit(make_cfg, eps_list) -> DeviationFit:
     if len(eps_list) == 0:
         raise ValueError("eps_list must hold at least one eps")
     refuse_repeated_eps(eps_list)
-    profiles = [deviation_profile(make_cfg(e)) for e in eps_list]
-    slope = loglog_slope(eps_list, [p.probe_dev for p in profiles])
-    Ws = [p.weighted_sup for p in profiles]
-    return DeviationFit(profiles, slope, max(Ws) / min(Ws))
+    return DeviationFit([deviation_profile(make_cfg(e)) for e in eps_list])
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +218,12 @@ def separable_terms(cfg: GluingConfig, f: Jet, factors, neck):
 
 @dataclass
 class ConjugationReport:
-    max_ratio: float
-    per_probe: list
+    per_probe: list  # (name, max ratio, ratio at each t) of each probe
     t: np.ndarray
+
+    @property
+    def max_ratio(self) -> float:
+        return max(r[1] for r in self.per_probe)
 
 
 def conjugation_residual(cfg: GluingConfig, t_samples=None,
@@ -258,7 +269,7 @@ def conjugation_residual(cfg: GluingConfig, t_samples=None,
                 np.abs(ell), np.abs(w0), np.full_like(w0, 1e-12)])
             ratio = np.abs(lhs - rhs) / (xabs * np.maximum(scale, np.abs(lhs)))
             results.append((name, float(np.max(ratio)), ratio))
-    return ConjugationReport(max(r[1] for r in results), results, t)
+    return ConjugationReport(results, t)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +342,11 @@ class BarrierReport:
     C: float
     t: np.ndarray
     margins: np.ndarray
-    min_margin: float
     fd_err: np.ndarray
+
+    @property
+    def min_margin(self) -> float:
+        return float(np.min(self.margins))
 
 
 def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierReport:
@@ -361,8 +375,7 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
         terms = (A * phi2, A * b * phi1, C * A * phi)  # A = u^{-4/(n-2)}
         margins = -sum(terms)
         err = ROUNDING_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)
-    return BarrierReport(delta, cfg.eps, cfg.alpha, C, t, margins,
-                         float(np.min(margins)), err)
+    return BarrierReport(delta, cfg.eps, cfg.alpha, C, t, margins, err)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +385,11 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
 
 @dataclass
 class LocalEstimateReport:
-    max_ratio: float
-    per_probe: list
+    per_probe: list  # (name, ratio) of each probe case
+
+    @property
+    def max_ratio(self) -> float:
+        return max(r[1] for r in self.per_probe)
 
 
 def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
@@ -431,4 +447,4 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
             den_b = max(edges[0] * abs(v[0]), edges[1] * abs(v[-1]))
             out.append((name, estimate_ratio(name, v, np.asarray(f)[i0 + 1:i1],
                                              (w_v, w_f[1:-1]), den_b)))
-    return LocalEstimateReport(max(r[1] for r in out), out)
+    return LocalEstimateReport(out)

@@ -100,7 +100,9 @@ class FixedPointReport:
     ``operator`` is the L the iterates were solved with.  Its smallest
     eigenvalue ``min_abs_eig`` is computed when first read and cached: the
     solve needs only invertibility, which its gate checked.  ``linear`` is
-    the same operator under the name bench/checks.py reads.
+    the same operator under the name bench/checks.py reads.  The
+    summaries ``iterations``, ``mirror_defect`` and ``contraction`` are
+    derived from the stored history and v when read.
     """
 
     sup_history: list
@@ -108,14 +110,28 @@ class FixedPointReport:
     v: RadialProfile
     residual: float
     converged: bool
-    mirror_defect: float
-    contraction: float
     pre_dev: float
-    operator: DiscreteOperator = field(repr=False, default=None)
+    operator: DiscreteOperator = field(repr=False)
 
     @property
     def iterations(self) -> int:
         return len(self.sup_history)
+
+    @property
+    def mirror_defect(self) -> float:
+        """max|v - v[::-1]|, zero for a v symmetric under s -> -s."""
+        v = self.v.values
+        return float(np.max(np.abs(v - v[::-1])))
+
+    @property
+    def contraction(self) -> float:
+        """Median ratio of successive increments; 0 below two increments."""
+        d = self.increments
+        # np.median of the ratios, without the numpy.ma import it makes on first use
+        r = sorted(d[i + 1] / d[i] for i in range(len(d) - 1))
+        h = len(r) // 2
+        return (0.0 if not r else math.nan if any(map(math.isnan, r))
+                else r[h] if len(r) % 2 else (r[h - 1] + r[h]) / 2)
 
     @property
     def linear(self) -> DiscreteOperator:
@@ -172,27 +188,23 @@ def picard_solve(cfg: GluingConfig, resolution: int, tol: float = 1e-11,
             converged = True
             break
     residual = float(np.max(np.abs(op.apply(v) - F_eps(v, s_dev, cfg.m, S))))
-    mirror = float(np.max(np.abs(v - v[::-1])))
-    # np.median of the ratios, without the numpy.ma import it makes on first use
-    r = sorted(diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1))
-    h = len(r) // 2
-    contraction = (0.0 if not r else math.nan if any(map(math.isnan, r))
-                   else r[h] if len(r) % 2 else (r[h - 1] + r[h]) / 2)
     return FixedPointReport(
         sup_history=sup_history, increments=diffs,
         v=RadialProfile(grid, v), residual=residual, converged=converged,
-        mirror_defect=mirror, contraction=contraction,
         pre_dev=float(np.max(np.abs(s_dev))), operator=op,
     )
 
 
 @dataclass
 class CurvatureCheck:
-    post_dev: float
     fd_err: float
     pre_dev: float
     s: np.ndarray  # the sampled coordinates; |s| >= t_max are the cap samples
-    post_values: np.ndarray = None
+    post_values: np.ndarray  # |S(conformal metric) - S| at each of s
+
+    @property
+    def post_dev(self) -> float:
+        return float(np.max(self.post_values))
 
 
 VERIFY_NECK_SAMPLES = 14  # t samples on the neck
@@ -350,8 +362,7 @@ def verify_constant_curvature(report: FixedPointReport,
                                          + np.abs(b) * (np.abs(w1) + vmax / h))
     err = w ** (-4.0 / (m - 2)) * err_g + ROUNDING_ULPS * np.finfo(float).eps * scale * mag
 
-    return CurvatureCheck(float(np.max(post)), float(np.max(err)),
-                          float(np.max(np.abs(S_g - S))), s, post)
+    return CurvatureCheck(float(np.max(err)), float(np.max(np.abs(S_g - S))), s, post)
 
 
 @dataclass
@@ -371,7 +382,12 @@ class SweepRow:
 @dataclass
 class SweepTable:
     rows: list
-    slope: float
+
+    @property
+    def slope(self) -> float:
+        """loglog_slope of sup_v against eps over the rows without an error."""
+        done = [r for r in self.rows if not r.error]
+        return loglog_slope([r.eps for r in done], [r.sup_v for r in done])
 
 
 def convergence_sweep(make_cfg, eps_list, resolution: int,
@@ -424,4 +440,4 @@ def convergence_sweep(make_cfg, eps_list, resolution: int,
             eps, delta, rep.v.sup(), rep.v.cap_sup(),
             rep.iterations, rep.residual, rep.pre_dev, post_dev,
             loglog_slope(eps_done, sup_done)))
-    return SweepTable(rows, loglog_slope(eps_done, sup_done))
+    return SweepTable(rows)

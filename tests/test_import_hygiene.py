@@ -3,12 +3,13 @@ no cscglue module imports scipy (cscglue.lapack calls the LAPACK numpy
 links), and the package's settable values stay within a recorded bound."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import cscglue
-from cscglue import cli
+from cscglue import cli, linear_solver, neck_analysis, yamabe
 
 PACKAGE = Path(cscglue.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -25,7 +26,7 @@ BENCH_ONLY = {
 # Settable values of the package: defaulted parameters of every def and
 # lambda, annotated fields of @dataclass classes, and cli.DEFAULTS keys.
 # CHANGES.md records every change to this bound.
-MAX_SETTABLE = 116
+MAX_SETTABLE = 105
 
 
 def _unused_imports(tree: ast.Module) -> set:
@@ -106,6 +107,34 @@ def test_settable_values_within_bound():
     assert params + fields + keys <= MAX_SETTABLE, (
         f"{params} defaulted parameters + {fields} dataclass fields + "
         f"{keys} cli.DEFAULTS keys = {params + fields + keys} > {MAX_SETTABLE}")
+
+
+# Each report stores what its stage measured; the summaries beside each
+# class are properties derived from those fields when read.
+REPORTS = {
+    yamabe.FixedPointReport: (
+        ["sup_history", "increments", "v", "residual", "converged", "pre_dev", "operator"],
+        ["mirror_defect", "contraction"]),
+    yamabe.CurvatureCheck: (["fd_err", "pre_dev", "s", "post_values"], ["post_dev"]),
+    yamabe.SweepTable: (["rows"], ["slope"]),
+    neck_analysis.DeviationProfile: (
+        ["eps", "t", "sup_dev", "fd_err", "weighted_sup"], ["resolved"]),
+    neck_analysis.DeviationFit: (["profiles"], ["probe_slope", "weighted_ratio"]),
+    neck_analysis.ConjugationReport: (["per_probe", "t"], ["max_ratio"]),
+    neck_analysis.BarrierReport: (
+        ["delta", "eps", "alpha", "C", "t", "margins", "fd_err"], ["min_margin"]),
+    neck_analysis.LocalEstimateReport: (["per_probe"], ["max_ratio"]),
+    linear_solver.EstimateReport: (["per_probe", "min_abs_eig"], ["ratio"]),
+}
+
+
+@pytest.mark.parametrize("report", REPORTS, ids=[cls.__name__ for cls in REPORTS])
+def test_reports_store_measurements_and_derive_summaries(report):
+    stored, derived = REPORTS[report]
+    fields = dataclasses.fields(report)
+    assert [f.name for f in fields] == stored
+    assert all(f.default is dataclasses.MISSING for f in fields)  # every builder passes each
+    assert all(isinstance(getattr(report, name, None), property) for name in derived)
 
 
 def test_linear_solver_factors_tridiagonal_systems_in_one_place():
