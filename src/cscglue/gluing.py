@@ -26,15 +26,13 @@ match the summand metrics to all orders at the seams; the concrete
 choices are recorded in the docstrings because downstream fitted
 constants depend on them.
 
-The profiles and their jets apply one plateau rule to all three
-cutoffs, chi, eta(t) and eta(-t), decided once per call from t's
-extremes: where every argument of a cutoff lies on a plateau of
-``mollifier_step`` (all <= 0 or all >= 1), the step is neither
-evaluated nor multiplied, and the term it zeroes is not computed.  So u
-is u^{(1)} + u^{(2)} with a side dropped or left unmultiplied as its eta
-allows, and q is one side's term alone where chi is 1 or 0.  The step
-is exactly 0 or 1 there, with derivatives +-0, so every part is bitwise
-the unfolded product's; NaN or empty input takes the full path.
+The cutoffs chi, eta(t) and eta(-t) are exactly 0 or 1 off their
+transition bands.  ``mollifier_step`` and its jet decide that from their
+own argument: where every entry lies on one plateau (all <= 0 or all
+>= 1) they return 0.0 or 1.0, with derivatives 0.0, and evaluate no
+exponential.  The profiles write each product rule once and multiply
+through; a plateau step gives every part bitwise the full path's
+product.  NaN or empty input takes the full path.
 """
 
 from __future__ import annotations
@@ -95,13 +93,33 @@ def _E(s):
     return np.where(pos, np.exp(-r), 0.0), r
 
 
+def _plateau(s):
+    """mollifier_step's value where every entry of the array s lies on one plateau.
+
+    That is 1.0 when min(s) >= 1 and 0.0 when max(s) <= 0, else None;
+    empty s, or s holding NaN, lies on neither.
+    """
+    if s.size:
+        if s.min() >= 1.0:
+            return 1.0
+        if s.max() <= 0.0:
+            return 0.0
+    return None
+
+
 def mollifier_step(s):
     """Smooth step B(s) = E(s)/(E(s)+E(1-s)), E(s)=exp(-1/s) for s>0 else 0.
 
     Identically 0 for s <= 0 and 1 for s >= 1; monotone and C^inf, with
-    all derivatives vanishing at both plateau edges.  s is an array.
+    all derivatives vanishing at both plateau edges.  s is an array.  When
+    every entry lies on one plateau, E is not evaluated: the result is
+    0.0 or 1.0 in the shape and type of the full path's, a numpy float
+    for 0-d s.
     """
     s = np.asarray(s, dtype=float)
+    b = _plateau(s)
+    if b is not None:
+        return np.full(s.shape, b)[()]
     e1 = _E(s)[0]
     return e1 / (e1 + _E(1.0 - s)[0])
 
@@ -113,8 +131,13 @@ def _step_jet(s):
     and E' = E r^2, E'' = E r^3 (r - 2), the quotient rule reduces to
     B' = P phi' and B'' = P ((1 - 2B) phi'^2 + phi''), where P = B (1 - B)
     = E1 E2 / D^2, phi' = r1^2 + r2^2 and phi'' = 2 (r2^3 - r1^3).  On
-    either plateau P is 0, and so are both derivatives.
+    either plateau P is 0, and so are both derivatives: when every entry
+    of s lies on one plateau the jet is the scalars (0.0 or 1.0, 0.0, 0.0)
+    and E is not evaluated.
     """
+    b = _plateau(s)
+    if b is not None:
+        return b, 0.0, 0.0
     e1, r1 = _E(s)
     e2, r2 = _E(1.0 - s)
     d = e1 + e2
@@ -125,39 +148,12 @@ def _step_jet(s):
     return b, p * phi1, p * ((e2 - e1) / d * (phi1 * phi1) + 2.0 * (r2sq * r2 - r1sq * r1))
 
 
-def _plateau(lo, hi):
-    """mollifier_step's value where every argument, lo <= s <= hi, lies on one plateau.
-
-    That is 1.0 when lo >= 1 and 0.0 when hi <= 0, else None; a NaN
-    bound lies on neither.
-    """
-    if lo >= 1.0:
-        return 1.0
-    if hi <= 0.0:
-        return 0.0
-    return None
-
-
 def _chi_arg(t):
     return (1.0 - t) / 2.0
 
 
 def _eta_arg(t, eps: float):
     return -math.log(eps) - t
-
-
-def _plateaus(t, eps: float):
-    """The plateau values of (chi, eta(t), eta(-t)) on all of t: 1.0, 0.0 or None.
-
-    t's min and max are read once: each cutoff argument is monotone in t,
-    rounding included, so its extremes are the arguments at t's extremes.
-    Empty t, or t holding NaN, lies on no plateau.
-    """
-    t = np.asarray(t)
-    lo, hi = (float(t.min()), float(t.max())) if t.size else (math.nan, math.nan)
-    return (_plateau(_chi_arg(hi), _chi_arg(lo)),
-            _plateau(_eta_arg(hi, eps), _eta_arg(lo, eps)),
-            _plateau(_eta_arg(-lo, eps), _eta_arg(-hi, eps)))
 
 
 def check_neck(t, eps):
@@ -189,43 +185,31 @@ def _u_profile(t, eps: float, n: int, side: int):
     return eps ** ((n - 2) / 2.0) * np.exp(sgn * (n - 2) / 2.0 * t)
 
 
-def _u_eps_raw(t, eps: float, n: int, etas):
-    """eta(t) u^{(1)} + eta(-t) u^{(2)}, ``etas`` the plateau values of the two etas."""
-    u = None
-    for side, e in zip((1, 2), etas):
-        if e == 0.0:  # u^{(side)} is not computed
-            continue
-        term = _u_profile(t, eps, n, side)
-        if e is None:
-            term = mollifier_step(_eta_arg(t if side == 1 else -t, eps)) * term
-        u = term if u is None else u + term
-    # eta(t) and eta(-t) never both vanish on one input: that needs t >= T and t <= -T
-    return u
+def _u_eps_raw(t, eps: float, n: int):
+    """eta(t) u^{(1)} + eta(-t) u^{(2)}."""
+    return (mollifier_step(_eta_arg(t, eps)) * _u_profile(t, eps, n, 1)
+            + mollifier_step(_eta_arg(-t, eps)) * _u_profile(t, eps, n, 2))
 
 
-def _u_jet(t, eps: float, n: int, etas):
-    """(u, u', u'') of ``_u_eps_raw`` in closed form, on its plateau rule.
+def _eta_u_jet(t, eps: float, n: int, side: int):
+    """(w, w', w'') of one side's term w = eta(-+t) u^{(side)}, in closed form.
 
     u^{(side)} = eps^nu e^{ct}, c = -+nu, has derivatives c u^{(side)} and
     c^2 u^{(side)}; eta(-+t) = B(-log eps -+ t) has eta' = -+B' and eta'' = B''.
+    So w' = u^{(side)} g and w'' = u^{(side)} (eta'' + c (eta' + g)), g = eta' + c eta.
     """
-    parts = []
-    for side, e in zip((1, 2), etas):
-        if e == 0.0:
-            continue
-        sgn = -1.0 if side == 1 else 1.0
-        c = sgn * (n - 2) / 2.0
-        v = _u_profile(t, eps, n, side)
-        if e is None:  # (eta v)' = v g, (eta v)'' = v (eta'' + c (eta' + g)), g = eta' + c eta
-            b, b1, b2 = _step_jet(_eta_arg(t if side == 1 else -t, eps))
-            e1 = sgn * b1
-            g = e1 + c * b
-            parts.append((b * v, v * g, v * (b2 + c * (e1 + g))))
-        else:
-            parts.append((v, c * v, c * c * v))
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(x + y for x, y in zip(*parts))
+    sgn = -1.0 if side == 1 else 1.0
+    c = sgn * (n - 2) / 2.0
+    v = _u_profile(t, eps, n, side)
+    b, b1, b2 = _step_jet(_eta_arg(t if side == 1 else -t, eps))
+    e1 = sgn * b1
+    g = e1 + c * b
+    return b * v, v * g, v * (b2 + c * (e1 + g))
+
+
+def _u_jet(t, eps: float, n: int):
+    """(u, u', u'') of ``_u_eps_raw`` in closed form."""
+    return tuple(x + y for x, y in zip(_eta_u_jet(t, eps, n, 1), _eta_u_jet(t, eps, n, 2)))
 
 
 def _q_N(factor, eps: float, x):
@@ -318,7 +302,7 @@ class GluingConfig:
 
         The u of ``warp``, for stages that need u alone: q costs as much again.
         """
-        return _u_eps_raw(t, self.eps, self.n, _plateaus(t, self.eps)[1:])
+        return _u_eps_raw(t, self.eps, self.n)
 
     def warp(self, t):
         """The neck profiles (u, q) of this config's metric at the array t.
@@ -331,34 +315,25 @@ class GluingConfig:
         the metric through this method or ``warp_jets``.
         """
         f, eps = self.model_1.normal_factor, self.eps
-        c, *etas = _plateaus(t, eps)
-        if c is None:
-            c = mollifier_step(_chi_arg(t))
-            q = c * _q_N(f, eps, -t) + (1.0 - c) * _q_N(f, eps, t)
-        else:  # chi is 1 or 0 on all of t: one side's q alone
-            q = _q_N(f, eps, -t) if c else _q_N(f, eps, t)
-        return _u_eps_raw(t, eps, self.n, etas), q
+        c = mollifier_step(_chi_arg(t))
+        return _u_eps_raw(t, eps, self.n), c * _q_N(f, eps, -t) + (1.0 - c) * _q_N(f, eps, t)
 
     def warp_jets(self, t):
         """Exact second-order jets (u, q) of ``warp`` at t, in closed form.
 
         The values are ``warp(t)`` bit for bit; the derivatives combine
         those of the mollifier step, the exponential profiles and q_N by
-        the product rule, on the plateau rule of ``warp``.  One evaluation
-        serves every coefficient a stage needs at the same t.
+        the product rule.  One evaluation serves every coefficient a stage
+        needs at the same t.
         """
         t = np.asarray(t, dtype=float)
         f, eps = self.model_1.normal_factor, self.eps
-        c, *etas = _plateaus(t, eps)
-        if c is None:  # chi' = -B'/2 and chi'' = B''/4 at s = (1 - t)/2
-            b, b1, b2 = _step_jet(_chi_arg(t))
-            (qa, qa1, qa2), (qb, qb1, qb2) = _q_N_jet(f, eps, t, 1), _q_N_jet(f, eps, t, 2)
-            one_c, dq = 1.0 - b, qa - qb
-            q = (b * qa + one_c * qb, b * qa1 + one_c * qb1 - 0.5 * b1 * dq,
-                 b * qa2 + one_c * qb2 + b1 * (qb1 - qa1) + 0.25 * b2 * dq)
-        else:
-            q = _q_N_jet(f, eps, t, 1 if c else 2)
-        return Jet(*_u_jet(t, eps, self.n, etas)), Jet(*q)
+        b, b1, b2 = _step_jet(_chi_arg(t))  # chi' = -B'/2 and chi'' = B''/4 at s = (1 - t)/2
+        (qa, qa1, qa2), (qb, qb1, qb2) = _q_N_jet(f, eps, t, 1), _q_N_jet(f, eps, t, 2)
+        one_c, dq = 1.0 - b, qa - qb
+        q = (b * qa + one_c * qb, b * qa1 + one_c * qb1 - 0.5 * b1 * dq,
+             b * qa2 + one_c * qb2 + b1 * (qb1 - qa1) + 0.25 * b2 * dq)
+        return Jet(*_u_jet(t, eps, self.n)), Jet(*q)
 
 
 class SyntheticExactConfig(GluingConfig):
@@ -378,14 +353,17 @@ class SyntheticExactConfig(GluingConfig):
             raise ValueError("synthetic exact metric needs flat (ball) normal factors")
 
     def u(self, t):
-        return _u_eps_raw(t, self.eps, self.n, (1.0, 1.0))
+        return _u_profile(t, self.eps, self.n, 1) + _u_profile(t, self.eps, self.n, 2)
 
     def warp(self, t):
         return self.u(t), 1.0
 
     def warp_jets(self, t):
-        u = _u_jet(np.asarray(t, dtype=float), self.eps, self.n, (1.0, 1.0))
-        return Jet(*u), Jet(1.0, 0.0, 0.0)
+        # u^{(1)}, u^{(2)} = eps^nu e^{-+nu t} have derivatives -+nu u^{(i)} and nu^2 u^{(i)}
+        t = np.asarray(t, dtype=float)
+        v1, v2 = _u_profile(t, self.eps, self.n, 1), _u_profile(t, self.eps, self.n, 2)
+        nu, nu2 = self.nu, self.nu * self.nu
+        return Jet(v1 + v2, nu * v2 - nu * v1, nu2 * v1 + nu2 * v2), Jet(1.0, 0.0, 0.0)
 
 
 def _warped_components(cfg: GluingConfig, c: np.ndarray):

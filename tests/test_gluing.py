@@ -358,23 +358,41 @@ def test_warp_jets_match_mpmath(name, eps):
                 assert np.all(np.abs(got - want) <= bar * scale), j
 
 
+def _unfolded_step(s):
+    """(B, B', B'') of the mollifier step by its full formula, E evaluated on
+    every entry: _step_jet's arithmetic with no plateau rule."""
+    def E(x):
+        pos = x > gluing._E_FLOOR
+        r = 1.0 / np.where(pos, x, 1.0)
+        return np.where(pos, np.exp(-r), 0.0), r
+
+    e1, r1 = E(s)
+    e2, r2 = E(1.0 - s)
+    d = e1 + e2
+    b = e1 / d
+    p = b * (e2 / d)
+    r1sq, r2sq = r1 * r1, r2 * r2
+    phi1 = r1sq + r2sq
+    return b, p * phi1, p * ((e2 - e1) / d * (phi1 * phi1) + 2.0 * (r2sq * r2 - r1sq * r1))
+
+
 def _unfolded(cfg, t):
     """Parts of the (u, q) jets of cfg at t with every cutoff's closed-form
-    jet evaluated and multiplied out, warp_jets without plateau folding, and
-    the values of eta(t), eta(-t) and chi."""
+    jet evaluated and multiplied out, and the values of eta(t), eta(-t)
+    and chi."""
     eps, n, f = cfg.eps, cfg.n, cfg.model_1.normal_factor
     T = -math.log(eps)
     sides, steps = [], []
     for sgn, s in ((-1.0, T - t), (1.0, T - (-t))):
         c = sgn * (n - 2) / 2.0
         v = eps ** ((n - 2) / 2.0) * np.exp(c * t)
-        b, b1, b2 = gluing._step_jet(s)
+        b, b1, b2 = _unfolded_step(s)
         e1 = sgn * b1
         g = e1 + c * b
         sides.append((b * v, v * g, v * (b2 + c * (e1 + g))))
         steps.append(b)
     u = tuple(x + y for x, y in zip(*sides))
-    b, b1, b2 = gluing._step_jet((1.0 - t) / 2.0)
+    b, b1, b2 = _unfolded_step((1.0 - t) / 2.0)
     (qa, qa1, qa2), (qb, qb1, qb2) = (gluing._q_N_jet(f, eps, t, side) for side in (1, 2))
     one_c, dq = 1.0 - b, qa - qb
     q = (b * qa + one_c * qb, b * qa1 + one_c * qb1 - 0.5 * b1 * dq,
@@ -389,7 +407,7 @@ def _bits(x):
 
 
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3", "sphere2_x_ball3"])
-@pytest.mark.parametrize("eps", [0.02, 0.05, 0.16])  # at 0.16 the eta and chi bands collide
+@pytest.mark.parametrize("eps", [1e-3, 0.02, 0.05, 0.16])  # at 0.16 the eta and chi bands collide
 def test_cutoff_plateau_folding_keeps_every_bit(name, eps):
     model = geometry.make_model(name)
     cfg = gluing.GluingConfig(model, model, eps=eps)
@@ -398,8 +416,10 @@ def test_cutoff_plateau_folding_keeps_every_bit(name, eps):
         "eta-plateaus": np.linspace(-(T - 1.0), T - 1.0, 33),
         "bands": np.linspace(-(T - 0.3), T - 0.3, 41),
         **{f"t={x:.6g}": np.array([x]) for x in (1.0, -1.0, T - 1.0, 1.0 - T)},
-        # one point just inside each band edge, where the step is not yet 0 or 1
-        **{f"t={x:.6g}": np.array([x]) for x in (0.9, -0.9, T - 0.9, T - 0.05)},
+        # one point just inside each band edge, where the step is not yet 0 or
+        # 1 (B(0.005) = 3.8e-87 and 1 - B(0.97) = 9.3e-15)
+        **{f"t={x:.6g}": np.array([x]) for x in (
+            0.9, -0.9, T - 0.9, T - 0.05, 0.99, -0.94, T - 0.97, T - 0.005)},
     }
     beyond = {
         "caps": np.linspace(T, T + 0.5, 9),
@@ -430,24 +450,48 @@ def test_cutoff_plateau_folding_keeps_every_bit(name, eps):
 
 
 def test_cutoffs_on_their_plateaus_are_not_evaluated(monkeypatch, cfg05):
-    calls, plateau_tests = [], []
-    for name in ("mollifier_step", "_step_jet"):
-        real = getattr(gluing, name)
-        monkeypatch.setattr(gluing, name, lambda s, real=real: calls.append(s) or real(s))
-    plateaus = gluing._plateaus
-    monkeypatch.setattr(gluing, "_plateaus",
-                        lambda t, eps: plateau_tests.append(t) or plateaus(t, eps))
+    calls = []
+    E = gluing._E
+    monkeypatch.setattr(gluing, "_E", lambda s: calls.append(s) or E(s))
     T = cfg05.t_max
-    for profile in (cfg05.warp, cfg05.warp_jets):
-        calls.clear()
-        profile(np.linspace(-(T - 1.0), -1.0, 9))  # chi = eta(t) = eta(-t) = 1
-        assert calls == []
-        profile(np.linspace(1.0, T + 0.5, 9))  # chi = 0 and eta(-t) = 1; eta(t) moves
-        assert len(calls) == 1
-        calls.clear()
-        for t in (np.array([0.0, math.nan]), np.array([])):
-            with np.errstate(invalid="ignore"):
+    # a whole-plateau argument evaluates no E; a band, NaN or empty one
+    # takes the full path, E(s) and E(1 - s)
+    with np.errstate(invalid="ignore"):
+        for step in (gluing.mollifier_step, gluing._step_jet):
+            for s, evaluated in ((np.array([-2.0, 0.0]), 0), (np.array([1.0, 3.0]), 0),
+                                 (np.array([0.0, 0.5]), 2), (np.array([1.5, math.nan]), 2),
+                                 (np.array([]), 2)):
+                calls.clear()
+                step(s)
+                assert len(calls) == evaluated, (step.__name__, s)
+        for profile in (cfg05.warp, cfg05.warp_jets):
+            calls.clear()
+            profile(np.linspace(-(T - 1.0), -1.0, 9))  # chi = eta(t) = eta(-t) = 1
+            assert calls == []
+            profile(np.linspace(1.0, T + 0.5, 9))  # chi = 0 and eta(-t) = 1; eta(t) moves
+            assert len(calls) == 2
+            calls.clear()
+            for t in (np.array([0.0, math.nan]), np.array([])):
                 profile(t)
-        assert len(calls) == 6
-    # one plateau test per call: t's extremes serve all three cutoffs
-    assert len(plateau_tests) == 8
+            assert len(calls) == 12  # three cutoffs on the full path, twice
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (9,)])
+def test_plateau_steps_keep_the_full_paths_type_shape_and_bits(monkeypatch, shape):
+    # mollifier_step, chi and eta are public: a whole-plateau argument gets
+    # what E would have given, a numpy float for 0-d input
+    eps = 0.05  # T = 3.0
+    cases = [  # (name, call, its plateau value) with x in [0, 1]
+        ("B = 0", lambda x: gluing.mollifier_step(x - 2.5), 0.0),
+        ("B = 1", lambda x: gluing.mollifier_step(x + 1.0), 1.0),
+        ("chi = 1", lambda x: gluing.chi(-x - 1.5, eps), 1.0),
+        ("chi = 0", lambda x: gluing.chi(x + 1.0, eps), 0.0),
+        ("eta = 1", lambda x: gluing.eta(x - 1.0, eps), 1.0),
+    ]
+    x = np.linspace(0.0, 1.0, math.prod(shape)).reshape(shape) if shape else 0.25
+    got = [call(x) for _, call, _ in cases]
+    monkeypatch.setattr(gluing, "_plateau", lambda s: None)
+    for (name, call, value), g in zip(cases, got):
+        want = call(x)
+        assert np.all(want == value), name
+        assert type(g) is type(want) and _bits(g) == _bits(want), name

@@ -152,6 +152,21 @@ def test_linear_solver_factors_tridiagonal_systems_in_one_place():
     assert len(names(tree)) == len(names(lu)) == 1
 
 
+def test_cutoff_plateaus_are_decided_in_the_step_functions_alone():
+    # chi and eta are exactly 0 or 1 off their bands; mollifier_step and
+    # _step_jet read that from their own argument, and no profile decides
+    # it again
+    callers = set()
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and "_plateau" in (getattr(node.func, "id", None),
+                                                                  getattr(node.func, "attr", None))
+                    for node in ast.walk(fn)):
+                callers.add((path.name, fn.name))
+    assert callers == {("gluing.py", "mollifier_step"), ("gluing.py", "_step_jet")}
+
+
 def test_every_bound_lapack_routine_is_called():
     # the routines lapack.load binds, ilaver aside, are exactly those its
     # wrappers look up: no wrapper goes while its symbol stays bound, and

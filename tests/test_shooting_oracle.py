@@ -19,11 +19,14 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from cscglue import gluing, linear_solver, yamabe
+from cscglue import geometry, gluing, linear_solver, yamabe
 
 EPS = 0.02
 RHO0 = 1e-3  # distance of the shooting start from the pole
 RESOLUTIONS = (64, 128, 256, 512)
+# the continuum (pole value a, v(0)) at EPS, per model
+ROOTS = {"torus2_x_sphere3": (-0.0691668843, 0.0600979563),
+         "sphere2_x_sphere3": (-0.0787377354, 0.0791535561)}
 
 
 def shoot(cfg, a, rho0):
@@ -58,19 +61,21 @@ def shooting_root(cfg, guess, rho0):
     return a, shots[a][0]
 
 
-@pytest.fixture(scope="module")
-def oracle(model_a):
-    cfg = gluing.GluingConfig(model_a, model_a, eps=EPS)
+@pytest.fixture(scope="module", params=sorted(ROOTS))
+def oracle(request):
+    model = geometry.make_model(request.param)
+    cfg = gluing.GluingConfig(model, model, eps=EPS)
     picard = {res: yamabe.picard_solve(cfg, resolution=res).v.values for res in RESOLUTIONS}
     guess = picard[RESOLUTIONS[0]][-1]
-    return {"root": shooting_root(cfg, guess, RHO0),
+    return {"model": request.param, "root": shooting_root(cfg, guess, RHO0),
             "half": shooting_root(cfg, guess, RHO0 / 2), "picard": picard}
 
 
 def test_shooting_root_and_centre_value(oracle):
     a, v0 = oracle["root"]
-    assert a == pytest.approx(-0.0691668843, abs=1e-9)
-    assert v0 == pytest.approx(0.0600979563, abs=1e-9)
+    want_a, want_v0 = ROOTS[oracle["model"]]
+    assert a == pytest.approx(want_a, abs=1e-9)
+    assert v0 == pytest.approx(want_v0, abs=1e-9)
 
 
 def test_shooting_root_does_not_depend_on_the_start(oracle):
