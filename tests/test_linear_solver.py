@@ -587,6 +587,22 @@ def test_grid_and_profile_evaluate_each_mirror_pair_once(monkeypatch):
             assert points[0] <= math.ceil(np.count_nonzero(~grid.cap) / 2)
 
 
+# Bits of global_estimate_ratio at eps = 0.02, resolution 64: (ratio,
+# min_abs_eig).  They hold for numpy's float64 exp on x86-64; another libm
+# may move the last bits.
+GLOBAL_PINNED = {
+    "torus2_x_sphere3": ("0x1.a1ba03c8d163ep-5", "-0x1.67c62864c1800p+0"),
+    "sphere2_x_sphere3": ("0x1.d54fe51c3c79dp-5", "-0x1.27c62864c1800p+0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GLOBAL_PINNED))
+def test_global_estimate_keeps_its_bits(name):
+    model = geometry.make_model(name)
+    rep = ls.global_estimate_ratio(gluing.GluingConfig(model, model, eps=0.02), 64)
+    assert (rep.ratio.hex(), rep.min_abs_eig.hex()) == GLOBAL_PINNED[name]
+
+
 def test_global_estimate_homogeneity_and_cap_source(cfg05, stack05):
     grid, (prof, _), op = stack05
     c_m = -(cfg05.m - 2) / (4.0 * (cfg05.m - 1))

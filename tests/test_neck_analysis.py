@@ -498,6 +498,25 @@ def test_local_estimate_ratio_is_the_inline_weighted_sup_ratio(monkeypatch, name
         assert ratio == num / (den + den_b)
 
 
+# Bits of local_estimate_ratio at eps = 0.01 (alpha 3, delta 0.3, resolution
+# 64): each named case with its ratio.  Same libm caveat as PINNED.
+LOCAL_PINNED = {
+    "torus2_x_sphere3": (("harmonic-extension", "0x1.0000000000000p+0"),
+                         ("barrier-profile", "0x1.f71872e655207p-1"),
+                         ("interior-source", "0x1.2dcb73fdbe97ep+3")),
+    "sphere2_x_sphere3": (("harmonic-extension", "0x1.0000000000000p+0"),
+                          ("barrier-profile", "0x1.f72c98b2a6d7cp-1"),
+                          ("interior-source", "0x1.2de96099fbbffp+3")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_PINNED))
+def test_local_estimate_keeps_its_bits(name):
+    model = geometry.make_model(name)
+    rep = na.local_estimate_ratio(gluing.GluingConfig(model, model, eps=0.01))
+    assert tuple((case, ratio.hex()) for case, ratio in rep.per_probe) == LOCAL_PINNED[name]
+
+
 def _ones_ratio(edge):
     """The local ratio of an all-ones source, zero boundary data and f[i0] = edge."""
     model = geometry.make_model("torus2_x_sphere3")
