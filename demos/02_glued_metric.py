@@ -25,7 +25,7 @@ print(f"eps = {cfg.eps}: neck coordinate t ranges over ({math.log(cfg.eps):.3f},
 print("\ncutoff and profile values:")
 print("  chi(-1) =", chi(-1.0, cfg.eps), "  chi(1) =", chi(1.0, cfg.eps))
 print("  eta(0)  =", eta(0.0, cfg.eps))
-print("  u(0)    =", cfg.u(0.0), " (= 2 eps^{(n-2)/2})")
+print("  u(0)    =", cfg.warp(0.0)[0], " (= 2 eps^{(n-2)/2})")
 
 # the metric is continuous across the seams: compare the neck formula at
 # t = log(eps) with the summand metric at r = eps e^{-t} = 1, whose dr^2

@@ -10,16 +10,17 @@ profiles eps^{(n-2)/2} e^{-+(n-2)t/2}.
 The glued metric is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}], read
 through the profile method t -> (u, q), ``GluingConfig.warp``, or its
 exact second-order jets, ``GluingConfig.warp_jets``: a config fixes its
-metric, and every stage reads the metric from the config.  The jets are
-closed-form array arithmetic: the mollifier step, the exponential
-profiles eps^nu e^{-+nu t} and the normal profile q_N each have explicit
-first and second derivatives, combined by the product rule.  ``Jet``
-carries the result, as it carries the closed-form jets of the other 1-D
-functions the stages build on it (the barrier weight, the conjugation
-probes, the post-solve spline).  Beyond the seams
-|t| = -log eps the profiles saturate to the summand metrics written in
-t, so one chart in (z, t, theta) covers the neck and both caps.  ``SyntheticExactConfig`` is the exact-solution
-fixture: the same interface with a metric of constant scalar curvature.
+metric through these two methods alone, and every stage reads the metric,
+u included, through them.  The jets are closed-form array arithmetic: the
+mollifier step, the exponential profiles eps^nu e^{-+nu t} and the normal
+profile q_N each have explicit first and second derivatives, combined by
+the product rule.  ``Jet`` carries the result, as it carries the
+closed-form jets of the other 1-D functions the stages build on it (the
+barrier weight, the conjugation probes, the post-solve spline).  Beyond
+the seams |t| = -log eps the profiles saturate to the summand metrics
+written in t, so one chart in (z, t, theta) covers the neck and both
+caps.  ``SyntheticExactConfig`` is the exact-solution fixture: the same
+two methods on a metric of constant scalar curvature.
 
 Cutoffs use the standard exp(-1/s) mollifier, so the glued components
 match the summand metrics to all orders at the seams; the concrete
@@ -297,22 +298,18 @@ class GluingConfig:
     def t_max(self) -> float:
         return -math.log(self.eps)
 
-    def u(self, t):
-        """The normal conformal factor of this config's metric, u_eps, on arrays.
-
-        The u of ``warp``, for stages that need u alone: q costs as much again.
-        """
-        return _u_eps_raw(t, self.eps, self.n)
-
     def warp(self, t):
         """The neck profiles (u, q) of this config's metric at the array t.
 
         Every admissible gluing is g_K + u^{4/(n-2)} [dt^2 + q(t) g_{S^{n-1}}]
-        with u = ``self.u`` and q = chi q_N(eps e^{-t}) + (1 - chi) q_N(eps e^{t}),
+        with the conformal factor u = eta(t) u^{(1)} + eta(-t) u^{(2)},
+        u^{(1,2)} = eps^{(n-2)/2} e^{-+(n-2)t/2}, and
+        q = chi q_N(eps e^{-t}) + (1 - chi) q_N(eps e^{t}),
         q_N(r) = (f(r) / r)^2 for the normal block dr^2 + f(r)^2 g_{S^{n-1}}
         of the summand model.  Beyond the neck the profiles saturate to the
         summand metrics, so they cover the caps as well.  Every stage reads
-        the metric through this method or ``warp_jets``.
+        the metric through this method or ``warp_jets``, a stage that needs
+        u alone as ``warp(t)[0]``.
         """
         f, eps = self.model_1.normal_factor, self.eps
         c = mollifier_step(_chi_arg(t))
@@ -352,11 +349,8 @@ class SyntheticExactConfig(GluingConfig):
         if self.model_1.normal_factor.kind != "ball":
             raise ValueError("synthetic exact metric needs flat (ball) normal factors")
 
-    def u(self, t):
-        return _u_profile(t, self.eps, self.n, 1) + _u_profile(t, self.eps, self.n, 2)
-
     def warp(self, t):
-        return self.u(t), 1.0
+        return _u_profile(t, self.eps, self.n, 1) + _u_profile(t, self.eps, self.n, 2), 1.0
 
     def warp_jets(self, t):
         # u^{(1)}, u^{(2)} = eps^nu e^{-+nu t} have derivatives -+nu u^{(i)} and nu^2 u^{(i)}

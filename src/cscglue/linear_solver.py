@@ -437,38 +437,28 @@ def estimate_ratio(probe, v, f, weights, boundary: float) -> float:
 
 @dataclass
 class EstimateReport:
-    """Global weighted-estimate diagnostics for a batch of sources."""
+    """Global weighted-estimate diagnostics for the conformal source."""
 
-    per_probe: list
+    ratio: float
     min_abs_eig: float
 
-    @property
-    def ratio(self) -> float:
-        return max(self.per_probe)
 
-
-def global_estimate_ratio(cfg: GluingConfig, resolution: int,
-                          probes=None) -> EstimateReport:
+def global_estimate_ratio(cfg: GluingConfig, resolution: int) -> EstimateReport:
     """Empirical constant in sup|psi^{(n-2)/2-d} v| <= C sup|psi^{(n+2)/2-d} f|.
 
     Builds the glued metric's grid at ``resolution``, its curvature
-    profile and the operator L, and solves L v = f for each source.
-    ``probes`` is a list of sources on that grid; by default it is the
-    one conformal source c_m (S - S_glued).  Boundedness of the ratio
-    uniformly in eps is the content of the global weighted a priori
-    estimate.  The report's ``min_abs_eig`` is the operator's smallest
-    eigenvalue, computed after the solves have passed their gate.  An
-    empty ``probes``, and a zero source, named by its index, raise
-    ValueError.
+    profile and the operator L, and solves L v = f for the conformal
+    source f = c_m (S - S_glued).  Boundedness of the ratio uniformly in
+    eps is the content of the global weighted a priori estimate.  The
+    report's ``min_abs_eig`` is the operator's smallest eigenvalue,
+    computed after the solve has passed its gate.  A metric whose S_glued
+    is exactly S (``SyntheticExactConfig``) has a zero source, and
+    estimate_ratio raises ValueError naming ``'conformal'``.
     """
-    if probes is not None and len(probes) == 0:
-        raise ValueError("probes must hold at least one source")
     grid = build_grid(cfg, resolution)
     profile, _ = glued_curvature_profile(cfg, grid)
     op = assemble_L(grid, profile, cfg.m)
     weights = estimate_weights(cfg, psi_of_t(grid.s, cfg))
-    if probes is None:
-        c_m = -(cfg.m - 2) / (4.0 * (cfg.m - 1))
-        probes = [c_m * (cfg.S - profile)]
-    out = [estimate_ratio(i, solve(op, f), f, weights, 0.0) for i, f in enumerate(probes)]
-    return EstimateReport(out, op.min_abs_eig)
+    f = -(cfg.m - 2) / (4.0 * (cfg.m - 1)) * (cfg.S - profile)
+    return EstimateReport(estimate_ratio("conformal", solve(op, f), f, weights, 0.0),
+                          op.min_abs_eig)

@@ -330,8 +330,11 @@ def _barrier_weight(delta: float, t):
 
 
 def barrier_profile(cfg: GluingConfig, delta: float, t):
-    """phi_delta = u^{-1} (cosh t)^delta (delta <= 0) or u^{-1} cosh(delta t), on arrays."""
-    return _barrier_weight(delta, t)[0] / cfg.u(t)
+    """phi_delta = u^{-1} (cosh t)^delta (delta <= 0) or u^{-1} cosh(delta t), on arrays.
+
+    u is the first profile of ``cfg.warp(t)``.
+    """
+    return _barrier_weight(delta, t)[0] / cfg.warp(t)[0]
 
 
 @dataclass
@@ -385,34 +388,30 @@ def barrier_margin(cfg: GluingConfig, delta: float | None = None) -> BarrierRepo
 
 @dataclass
 class LocalEstimateReport:
-    per_probe: list  # (name, ratio) of each probe case
+    per_probe: list  # (name, ratio) of each of the three cases
 
     @property
     def max_ratio(self) -> float:
         return max(r[1] for r in self.per_probe)
 
 
-def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
-                         probes=None) -> LocalEstimateReport:
-    """Empirical constant of the local weighted estimate on T^eps_alpha.
+def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64) -> LocalEstimateReport:
+    """Empirical constants of the local weighted estimate on T^eps_alpha.
 
     Builds the glued metric's grid at ``resolution``, its curvature
-    profile and the operator L.  For solutions of L v = f on the window
-    with boundary data on its edge, returns the max over probe cases of
+    profile and the operator L, and solves L v = f on the window nodes
+    i0..i1 with Dirichlet values at its edge for three fixed cases: the
+    discrete harmonic extension of boundary data 1, the barrier profile
+    itself (f = L phi_delta with phi_delta's edge values) and a smooth
+    interior source with zero boundary data.  Each case reports
         sup |psi^{(n-2)/2-d} v| / (sup |psi^{(n+2)/2-d} f|
                                    + sup_boundary |psi^{(n-2)/2-d} v|),
-    the sup of f taken over the inner nodes, the only ones the window
-    solve reads.  ``probes`` is a list of cases (name, f, left, right), f
-    a source on the whole grid and left/right the Dirichlet values at the
-    window edges.  By default the three standard cases run: the discrete
-    harmonic extension of boundary data 1, the barrier profile itself,
-    and a smooth interior source with zero boundary data.  An empty list and
-    a case of zero source and boundary values (by name) raise ValueError.
-    Where the grid or a ratio leaves double precision (below eps of about
-    1e-110 at n = 3) OutOfFloatRange is raised.
+    the sup of f taken over the inner nodes i0+1..i1-1, the only ones the
+    window solve reads; phi_delta is evaluated on i0..i1 alone, the only
+    nodes that f there and the edge values read.  Where the grid or a
+    ratio leaves double precision (below eps of about 1e-110 at n = 3)
+    OutOfFloatRange is raised.
     """
-    if probes is not None and len(probes) == 0:
-        raise ValueError("probes must hold at least one case")
     T = cfg.t_max
     ta = T - cfg.alpha
     if ta <= 0:
@@ -426,25 +425,23 @@ def local_estimate_ratio(cfg: GluingConfig, resolution: int = 64,
         i0, i1 = int(inside[0]), int(inside[-1])
         if i1 - i0 < 8:
             raise EpsilonTooLarge("window T^eps_alpha has too few grid nodes")
-        psi = psi_of_t(s[i0:i1 + 1], cfg)
+        win = slice(i0, i1 + 1)
+        psi = psi_of_t(s[win], cfg)
         w_v, w_f = estimate_weights(cfg, psi)
         # scalar powers at the edges: the array power's last bit can differ
         edges = [estimate_weights(cfg, p)[0] for p in (psi[0], psi[-1])]
 
-        win = slice(i0, i1 + 1)
-        if probes is None:
-            phi = barrier_profile(cfg, cfg.delta, s)
-            fr = np.zeros(grid.size)
-            xi = (s[win] - s[i0]) / (s[i1] - s[i0])
-            fr[win] = np.sin(math.pi * xi) * (1.0 + 0.4 * np.cos(3 * math.pi * xi))
-            probes = [("harmonic-extension", np.zeros(grid.size), 1.0, 1.0),
-                      ("barrier-profile", op.apply(phi), phi[i0], phi[i1]),
-                      ("interior-source", fr, 0.0, 0.0)]
+        phi, fr = np.zeros(grid.size), np.zeros(grid.size)
+        phi[win] = barrier_profile(cfg, cfg.delta, s[win])
+        xi = (s[win] - s[i0]) / (s[i1] - s[i0])
+        fr[win] = np.sin(math.pi * xi) * (1.0 + 0.4 * np.cos(3 * math.pi * xi))
+        cases = [("harmonic-extension", np.zeros(grid.size), 1.0, 1.0),
+                 ("barrier-profile", op.apply(phi), phi[i0], phi[i1]),
+                 ("interior-source", fr, 0.0, 0.0)]
 
         out = []
-        for name, f, left, right in probes:
+        for name, f, left, right in cases:
             v = solve_dirichlet(op, f, i0, i1, left, right)
             den_b = max(edges[0] * abs(v[0]), edges[1] * abs(v[-1]))
-            out.append((name, estimate_ratio(name, v, np.asarray(f)[i0 + 1:i1],
-                                             (w_v, w_f[1:-1]), den_b)))
+            out.append((name, estimate_ratio(name, v, f[i0 + 1:i1], (w_v, w_f[1:-1]), den_b)))
     return LocalEstimateReport(out)

@@ -90,7 +90,7 @@ def test_cutoffs_c2_at_plateau_junctions(cfg05):
     cases = [
         (lambda t: gluing.chi(t, eps), -1.0),          # chi plateau edge
         (lambda t: gluing.eta(t, eps), T - 1.0),       # eta plateau edge
-        (cfg05.u, T - 1.0),                            # blended profile
+        (lambda t: cfg05.warp(t)[0], T - 1.0),         # blended profile
         (lambda t: gluing.psi_of_t(t, cfg05), max(0.0, T - cfg05.alpha)),
     ]
     for f, t0 in cases:
@@ -101,14 +101,14 @@ def test_cutoffs_c2_at_plateau_junctions(cfg05):
 
 def test_u_eps_values(cfg05):
     eps, n = cfg05.eps, cfg05.n
-    assert cfg05.u(0.0) == pytest.approx(2.0 * eps ** ((n - 2) / 2))
+    assert cfg05.warp(0.0)[0] == pytest.approx(2.0 * eps ** ((n - 2) / 2))
     # plateau identity u = u1 (1 + h), h = e^{(n-2)t}
     t = np.linspace(math.log(eps) + 1.0, -1.0, 20)
     u1 = eps ** 0.5 * np.exp(-0.5 * t)
     h = np.exp(t)
-    assert np.max(np.abs(cfg05.u(t) - u1 * (1 + h))) <= 1e-14
+    assert np.max(np.abs(cfg05.warp(t)[0] - u1 * (1 + h))) <= 1e-14
     # chart edge: u -> 1 at t = log(eps), i.e. r_1 = 1
-    assert cfg05.u(math.log(eps)) == pytest.approx(1.0, abs=1e-14)
+    assert cfg05.warp(math.log(eps))[0] == pytest.approx(1.0, abs=1e-14)
     # conformal-polar identity u1 = |x|^{(n-2)/2}
     r1 = eps * np.exp(-t)
     assert np.max(np.abs(u1 - r1 ** ((n - 2) / 2.0))) <= 1e-14
@@ -430,10 +430,9 @@ def test_cutoff_plateau_folding_keeps_every_bit(name, eps):
     }
     for where, t in {**neck, **beyond}.items():
         u, q, _ = _unfolded(cfg, t)
-        got = (*cfg.warp(t), cfg.u(t), *cfg.warp_jets(t))
-        for g, w in zip(got, (u[0], q[0], u[0], gluing.Jet(*u), gluing.Jet(*q))):
+        got = (*cfg.warp(t), *cfg.warp_jets(t))
+        for g, w in zip(got, (u[0], q[0], gluing.Jet(*u), gluing.Jet(*q))):
             assert _bits(g) == _bits(w), where
-    # cfg.u is held to the unfolded u above, on the neck and beyond it
     for where, t in neck.items():
         _, _, (eta1, eta2, c) = _unfolded(cfg, t)
         got = (gluing.chi(t, eps), gluing.eta(t, eps), gluing.eta(-t, eps))

@@ -534,15 +534,19 @@ def test_one_node_dirichlet_window(stack05):
         ls.solve_dirichlet(singular, f, i0, i0 + 2, left, right)
 
 
-@pytest.mark.parametrize("i0, i1", [(-5, 20), (20, None)])
-def test_dirichlet_window_outside_the_grid_is_refused_by_name(stack05, i0, i1):
+@pytest.mark.parametrize("i0, i1, size", [(-5, 20, None), (20, None, None), (20, 40, 3)],
+                         ids=["-5-20", "20-None", "short-source"])
+def test_dirichlet_window_outside_the_grid_is_refused_by_name(stack05, i0, i1, size):
     # i0 = -5 gave a bare IndexError, i1 = N a LAPACK complaint about the
-    # diagonal lengths; both are a ValueError naming the window and the grid
+    # diagonal lengths and a source shorter than the grid a bare IndexError;
+    # each is a ValueError naming the window and the grid, or the shapes
     _, _, op = stack05
     N = op.size
     i1 = N if i1 is None else i1
-    with pytest.raises(ValueError, match=rf"i0 = {i0}, i1 = {i1} .* grid of {N} nodes"):
-        ls.solve_dirichlet(op, np.zeros(N), i0, i1, 0.0, 0.0)
+    match = (rf"i0 = {i0}, i1 = {i1} .* grid of {N} nodes" if size is None
+             else re.escape(f"shape ({size},) does not fit a diagonal of shape ({N},)"))
+    with pytest.raises(ValueError, match=match):
+        ls.solve_dirichlet(op, np.zeros(size or N), i0, i1, 0.0, 0.0)
 
 
 def test_one_factorization_per_operator_in_convergence_sweep(model_a, monkeypatch):
@@ -603,35 +607,43 @@ def test_global_estimate_keeps_its_bits(name):
     assert (rep.ratio.hex(), rep.min_abs_eig.hex()) == GLOBAL_PINNED[name]
 
 
-def test_global_estimate_homogeneity_and_cap_source(cfg05, stack05):
-    grid, (prof, _), op = stack05
-    c_m = -(cfg05.m - 2) / (4.0 * (cfg05.m - 1))
-    f = c_m * (cfg05.S - prof)
-    # the estimate rebuilds the stack05 operator at its default resolution
-    rep1 = ls.global_estimate_ratio(cfg05, resolution=64, probes=[f])
-    rep2 = ls.global_estimate_ratio(cfg05, resolution=64, probes=[2.0 * f])
-    assert rep2.ratio == pytest.approx(rep1.ratio, rel=1e-12)
-
-    # source supported on the caps: the weights there are exactly one
-    f_cap = np.where(grid.cap, 1.0, 0.0)
-    rep = ls.global_estimate_ratio(cfg05, resolution=64, probes=[f_cap])
-    psi = gluing.psi_of_t(grid.s, cfg05)
-    v = ls.solve(op, f_cap)
-    lo = (cfg05.n - 2) / 2.0 - cfg05.delta
-    direct = np.max(psi**lo * np.abs(v)) / np.max(np.abs(f_cap))
-    assert rep.ratio == pytest.approx(direct, rel=1e-14)
+def test_global_estimate_refuses_the_zero_source_of_an_exact_metric():
+    # S_glued is S exactly there, so the conformal source is 0, v = 0 and
+    # the ratio is 0/0: the one zero source a caller can reach
+    model = geometry.make_model("sphere2_x_ball3")
+    cfg = gluing.SyntheticExactConfig(model, model, eps=0.05)
+    with pytest.raises(ValueError, match="'conformal' has a zero source"):
+        ls.global_estimate_ratio(cfg, 64)
 
 
-def test_global_estimate_refuses_empty_probes(cfg05):
-    with pytest.raises(ValueError, match="probes must hold at least one source"):
-        ls.global_estimate_ratio(cfg05, 64, probes=[])
+@pytest.mark.parametrize("left, right", [(0.0, 0.0), (0.2, 0.1)],
+                         ids=["boundary-0", "boundary-positive"])
+def test_estimate_ratio_homogeneity(model_a, left, right):
+    # L is linear: a source and Dirichlet data scaled by 7.3 scale v on the
+    # window |s| <= T - alpha, so the ratio holds to rounding, with and
+    # without a boundary term
+    cfg = gluing.GluingConfig(model_a, model_a, eps=0.05, alpha=2.7)
+    grid = ls.build_grid(cfg, 48)
+    op = ls.assemble_L(grid, ls.glued_curvature_profile(cfg, grid)[0], cfg.m)
+    i0, i1 = (int(np.argmin(np.abs(grid.s - x))) for x in (cfg.alpha - cfg.t_max,
+                                                           cfg.t_max - cfg.alpha))
+    f = np.zeros(grid.size)
+    f[i0 + 2:i1 - 2] = 1.0
+    w_v, w_f = ls.estimate_weights(cfg, gluing.psi_of_t(grid.s[i0:i1 + 1], cfg))
+
+    def ratio(c):
+        v = ls.solve_dirichlet(op, c * f, i0, i1, c * left, c * right)
+        den_b = max(w_v[0] * abs(v[0]), w_v[-1] * abs(v[-1]))
+        return ls.estimate_ratio("f", v, c * f[i0 + 1:i1], (w_v, w_f[1:-1]), den_b)
+
+    assert ratio(7.3) == pytest.approx(ratio(1.0), rel=1e-12)
 
 
-def test_global_estimate_refuses_a_zero_source_by_its_index(cfg05, stack05):
-    # v = 0 for f = 0: the ratio is 0/0, which was a bare ZeroDivisionError
-    f = np.ones(stack05[0].size)
-    with pytest.raises(ValueError, match="probe 1 has a zero source"):
-        ls.global_estimate_ratio(cfg05, 64, probes=[f, 0.0 * f])
+def test_estimate_weights_are_one_on_the_caps(cfg05, stack05):
+    # psi = 1 on the caps, so both estimates weigh v and f there as they are
+    grid = stack05[0]
+    for w in ls.estimate_weights(cfg05, gluing.psi_of_t(grid.s, cfg05)):
+        assert np.all(w[grid.cap] == 1.0)
 
 
 @pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3"])

@@ -49,15 +49,15 @@ def shoot(cfg, a, rho0):
     return sol.y[:, -1]
 
 
-def shooting_root(cfg, guess, rho0):
-    """(a, v(0)) of the shot with v'(0) = 0, a bracketed within 1e-3 of guess."""
+def shooting_root(cfg, guess, rho0, width):
+    """(a, v(0)) of the shot with v'(0) = 0, a bracketed within width of guess."""
     shots = {}  # brentq returns a point it evaluated, so v(0) needs no further shot
 
     def slope_at_centre(a):
         shots[a] = shoot(cfg, a, rho0)
         return shots[a][1]
 
-    a = brentq(slope_at_centre, guess - 1e-3, guess + 1e-3, xtol=1e-13)
+    a = brentq(slope_at_centre, guess - width, guess + width, xtol=1e-13)
     return a, shots[a][0]
 
 
@@ -66,9 +66,11 @@ def oracle(request):
     model = geometry.make_model(request.param)
     cfg = gluing.GluingConfig(model, model, eps=EPS)
     picard = {res: yamabe.picard_solve(cfg, resolution=res).v.values for res in RESOLUTIONS}
-    guess = picard[RESOLUTIONS[0]][-1]
-    return {"model": request.param, "root": shooting_root(cfg, guess, RHO0),
-            "half": shooting_root(cfg, guess, RHO0 / 2), "picard": picard}
+    root = shooting_root(cfg, picard[RESOLUTIONS[0]][-1], RHO0, 1e-3)
+    # a start-independent root lies well inside 1e-8 |a| of the first; a
+    # start-dependent one fails the bound or leaves brentq no sign change
+    half = shooting_root(cfg, root[0], RHO0 / 2, 1e-8 * abs(root[0]))
+    return {"model": request.param, "root": root, "half": half, "picard": picard}
 
 
 def test_shooting_root_and_centre_value(oracle):

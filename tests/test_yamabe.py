@@ -368,7 +368,7 @@ def test_spline_reproduces_quintics_on_a_nonuniform_grid(rng):
 def test_verify_evaluates_the_profile_once(monkeypatch, cfg05, report05):
     # neck curvature and Laplacian coefficients share one set of profile jets
     calls = []
-    for name in ("u", "warp", "warp_jets"):
+    for name in ("warp", "warp_jets"):
         real = getattr(gluing.GluingConfig, name)
 
         def counted(self, t, real=real, name=name):
