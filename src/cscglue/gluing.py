@@ -31,9 +31,12 @@ The cutoffs chi, eta(t) and eta(-t) are exactly 0 or 1 off their
 transition bands.  ``mollifier_step`` and its jet decide that from their
 own argument: where every entry lies on one plateau (all <= 0 or all
 >= 1) they return 0.0 or 1.0, with derivatives 0.0, and evaluate no
-exponential.  The profiles write each product rule once and multiply
-through; a plateau step gives every part bitwise the full path's
-product.  NaN or empty input takes the full path.
+exponential.  The two sides are rows 0 and 1 of one array, so the eta
+pair is one argument, eta(sigma t) with sigma = (+1, -1), and shares one
+decision: when one eta moves, the other takes the full path too, which
+gives it bitwise its plateau value.  The profiles write each product
+rule once and multiply through; a plateau step gives every part bitwise
+the full path's product.  NaN or empty input takes the full path.
 """
 
 from __future__ import annotations
@@ -180,62 +183,18 @@ def eta(t, eps: float):
     return mollifier_step(_eta_arg(check_neck(t, eps), eps))
 
 
-def _u_profile(t, eps: float, n: int, side: int):
-    """u_eps^{(side)}(t) = eps^{(n-2)/2} e^{-+(n-2)t/2}."""
-    sgn = -1.0 if side == 1 else 1.0
-    return eps ** ((n - 2) / 2.0) * np.exp(sgn * (n - 2) / 2.0 * t)
+def _signs(t):
+    """Row signs sigma = (+1, -1), shaped to broadcast against t.
 
-
-def _u_eps_raw(t, eps: float, n: int):
-    """eta(t) u^{(1)} + eta(-t) u^{(2)}."""
-    return (mollifier_step(_eta_arg(t, eps)) * _u_profile(t, eps, n, 1)
-            + mollifier_step(_eta_arg(-t, eps)) * _u_profile(t, eps, n, 2))
-
-
-def _eta_u_jet(t, eps: float, n: int, side: int):
-    """(w, w', w'') of one side's term w = eta(-+t) u^{(side)}, in closed form.
-
-    u^{(side)} = eps^nu e^{ct}, c = -+nu, has derivatives c u^{(side)} and
-    c^2 u^{(side)}; eta(-+t) = B(-log eps -+ t) has eta' = -+B' and eta'' = B''.
-    So w' = u^{(side)} g and w'' = u^{(side)} (eta'' + c (eta' + g)), g = eta' + c eta.
+    Rows 0 and 1 of an array hold sides 1 and 2, and side 2 is side 1 at -t:
+    eta(sigma t), eps^nu e^{-sigma nu t} and q_N(eps e^{-sigma t}).
     """
-    sgn = -1.0 if side == 1 else 1.0
-    c = sgn * (n - 2) / 2.0
-    v = _u_profile(t, eps, n, side)
-    b, b1, b2 = _step_jet(_eta_arg(t if side == 1 else -t, eps))
-    e1 = sgn * b1
-    g = e1 + c * b
-    return b * v, v * g, v * (b2 + c * (e1 + g))
+    return np.array([1.0, -1.0]).reshape((2,) + (1,) * np.ndim(t))
 
 
-def _u_jet(t, eps: float, n: int):
-    """(u, u', u'') of ``_u_eps_raw`` in closed form."""
-    return tuple(x + y for x, y in zip(_eta_u_jet(t, eps, n, 1), _eta_u_jet(t, eps, n, 2)))
-
-
-def _q_N(factor, eps: float, x):
-    """(f(r) / r)^2 at r = eps e^x."""
-    r = eps * np.exp(x)
-    return (normal_radius(factor, r) / r) ** 2
-
-
-def _q_N_jet(factor, eps: float, t, side: int):
-    """(q, q', q'') in t of q = _q_N at x = -t (side 1) or x = t (side 2).
-
-    q = rho^2 with rho = f(r)/r and r = eps e^x, so rho_x = f'(r) - rho
-    and rho_xx = f''(r) r - rho_x; rho_t = -+rho_x is written without a
-    negation, so a zero derivative stays +0 on both sides.
-    """
-    r = eps * np.exp(-t if side == 1 else t)
-    f, f1, f2 = normal_radius_jet(factor, r)
-    rho = f / r
-    if side == 1:
-        rho_t = rho - f1
-        rho_tt = f2 * r + rho_t
-    else:
-        rho_t = f1 - rho
-        rho_tt = f2 * r - rho_t
-    return rho ** 2, 2.0 * rho * rho_t, 2.0 * (rho_t * rho_t + rho * rho_tt)
+def _u_profile(t, eps: float, nu: float):
+    """Both exponential profiles u^{(1,2)}(t) = eps^nu e^{-+nu t}, as rows 0 and 1."""
+    return eps ** nu * np.exp(-_signs(t) * nu * t)
 
 
 @dataclass(frozen=True)
@@ -311,26 +270,47 @@ class GluingConfig:
         the metric through this method or ``warp_jets``, a stage that needs
         u alone as ``warp(t)[0]``.
         """
-        f, eps = self.model_1.normal_factor, self.eps
+        sigma, eps = _signs(t), self.eps
         c = mollifier_step(_chi_arg(t))
-        return _u_eps_raw(t, eps, self.n), c * _q_N(f, eps, -t) + (1.0 - c) * _q_N(f, eps, t)
+        u = mollifier_step(_eta_arg(sigma * t, eps)) * _u_profile(t, eps, self.nu)
+        r = eps * np.exp(-sigma * t)
+        qa, qb = (normal_radius(self.model_1.normal_factor, r) / r) ** 2
+        return u[0] + u[1], c * qa + (1.0 - c) * qb
 
     def warp_jets(self, t):
         """Exact second-order jets (u, q) of ``warp`` at t, in closed form.
 
         The values are ``warp(t)`` bit for bit; the derivatives combine
         those of the mollifier step, the exponential profiles and q_N by
-        the product rule.  One evaluation serves every coefficient a stage
-        needs at the same t.
+        the product rule, written once for both sides as rows 0 and 1 with
+        the row sign sigma = (+1, -1).  A side's term w = eta(sigma t) v,
+        v = eps^nu e^{ct} with c = -sigma nu, has eta' = -sigma B' and
+        eta'' = B'', so w' = v g and w'' = v (eta'' + c (eta' + g)) with
+        g = eta' + c eta.  A side's q_N = rho^2 at r = eps e^{-sigma t},
+        rho = f(r)/r, has rho_t = sigma rho - sigma f'(r) and
+        rho_tt = f''(r) r + sigma rho_t; rho_t is written without a
+        negation, so a zero derivative stays +0 on both sides.  One
+        evaluation serves every coefficient a stage needs at the same t.
         """
         t = np.asarray(t, dtype=float)
-        f, eps = self.model_1.normal_factor, self.eps
+        sigma, eps = _signs(t), self.eps
+        c = -sigma * self.nu
+        b, b1, b2 = _step_jet(_eta_arg(sigma * t, eps))
+        v, e1 = _u_profile(t, eps, self.nu), -sigma * b1
+        g = e1 + c * b
+        u = Jet(*(w[0] + w[1] for w in (b * v, v * g, v * (b2 + c * (e1 + g)))))
+        r = eps * np.exp(-sigma * t)
+        f, f1, f2 = normal_radius_jet(self.model_1.normal_factor, r)
+        rho = f / r
+        rho_t = sigma * rho - sigma * f1
+        rho_tt = f2 * r + sigma * rho_t
+        (qa, qb), (qa1, qb1), (qa2, qb2) = (
+            rho ** 2, 2.0 * rho * rho_t, 2.0 * (rho_t * rho_t + rho * rho_tt))
         b, b1, b2 = _step_jet(_chi_arg(t))  # chi' = -B'/2 and chi'' = B''/4 at s = (1 - t)/2
-        (qa, qa1, qa2), (qb, qb1, qb2) = _q_N_jet(f, eps, t, 1), _q_N_jet(f, eps, t, 2)
         one_c, dq = 1.0 - b, qa - qb
         q = (b * qa + one_c * qb, b * qa1 + one_c * qb1 - 0.5 * b1 * dq,
              b * qa2 + one_c * qb2 + b1 * (qb1 - qa1) + 0.25 * b2 * dq)
-        return Jet(*_u_jet(t, eps, self.n)), Jet(*q)
+        return u, Jet(*q)
 
 
 class SyntheticExactConfig(GluingConfig):
@@ -350,12 +330,12 @@ class SyntheticExactConfig(GluingConfig):
             raise ValueError("synthetic exact metric needs flat (ball) normal factors")
 
     def warp(self, t):
-        return _u_profile(t, self.eps, self.n, 1) + _u_profile(t, self.eps, self.n, 2), 1.0
+        u1, u2 = _u_profile(t, self.eps, self.nu)
+        return u1 + u2, 1.0
 
     def warp_jets(self, t):
         # u^{(1)}, u^{(2)} = eps^nu e^{-+nu t} have derivatives -+nu u^{(i)} and nu^2 u^{(i)}
-        t = np.asarray(t, dtype=float)
-        v1, v2 = _u_profile(t, self.eps, self.n, 1), _u_profile(t, self.eps, self.n, 2)
+        v1, v2 = _u_profile(t, self.eps, self.nu)
         nu, nu2 = self.nu, self.nu * self.nu
         return Jet(v1 + v2, nu * v2 - nu * v1, nu2 * v1 + nu2 * v2), Jet(1.0, 0.0, 0.0)
 

@@ -378,22 +378,38 @@ def _unfolded_step(s):
 
 def _unfolded(cfg, t):
     """Parts of the (u, q) jets of cfg at t with every cutoff's closed-form
-    jet evaluated and multiplied out, and the values of eta(t), eta(-t)
-    and chi."""
+    jet evaluated and multiplied out, side by side, and the values of
+    eta(t), eta(-t) and chi.  For a ``SyntheticExactConfig`` every eta is
+    1 and q is 1."""
     eps, n, f = cfg.eps, cfg.n, cfg.model_1.normal_factor
+    synthetic = isinstance(cfg, gluing.SyntheticExactConfig)
     T = -math.log(eps)
     sides, steps = [], []
     for sgn, s in ((-1.0, T - t), (1.0, T - (-t))):
         c = sgn * (n - 2) / 2.0
         v = eps ** ((n - 2) / 2.0) * np.exp(c * t)
-        b, b1, b2 = _unfolded_step(s)
+        b, b1, b2 = (1.0, 0.0, 0.0) if synthetic else _unfolded_step(s)
         e1 = sgn * b1
         g = e1 + c * b
         sides.append((b * v, v * g, v * (b2 + c * (e1 + g))))
         steps.append(b)
     u = tuple(x + y for x, y in zip(*sides))
+    if synthetic:
+        return u, (1.0, 0.0, 0.0), (*steps, None)
+    qs = []  # q_N = rho^2 at r = eps e^{-t} (side 1) and r = eps e^{t} (side 2)
+    for side in (1, 2):
+        r = eps * np.exp(-t if side == 1 else t)
+        fr, f1, f2 = geometry.normal_radius_jet(f, r)
+        rho = fr / r
+        if side == 1:
+            rho_t = rho - f1
+            rho_tt = f2 * r + rho_t
+        else:
+            rho_t = f1 - rho
+            rho_tt = f2 * r - rho_t
+        qs.append((rho ** 2, 2.0 * rho * rho_t, 2.0 * (rho_t * rho_t + rho * rho_tt)))
+    (qa, qa1, qa2), (qb, qb1, qb2) = qs
     b, b1, b2 = _unfolded_step((1.0 - t) / 2.0)
-    (qa, qa1, qa2), (qb, qb1, qb2) = (gluing._q_N_jet(f, eps, t, side) for side in (1, 2))
     one_c, dq = 1.0 - b, qa - qb
     q = (b * qa + one_c * qb, b * qa1 + one_c * qb1 - 0.5 * b1 * dq,
          b * qa2 + one_c * qb2 + b1 * (qb1 - qa1) + 0.25 * b2 * dq)
@@ -448,6 +464,32 @@ def test_cutoff_plateau_folding_keeps_every_bit(name, eps):
     assert np.isnan(got[1][1]) and np.isnan(got[3].v[1])
 
 
+@pytest.mark.parametrize("name", ["torus2_x_sphere3", "sphere2_x_sphere3", "sphere2_x_ball3",
+                                  "synthetic"])
+@pytest.mark.parametrize("eps", [0.02, 0.16])
+def test_side_rows_keep_every_bit_type_and_shape_of_t(name, eps):
+    # the two sides are rows 0 and 1 of one array, with row signs shaped to
+    # broadcast against t: a Python float (demo 02 calls cfg.warp(0.0)), a
+    # 0-d array, a numpy scalar and 2-D t all give the side-by-side values
+    synthetic = name == "synthetic"
+    model = geometry.make_model("sphere2_x_ball3" if synthetic else name)
+    cfg = (gluing.SyntheticExactConfig if synthetic else gluing.GluingConfig)(model, model, eps=eps)
+    T = cfg.t_max
+    cases = {"2-D": np.linspace(-(T + 0.5), T + 0.5, 24).reshape(4, 6),
+             "2-D column": np.linspace(-(T - 0.3), T - 0.3, 7)[:, None]}
+    for x in (0.0, -0.0, 0.5, T - 0.3, 0.3 - T, T + 0.2):
+        cases.update({f"float {x:.6g}": x, f"0-d {x:.6g}": np.array(x),
+                      f"numpy scalar {x:.6g}": np.float64(x)})
+    for where, t in cases.items():
+        u, q, _ = _unfolded(cfg, t)
+        got = (*cfg.warp(t), *cfg.warp_jets(t))
+        want = (u[0], q[0], gluing.Jet(*u), gluing.Jet(*q))
+        for g, w in zip(got, want):
+            assert _bits(g) == _bits(w), where
+            parts = zip(g, w) if isinstance(w, gluing.Jet) else [(g, w)]
+            assert all(type(a) is type(b) for a, b in parts), where
+
+
 def test_cutoffs_on_their_plateaus_are_not_evaluated(monkeypatch, cfg05):
     calls = []
     E = gluing._E
@@ -467,12 +509,14 @@ def test_cutoffs_on_their_plateaus_are_not_evaluated(monkeypatch, cfg05):
             calls.clear()
             profile(np.linspace(-(T - 1.0), -1.0, 9))  # chi = eta(t) = eta(-t) = 1
             assert calls == []
-            profile(np.linspace(1.0, T + 0.5, 9))  # chi = 0 and eta(-t) = 1; eta(t) moves
+            # chi = 0 and eta(-t) = 1 while eta(t) moves: the eta pair is one
+            # argument, so both of its rows take the full path
+            profile(np.linspace(1.0, T + 0.5, 9))
             assert len(calls) == 2
             calls.clear()
             for t in (np.array([0.0, math.nan]), np.array([])):
                 profile(t)
-            assert len(calls) == 12  # three cutoffs on the full path, twice
+            assert len(calls) == 8  # chi and the eta pair on the full path, twice
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (9,)])
